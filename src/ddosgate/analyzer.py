@@ -36,6 +36,7 @@ from .events import (
     TraceEvent,
     UdpInfo,
     flow_key,
+    ipv4_to_int,
     validate_udp_checksum,
 )
 
@@ -125,13 +126,8 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _ip_int(ip: str) -> int:
-    a, b, c, d = ip.split(".")
-    return (int(a) << 24) | (int(b) << 16) | (int(c) << 8) | int(d)
-
-
 def _cookie_hash(secret: int, flow: FlowKey, counter: int) -> int:
-    addrs = (_ip_int(flow.src_ip) << 32) | _ip_int(flow.dst_ip)
+    addrs = (ipv4_to_int(flow.src_ip) << 32) | ipv4_to_int(flow.dst_ip)
     ports = (flow.src_port << 48) | (flow.dst_port << 32) | (counter & 0xFFFFFFFF)
     h = _mix64(secret ^ 0x9E3779B97F4A7C15)
     h = _mix64(h ^ addrs)

@@ -13,24 +13,10 @@ import urllib.request
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
+from .events import int_to_ipv4, ipv4_to_int
+
 DEFAULT_REFRESH_SECS = 300.0
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
-
-
-def _parse_ipv4(text: str) -> int | None:
-    parts = text.split(".")
-    if len(parts) != 4:
-        return None
-    value = 0
-    for p in parts:
-        if not p.isdigit() or (len(p) > 1 and p[0] == "0") or int(p) > 255:
-            return None
-        value = (value << 8) | int(p)
-    return value
-
-
-def _ipv4_to_str(value: int) -> str:
-    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -39,7 +25,7 @@ class Cidr:
     prefix_len: int
 
     def __str__(self) -> str:
-        return f"{_ipv4_to_str(self.base)}/{self.prefix_len}"
+        return f"{int_to_ipv4(self.base)}/{self.prefix_len}"
 
     @property
     def last(self) -> int:
@@ -49,13 +35,13 @@ class Cidr:
 def parse_cidr(text: str) -> Cidr | None:
     """One CIDR or bare IP (treated as /32); host bits are cleared."""
     addr, sep, plen = text.partition("/")
-    ip = _parse_ipv4(addr.strip())
+    ip = ipv4_to_int(addr.strip())
     if ip is None:
         return None
     if not sep:
         return Cidr(base=ip, prefix_len=32)
     plen = plen.strip()
-    if not plen.isdigit() or int(plen) > 32:
+    if not (plen.isascii() and plen.isdigit()) or int(plen) > 32:
         return None
     n = int(plen)
     mask = 0 if n == 0 else (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF
@@ -95,15 +81,11 @@ class CidrSnapshot:
 
     def contains(self, ip: str | int) -> bool:
         """True iff any entry's prefix covers ip."""
-        value = ip if isinstance(ip, int) else _parse_ipv4(ip)
+        value = ip if isinstance(ip, int) else ipv4_to_int(ip)
         if value is None:
             return False
         i = bisect_right(self._starts, value) - 1
         return i >= 0 and value <= self._ends[i]
-
-
-def contains(snapshot: CidrSnapshot, ip: str | int) -> bool:
-    return snapshot.contains(ip)
 
 
 def parse_feed(text: str) -> tuple[list[Cidr], list[tuple[int, str]]]:

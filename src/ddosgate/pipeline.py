@@ -43,6 +43,11 @@ from .waf import RuleSet, default_ruleset, evaluate
 RATE_LIMITED = "rate_limited"
 BLACKLISTED = "blacklisted"
 
+# The verdicts that carry nothing from the event are shared, not rebuilt per event.
+_RATE_LIMITED_VERDICT = Verdict(DROP_RATE_LIMITED, 1, RATE_LIMITED)
+_BLACKLISTED_VERDICT = Verdict(REJECT_BLACKLISTED, 2, BLACKLISTED)
+_FORWARD_VERDICT = Verdict(FORWARD, 0, "")
+
 
 class OutOfOrderError(RuntimeError):
     def __init__(self, event_id: int, ts: float, last_ts: float):
@@ -155,12 +160,12 @@ class Engine:
         if not decision.allowed:
             if self.config.rate_drop_to_sandbox:
                 return self._sandbox(event, 1, RATE_LIMITED)
-            return Verdict(DROP_RATE_LIMITED, 1, RATE_LIMITED)
+            return _RATE_LIMITED_VERDICT
 
         self._maybe_refresh_blacklist(now)
         stats.examined[2] += 1
         if self.blacklist.current.contains(event.src_ip):
-            return Verdict(REJECT_BLACKLISTED, 2, BLACKLISTED)
+            return _BLACKLISTED_VERDICT
 
         if event.kind == "http":
             stats.examined[4] += 1
@@ -178,7 +183,7 @@ class Engine:
             if finding is not None:
                 return self._sandbox(event, 3, finding.code, finding.detail)
 
-        return Verdict(FORWARD, 0, "")
+        return _FORWARD_VERDICT
 
     # -- stream driver -----------------------------------------------------
 
@@ -189,7 +194,7 @@ class Engine:
         lenient mode skips it and counts it in stats.skipped_lines.
         """
         for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
                 event = parse_trace_event(line, line_no=line_no)
@@ -199,8 +204,7 @@ class Engine:
                     raise
                 self.stats.skipped_lines += 1
                 continue
-            verdict_out.write(serialize_verdict_record(event, verdict))
-            verdict_out.write("\n")
+            verdict_out.write(serialize_verdict_record(event, verdict) + "\n")
         return self.stats
 
     def stats_snapshot(self) -> dict:

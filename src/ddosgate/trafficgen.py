@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import blacklist as bl
-from .events import compute_udp_checksum, HttpInfo, TcpInfo, TraceEvent, UdpInfo
+from .events import compute_udp_checksum, HttpInfo, int_to_ipv4, TcpInfo, TraceEvent, UdpInfo
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -339,10 +339,6 @@ def _http_attack_lane(rng: _Rng, sources: int, rate: float, duration: float, lan
     return rows
 
 
-def _int_to_ip(value: int) -> str:
-    return f"{value >> 24 & 255}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
-
-
 def _blacklist_sources(feed_path: str, sources: int, fraction: float) -> list[tuple[str, str]]:
     with open(feed_path, encoding="utf-8") as fh:
         entries, _skipped = bl.parse_feed(fh.read())
@@ -355,7 +351,7 @@ def _blacklist_sources(feed_path: str, sources: int, fraction: float) -> list[tu
             entry = entries[i % len(entries)]
             span = entry.last - entry.base
             offset = min(1 + i // len(entries), span)
-            ips.append((_int_to_ip(entry.base + offset), "attack:blacklist_mix"))
+            ips.append((int_to_ipv4(entry.base + offset), "attack:blacklist_mix"))
         else:
             ips.append((f"198.51.100.{1 + i}", "benign"))
     return ips

@@ -6,7 +6,6 @@ from ddosgate.blacklist import (
     BlacklistState,
     Cidr,
     CidrSnapshot,
-    contains,
     parse_cidr,
     parse_feed,
     refresh,
@@ -30,6 +29,14 @@ def test_parse_cidr_forms():
 def test_parse_cidr_rejects_garbage():
     for bad in ("10.0.0.0/33", "10.0.0/8", "256.1.1.1", "10.0.0.0/x", "", "hello", "10.0.0.1/-1"):
         assert parse_cidr(bad) is None
+
+
+def test_parse_cidr_rejects_non_ascii_digits():
+    # Unicode digits are not address digits: "٣" is ARABIC-INDIC DIGIT THREE
+    assert parse_cidr("10.0.0.\u0663/32") is None
+    assert parse_cidr("10.0.0.\u00b2") is None  # superscript two
+    assert parse_cidr("10.0.0.0/\u00b2") is None  # used to raise ValueError
+    assert parse_cidr("010.0.0.1") is None
 
 
 def test_contains_prefix_boundaries():
@@ -69,7 +76,7 @@ def test_agrees_with_mask_oracle_on_random_data():
     for _ in range(5000):
         probe = rng.getrandbits(32)
         expected = any(probe & mask == base for base, mask in raw)
-        assert contains(snap, _ip(probe)) == expected
+        assert snap.contains(_ip(probe)) == expected
 
 
 def test_parse_feed_skips_bad_lines_with_numbers():

@@ -1,5 +1,6 @@
-"""Trace model: parsing, serialization, flags, and the UDP checksum."""
+"""Trace model: parsing, serialization, flags, the IPv4 codec and the UDP checksum."""
 
+import json
 import random
 
 import pytest
@@ -19,6 +20,8 @@ from ddosgate.events import (
     flags_from_str,
     flags_to_str,
     flow_key,
+    int_to_ipv4,
+    ipv4_to_int,
     parse_trace_event,
     serialize_trace_event,
     serialize_verdict_record,
@@ -33,7 +36,6 @@ def _tcp_line(**overrides):
         "flags": "S", "seq": 7, "ack": 0, "urgent_ptr": 0, "payload_b64": "",
     }
     obj.update(overrides)
-    import json
     return json.dumps(obj)
 
 
@@ -50,6 +52,15 @@ def test_unknown_flag_letter_rejected():
         flags_from_str("SX")
 
 
+def test_parse_flags_any_order_and_rejects_unknown_letters():
+    assert parse_trace_event(_tcp_line(flags="AS")).body.flags == SYN | ACK
+    assert parse_trace_event(_tcp_line(flags="")).body.flags == 0
+    for bad in ("SX", "x", "s", 7, None):
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace_event(_tcp_line(flags=bad))
+        assert exc.value.field == "flags"
+
+
 def test_parse_tcp_event():
     ev = parse_trace_event(_tcp_line())
     assert ev.kind == "tcp"
@@ -59,7 +70,6 @@ def test_parse_tcp_event():
 
 
 def test_parse_missing_field_names_it():
-    import json
     obj = json.loads(_tcp_line())
     del obj["seq"]
     with pytest.raises(TraceParseError) as exc:
@@ -77,6 +87,35 @@ def test_parse_rejects_bad_ip_and_port():
         parse_trace_event(_tcp_line(src_port=65536))
     with pytest.raises(TraceParseError):
         parse_trace_event(_tcp_line(ts=-1.0))
+    # digits outside ASCII: superscript two, ARABIC-INDIC DIGIT THREE
+    for bad in ("10.0.0.\u00b2", "10.0.0.\u0663"):
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace_event(_tcp_line(src_ip=bad))
+        assert exc.value.field == "src_ip"
+
+
+def test_parse_rejects_non_finite_ts():
+    base = _tcp_line()
+    for text in ("NaN", "Infinity", "-Infinity", "1e400"):
+        line = base.replace('"ts": 0.5', f'"ts": {text}')
+        assert text in line
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace_event(line)
+        assert exc.value.field == "ts"
+
+
+def test_ipv4_codec():
+    assert ipv4_to_int("0.0.0.0") == 0
+    assert ipv4_to_int("10.0.0.1") == 0x0A000001
+    assert ipv4_to_int("255.255.255.255") == 0xFFFFFFFF
+    for bad in ("", "10.0.0", "10.0.0.1.2", "10.0.0.256", "010.0.0.1", "10.0.0.-1", "10.0.0.1 ",
+                " 10.0.0.1", "10.0.0.1\n", "10.0..1", "0x0A.0.0.1", "10.0.0.\u0663", "10.0.0.\u00b2"):
+        assert ipv4_to_int(bad) is None, bad
+    rng = random.Random(77)
+    for value in [0, 0xFFFFFFFF] + [rng.getrandbits(32) for _ in range(500)]:
+        text = int_to_ipv4(value)
+        assert text == ".".join(str(value >> shift & 255) for shift in (24, 16, 8, 0))
+        assert ipv4_to_int(text) == value
 
 
 def test_parse_rejects_unknown_kind_and_bad_base64():
@@ -171,3 +210,17 @@ def test_verdict_record_shape():
     assert '"rule_id":1001' in line
     line = serialize_verdict_record(ev, Verdict("forward", 0, ""))
     assert '"reason":""' in line and "rule_id" not in line
+
+
+def test_verdict_record_matches_json_for_any_verdict():
+    ev = parse_trace_event(_tcp_line(event_id=2**63 - 1))
+    reasons = ["", "rate_limited", 'quote" and \\ slash', "naïve ✓"]
+    reasons += [f"waf_rule_{i}" for i in range(5000)]  # more than the tail cache holds
+    for i, reason in enumerate(reasons):
+        verdict = Verdict("sandbox", 1 + i % 4, reason, None if i % 2 else i)
+        expected = {"event_id": ev.event_id, "decision": "sandbox", "layer": verdict.layer, "reason": reason}
+        if verdict.rule_id is not None:
+            expected["rule_id"] = verdict.rule_id
+        line = json.dumps(expected, separators=(",", ":"))
+        assert serialize_verdict_record(ev, verdict) == line
+        assert serialize_verdict_record(ev, verdict) == line  # now from the cache

@@ -137,6 +137,18 @@ def test_lenient_mode_skips_and_counts():
     assert stats.verdict_totals["forward"] == 2
 
 
+def test_lenient_mode_skips_non_finite_ts():
+    engine = _engine()
+    lines = [serialize_trace_event(_syn(i, 1.0, "10.8.0.10", 40000 + i)) for i in range(1, 5)]
+    lines[1] = lines[1].replace('"ts":1.0', '"ts":NaN')
+    lines[2] = lines[2].replace('"ts":1.0', '"ts":Infinity')
+    assert "NaN" in lines[1] and "Infinity" in lines[2]
+    out = io.StringIO()
+    stats = engine.run_trace(lines, out, strict=False)
+    assert [json.loads(v)["event_id"] for v in out.getvalue().splitlines()] == [1, 4]
+    assert stats.skipped_lines == 2
+
+
 def test_blacklist_loads_lazily_and_survives_feed_failure():
     calls = []
 
