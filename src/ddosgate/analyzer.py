@@ -30,7 +30,6 @@ from .events import (
     RST,
     SYN,
     URG,
-    ClockRegressionError,
     FlowKey,
     TcpInfo,
     TraceEvent,
@@ -214,11 +213,11 @@ _N_CLASSES = 5
 class HandshakeEntry:
     state: str  # "syn_seen" | "established"
     created_ts: float
-    last_ts: float
 
 
 class Analyzer:
-    """Single-writer analyzer state; packets must arrive in timestamp order."""
+    """Single-writer analyzer state; packets must arrive in timestamp
+    order, which ``Engine.process_event`` guards for the pipeline."""
 
     def __init__(self, config: AnalyzerConfig | None = None):
         self.config = config or AnalyzerConfig()
@@ -231,7 +230,6 @@ class Analyzer:
         self._pending_global = 0
         self._windows: dict[str, list[_Window]] = {}
         self.cookie_mode = False
-        self._last_ts: float | None = None
         self._signatures = list(enumerate(self.config.payload_signatures, start=1))
 
     # -- window helpers ----------------------------------------------------
@@ -308,9 +306,6 @@ class Analyzer:
             self.cookie_mode = False
 
     def _advance_clock(self, now: float) -> None:
-        if self._last_ts is not None and now < self._last_ts:
-            raise ClockRegressionError(f"packet ts {now} is earlier than {self._last_ts}")
-        self._last_ts = now
         self._expire(now)
         self._update_cookie_mode()
 
@@ -328,7 +323,10 @@ class Analyzer:
         return w.count(self._epoch(now)) + self._pending_by_source.get(src_ip, 0)
 
     def observe_tcp(self, pkt: TraceEvent, now: float) -> Finding | None:
-        """Fixed check order, first hit wins; at most one finding per packet."""
+        """Fixed check order, first hit wins; at most one finding per packet.
+
+        ``now`` must be finite and not earlier than any earlier packet's.
+        """
         cfg = self.config
         self._advance_clock(now)
         body = pkt.body
@@ -354,14 +352,13 @@ class Analyzer:
                 # completed, charge it now and restart the clock
                 self._fold_incomplete(src, now)
                 entry.created_ts = now
-                entry.last_ts = now
                 self._syn_queue.append((now, flow))
             else:
                 if entry is None:
                     self._evict_for_capacity(now)
                     self._pending_global += 1
                     self._pending_by_source[src] = self._pending_by_source.get(src, 0) + 1
-                    self.entries[flow] = HandshakeEntry("syn_seen", now, now)
+                    self.entries[flow] = HandshakeEntry("syn_seen", now)
                     self._syn_queue.append((now, flow))
                 # SYN on an established flow: ignore for state, still thresholded
             if self.incomplete_count(src, now) >= cfg.syn_half_open_per_source:
@@ -379,7 +376,6 @@ class Analyzer:
                     if mss is None:
                         return Finding(COOKIE_INVALID)
                 entry.state = "established"
-                entry.last_ts = now
                 self._drop_pending(flow.src_ip)
                 self._est_queue.append((now, flow))
                 return None
@@ -391,7 +387,7 @@ class Analyzer:
                     if mss is None:
                         return Finding(COOKIE_INVALID)
                     self._evict_for_capacity(now)
-                    self.entries[flow] = HandshakeEntry("established", now, now)
+                    self.entries[flow] = HandshakeEntry("established", now)
                     self._est_queue.append((now, flow))
                     return None
                 # (4) bare ACK with no flow behind it
@@ -399,8 +395,6 @@ class Analyzer:
                     if self._bump(src, _BARE_ACK, now) >= cfg.ack_flood_per_source:
                         return Finding(ACK_FLOOD)
                     return None
-            else:
-                entry.last_ts = now
 
         # (5) reset frequency
         if flags & RST:

@@ -19,8 +19,8 @@ import sys
 
 from . import blacklist as bl
 from .config import ConfigError, apply_overrides, build_engine, default_config, parse_config
-from .events import ClockRegressionError, TraceParseError, serialize_trace_event
-from .pipeline import OutOfOrderError
+from .events import TraceParseError, serialize_trace_event
+from .pipeline import OutOfOrderError, SandboxSink
 from .trafficgen import SCENARIO_NAMES, Scenario, generate, summarize
 from .waf import RulesetError, parse_ruleset
 
@@ -49,11 +49,14 @@ def cmd_run(args) -> int:
         return _fail(f"cannot read config: {exc}", USAGE_EXIT)
 
     try:
+        try:
+            engine = build_engine(cfg)
+        except RulesetError as exc:
+            return _fail(f"ruleset: {exc}", USAGE_EXIT)
+        # Opened only once the config is known good, so a config error
+        # leaves an earlier capture intact.
         with open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh:
-            try:
-                engine = build_engine(cfg, sandbox_fh)
-            except RulesetError as exc:
-                return _fail(f"ruleset: {exc}", USAGE_EXIT)
+            engine.sandbox = SandboxSink(sandbox_fh)
             trace_fh = sys.stdin if args.trace == "-" else open(args.trace, encoding="utf-8")
             try:
                 with open(args.out, "w", encoding="utf-8") as out_fh:
@@ -65,7 +68,7 @@ def cmd_run(args) -> int:
                 with open(args.stats, "w", encoding="utf-8") as stats_fh:
                     json.dump(engine.stats_snapshot(), stats_fh, indent=2)
                     stats_fh.write("\n")
-    except (TraceParseError, OutOfOrderError, ClockRegressionError) as exc:
+    except (TraceParseError, OutOfOrderError) as exc:
         return _fail(str(exc), RUNTIME_EXIT)
     except OSError as exc:
         return _fail(str(exc), RUNTIME_EXIT)

@@ -9,19 +9,21 @@ Example file::
     udp.blocked_ports = 19,1900
 
 Lines starting with '#' and blank lines are ignored. Every key has a
-built-in default; an unknown key is an error, not a warning, so typos
-cannot silently disable a layer. Command-line ``--set key=value``
-overrides beat the file, which beats the defaults.
+built-in default, the default of the layer dataclass field it fills;
+an unknown key is an error, not a warning, so typos cannot silently
+disable a layer. Command-line ``--set key=value`` overrides beat the
+file, which beats the defaults.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, TextIO
 
-from .analyzer import DEFAULT_SIGNATURES, AnalyzerConfig, parse_signatures
+from .analyzer import AnalyzerConfig, parse_signatures
 from .pipeline import Engine, EngineConfig, SandboxSink
 from .ratelimit import LimiterConfig
-from .waf import default_ruleset, parse_ruleset
+from .waf import parse_ruleset
 
 
 class ConfigError(ValueError):
@@ -40,6 +42,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_int(text: str) -> int:
     return int(text, 0)  # base 0 admits hex for the cookie secret
 
@@ -56,45 +65,49 @@ def _parse_ports(text: str) -> frozenset[int]:
     return frozenset(ports)
 
 
-_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
-    "rate.rps": (float, 5.0),
-    "rate.burst": (_parse_int, 10),
-    "rate.idle_evict_secs": (float, 60.0),
-    "rate.drop_to_sandbox": (_parse_bool, False),
-    "blacklist.path": (str, ""),
-    "blacklist.url": (str, ""),
-    "blacklist.refresh_secs": (float, 300.0),
-    "tcp.window_secs": (float, 10.0),
-    "tcp.bucket_count": (_parse_int, 10),
-    "tcp.syn_half_open_per_source": (_parse_int, 50),
-    "tcp.syn_half_open_global": (_parse_int, 500),
-    "tcp.ack_flood_per_source": (_parse_int, 100),
-    "tcp.rst_flood_per_source": (_parse_int, 100),
-    "tcp.psh_anomaly_per_source": (_parse_int, 50),
-    "tcp.urg_anomaly_per_source": (_parse_int, 20),
-    "tcp.handshake_timeout_secs": (float, 5.0),
-    "tcp.conn_table_max_entries": (_parse_int, 65536),
-    "tcp.syncookie_secret": (_parse_int, 0x9E3779B97F4A7C15),
-    "tcp.signatures_path": (str, ""),
-    "udp.min_len": (_parse_int, 8),
-    "udp.max_len": (_parse_int, 1500),
-    "udp.validate_checksum": (_parse_bool, True),
-    "udp.blocked_ports": (_parse_ports, frozenset()),
-    "waf.ruleset_path": (str, ""),
-    "sandbox.log_path": (str, "sandbox.jsonl"),
-    "stats.top_n": (_parse_int, 10),
+# key -> (parser, dataclass, field): the key fills that field and its
+# default is that field's default. The path keys fill no field; the
+# third item is their own default.
+_KEYS: dict[str, tuple[Callable[[str], object], type | None, str]] = {
+    "rate.rps": (_parse_float, LimiterConfig, "rps"),
+    "rate.burst": (_parse_int, LimiterConfig, "burst"),
+    "rate.idle_evict_secs": (_parse_float, LimiterConfig, "idle_evict_secs"),
+    "rate.drop_to_sandbox": (_parse_bool, EngineConfig, "rate_drop_to_sandbox"),
+    "blacklist.path": (str, None, ""),
+    "blacklist.url": (str, None, ""),
+    "blacklist.refresh_secs": (_parse_float, EngineConfig, "blacklist_refresh_secs"),
+    "tcp.window_secs": (_parse_float, AnalyzerConfig, "window_secs"),
+    "tcp.bucket_count": (_parse_int, AnalyzerConfig, "bucket_count"),
+    "tcp.syn_half_open_per_source": (_parse_int, AnalyzerConfig, "syn_half_open_per_source"),
+    "tcp.syn_half_open_global": (_parse_int, AnalyzerConfig, "syn_half_open_global"),
+    "tcp.ack_flood_per_source": (_parse_int, AnalyzerConfig, "ack_flood_per_source"),
+    "tcp.rst_flood_per_source": (_parse_int, AnalyzerConfig, "rst_flood_per_source"),
+    "tcp.psh_anomaly_per_source": (_parse_int, AnalyzerConfig, "psh_anomaly_per_source"),
+    "tcp.urg_anomaly_per_source": (_parse_int, AnalyzerConfig, "urg_anomaly_per_source"),
+    "tcp.handshake_timeout_secs": (_parse_float, AnalyzerConfig, "handshake_timeout_secs"),
+    "tcp.conn_table_max_entries": (_parse_int, AnalyzerConfig, "conn_table_max_entries"),
+    "tcp.syncookie_secret": (_parse_int, AnalyzerConfig, "syncookie_secret"),
+    "tcp.signatures_path": (str, None, ""),
+    "udp.min_len": (_parse_int, AnalyzerConfig, "udp_min_len"),
+    "udp.max_len": (_parse_int, AnalyzerConfig, "udp_max_len"),
+    "udp.validate_checksum": (_parse_bool, AnalyzerConfig, "udp_validate_checksum"),
+    "udp.blocked_ports": (_parse_ports, AnalyzerConfig, "udp_blocked_ports"),
+    "waf.ruleset_path": (str, None, ""),
+    "sandbox.log_path": (str, None, "sandbox.jsonl"),
+    "stats.top_n": (_parse_int, EngineConfig, "top_n"),
 }
 
 
 def default_config() -> dict:
-    return {key: default for key, (_, default) in _KEYS.items()}
+    return {key: owner.__dataclass_fields__[name].default if owner else name
+            for key, (_, owner, name) in _KEYS.items()}
 
 
 def _assign(cfg: dict, key: str, raw: str, line_no: int | None) -> None:
     entry = _KEYS.get(key)
     if entry is None:
         raise ConfigError(f"unknown config key {key!r}", line_no)
-    coerce, _ = entry
+    coerce = entry[0]
     try:
         cfg[key] = coerce(raw)
     except ValueError as exc:
@@ -123,57 +136,41 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def build_engine(cfg: dict, sandbox_stream: TextIO,
+def _fields(cfg: dict, owner: type) -> dict:
+    """The keyword arguments of ``owner`` that config keys fill."""
+    return {name: cfg[key] for key, (_, cls, name) in _KEYS.items() if cls is owner}
+
+
+def build_engine(cfg: dict, sandbox_stream: TextIO | None = None,
                  fetcher: Callable[[str], str] | None = None) -> Engine:
     """Assemble an Engine from a validated config map.
 
-    File-shaped values (ruleset, signatures) are read here; unreadable
-    files surface as OSError for the caller to map to a runtime exit.
+    File-shaped values (ruleset, signatures) are read here, and only
+    when their path is set; unreadable files surface as OSError for the
+    caller to map to a runtime exit. Without a sandbox stream the engine
+    has no capture sink until the caller sets ``engine.sandbox``.
     """
     if cfg["blacklist.path"] and cfg["blacklist.url"]:
         raise ConfigError("set blacklist.path or blacklist.url, not both")
-    locator = cfg["blacklist.path"] or cfg["blacklist.url"] or None
 
-    signatures = DEFAULT_SIGNATURES
+    analyzer = _fields(cfg, AnalyzerConfig)
     if cfg["tcp.signatures_path"]:
         with open(cfg["tcp.signatures_path"], encoding="utf-8") as fh:
-            signatures = parse_signatures(fh.read())
+            analyzer["payload_signatures"] = parse_signatures(fh.read())
 
-    ruleset = default_ruleset()
+    ruleset = None
     if cfg["waf.ruleset_path"]:
         with open(cfg["waf.ruleset_path"], encoding="utf-8") as fh:
             ruleset = parse_ruleset(fh.read())
 
     try:
-        limiter = LimiterConfig(rps=cfg["rate.rps"], burst=cfg["rate.burst"],
-                                idle_evict_secs=cfg["rate.idle_evict_secs"])
-        analyzer = AnalyzerConfig(
-            window_secs=cfg["tcp.window_secs"],
-            bucket_count=cfg["tcp.bucket_count"],
-            syn_half_open_per_source=cfg["tcp.syn_half_open_per_source"],
-            syn_half_open_global=cfg["tcp.syn_half_open_global"],
-            ack_flood_per_source=cfg["tcp.ack_flood_per_source"],
-            rst_flood_per_source=cfg["tcp.rst_flood_per_source"],
-            psh_anomaly_per_source=cfg["tcp.psh_anomaly_per_source"],
-            urg_anomaly_per_source=cfg["tcp.urg_anomaly_per_source"],
-            handshake_timeout_secs=cfg["tcp.handshake_timeout_secs"],
-            conn_table_max_entries=cfg["tcp.conn_table_max_entries"],
-            udp_min_len=cfg["udp.min_len"],
-            udp_max_len=cfg["udp.max_len"],
-            udp_validate_checksum=cfg["udp.validate_checksum"],
-            udp_blocked_ports=cfg["udp.blocked_ports"],
-            syncookie_secret=cfg["tcp.syncookie_secret"],
-            payload_signatures=signatures,
+        engine_cfg = EngineConfig(
+            limiter=LimiterConfig(**_fields(cfg, LimiterConfig)),
+            analyzer=AnalyzerConfig(**analyzer),
+            blacklist_locator=cfg["blacklist.path"] or cfg["blacklist.url"] or None,
+            **_fields(cfg, EngineConfig),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    engine_cfg = EngineConfig(
-        limiter=limiter,
-        analyzer=analyzer,
-        rate_drop_to_sandbox=cfg["rate.drop_to_sandbox"],
-        blacklist_locator=locator,
-        blacklist_refresh_secs=cfg["blacklist.refresh_secs"],
-        top_n=cfg["stats.top_n"],
-    )
-    return Engine(engine_cfg, ruleset=ruleset, sandbox=SandboxSink(sandbox_stream), fetcher=fetcher)
+    sandbox = SandboxSink(sandbox_stream) if sandbox_stream is not None else None
+    return Engine(engine_cfg, ruleset=ruleset, sandbox=sandbox, fetcher=fetcher)

@@ -65,10 +65,6 @@ class TraceParseError(ValueError):
         super().__init__(prefix + message)
 
 
-class ClockRegressionError(RuntimeError):
-    """Event timestamps moved backwards; stateful layers refuse to guess."""
-
-
 @dataclass(frozen=True, slots=True)
 class TcpInfo:
     flags: int  # bitmask of SYN/ACK/FIN/RST/PSH/URG; empty set is legal

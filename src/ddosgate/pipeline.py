@@ -20,6 +20,7 @@ the trace clock.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TextIO
 
@@ -48,11 +49,20 @@ _RATE_LIMITED_VERDICT = Verdict(DROP_RATE_LIMITED, 1, RATE_LIMITED)
 _BLACKLISTED_VERDICT = Verdict(REJECT_BLACKLISTED, 2, BLACKLISTED)
 _FORWARD_VERDICT = Verdict(FORWARD, 0, "")
 
+_MAX_TS = sys.float_info.max
+
 
 class OutOfOrderError(RuntimeError):
+    """An event whose ts is not a finite non-negative number, or is
+    earlier than the ts of the event before it."""
+
     def __init__(self, event_id: int, ts: float, last_ts: float):
         self.event_id = event_id
-        super().__init__(f"event {event_id}: ts {ts} is earlier than previous event ts {last_ts}")
+        if 0.0 <= ts <= _MAX_TS:
+            problem = f"is earlier than previous event ts {last_ts}"
+        else:
+            problem = "is not a finite non-negative number"
+        super().__init__(f"event {event_id}: ts {ts} {problem}")
 
 
 class SandboxSink:
@@ -94,6 +104,12 @@ class EngineConfig:
     blacklist_refresh_secs: float = bl.DEFAULT_REFRESH_SECS
     top_n: int = 10
 
+    def __post_init__(self):
+        if self.top_n < 0:
+            raise ValueError("top_n must not be negative")
+        if self.blacklist_refresh_secs <= 0:
+            raise ValueError("blacklist_refresh_secs must be positive")
+
 
 class Engine:
     def __init__(self, config: EngineConfig | None = None, ruleset: RuleSet | None = None,
@@ -110,7 +126,7 @@ class Engine:
             refresh_interval_secs=self.config.blacklist_refresh_secs,
             source_locator=self.config.blacklist_locator,
         )
-        self._last_ts: float | None = None
+        self._last_ts = 0.0
 
     # -- blacklist refresh -------------------------------------------------
 
@@ -132,8 +148,12 @@ class Engine:
         return Verdict(SANDBOX, layer, reason, rule_id)
 
     def process_event(self, event: TraceEvent) -> Verdict:
-        """Apply the layers in order; exactly one verdict per event."""
-        if self._last_ts is not None and event.ts < self._last_ts:
+        """Apply the layers in order; exactly one verdict per event.
+
+        The one clock guard: ts must be finite and no earlier than the
+        previous event's, so the layers may rely on non-decreasing time.
+        """
+        if not self._last_ts <= event.ts <= _MAX_TS:
             raise OutOfOrderError(event.event_id, event.ts, self._last_ts)
         self._last_ts = event.ts
         stats = self.stats

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .events import ClockRegressionError
-
-__all__ = ["LimiterConfig", "SourceBucket", "RateDecision", "LimiterTable", "ClockRegressionError"]
+__all__ = ["LimiterConfig", "SourceBucket", "RateDecision", "LimiterTable"]
 
 
 @dataclass(frozen=True)
@@ -39,8 +37,10 @@ class SourceBucket:
 @dataclass(frozen=True, slots=True)
 class RateDecision:
     allowed: bool
-    tokens_remaining: float = 0.0
     retry_after_secs: float = 0.0
+
+
+_ALLOWED = RateDecision(allowed=True)
 
 
 @dataclass
@@ -52,7 +52,9 @@ class LimiterTable:
         """Refill the source's bucket to ``now``, then try to consume one token.
 
         A denied request consumes nothing; retry_after is how long until
-        one full token is available at the configured rate.
+        one full token is available at the configured rate. ``now`` must
+        not be earlier than any earlier call's; ``Engine.process_event``
+        guards that for the pipeline.
         """
         cfg = self.config
         bucket = self.buckets.get(src_ip)
@@ -61,15 +63,11 @@ class LimiterTable:
             self.buckets[src_ip] = bucket
         else:
             elapsed = now - bucket.last_update_ts
-            if elapsed < 0:
-                raise ClockRegressionError(
-                    f"source {src_ip}: now={now} is earlier than last update {bucket.last_update_ts}"
-                )
             bucket.tokens = min(float(cfg.burst), bucket.tokens + elapsed * cfg.rps)
             bucket.last_update_ts = now
         if bucket.tokens >= 1.0:
             bucket.tokens -= 1.0
-            return RateDecision(allowed=True, tokens_remaining=bucket.tokens)
+            return _ALLOWED
         return RateDecision(allowed=False, retry_after_secs=(1.0 - bucket.tokens) / cfg.rps)
 
     def evict_idle(self, now: float) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from urllib.parse import unquote_plus
 
 from .events import HttpInfo
 
@@ -33,7 +34,6 @@ _TEXT_TARGETS = ("method", "uri", "any_header", "body")
 _OPS = ("contains", "matches", "len_gt", "num_gt")
 _TRANSFORMS = ("none", "lowercase", "urldecode")
 
-_HEXDIGITS = "0123456789abcdefABCDEF"
 _ASCII_LOWER = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
 
 
@@ -109,26 +109,8 @@ def apply_transforms(value: str, transforms: tuple[str, ...]) -> str:
 def _urldecode_once(value: str) -> str:
     if "%" not in value and "+" not in value:
         return value
-    out = []
-    i = 0
-    n = len(value)
-    while i < n:
-        ch = value[i]
-        if ch == "+":
-            out.append(" ")
-            i += 1
-        elif ch == "%":
-            hi_lo = value[i + 1:i + 3]
-            if len(hi_lo) == 2 and hi_lo[0] in _HEXDIGITS and hi_lo[1] in _HEXDIGITS:
-                out.append(chr(int(hi_lo, 16)))
-                i += 3
-            else:
-                out.append(ch)  # invalid sequence stays literal
-                i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    # each %XX is one byte, one char; invalid or cut-short escapes stay literal
+    return unquote_plus(value, encoding="latin-1")
 
 
 def _split_rule_line(line: str, line_no: int) -> list[str]:

@@ -22,7 +22,6 @@ from ddosgate.analyzer import (
     parse_signatures,
 )
 from ddosgate.events import (
-    ClockRegressionError,
     FlowKey,
     TcpInfo,
     TraceEvent,
@@ -164,13 +163,6 @@ def test_payload_signature_beats_rate_checks():
 def test_parse_signatures_escapes():
     sigs = parse_signatures('# comment\n/bin/sh\n\\x90\\x90\n')
     assert sigs == (b"/bin/sh", b"\x90\x90")
-
-
-def test_clock_regression_rejected():
-    a = Analyzer()
-    a.observe_tcp(_tcp("10.9.0.14", 1000, "S", 5.0), 5.0)
-    with pytest.raises(ClockRegressionError):
-        a.observe_tcp(_tcp("10.9.0.14", 1001, "S", 4.0), 4.0)
 
 
 def test_conn_table_evicts_oldest_half_open_first():

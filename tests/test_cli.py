@@ -1,6 +1,7 @@
 """End-to-end command behavior, exit codes, and config precedence."""
 
 import json
+import os
 
 from ddosgate.config import apply_overrides, default_config, parse_config
 from ddosgate.waf import DEFAULT_RULESET_TEXT
@@ -63,6 +64,42 @@ def test_run_unknown_config_key_exits_2(tmp_path, cli_run):
                     "--set", "rate.rp=9"])
     assert proc.returncode == 2
     assert "rate.rp" in proc.stderr
+
+
+def test_run_non_finite_config_value_exits_2_without_traceback(tmp_path, cli_run):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("")
+    for setting in ("tcp.window_secs=nan", "rate.rps=inf"):
+        proc = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+                        "--set", f"sandbox.log_path={tmp_path / 'sb.jsonl'}", "--set", setting])
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and setting.split("=")[0] in proc.stderr
+
+
+def test_run_config_error_keeps_existing_capture(tmp_path, cli_run):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("")
+    sandbox = tmp_path / "sb.jsonl"
+    sandbox.write_bytes(b'{"earlier":"capture"}\n')
+    proc = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+                    "--set", f"sandbox.log_path={sandbox}", "--set", "tcp.bucket_count=0"])
+    assert proc.returncode == 2
+    assert sandbox.read_bytes() == b'{"earlier":"capture"}\n'
+    # a run that starts does replace it
+    proc = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+                    "--set", f"sandbox.log_path={sandbox}"])
+    assert proc.returncode == 0, proc.stderr
+    assert sandbox.read_bytes() == b""
+
+
+def test_run_sandbox_to_devnull(tmp_path, cli_run):
+    trace = tmp_path / "t.jsonl"
+    cli_run(["gen", "--scenario", "udp_flood", "--seed", "4", "--duration", "2", "--out", str(trace)])
+    proc = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+                    "--set", f"sandbox.log_path={os.devnull}"])
+    assert proc.returncode == 0, proc.stderr
+    assert '"sandbox"' in (tmp_path / "v.jsonl").read_text()
 
 
 def test_run_reads_stdin_for_piping(tmp_path, cli_run):

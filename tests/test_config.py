@@ -1,0 +1,124 @@
+"""The config table: defaults from the layer dataclasses, every key
+reaching its field, and bad values refused as ConfigError."""
+
+import io
+
+import pytest
+
+from ddosgate.analyzer import DEFAULT_SIGNATURES
+from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config
+from ddosgate.events import serialize_trace_event
+from ddosgate.pipeline import EngineConfig
+from ddosgate.trafficgen import Scenario, generate
+from ddosgate.waf import default_ruleset
+
+PATH_KEYS = {"blacklist.path", "blacklist.url", "tcp.signatures_path", "waf.ruleset_path",
+             "sandbox.log_path"}
+FLOAT_KEYS = ("rate.rps", "rate.idle_evict_secs", "blacklist.refresh_secs", "tcp.window_secs",
+              "tcp.handshake_timeout_secs")
+
+# key -> (text, attribute path on the engine, value it must arrive as);
+# every value differs from the default
+NON_DEFAULT = {
+    "rate.rps": ("7.5", "config.limiter.rps", 7.5),
+    "rate.burst": ("12", "config.limiter.burst", 12),
+    "rate.idle_evict_secs": ("90", "config.limiter.idle_evict_secs", 90.0),
+    "rate.drop_to_sandbox": ("yes", "config.rate_drop_to_sandbox", True),
+    "blacklist.refresh_secs": ("120", "config.blacklist_refresh_secs", 120.0),
+    "tcp.window_secs": ("20", "config.analyzer.window_secs", 20.0),
+    "tcp.bucket_count": ("16", "config.analyzer.bucket_count", 16),
+    "tcp.syn_half_open_per_source": ("61", "config.analyzer.syn_half_open_per_source", 61),
+    "tcp.syn_half_open_global": ("601", "config.analyzer.syn_half_open_global", 601),
+    "tcp.ack_flood_per_source": ("111", "config.analyzer.ack_flood_per_source", 111),
+    "tcp.rst_flood_per_source": ("121", "config.analyzer.rst_flood_per_source", 121),
+    "tcp.psh_anomaly_per_source": ("51", "config.analyzer.psh_anomaly_per_source", 51),
+    "tcp.urg_anomaly_per_source": ("21", "config.analyzer.urg_anomaly_per_source", 21),
+    "tcp.handshake_timeout_secs": ("6.5", "config.analyzer.handshake_timeout_secs", 6.5),
+    "tcp.conn_table_max_entries": ("4096", "config.analyzer.conn_table_max_entries", 4096),
+    "tcp.syncookie_secret": ("0x1234", "config.analyzer.syncookie_secret", 0x1234),
+    "udp.min_len": ("16", "config.analyzer.udp_min_len", 16),
+    "udp.max_len": ("1400", "config.analyzer.udp_max_len", 1400),
+    "udp.validate_checksum": ("off", "config.analyzer.udp_validate_checksum", False),
+    "udp.blocked_ports": ("19, 1900", "config.analyzer.udp_blocked_ports", frozenset({19, 1900})),
+    "stats.top_n": ("3", "config.top_n", 3),
+}
+
+FUZZ_VALUES = ("nan", "inf", "-1", "0", "", "x")
+
+
+def _attr(obj, path):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _build(settings):
+    return build_engine(apply_overrides(default_config(), settings), io.StringIO())
+
+
+def test_defaults_build_the_default_engine():
+    engine = _build([])
+    assert engine.config == EngineConfig()
+    assert engine.config.analyzer.payload_signatures == DEFAULT_SIGNATURES
+    assert engine.ruleset is default_ruleset()
+
+
+def test_every_dataclass_key_reaches_its_field():
+    assert set(NON_DEFAULT) == set(default_config()) - PATH_KEYS
+    defaults = _build([])
+    engine = _build([f"{key}={text}" for key, (text, _, _) in NON_DEFAULT.items()])
+    for key, (_, path, value) in NON_DEFAULT.items():
+        assert _attr(defaults, path) != value, key
+        assert _attr(engine, path) == value, key
+
+
+def test_path_keys_are_read_only_when_set(tmp_path):
+    sigs = tmp_path / "sigs.txt"
+    sigs.write_text("evil\n")
+    rules = tmp_path / "custom.rules"
+    rules.write_text('RULE 7 uri none contains "x" log\n')
+    feed = tmp_path / "feed.txt"
+    engine = _build([f"tcp.signatures_path={sigs}", f"waf.ruleset_path={rules}",
+                     f"blacklist.path={feed}"])
+    assert engine.config.analyzer.payload_signatures == (b"evil",)
+    assert [rule.id for rule in engine.ruleset.rules] == [7]
+    assert engine.config.blacklist_locator == str(feed)
+    with pytest.raises(ConfigError):
+        _build([f"blacklist.path={feed}", "blacklist.url=http://feed.example/drop.txt"])
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_float_keys_refuse_non_finite(key, text):
+    with pytest.raises(ConfigError) as exc:
+        apply_overrides(default_config(), [f"{key}={text}"])
+    assert key in str(exc.value)
+
+
+@pytest.mark.parametrize("setting", ["stats.top_n=-1", "blacklist.refresh_secs=0",
+                                     "blacklist.refresh_secs=-5"])
+def test_engine_config_refuses_nonsense(setting):
+    with pytest.raises(ConfigError):
+        _build([setting])
+    assert _build(["stats.top_n=0"]).config.top_n == 0
+
+
+def test_config_fuzz_refuses_or_runs():
+    """Every non-path key with each fuzz value: either ConfigError, or
+    an engine that runs a short mixed trace to one verdict per line."""
+    lines = [serialize_trace_event(e)
+             for e in generate(Scenario("mixed", seed=11, duration_secs=1.0))]
+    refused = ran = 0
+    for key in sorted(set(default_config()) - PATH_KEYS):
+        for value in FUZZ_VALUES:
+            try:
+                engine = _build([f"{key}={value}"])
+            except ConfigError:
+                refused += 1
+                continue
+            out = io.StringIO()
+            engine.run_trace(lines, out)
+            assert len(out.getvalue().splitlines()) == len(lines), (key, value)
+            ran += 1
+    assert refused + ran == len(NON_DEFAULT) * len(FUZZ_VALUES)
+    assert refused > ran > 5

@@ -3,8 +3,10 @@
 Golden tcp/udp/http lines from the ``mixed`` scenario get one field
 mutated each: wrong type, out of range, non-ASCII digits, non-finite
 numbers, a deleted key, a bad header pair, or the line cut short. Every
-mutated line must either parse or raise TraceParseError, and a lenient
-run must account for every line: one verdict, or one skipped line.
+mutated line must either parse or raise TraceParseError; a strict run
+must give each line one verdict or raise TraceParseError or
+OutOfOrderError, and a lenient run must account for every line: one
+verdict, or one skipped line.
 """
 
 import io
@@ -12,7 +14,7 @@ import json
 import random
 
 from ddosgate.events import TraceParseError, parse_trace_event, serialize_trace_event
-from ddosgate.pipeline import Engine
+from ddosgate.pipeline import Engine, OutOfOrderError
 from ddosgate.trafficgen import Scenario, generate
 
 MUTANTS = 2000
@@ -93,3 +95,23 @@ def test_lenient_run_accounts_for_every_mutant():
         out = io.StringIO()
         stats = Engine().run_trace(chunk, out, strict=False)
         assert len(out.getvalue().splitlines()) + stats.skipped_lines == len(chunk)
+
+
+def test_strict_run_gives_one_verdict_or_a_documented_error():
+    lines = _mutants()
+    outcomes = {"verdict": 0, TraceParseError: 0, OutOfOrderError: 0}
+    for start in range(0, len(lines), CHUNK):
+        engine = Engine()
+        out = io.StringIO()
+        for line in lines[start:start + CHUNK]:
+            written = out.tell()
+            try:
+                engine.run_trace([line], out)
+            except (TraceParseError, OutOfOrderError) as exc:
+                outcomes[type(exc)] += 1
+                assert out.tell() == written
+            else:
+                outcomes["verdict"] += 1
+                assert out.getvalue()[written:].count("\n") == 1
+    assert sum(outcomes.values()) == MUTANTS
+    assert min(outcomes.values()) > 0, outcomes

@@ -117,6 +117,21 @@ def test_out_of_order_event_identified():
     assert "event 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad_ts", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_non_finite_or_negative_ts_refused(bad_ts):
+    engine = _engine()
+    with pytest.raises(OutOfOrderError) as exc:
+        engine.process_event(_syn(1, bad_ts, "10.8.0.20", 1000))
+    assert "event 1" in str(exc.value) and "earlier" not in str(exc.value)
+    engine.process_event(_http(2, 1.0, "10.8.0.20"))
+    with pytest.raises(OutOfOrderError):
+        engine.process_event(_syn(3, bad_ts, "10.8.0.20", 1001))
+    # refused events change nothing: the source has the rest of its burst
+    decisions = [engine.process_event(_http(4 + i, 1.0, "10.8.0.20")).decision for i in range(10)]
+    assert decisions == ["forward"] * 9 + ["drop_rate_limited"]
+    assert engine.stats.events == 11
+
+
 def test_strict_mode_aborts_on_malformed_line():
     engine = _engine()
     lines = [serialize_trace_event(_http(1, 0.0, "10.8.0.8")), "{broken json"]

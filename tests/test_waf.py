@@ -22,6 +22,11 @@ def test_transform_urldecode_basics():
     assert apply_transforms("a+b", ("urldecode",)) == "a b"
     assert apply_transforms("%ZZ", ("urldecode",)) == "%ZZ"
     assert apply_transforms("100%", ("urldecode",)) == "100%"
+    # each escape is one byte read as latin-1, never a UTF-8 sequence
+    assert apply_transforms("%C3%A9", ("urldecode",)) == "\xc3\xa9"
+    assert apply_transforms("a%2Bb", ("urldecode",)) == "a+b"
+    assert apply_transforms("é%41", ("urldecode",)) == "éA"
+    assert apply_transforms("%4", ("urldecode",)) == "%4"
 
 
 def test_transform_urldecode_is_single_pass():
