@@ -14,13 +14,16 @@ Sliding windows are rings of bucket_count counters over window_secs, so
 threshold decisions are exact to within one bucket. A half-open finding
 additionally depends on entries created up to handshake_timeout_secs
 before the window, since a SYN only folds into the window when it
-expires.
+expires. A ring exists only once written, and a source's rings are
+dropped once they have all left the window, so window state covers only
+the sources seen in about the last two windows.
 
 All time comes from packet timestamps.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -54,6 +57,7 @@ UDP_SIZE_VIOLATION = "udp_size_violation"
 UDP_BAD_CHECKSUM = "udp_bad_checksum"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MAX_EPOCH = int(sys.float_info.max)  # every finite ts / bucket width truncates to at most this
 COOKIE_COUNTER_SECS = 64  # cookie counter advances once per 64 s of trace time
 COOKIE_MAX_SKEW = 1
 
@@ -102,6 +106,16 @@ class AnalyzerConfig:
             raise ValueError("udp_min_len must be at least 8 (UDP header size)")
         if self.window_secs <= 0 or self.handshake_timeout_secs <= 0:
             raise ValueError("window_secs and handshake_timeout_secs must be positive")
+        try:
+            width = self.window_secs / self.bucket_count
+        except OverflowError:  # bucket_count beyond the float range
+            width = 0.0
+        if not width >= sys.float_info.min:
+            raise ValueError("window_secs / bucket_count must be a normal positive float")
+        if self.conn_table_max_entries < 1:
+            raise ValueError("conn_table_max_entries must be at least 1")
+        if self.udp_max_len < self.udp_min_len:
+            raise ValueError("udp_max_len must not be below udp_min_len")
 
 
 def parse_signatures(text: str) -> tuple[bytes, ...]:
@@ -164,17 +178,15 @@ class _Window:
 
     __slots__ = ("counts", "epoch", "total")
 
-    def __init__(self, buckets: int):
+    def __init__(self, buckets: int, epoch: int):
         self.counts = [0] * buckets
-        self.epoch: int | None = None
+        self.epoch = epoch
         self.total = 0
 
     def add(self, epoch: int, n: int = 1) -> None:
         counts = self.counts
         size = len(counts)
-        if self.epoch is None:
-            self.epoch = epoch
-        elif epoch > self.epoch:
+        if epoch > self.epoch:
             steps = epoch - self.epoch
             if steps >= size:
                 for i in range(size):
@@ -193,7 +205,7 @@ class _Window:
         self.total += n
 
     def advance(self, epoch: int) -> None:
-        if self.epoch is not None and epoch > self.epoch:
+        if epoch > self.epoch:
             self.add(epoch, 0)
 
     def count(self, epoch: int) -> int:
@@ -228,26 +240,32 @@ class Analyzer:
         self._est_queue: deque[tuple[float, FlowKey]] = deque()
         self._pending_by_source: dict[str, int] = {}
         self._pending_global = 0
-        self._windows: dict[str, list[_Window]] = {}
+        # source -> one ring per class, None until first written
+        self._windows: dict[str, list[_Window | None]] = {}
+        self._next_sweep = 0.0
         self.cookie_mode = False
         self._signatures = list(enumerate(self.config.payload_signatures, start=1))
 
     # -- window helpers ----------------------------------------------------
 
     def _epoch(self, ts: float) -> int:
-        return int(ts / self._bucket_width)
-
-    def _window(self, src_ip: str, cls: int) -> _Window:
-        rings = self._windows.get(src_ip)
-        if rings is None:
-            rings = [_Window(self.config.bucket_count) for _ in range(_N_CLASSES)]
-            self._windows[src_ip] = rings
-        return rings[cls]
+        try:
+            return int(ts / self._bucket_width)
+        except OverflowError:  # the quotient rounded to inf
+            return _MAX_EPOCH
 
     def _bump(self, src_ip: str, cls: int, ts: float) -> int:
-        w = self._window(src_ip, cls)
-        w.add(self._epoch(ts))
-        return w.total
+        """Count one ``cls`` packet of the source at ``ts``; returns the
+        window total. A ring is made on its first count."""
+        epoch = self._epoch(ts)
+        rings = self._windows.get(src_ip)
+        if rings is None:
+            rings = self._windows[src_ip] = [None] * _N_CLASSES
+        ring = rings[cls]
+        if ring is None:
+            ring = rings[cls] = _Window(self.config.bucket_count, epoch)
+        ring.add(epoch)
+        return ring.total
 
     # -- handshake table ---------------------------------------------------
 
@@ -260,7 +278,7 @@ class Analyzer:
             self._pending_by_source[src_ip] = n
 
     def _fold_incomplete(self, src_ip: str, fold_ts: float) -> None:
-        self._window(src_ip, _SYN_INCOMPLETE).add(self._epoch(fold_ts))
+        self._bump(src_ip, _SYN_INCOMPLETE, fold_ts)
 
     def _expire(self, now: float) -> None:
         timeout = self.config.handshake_timeout_secs
@@ -305,8 +323,24 @@ class Analyzer:
         elif self._pending_global < threshold / 2:
             self.cookie_mode = False
 
+    def _evict_expired_windows(self, now: float) -> None:
+        """Drop the rings of every source whose rings all last moved
+        bucket_count or more epochs before ``epoch(now)``. Called after
+        ``_expire(now)``, so every later add or count uses an epoch at or
+        after ``epoch(now)`` and would first reset such a ring to all
+        zeros, which is what a missing ring reads. Runs at most once per
+        window_secs of trace time."""
+        cutoff = self._epoch(now) - self.config.bucket_count
+        stale = [src for src, rings in self._windows.items()
+                 if all(ring is None or ring.epoch <= cutoff for ring in rings)]
+        for src in stale:
+            del self._windows[src]
+        self._next_sweep = now + self.config.window_secs
+
     def _advance_clock(self, now: float) -> None:
         self._expire(now)
+        if now >= self._next_sweep:
+            self._evict_expired_windows(now)
         self._update_cookie_mode()
 
     # -- public observers --------------------------------------------------
@@ -319,8 +353,11 @@ class Analyzer:
     def incomplete_count(self, src_ip: str, now: float) -> int:
         """Incomplete handshakes charged to a source: window-folded
         expiries plus half-open entries still pending."""
-        w = self._window(src_ip, _SYN_INCOMPLETE)
-        return w.count(self._epoch(now)) + self._pending_by_source.get(src_ip, 0)
+        pending = self._pending_by_source.get(src_ip, 0)
+        rings = self._windows.get(src_ip)
+        if rings is None or rings[_SYN_INCOMPLETE] is None:
+            return pending
+        return rings[_SYN_INCOMPLETE].count(self._epoch(now)) + pending
 
     def observe_tcp(self, pkt: TraceEvent, now: float) -> Finding | None:
         """Fixed check order, first hit wins; at most one finding per packet.

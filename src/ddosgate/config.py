@@ -71,7 +71,6 @@ def _parse_ports(text: str) -> frozenset[int]:
 _KEYS: dict[str, tuple[Callable[[str], object], type | None, str]] = {
     "rate.rps": (_parse_float, LimiterConfig, "rps"),
     "rate.burst": (_parse_int, LimiterConfig, "burst"),
-    "rate.idle_evict_secs": (_parse_float, LimiterConfig, "idle_evict_secs"),
     "rate.drop_to_sandbox": (_parse_bool, EngineConfig, "rate_drop_to_sandbox"),
     "blacklist.path": (str, None, ""),
     "blacklist.url": (str, None, ""),

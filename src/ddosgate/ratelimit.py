@@ -3,7 +3,10 @@
 Each source IP gets its own bucket. Buckets refill continuously at
 ``rps`` tokens per second up to ``burst`` capacity, and a new source
 starts with a full bucket so first contact gets its burst allowance.
-All time comes from trace timestamps, never a wall clock.
+A bucket that has refilled to ``burst`` is the same as a new one, so it
+is dropped; the table holds only the sources seen in the last two
+``burst / rps`` periods. All time comes from trace timestamps, never a
+wall clock.
 """
 
 from __future__ import annotations
@@ -17,15 +20,12 @@ __all__ = ["LimiterConfig", "SourceBucket", "RateDecision", "LimiterTable"]
 class LimiterConfig:
     rps: float = 5.0
     burst: int = 10
-    idle_evict_secs: float = 60.0
 
     def __post_init__(self):
         if self.rps <= 0:
             raise ValueError("rps must be positive")
         if self.burst < 1:
             raise ValueError("burst must be at least 1")
-        if self.idle_evict_secs <= 0:
-            raise ValueError("idle_evict_secs must be positive")
 
 
 @dataclass(slots=True)
@@ -47,6 +47,7 @@ _ALLOWED = RateDecision(allowed=True)
 class LimiterTable:
     config: LimiterConfig = field(default_factory=LimiterConfig)
     buckets: dict[str, SourceBucket] = field(default_factory=dict)
+    _next_sweep: float = field(default=0.0, init=False, repr=False)
 
     def acquire(self, src_ip: str, now: float) -> RateDecision:
         """Refill the source's bucket to ``now``, then try to consume one token.
@@ -56,6 +57,8 @@ class LimiterTable:
         not be earlier than any earlier call's; ``Engine.process_event``
         guards that for the pipeline.
         """
+        if now >= self._next_sweep:
+            self._evict_refilled(now)
         cfg = self.config
         bucket = self.buckets.get(src_ip)
         if bucket is None:
@@ -70,10 +73,17 @@ class LimiterTable:
             return _ALLOWED
         return RateDecision(allowed=False, retry_after_secs=(1.0 - bucket.tokens) / cfg.rps)
 
-    def evict_idle(self, now: float) -> int:
-        """Drop buckets idle longer than idle_evict_secs; returns how many."""
-        cutoff = self.config.idle_evict_secs
-        stale = [ip for ip, b in self.buckets.items() if now - b.last_update_ts > cutoff]
-        for ip in stale:
+    def _evict_refilled(self, now: float) -> None:
+        """Drop every bucket that ``acquire`` would refill to exactly
+        ``burst`` at ``now``, the tokens a new bucket starts with. Refill
+        only grows with time, so it would stay full: no decision changes.
+        Runs at most once per ``burst / rps`` of trace time; a bucket idle
+        that long has refilled, so each sweep scans only the sources seen
+        in about the last two periods."""
+        rps = self.config.rps
+        burst = float(self.config.burst)
+        full = [ip for ip, b in self.buckets.items()
+                if b.tokens + (now - b.last_update_ts) * rps >= burst]
+        for ip in full:
             del self.buckets[ip]
-        return len(stale)
+        self._next_sweep = now + burst / rps

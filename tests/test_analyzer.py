@@ -1,6 +1,7 @@
 """Header analysis: handshake tracking, sliding windows, SYN cookies."""
 
 import random
+import sys
 
 import pytest
 
@@ -318,3 +319,40 @@ def test_config_rejects_nonsense():
         AnalyzerConfig(udp_min_len=4)
     with pytest.raises(ValueError):
         AnalyzerConfig(syn_half_open_per_source=0)
+
+
+# -- window state ---------------------------------------------------------
+
+def test_window_rings_are_made_only_when_written():
+    a = Analyzer()
+    assert a.incomplete_count("10.50.0.1", 0.0) == 0
+    assert a.observe_tcp(_tcp("10.50.0.1", 1000, "S", 0.0), 0.0) is None
+    assert a._windows == {}  # reading the incomplete count made nothing
+    a.observe_tcp(_tcp("10.50.0.2", 1000, "A", 0.1), 0.1)
+    assert [ring is not None for ring in a._windows["10.50.0.2"]] == [False, True, False, False, False]
+
+
+def test_window_state_dropped_once_it_leaves_the_window():
+    """Width-1 s buckets over 10 s: a source whose last ring write was in
+    epoch 1 still counts at epoch 10 and must survive the sweep there;
+    one last written in epoch 0 is gone."""
+    a = Analyzer(AnalyzerConfig(ack_flood_per_source=3, window_secs=10.0, bucket_count=10))
+    a.observe_tcp(_tcp("10.51.0.1", 1000, "A", 0.0), 0.0)  # sweeps; the next is due at 10.0
+    for _ in range(2):
+        assert a.observe_tcp(_tcp("10.51.0.2", 1000, "A", 1.5), 1.5) is None
+    a.observe_tcp(_tcp("10.51.0.3", 1000, "A", 10.0), 10.0)
+    assert set(a._windows) == {"10.51.0.2", "10.51.0.3"}
+    f = a.observe_tcp(_tcp("10.51.0.2", 1000, "A", 10.0), 10.0)
+    assert f is not None and f.code == ACK_FLOOD
+    # the epoch-1 writes leave at epoch 11; the next sweep is due at 20.0
+    a.observe_tcp(_tcp("10.51.0.3", 1000, "A", 20.0), 20.0)
+    assert set(a._windows) == {"10.51.0.3"}
+
+
+def test_epoch_saturates_instead_of_raising():
+    """ts / bucket width overflows to inf for ts near the float maximum;
+    the epoch saturates, so the window keeps counting."""
+    a = Analyzer(AnalyzerConfig(bucket_count=100, ack_flood_per_source=2))
+    assert a.observe_tcp(_tcp("10.52.0.1", 1000, "A", 1e308), 1e308) is None
+    f = a.observe_tcp(_tcp("10.52.0.1", 1000, "A", sys.float_info.max), sys.float_info.max)
+    assert f is not None and f.code == ACK_FLOOD

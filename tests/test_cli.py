@@ -77,6 +77,17 @@ def test_run_non_finite_config_value_exits_2_without_traceback(tmp_path, cli_run
         assert proc.stderr.startswith("error: ") and setting.split("=")[0] in proc.stderr
 
 
+def test_run_meaningless_size_exits_2_without_traceback(tmp_path, cli_run):
+    trace = tmp_path / "t.jsonl"
+    cli_run(["gen", "--scenario", "mixed", "--seed", "2", "--duration", "1", "--out", str(trace)])
+    for setting in ("tcp.window_secs=1e-320", "tcp.conn_table_max_entries=0", "udp.max_len=7"):
+        proc = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+                        "--set", f"sandbox.log_path={tmp_path / 'sb.jsonl'}", "--set", setting])
+        assert proc.returncode == 2, setting
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+
 def test_run_config_error_keeps_existing_capture(tmp_path, cli_run):
     trace = tmp_path / "t.jsonl"
     trace.write_text("")

@@ -2,6 +2,8 @@
 reaching its field, and bad values refused as ConfigError."""
 
 import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from ddosgate.waf import default_ruleset
 
 PATH_KEYS = {"blacklist.path", "blacklist.url", "tcp.signatures_path", "waf.ruleset_path",
              "sandbox.log_path"}
-FLOAT_KEYS = ("rate.rps", "rate.idle_evict_secs", "blacklist.refresh_secs", "tcp.window_secs",
+FLOAT_KEYS = ("rate.rps", "blacklist.refresh_secs", "tcp.window_secs",
               "tcp.handshake_timeout_secs")
 
 # key -> (text, attribute path on the engine, value it must arrive as);
@@ -22,7 +24,6 @@ FLOAT_KEYS = ("rate.rps", "rate.idle_evict_secs", "blacklist.refresh_secs", "tcp
 NON_DEFAULT = {
     "rate.rps": ("7.5", "config.limiter.rps", 7.5),
     "rate.burst": ("12", "config.limiter.burst", 12),
-    "rate.idle_evict_secs": ("90", "config.limiter.idle_evict_secs", 90.0),
     "rate.drop_to_sandbox": ("yes", "config.rate_drop_to_sandbox", True),
     "blacklist.refresh_secs": ("120", "config.blacklist_refresh_secs", 120.0),
     "tcp.window_secs": ("20", "config.analyzer.window_secs", 20.0),
@@ -122,3 +123,43 @@ def test_config_fuzz_refuses_or_runs():
             ran += 1
     assert refused + ran == len(NON_DEFAULT) * len(FUZZ_VALUES)
     assert refused > ran > 5
+
+
+@pytest.mark.parametrize("settings", [
+    ["tcp.window_secs=1e-320"],
+    ["tcp.window_secs=1e-305", "tcp.bucket_count=1000"],
+    ["tcp.bucket_count=1" + "0" * 400],
+    ["tcp.conn_table_max_entries=0"],
+    ["tcp.conn_table_max_entries=-1"],
+    ["udp.max_len=7"],
+    ["udp.min_len=1501"],
+])
+def test_analyzer_config_refuses_meaningless_sizes(settings):
+    with pytest.raises(ConfigError):
+        _build(settings)
+
+
+def _readme_config_rows():
+    """(keys, default texts) for each row of README's Configuration table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            _, keys, default, _meaning, _ = line.split("|")
+            yield re.findall(r"`([^`]+)`", keys), default.strip().strip("`").split(" / ")
+
+
+def test_readme_config_table_matches_defaults():
+    """Every key is in the table once, and each default shown there
+    parses to the default the dataclass field holds."""
+    defaults = default_config()
+    seen = []
+    for keys, texts in _readme_config_rows():
+        if len(texts) == 1:
+            texts = texts * len(keys)
+        assert len(texts) == len(keys), keys
+        for key, text in zip(keys, texts):
+            text = "" if text in ("unset", "built-in", "none") else text
+            assert apply_overrides(default_config(), [f"{key}={text}"])[key] == defaults[key], key
+            seen.append(key)
+    assert sorted(seen) == sorted(defaults)

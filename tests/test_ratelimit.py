@@ -74,13 +74,30 @@ def test_agrees_with_millisecond_oracle_on_random_schedule():
 
 
 def test_evict_idle_drops_only_stale_sources():
-    table = LimiterTable(LimiterConfig(rps=5.0, burst=10, idle_evict_secs=60.0))
-    table.acquire("old", 0.0)
-    table.acquire("new", 55.0)
-    assert table.evict_idle(70.0) == 1
+    table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
+    table.acquire("old", 0.0)  # sweeps the empty table; the next sweep is due at 2.0
+    for _ in range(10):
+        table.acquire("busy", 1.0)
+    # this sweep finds "old" refilled to burst and "busy" at 7.5 tokens
+    table.acquire("new", 2.5)
+    assert set(table.buckets) == {"busy", "new"}
     # evicted source comes back with a fresh full bucket
-    allowed = sum(1 for _ in range(12) if table.acquire("old", 70.0).allowed)
+    allowed = sum(1 for _ in range(12) if table.acquire("old", 2.5).allowed)
     assert allowed == 10
+
+
+@pytest.mark.parametrize("drained_at, evicted, allowed", [(0.0, True, 10), (1e-9, False, 9)])
+def test_bucket_evicted_once_idle_burst_over_rps(drained_at, evicted, allowed):
+    """An emptied bucket refills to burst after exactly burst/rps = 2 s:
+    it goes at 2.0 s idle; just under, it stays a hair short of burst,
+    so only 9 whole tokens are left."""
+    table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
+    table.acquire("other", 0.0)  # sweeps; the next sweep is due at 2.0
+    for _ in range(10):
+        assert table.acquire("src", drained_at).allowed
+    table.acquire("other", 2.0)
+    assert ("src" not in table.buckets) == evicted
+    assert sum(1 for _ in range(12) if table.acquire("src", 2.0).allowed) == allowed
 
 
 def test_config_validation():
@@ -88,5 +105,3 @@ def test_config_validation():
         LimiterConfig(rps=0.0)
     with pytest.raises(ValueError):
         LimiterConfig(burst=0)
-    with pytest.raises(ValueError):
-        LimiterConfig(idle_evict_secs=-1.0)
