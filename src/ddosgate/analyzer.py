@@ -1,18 +1,24 @@
 """TCP/UDP header analysis, the third line of defense.
 
-Stateful TCP side: a handshake table tracks SYNs awaiting their
-completing ACK; entries that outlive the handshake timeout are folded
-into a per-source sliding window of incomplete handshakes. Per-source
-windows also count bare ACKs, RSTs, empty-payload PSHs and URG misuse.
-When the global half-open count crosses its threshold the engine flips
-into SYN-cookie mode and models a stateless server until the count
-decays below half the threshold.
+Stateful TCP side: the handshake table is two age-ordered maps, one of
+half-open flows (each mapped to its SYN's ts) and one of established
+flows. Time never goes back, so insertion order is age order and the
+oldest flow of each map is its first. A retransmitted SYN charges the
+attempt it supersedes as an incomplete handshake; with a new ts it moves
+its flow to the back, at the same ts the flow keeps its place. A
+half-open flow that outlives the handshake timeout, or is dropped from
+a full table, is folded into its source's sliding window of incomplete
+handshakes; a full table with no half-open flow drops the oldest
+established one. Per-source windows also count bare ACKs, RSTs,
+empty-payload PSHs and URG misuse. When the global half-open count
+crosses its threshold the engine flips into SYN-cookie mode and models
+a stateless server until the count decays below half the threshold.
 
 Stateless UDP side: port, size, and checksum filtering.
 
 Sliding windows are rings of bucket_count counters over window_secs, so
 threshold decisions are exact to within one bucket. A half-open finding
-additionally depends on entries created up to handshake_timeout_secs
+additionally depends on flows opened up to handshake_timeout_secs
 before the window, since a SYN only folds into the window when it
 expires. A ring exists only once written, and a source's rings are
 dropped once they have all left the window, so window state covers only
@@ -24,8 +30,8 @@ All time comes from packet timestamps.
 from __future__ import annotations
 
 import sys
-from collections import deque
-from dataclasses import dataclass, field
+from collections import ChainMap, OrderedDict
+from dataclasses import dataclass
 
 from .events import (
     ACK,
@@ -221,12 +227,6 @@ _URG = 4
 _N_CLASSES = 5
 
 
-@dataclass(slots=True)
-class HandshakeEntry:
-    state: str  # "syn_seen" | "established"
-    created_ts: float
-
-
 class Analyzer:
     """Single-writer analyzer state; packets must arrive in timestamp
     order, which ``Engine.process_event`` guards for the pipeline."""
@@ -234,12 +234,12 @@ class Analyzer:
     def __init__(self, config: AnalyzerConfig | None = None):
         self.config = config or AnalyzerConfig()
         self._bucket_width = self.config.window_secs / self.config.bucket_count
-        self.entries: dict[FlowKey, HandshakeEntry] = {}
-        # (created_ts, flow) in creation order; stale records skipped on pop
-        self._syn_queue: deque[tuple[float, FlowKey]] = deque()
-        self._est_queue: deque[tuple[float, FlowKey]] = deque()
+        # oldest first: half-open flow -> its SYN's ts, and established flows
+        self._half_open: OrderedDict[FlowKey, float] = OrderedDict()
+        self._established: OrderedDict[FlowKey, None] = OrderedDict()
+        self.entries = ChainMap(self._half_open, self._established)  # every tracked flow
         self._pending_by_source: dict[str, int] = {}
-        self._pending_global = 0
+        self._expires_at = 0.0
         # source -> one ring per class, None until first written
         self._windows: dict[str, list[_Window | None]] = {}
         self._next_sweep = 0.0
@@ -269,58 +269,49 @@ class Analyzer:
 
     # -- handshake table ---------------------------------------------------
 
-    def _drop_pending(self, src_ip: str) -> None:
-        self._pending_global -= 1
-        n = self._pending_by_source.get(src_ip, 0) - 1
-        if n <= 0:
-            self._pending_by_source.pop(src_ip, None)
+    def _close_half_open(self, flow: FlowKey) -> None:
+        del self._half_open[flow]
+        src = flow.src_ip
+        n = self._pending_by_source[src] - 1
+        if n:
+            self._pending_by_source[src] = n
         else:
-            self._pending_by_source[src_ip] = n
-
-    def _fold_incomplete(self, src_ip: str, fold_ts: float) -> None:
-        self._bump(src_ip, _SYN_INCOMPLETE, fold_ts)
+            del self._pending_by_source[src]
 
     def _expire(self, now: float) -> None:
+        # _expires_at is never later than the oldest flow's expiry: the
+        # oldest SYN's ts only grows, and a flow added later has ts >= now
+        if now <= self._expires_at:
+            return
         timeout = self.config.handshake_timeout_secs
-        q = self._syn_queue
-        while q:
-            created, flow = q[0]
-            if created + timeout >= now:
-                break
-            q.popleft()
-            entry = self.entries.get(flow)
-            if entry is None or entry.state != "syn_seen" or entry.created_ts != created:
-                continue  # completed or superseded since queueing
-            del self.entries[flow]
-            self._drop_pending(flow.src_ip)
-            self._fold_incomplete(flow.src_ip, created + timeout)
+        half_open = self._half_open
+        while half_open:
+            flow = next(iter(half_open))
+            expired_at = half_open[flow] + timeout
+            if expired_at >= now:
+                self._expires_at = expired_at
+                return
+            self._close_half_open(flow)
+            self._bump(flow.src_ip, _SYN_INCOMPLETE, expired_at)
+        self._expires_at = now + timeout
 
     def _evict_for_capacity(self, now: float) -> None:
-        while len(self.entries) >= self.config.conn_table_max_entries:
-            while self._syn_queue:
-                created, flow = self._syn_queue.popleft()
-                entry = self.entries.get(flow)
-                if entry is not None and entry.state == "syn_seen" and entry.created_ts == created:
-                    del self.entries[flow]
-                    self._drop_pending(flow.src_ip)
-                    self._fold_incomplete(flow.src_ip, now)
-                    break
+        """Make room for one more flow. The table never holds more than
+        conn_table_max_entries, so one eviction is enough."""
+        if len(self._half_open) + len(self._established) >= self.config.conn_table_max_entries:
+            if self._half_open:
+                flow = next(iter(self._half_open))
+                self._close_half_open(flow)
+                self._bump(flow.src_ip, _SYN_INCOMPLETE, now)
             else:
-                while self._est_queue:
-                    _, flow = self._est_queue.popleft()
-                    entry = self.entries.get(flow)
-                    if entry is not None and entry.state == "established":
-                        del self.entries[flow]
-                        break
-                else:
-                    return
+                self._established.popitem(last=False)
 
     def _update_cookie_mode(self) -> None:
         threshold = self.config.syn_half_open_global
         if not self.cookie_mode:
-            if self._pending_global >= threshold:
+            if len(self._half_open) >= threshold:
                 self.cookie_mode = True
-        elif self._pending_global < threshold / 2:
+        elif len(self._half_open) < threshold / 2:
             self.cookie_mode = False
 
     def _evict_expired_windows(self, now: float) -> None:
@@ -347,12 +338,12 @@ class Analyzer:
 
     def half_open_count(self, source: str | None = None) -> int:
         if source is None:
-            return self._pending_global
+            return len(self._half_open)
         return self._pending_by_source.get(source, 0)
 
     def incomplete_count(self, src_ip: str, now: float) -> int:
         """Incomplete handshakes charged to a source: window-folded
-        expiries plus half-open entries still pending."""
+        expiries plus its half-open flows still pending."""
         pending = self._pending_by_source.get(src_ip, 0)
         rings = self._windows.get(src_ip)
         if rings is None or rings[_SYN_INCOMPLETE] is None:
@@ -383,55 +374,45 @@ class Analyzer:
             if self.cookie_mode:
                 return None  # stateless server: cookie goes out, nothing stored
             flow = flow_key(pkt)
-            entry = self.entries.get(flow)
-            if entry is not None and entry.state == "syn_seen":
+            half_open = self._half_open
+            created = half_open.get(flow)
+            if created is not None:
                 # retransmitted/superseded SYN: the old pending one never
                 # completed, charge it now and restart the clock
-                self._fold_incomplete(src, now)
-                entry.created_ts = now
-                self._syn_queue.append((now, flow))
-            else:
-                if entry is None:
-                    self._evict_for_capacity(now)
-                    self._pending_global += 1
-                    self._pending_by_source[src] = self._pending_by_source.get(src, 0) + 1
-                    self.entries[flow] = HandshakeEntry("syn_seen", now)
-                    self._syn_queue.append((now, flow))
-                # SYN on an established flow: ignore for state, still thresholded
+                self._bump(src, _SYN_INCOMPLETE, now)
+                if created != now:
+                    half_open[flow] = now
+                    half_open.move_to_end(flow)
+            elif flow not in self._established:
+                self._evict_for_capacity(now)
+                half_open[flow] = now
+                self._pending_by_source[src] = self._pending_by_source.get(src, 0) + 1
+            # SYN on an established flow: ignore for state, still thresholded
             if self.incomplete_count(src, now) >= cfg.syn_half_open_per_source:
                 return Finding(SYN_HALF_OPEN)
             return None
 
         if flags & ACK:
             flow = flow_key(pkt)
-            entry = self.entries.get(flow)
-            # (3) handshake completion
-            if entry is not None and entry.state == "syn_seen":
-                if self.cookie_mode:
-                    mss = check_syn_cookie(cfg.syncookie_secret, flow,
-                                           int(now // COOKIE_COUNTER_SECS), (body.ack - 1) & 0xFFFFFFFF)
-                    if mss is None:
-                        return Finding(COOKIE_INVALID)
-                entry.state = "established"
-                self._drop_pending(flow.src_ip)
-                self._est_queue.append((now, flow))
-                return None
-            if entry is None:
-                if self.cookie_mode:
-                    # stateless completion attempt: the ACK must carry a valid cookie
-                    mss = check_syn_cookie(cfg.syncookie_secret, flow,
-                                           int(now // COOKIE_COUNTER_SECS), (body.ack - 1) & 0xFFFFFFFF)
-                    if mss is None:
-                        return Finding(COOKIE_INVALID)
+            pending = flow in self._half_open
+            # (3) handshake completion: of a half-open flow, or of any new
+            # flow under SYN cookies, where the ACK must carry a valid cookie
+            if pending or self.cookie_mode and flow not in self._established:
+                if self.cookie_mode and check_syn_cookie(
+                        cfg.syncookie_secret, flow, int(now // COOKIE_COUNTER_SECS),
+                        (body.ack - 1) & 0xFFFFFFFF) is None:
+                    return Finding(COOKIE_INVALID)
+                if pending:
+                    self._close_half_open(flow)
+                else:
                     self._evict_for_capacity(now)
-                    self.entries[flow] = HandshakeEntry("established", now)
-                    self._est_queue.append((now, flow))
-                    return None
-                # (4) bare ACK with no flow behind it
-                if not payload:
-                    if self._bump(src, _BARE_ACK, now) >= cfg.ack_flood_per_source:
-                        return Finding(ACK_FLOOD)
-                    return None
+                self._established[flow] = None
+                return None
+            # (4) bare ACK with no flow behind it
+            if not payload and flow not in self._established:
+                if self._bump(src, _BARE_ACK, now) >= cfg.ack_flood_per_source:
+                    return Finding(ACK_FLOOD)
+                return None
 
         # (5) reset frequency
         if flags & RST:

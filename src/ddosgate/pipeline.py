@@ -176,8 +176,7 @@ class Engine:
         now = event.ts
 
         stats.examined[1] += 1
-        decision = self.limiter.acquire(event.src_ip, now)
-        if not decision.allowed:
+        if not self.limiter.acquire(event.src_ip, now):
             if self.config.rate_drop_to_sandbox:
                 return self._sandbox(event, 1, RATE_LIMITED)
             return _RATE_LIMITED_VERDICT

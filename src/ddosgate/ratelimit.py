@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["LimiterConfig", "SourceBucket", "RateDecision", "LimiterTable"]
+__all__ = ["LimiterConfig", "SourceBucket", "LimiterTable", "retry_after_secs"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,10 @@ class SourceBucket:
     last_update_ts: float
 
 
-@dataclass(frozen=True, slots=True)
-class RateDecision:
-    allowed: bool
-    retry_after_secs: float = 0.0
-
-
-_ALLOWED = RateDecision(allowed=True)
+def retry_after_secs(config: LimiterConfig, tokens: float) -> float:
+    """How long a bucket holding ``tokens`` (fewer than one) takes to
+    refill to one full token at the configured rate."""
+    return (1.0 - tokens) / config.rps
 
 
 @dataclass
@@ -49,13 +46,13 @@ class LimiterTable:
     buckets: dict[str, SourceBucket] = field(default_factory=dict)
     _next_sweep: float = field(default=0.0, init=False, repr=False)
 
-    def acquire(self, src_ip: str, now: float) -> RateDecision:
-        """Refill the source's bucket to ``now``, then try to consume one token.
+    def acquire(self, src_ip: str, now: float) -> bool:
+        """Refill the source's bucket to ``now``, then try to consume one
+        token; True if the request is allowed.
 
-        A denied request consumes nothing; retry_after is how long until
-        one full token is available at the configured rate. ``now`` must
-        not be earlier than any earlier call's; ``Engine.process_event``
-        guards that for the pipeline.
+        A denied request consumes nothing. ``now`` must not be earlier
+        than any earlier call's; ``Engine.process_event`` guards that for
+        the pipeline.
         """
         if now >= self._next_sweep:
             self._evict_refilled(now)
@@ -70,8 +67,8 @@ class LimiterTable:
             bucket.last_update_ts = now
         if bucket.tokens >= 1.0:
             bucket.tokens -= 1.0
-            return _ALLOWED
-        return RateDecision(allowed=False, retry_after_secs=(1.0 - bucket.tokens) / cfg.rps)
+            return True
+        return False
 
     def _evict_refilled(self, now: float) -> None:
         """Drop every bucket that ``acquire`` would refill to exactly

@@ -181,6 +181,72 @@ def test_conn_table_evicts_oldest_half_open_first():
     assert a.incomplete_count("10.9.0.15", 1.1) == 5 + 1
 
 
+_A, _B, _C = "10.9.1.1", "10.9.1.2", "10.9.1.3"
+
+
+def _counts(a, now):
+    return ([a.half_open_count(s) for s in (_A, _B, _C)],
+            [a.incomplete_count(s, now) for s in (_A, _B, _C)])
+
+
+def test_half_open_flows_expire_just_after_the_timeout():
+    a = Analyzer()  # handshake_timeout_secs=5.0
+    a.observe_tcp(_tcp(_A, 1000, "S", 1.0), 1.0)
+    a.observe_tcp(_tcp(_B, 1000, "S", 2.0), 2.0)
+    for now, pending in ((6.0, 2), (6.5, 1), (7.0, 1), (7.5, 0)):
+        a.observe_tcp(_tcp(_C, 2000, "A", now, payload=b"x"), now)
+        assert a.half_open_count() == pending
+
+
+def test_conn_table_same_ts_retransmit_keeps_its_place():
+    a = Analyzer(AnalyzerConfig(conn_table_max_entries=2))
+    for src, ts in ((_A, 1.0), (_B, 1.0), (_A, 1.0), (_C, 1.5)):
+        a.observe_tcp(_tcp(src, 1000, "S", ts), ts)
+    # A's SYN is still the oldest, so A is the flow evicted
+    assert _counts(a, 1.5) == ([0, 1, 1], [2, 1, 1])
+
+
+def test_conn_table_later_retransmit_moves_flow_to_the_back():
+    a = Analyzer(AnalyzerConfig(conn_table_max_entries=2))
+    for src, ts in ((_A, 1.0), (_B, 1.2), (_A, 1.5), (_C, 1.6)):
+        a.observe_tcp(_tcp(src, 1000, "S", ts), ts)
+    assert _counts(a, 1.6) == ([1, 0, 1], [2, 1, 1])
+
+
+def test_conn_table_reopened_flow_goes_to_the_back():
+    """A flow dropped and opened again at the same ts is the newest flow,
+    even after a same-ts retransmit of its earlier attempt."""
+    a = Analyzer(AnalyzerConfig(conn_table_max_entries=2))
+    for src in (_A, _B, _A, _C, _A):  # C evicts A, then A evicts B
+        a.observe_tcp(_tcp(src, 1000, "S", 1.0), 1.0)
+    a.observe_tcp(_tcp("10.9.1.4", 1000, "S", 1.0), 1.0)  # evicts C, opened before A
+    assert _counts(a, 1.0)[0] == [1, 0, 0]
+
+
+def test_conn_table_without_half_open_drops_oldest_established():
+    a = Analyzer(AnalyzerConfig(conn_table_max_entries=2, ack_flood_per_source=1))
+    for src, ts in ((_A, 1.0), (_B, 1.2)):
+        a.observe_tcp(_tcp(src, 1000, "S", ts), ts)
+        a.observe_tcp(_tcp(src, 1000, "A", ts + 0.1), ts + 0.1)
+    a.observe_tcp(_tcp(_C, 1000, "S", 1.4), 1.4)
+    assert len(a.entries) == 2
+    # A's flow is gone, so its next empty ACK is a bare ACK; B's still has a flow
+    f = a.observe_tcp(_tcp(_A, 1000, "A", 1.5), 1.5)
+    assert f is not None and f.code == ACK_FLOOD
+    assert a.observe_tcp(_tcp(_B, 1000, "A", 1.5), 1.5) is None
+
+
+def test_syn_on_established_flow_stores_nothing():
+    a = Analyzer(AnalyzerConfig(conn_table_max_entries=1, ack_flood_per_source=1))
+    a.observe_tcp(_tcp(_A, 1000, "S", 1.0), 1.0)
+    a.observe_tcp(_tcp(_A, 1000, "A", 1.1), 1.1)
+    assert a.observe_tcp(_tcp(_A, 1000, "S", 1.2), 1.2) is None
+    assert (a.half_open_count(), len(a.entries)) == (0, 1)
+    assert _counts(a, 1.2) == ([0, 0, 0], [0, 0, 0])
+    # the flow is still established: its empty ACK is no bare ACK
+    assert a.observe_tcp(_tcp(_A, 1000, "A", 1.3), 1.3) is None
+
+
 # -- SYN cookies ----------------------------------------------------------
 
 _FLOW = FlowKey("172.16.3.4", 51515, SRV, 80, "tcp")

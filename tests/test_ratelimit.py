@@ -4,23 +4,22 @@ import random
 
 import pytest
 
-from ddosgate.ratelimit import LimiterConfig, LimiterTable
+from ddosgate.ratelimit import LimiterConfig, LimiterTable, retry_after_secs
 
 
 def test_new_source_starts_with_full_burst():
     table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
-    allowed = sum(1 for _ in range(100) if table.acquire("10.0.0.1", 0.0).allowed)
+    allowed = sum(1 for _ in range(100) if table.acquire("10.0.0.1", 0.0))
     assert allowed == 10
 
 
 def test_eleventh_instant_request_limited_with_retry_hint():
     table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
     for _ in range(10):
-        assert table.acquire("10.0.0.1", 1.0).allowed
-    decision = table.acquire("10.0.0.1", 1.0)
-    assert not decision.allowed
+        assert table.acquire("10.0.0.1", 1.0)
+    assert not table.acquire("10.0.0.1", 1.0)
     # empty bucket refills to one token in 1/rps seconds
-    assert decision.retry_after_secs == pytest.approx(0.2)
+    assert retry_after_secs(table.config, table.buckets["10.0.0.1"].tokens) == pytest.approx(0.2)
 
 
 def test_refill_caps_at_burst():
@@ -28,22 +27,22 @@ def test_refill_caps_at_burst():
     for _ in range(10):
         table.acquire("10.0.0.1", 0.0)
     # 100 s of idle still refills to exactly burst, not more
-    allowed = sum(1 for _ in range(20) if table.acquire("10.0.0.1", 100.0).allowed)
+    allowed = sum(1 for _ in range(20) if table.acquire("10.0.0.1", 100.0))
     assert allowed == 10
 
 
 def test_steady_rate_at_rps_never_limited():
     table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
     for i in range(200):
-        assert table.acquire("10.0.0.1", i * 0.2).allowed
+        assert table.acquire("10.0.0.1", i * 0.2)
 
 
 def test_sources_do_not_share_buckets():
     table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
     for _ in range(10):
-        assert table.acquire("10.0.0.1", 0.0).allowed
-    assert not table.acquire("10.0.0.1", 0.0).allowed
-    assert table.acquire("10.0.0.2", 0.0).allowed
+        assert table.acquire("10.0.0.1", 0.0)
+    assert not table.acquire("10.0.0.1", 0.0)
+    assert table.acquire("10.0.0.2", 0.0)
 
 
 def test_agrees_with_millisecond_oracle_on_random_schedule():
@@ -58,7 +57,7 @@ def test_agrees_with_millisecond_oracle_on_random_schedule():
     table = LimiterTable(cfg)
 
     arrivals_ms = sorted(rng.randrange(0, 10_000) for _ in range(200))
-    allowed_real = sum(1 for t in arrivals_ms if table.acquire("s", t / 1000.0).allowed)
+    allowed_real = sum(1 for t in arrivals_ms if table.acquire("s", t / 1000.0))
 
     tokens = float(cfg.burst)
     last_ms = None
@@ -82,7 +81,7 @@ def test_evict_idle_drops_only_stale_sources():
     table.acquire("new", 2.5)
     assert set(table.buckets) == {"busy", "new"}
     # evicted source comes back with a fresh full bucket
-    allowed = sum(1 for _ in range(12) if table.acquire("old", 2.5).allowed)
+    allowed = sum(1 for _ in range(12) if table.acquire("old", 2.5))
     assert allowed == 10
 
 
@@ -94,10 +93,10 @@ def test_bucket_evicted_once_idle_burst_over_rps(drained_at, evicted, allowed):
     table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
     table.acquire("other", 0.0)  # sweeps; the next sweep is due at 2.0
     for _ in range(10):
-        assert table.acquire("src", drained_at).allowed
+        assert table.acquire("src", drained_at)
     table.acquire("other", 2.0)
     assert ("src" not in table.buckets) == evicted
-    assert sum(1 for _ in range(12) if table.acquire("src", 2.0).allowed) == allowed
+    assert sum(1 for _ in range(12) if table.acquire("src", 2.0)) == allowed
 
 
 def test_config_validation():
