@@ -210,12 +210,8 @@ class _Window:
         counts[epoch % size] += n
         self.total += n
 
-    def advance(self, epoch: int) -> None:
-        if epoch > self.epoch:
-            self.add(epoch, 0)
-
     def count(self, epoch: int) -> int:
-        self.advance(epoch)
+        self.add(epoch, 0)
         return self.total
 
 

@@ -79,9 +79,9 @@ class CidrSnapshot:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def contains(self, ip: str | int) -> bool:
+    def contains(self, ip: str) -> bool:
         """True iff any entry's prefix covers ip."""
-        value = ip if isinstance(ip, int) else ipv4_to_int(ip)
+        value = ipv4_to_int(ip)
         if value is None:
             return False
         i = bisect_right(self._starts, value) - 1

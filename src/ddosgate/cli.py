@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import blacklist as bl
 from .config import ConfigError, apply_overrides, build_engine, default_config, parse_config
@@ -91,17 +92,13 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         return _fail(str(exc), RUNTIME_EXIT)
 
+    to_stdout = args.out == "-"
     try:
-        if args.out == "-":
-            out = sys.stdout
+        with nullcontext(sys.stdout) if to_stdout else open(args.out, "w", encoding="utf-8") as out:
             for ev in events:
                 out.write(serialize_trace_event(ev))
                 out.write("\n")
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for ev in events:
-                    fh.write(serialize_trace_event(ev))
-                    fh.write("\n")
+        if not to_stdout:
             with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
                 json.dump(summarize(scenario, events), fh, indent=2)
                 fh.write("\n")

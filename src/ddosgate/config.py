@@ -140,8 +140,7 @@ def _fields(cfg: dict, owner: type) -> dict:
     return {name: cfg[key] for key, (_, cls, name) in _KEYS.items() if cls is owner}
 
 
-def build_engine(cfg: dict, sandbox_stream: TextIO | None = None,
-                 fetcher: Callable[[str], str] | None = None) -> Engine:
+def build_engine(cfg: dict, sandbox_stream: TextIO | None = None) -> Engine:
     """Assemble an Engine from a validated config map.
 
     File-shaped values (ruleset, signatures) are read here, and only
@@ -172,4 +171,4 @@ def build_engine(cfg: dict, sandbox_stream: TextIO | None = None,
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     sandbox = SandboxSink(sandbox_stream) if sandbox_stream is not None else None
-    return Engine(engine_cfg, ruleset=ruleset, sandbox=sandbox, fetcher=fetcher)
+    return Engine(engine_cfg, ruleset=ruleset, sandbox=sandbox)

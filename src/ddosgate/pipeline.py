@@ -20,13 +20,13 @@ the trace clock.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TextIO
 
 from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
 from .events import (
+    _MAX_TS,
     DROP_RATE_LIMITED,
     FORWARD,
     REJECT_BLACKLISTED,
@@ -48,8 +48,6 @@ BLACKLISTED = "blacklisted"
 _RATE_LIMITED_VERDICT = Verdict(DROP_RATE_LIMITED, 1, RATE_LIMITED)
 _BLACKLISTED_VERDICT = Verdict(REJECT_BLACKLISTED, 2, BLACKLISTED)
 _FORWARD_VERDICT = Verdict(FORWARD, 0, "")
-
-_MAX_TS = sys.float_info.max
 
 
 class OutOfOrderError(RuntimeError):

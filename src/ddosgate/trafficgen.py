@@ -14,6 +14,15 @@ benign stream; source pools never overlap. Each event is labeled
 "benign" or "attack:<lane>" for offline scoring; the pipeline never
 reads labels.
 
+One table, _SCENARIOS, states each scenario once: its parameter
+defaults (in manifest order) and its lanes. A lane is a rank, a builder
+and the names of the parameters that builder takes. The rank picks the
+lane's own RNG stream, so one lane's draws never shift another's, and
+it is the same in every scenario that runs the lane. Each builder
+returns rows in emission order; the merge is a stable sort on
+timestamp, so ties go by lane rank, then by emission order within the
+lane. Events get their ids only after the merge.
+
 Benign sources are built to stay under every default threshold: they
 complete handshakes, keep per-source averages at or below their rate
 parameter (which sits below the limiter refill rate), and emit only
@@ -23,7 +32,8 @@ well-formed UDP and inoffensive HTTP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import blacklist as bl
 from .events import compute_udp_checksum, HttpInfo, int_to_ipv4, TcpInfo, TraceEvent, UdpInfo
@@ -35,32 +45,7 @@ SERVER_IP = "10.0.0.1"
 HTTP_PORT = 80
 DNS_PORT = 53
 
-SCENARIO_NAMES = ("normal", "syn_flood", "ack_flood", "udp_flood",
-                  "low_rate_pulse", "blacklist_mix", "http_attack", "mixed")
-
-_COMMON_BENIGN = {"benign_sources": 3.0, "benign_rate": 2.0}
-
-_PARAM_DEFAULTS: dict[str, dict] = {
-    "normal": {"sources": 3.0, "rate": 2.0},
-    "syn_flood": {"sources": 1.0, "rate": 100.0, **_COMMON_BENIGN},
-    "ack_flood": {"sources": 1.0, "rate": 150.0, **_COMMON_BENIGN},
-    "udp_flood": {"sources": 2.0, "rate": 100.0, **_COMMON_BENIGN},
-    "low_rate_pulse": {"sources": 2.0, "period": 5.0, "width": 0.2, "burst_rate": 200.0,
-                       **_COMMON_BENIGN},
-    "http_attack": {"sources": 2.0, "rate": 2.0, **_COMMON_BENIGN},
-    "blacklist_mix": {"sources": 4.0, "fraction": 0.5, "rate": 2.0, "feed": None,
-                      **_COMMON_BENIGN},
-    "mixed": {"benign_sources": 5.0, "benign_rate": 2.0,
-              "syn_sources": 2.0, "syn_rate": 100.0,
-              "ack_sources": 2.0, "ack_rate": 150.0,
-              "udp_sources": 2.0, "udp_rate": 100.0,
-              "pulse_sources": 2.0, "pulse_period": 5.0, "pulse_width": 0.2,
-              "pulse_burst_rate": 200.0,
-              "http_sources": 2.0, "http_rate": 2.0,
-              "bl_sources": 4.0, "bl_fraction": 0.5, "bl_rate": 2.0, "feed": None},
-}
-
-# Lane ranks break timestamp ties deterministically during the merge.
+# Lane ranks: each lane's RNG stream and its place in timestamp ties.
 _LANE_BENIGN = 0
 _LANE_SYN = 1
 _LANE_ACK = 2
@@ -113,25 +98,9 @@ class Scenario:
     duration_secs: float = 10.0
 
 
-def resolve_params(name: str, overrides: dict | None) -> dict:
-    if name not in _PARAM_DEFAULTS:
-        raise ValueError(f"unknown scenario {name!r} (expected one of {', '.join(SCENARIO_NAMES)})")
-    resolved = dict(_PARAM_DEFAULTS[name])
-    for key, value in (overrides or {}).items():
-        if key not in resolved:
-            raise ValueError(f"scenario {name!r} has no parameter {key!r}")
-        resolved[key] = value if key == "feed" else float(value)
-    return resolved
-
-
-# Pending event rows: (t_us, lane, seq_no, TraceEvent with placeholder id)
-
-
-def _row(t_us: int, lane: int, seq_no: int, kind: str, src_ip: str, src_port: int,
-         dst_port: int, body, label: str):
-    return (t_us, lane, seq_no, TraceEvent(
-        event_id=0, ts=t_us / 1e6, kind=kind, src_ip=src_ip, dst_ip=SERVER_IP,
-        src_port=src_port, dst_port=dst_port, body=body, label=label))
+# Lane builders take (rng, lane rank, duration, *their parameters) and
+# return rows (t_us, lane, kind, src_ip, src_port, dst_port, body, label)
+# in emission order.
 
 
 _BENIGN_PATHS = (
@@ -160,12 +129,11 @@ def _benign_http(rng: _Rng) -> HttpInfo:
                     b"", rng.randint(20, 600))
 
 
-def _session_lane(rng: _Rng, ips: list[tuple[str, str]], rate: float, duration: float,
-                  lane: int) -> list:
+def _session_lane(rng: _Rng, lane: int, duration: float, ips: list[tuple[str, str]],
+                  rate: float) -> list:
     """Well-behaved request/response traffic: complete handshakes, polite
     pacing, a hard per-source budget of rate * duration events."""
     rows = []
-    seq_no = 0
     dur_us = int(duration * 1e6)
     for src_ip, label in ips:
         budget = int(rate * duration)
@@ -178,9 +146,8 @@ def _session_lane(rng: _Rng, ips: list[tuple[str, str]], rate: float, duration: 
                 payload = bytes(rng.below(256) for _ in range(16 + rng.below(24)))
                 length = 8 + len(payload)
                 csum = compute_udp_checksum(src_ip, SERVER_IP, sport, DNS_PORT, length, payload)
-                rows.append(_row(t_us, lane, seq_no, "udp", src_ip, sport, DNS_PORT,
-                                 UdpInfo(length, csum, payload), label))
-                seq_no += 1
+                rows.append((t_us, lane, "udp", src_ip, sport, DNS_PORT,
+                             UdpInfo(length, csum, payload), label))
                 emitted += 1
             elif emitted + 2 <= budget:
                 sport = 40000 + rng.below(20000)
@@ -189,19 +156,16 @@ def _session_lane(rng: _Rng, ips: list[tuple[str, str]], rate: float, duration: 
                 ack_t = t_us + rtt_us
                 if ack_t >= dur_us:
                     break  # never leave a half-open handshake behind
-                rows.append(_row(t_us, lane, seq_no, "tcp", src_ip, sport, HTTP_PORT,
-                                 TcpInfo(0x01, isn, 0, 0, b""), label))  # SYN
-                seq_no += 1
-                rows.append(_row(ack_t, lane, seq_no, "tcp", src_ip, sport, HTTP_PORT,
-                                 TcpInfo(0x02, (isn + 1) & 0xFFFFFFFF,
-                                         rng.next64() & 0xFFFFFFFF, 0, b""), label))  # ACK
-                seq_no += 1
+                rows.append((t_us, lane, "tcp", src_ip, sport, HTTP_PORT,
+                             TcpInfo(0x01, isn, 0, 0, b""), label))  # SYN
+                rows.append((ack_t, lane, "tcp", src_ip, sport, HTTP_PORT,
+                             TcpInfo(0x02, (isn + 1) & 0xFFFFFFFF,
+                                     rng.next64() & 0xFFFFFFFF, 0, b""), label))  # ACK
                 emitted += 2
                 req_t = ack_t + rng.randint(5_000, 40_000)
                 if emitted + 1 <= budget and req_t < dur_us:
-                    rows.append(_row(req_t, lane, seq_no, "http", src_ip, sport, HTTP_PORT,
-                                     _benign_http(rng), label))
-                    seq_no += 1
+                    rows.append((req_t, lane, "http", src_ip, sport, HTTP_PORT,
+                                 _benign_http(rng), label))
                     emitted += 1
             else:
                 break
@@ -210,45 +174,46 @@ def _session_lane(rng: _Rng, ips: list[tuple[str, str]], rate: float, duration: 
     return rows
 
 
+def _pool(net: int, sources: float) -> list[str]:
+    """A lane's own source addresses: 10.<net>.x.y, 250 to a /24."""
+    return [f"10.{net}.{k // 250}.{1 + k % 250}" for k in range(int(sources))]
+
+
+def _benign_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
+    return _session_lane(rng, lane, duration, [(ip, "benign") for ip in _pool(1, sources)], rate)
+
+
 def _schedule(rate: float, duration: float) -> list[int]:
     n = int(rate * duration + 1e-9)
     return [round(i * 1e6 / rate) for i in range(n)]
 
 
-def _syn_flood_lane(rng: _Rng, sources: int, rate: float, duration: float, lane: int) -> list:
+def _syn_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
     rows = []
-    seq_no = 0
     label = "attack:syn_flood"
-    for k in range(sources):
-        src_ip = f"10.2.{k // 250}.{1 + k % 250}"
+    for src_ip in _pool(2, sources):
         for i, t_us in enumerate(_schedule(rate, duration)):
             # fresh port per SYN: every flow stays half-open forever
-            rows.append(_row(t_us, lane, seq_no, "tcp", src_ip, 1024 + i % 64512, HTTP_PORT,
-                             TcpInfo(0x01, rng.next64() & 0xFFFFFFFF, 0, 0, b""), label))
-            seq_no += 1
+            rows.append((t_us, lane, "tcp", src_ip, 1024 + i % 64512, HTTP_PORT,
+                         TcpInfo(0x01, rng.next64() & 0xFFFFFFFF, 0, 0, b""), label))
     return rows
 
 
-def _ack_flood_lane(rng: _Rng, sources: int, rate: float, duration: float, lane: int) -> list:
+def _ack_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
     rows = []
-    seq_no = 0
     label = "attack:ack_flood"
-    for k in range(sources):
-        src_ip = f"10.3.{k // 250}.{1 + k % 250}"
+    for src_ip in _pool(3, sources):
         for i, t_us in enumerate(_schedule(rate, duration)):
-            rows.append(_row(t_us, lane, seq_no, "tcp", src_ip, 2048 + i % 60000, HTTP_PORT,
-                             TcpInfo(0x02, rng.next64() & 0xFFFFFFFF,
-                                     rng.next64() & 0xFFFFFFFF, 0, b""), label))
-            seq_no += 1
+            rows.append((t_us, lane, "tcp", src_ip, 2048 + i % 60000, HTTP_PORT,
+                         TcpInfo(0x02, rng.next64() & 0xFFFFFFFF,
+                                 rng.next64() & 0xFFFFFFFF, 0, b""), label))
     return rows
 
 
-def _udp_flood_lane(rng: _Rng, sources: int, rate: float, duration: float, lane: int) -> list:
+def _udp_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
     rows = []
-    seq_no = 0
     label = "attack:udp_flood"
-    for k in range(sources):
-        src_ip = f"10.4.{k // 250}.{1 + k % 250}"
+    for src_ip in _pool(4, sources):
         for i, t_us in enumerate(_schedule(rate, duration)):
             sport = 1024 + i % 60000
             variant = i % 3
@@ -267,24 +232,21 @@ def _udp_flood_lane(rng: _Rng, sources: int, rate: float, duration: float, lane:
                 # header length disagrees with what is actually carried
                 payload = bytes(rng.below(256) for _ in range(24))
                 info = UdpInfo(24, 0, payload)
-            rows.append(_row(t_us, lane, seq_no, "udp", src_ip, sport, DNS_PORT, info, label))
-            seq_no += 1
+            rows.append((t_us, lane, "udp", src_ip, sport, DNS_PORT, info, label))
     return rows
 
 
 _PULSE_PAYLOAD = b"GET / HTTP/1.1\r\nHost: example.test\r\n\r\n"
 
 
-def _pulse_lane(rng: _Rng, sources: int, period: float, width: float, burst_rate: float,
-                duration: float, lane: int) -> list:
+def _pulse_lane(rng: _Rng, lane: int, duration: float, sources: float, period: float,
+                width: float, burst_rate: float) -> list:
     """Quiet sources that wake up for short square-wave bursts — the
     low-rate pattern that stays invisible to volume-only thresholds."""
     rows = []
-    seq_no = 0
     label = "attack:low_rate_pulse"
     per_burst = int(burst_rate * width + 1e-9)
-    for k in range(sources):
-        src_ip = f"10.5.{k // 250}.{1 + k % 250}"
+    for k, src_ip in enumerate(_pool(5, sources)):
         sport = 3000 + k
         phase_us = rng.below(int(period * 2e5) or 1)
         burst = 0
@@ -296,10 +258,9 @@ def _pulse_lane(rng: _Rng, sources: int, period: float, width: float, burst_rate
                 t_us = start_us + round(i * 1e6 / burst_rate)
                 if t_us >= duration * 1e6:
                     break
-                rows.append(_row(t_us, lane, seq_no, "tcp", src_ip, sport, HTTP_PORT,
-                                 TcpInfo(0x02 | 0x10, rng.next64() & 0xFFFFFFFF,
-                                         rng.next64() & 0xFFFFFFFF, 0, _PULSE_PAYLOAD), label))
-                seq_no += 1
+                rows.append((t_us, lane, "tcp", src_ip, sport, HTTP_PORT,
+                             TcpInfo(0x02 | 0x10, rng.next64() & 0xFFFFFFFF,
+                                     rng.next64() & 0xFFFFFFFF, 0, _PULSE_PAYLOAD), label))
             burst += 1
     return rows
 
@@ -324,26 +285,29 @@ def _http_attack_requests() -> list[HttpInfo]:
     ]
 
 
-def _http_attack_lane(rng: _Rng, sources: int, rate: float, duration: float, lane: int) -> list:
+def _http_attack_lane(rng: _Rng, lane: int, duration: float, sources: float,
+                      rate: float) -> list:
     rows = []
-    seq_no = 0
     label = "attack:http_attack"
     requests = _http_attack_requests()
-    for k in range(sources):
-        src_ip = f"10.7.{k // 250}.{1 + k % 250}"
+    for src_ip in _pool(7, sources):
         phase_us = rng.below(200_000)
         for i, t_us in enumerate(_schedule(rate, duration)):
-            rows.append(_row(phase_us + t_us, lane, seq_no, "http", src_ip,
-                             40000 + i % 20000, HTTP_PORT, requests[i % len(requests)], label))
-            seq_no += 1
+            rows.append((phase_us + t_us, lane, "http", src_ip, 40000 + i % 20000, HTTP_PORT,
+                         requests[i % len(requests)], label))
     return rows
 
 
-def _blacklist_sources(feed_path: str, sources: int, fraction: float) -> list[tuple[str, str]]:
-    with open(feed_path, encoding="utf-8") as fh:
+def _blacklist_lane(rng: _Rng, lane: int, duration: float, feed: str | None, sources: float,
+                    fraction: float, rate: float) -> list:
+    """Sessions from listed and clean sources; no lane without a feed."""
+    if not feed:
+        return []
+    with open(feed, encoding="utf-8") as fh:
         entries, _skipped = bl.parse_feed(fh.read())
     if not entries:
-        raise ValueError(f"feed {feed_path!r} contains no usable entries")
+        raise ValueError(f"feed {feed!r} contains no usable entries")
+    sources = int(sources)
     listed_count = round(sources * fraction)
     ips = []
     for i in range(sources):
@@ -354,75 +318,86 @@ def _blacklist_sources(feed_path: str, sources: int, fraction: float) -> list[tu
             ips.append((int_to_ipv4(entry.base + offset), "attack:blacklist_mix"))
         else:
             ips.append((f"198.51.100.{1 + i}", "benign"))
-    return ips
+    return _session_lane(rng, lane, duration, ips, rate)
 
 
-def _benign_ips(sources: int) -> list[tuple[str, str]]:
-    return [(f"10.1.{s // 250}.{1 + s % 250}", "benign") for s in range(sources)]
+_COMMON_BENIGN = {"benign_sources": 3.0, "benign_rate": 2.0}
+_BENIGN = (_LANE_BENIGN, _benign_lane, ("benign_sources", "benign_rate"))
+
+# scenario -> (parameter defaults in manifest order, lanes as (rank, builder,
+# the parameters the builder takes))
+_SCENARIOS: dict[str, tuple[dict, tuple]] = {
+    "normal": ({"sources": 3.0, "rate": 2.0},
+               ((_LANE_BENIGN, _benign_lane, ("sources", "rate")),)),
+    "syn_flood": ({"sources": 1.0, "rate": 100.0, **_COMMON_BENIGN},
+                  (_BENIGN, (_LANE_SYN, _syn_flood_lane, ("sources", "rate")))),
+    "ack_flood": ({"sources": 1.0, "rate": 150.0, **_COMMON_BENIGN},
+                  (_BENIGN, (_LANE_ACK, _ack_flood_lane, ("sources", "rate")))),
+    "udp_flood": ({"sources": 2.0, "rate": 100.0, **_COMMON_BENIGN},
+                  (_BENIGN, (_LANE_UDP, _udp_flood_lane, ("sources", "rate")))),
+    "low_rate_pulse": ({"sources": 2.0, "period": 5.0, "width": 0.2, "burst_rate": 200.0,
+                        **_COMMON_BENIGN},
+                       (_BENIGN, (_LANE_PULSE, _pulse_lane,
+                                  ("sources", "period", "width", "burst_rate")))),
+    "blacklist_mix": ({"sources": 4.0, "fraction": 0.5, "rate": 2.0, "feed": None,
+                       **_COMMON_BENIGN},
+                      (_BENIGN, (_LANE_BL, _blacklist_lane,
+                                 ("feed", "sources", "fraction", "rate")))),
+    "http_attack": ({"sources": 2.0, "rate": 2.0, **_COMMON_BENIGN},
+                    (_BENIGN, (_LANE_HTTP, _http_attack_lane, ("sources", "rate")))),
+    "mixed": ({"benign_sources": 5.0, "benign_rate": 2.0,
+               "syn_sources": 2.0, "syn_rate": 100.0,
+               "ack_sources": 2.0, "ack_rate": 150.0,
+               "udp_sources": 2.0, "udp_rate": 100.0,
+               "pulse_sources": 2.0, "pulse_period": 5.0, "pulse_width": 0.2,
+               "pulse_burst_rate": 200.0,
+               "http_sources": 2.0, "http_rate": 2.0,
+               "bl_sources": 4.0, "bl_fraction": 0.5, "bl_rate": 2.0, "feed": None},
+              (_BENIGN,
+               (_LANE_SYN, _syn_flood_lane, ("syn_sources", "syn_rate")),
+               (_LANE_ACK, _ack_flood_lane, ("ack_sources", "ack_rate")),
+               (_LANE_UDP, _udp_flood_lane, ("udp_sources", "udp_rate")),
+               (_LANE_PULSE, _pulse_lane,
+                ("pulse_sources", "pulse_period", "pulse_width", "pulse_burst_rate")),
+               (_LANE_HTTP, _http_attack_lane, ("http_sources", "http_rate")),
+               (_LANE_BL, _blacklist_lane, ("feed", "bl_sources", "bl_fraction", "bl_rate")))),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
+_POSITIVE = ("period", "pulse_period")  # a pulse train needs time to advance
+
+
+def resolve_params(name: str, overrides: dict | None) -> dict:
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r} (expected one of {', '.join(SCENARIO_NAMES)})")
+    resolved = dict(_SCENARIOS[name][0])
+    for key, value in (overrides or {}).items():
+        if key not in resolved:
+            raise ValueError(f"scenario {name!r} has no parameter {key!r}")
+        if key != "feed":
+            value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"scenario {name!r} parameter {key!r} must be finite, got {value}")
+            if key in _POSITIVE and value <= 0:
+                raise ValueError(f"scenario {name!r} parameter {key!r} must be positive, got {value}")
+        resolved[key] = value
+    return resolved
 
 
 def generate(scenario: Scenario) -> list[TraceEvent]:
     """Build the full ts-sorted trace with 1-based, strictly increasing ids."""
-    name = scenario.name
-    p = resolve_params(name, scenario.params)
-    seed = scenario.seed
+    p = resolve_params(scenario.name, scenario.params)
     duration = scenario.duration_secs
+    if scenario.name == "blacklist_mix" and not p["feed"]:
+        raise ValueError("blacklist_mix requires a feed parameter (path to a CIDR feed file)")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration_secs must be finite, got {duration}")
     rows: list = []
-
-    def benign(lane_sources_key: str, lane_rate_key: str):
-        n = int(p[lane_sources_key])
-        if n > 0:
-            rows.extend(_session_lane(_sub_rng(seed, _LANE_BENIGN), _benign_ips(n),
-                                      p[lane_rate_key], duration, _LANE_BENIGN))
-
-    if name == "normal":
-        rows.extend(_session_lane(_sub_rng(seed, _LANE_BENIGN), _benign_ips(int(p["sources"])),
-                                  p["rate"], duration, _LANE_BENIGN))
-    elif name == "syn_flood":
-        benign("benign_sources", "benign_rate")
-        rows.extend(_syn_flood_lane(_sub_rng(seed, _LANE_SYN), int(p["sources"]), p["rate"],
-                                    duration, _LANE_SYN))
-    elif name == "ack_flood":
-        benign("benign_sources", "benign_rate")
-        rows.extend(_ack_flood_lane(_sub_rng(seed, _LANE_ACK), int(p["sources"]), p["rate"],
-                                    duration, _LANE_ACK))
-    elif name == "udp_flood":
-        benign("benign_sources", "benign_rate")
-        rows.extend(_udp_flood_lane(_sub_rng(seed, _LANE_UDP), int(p["sources"]), p["rate"],
-                                    duration, _LANE_UDP))
-    elif name == "low_rate_pulse":
-        benign("benign_sources", "benign_rate")
-        rows.extend(_pulse_lane(_sub_rng(seed, _LANE_PULSE), int(p["sources"]), p["period"],
-                                p["width"], p["burst_rate"], duration, _LANE_PULSE))
-    elif name == "http_attack":
-        benign("benign_sources", "benign_rate")
-        rows.extend(_http_attack_lane(_sub_rng(seed, _LANE_HTTP), int(p["sources"]), p["rate"],
-                                      duration, _LANE_HTTP))
-    elif name == "blacklist_mix":
-        if not p["feed"]:
-            raise ValueError("blacklist_mix requires a feed parameter (path to a CIDR feed file)")
-        benign("benign_sources", "benign_rate")
-        ips = _blacklist_sources(p["feed"], int(p["sources"]), p["fraction"])
-        rows.extend(_session_lane(_sub_rng(seed, _LANE_BL), ips, p["rate"], duration, _LANE_BL))
-    else:  # mixed
-        benign("benign_sources", "benign_rate")
-        rows.extend(_syn_flood_lane(_sub_rng(seed, _LANE_SYN), int(p["syn_sources"]),
-                                    p["syn_rate"], duration, _LANE_SYN))
-        rows.extend(_ack_flood_lane(_sub_rng(seed, _LANE_ACK), int(p["ack_sources"]),
-                                    p["ack_rate"], duration, _LANE_ACK))
-        rows.extend(_udp_flood_lane(_sub_rng(seed, _LANE_UDP), int(p["udp_sources"]),
-                                    p["udp_rate"], duration, _LANE_UDP))
-        rows.extend(_pulse_lane(_sub_rng(seed, _LANE_PULSE), int(p["pulse_sources"]),
-                                p["pulse_period"], p["pulse_width"], p["pulse_burst_rate"],
-                                duration, _LANE_PULSE))
-        rows.extend(_http_attack_lane(_sub_rng(seed, _LANE_HTTP), int(p["http_sources"]),
-                                      p["http_rate"], duration, _LANE_HTTP))
-        if p["feed"]:
-            ips = _blacklist_sources(p["feed"], int(p["bl_sources"]), p["bl_fraction"])
-            rows.extend(_session_lane(_sub_rng(seed, _LANE_BL), ips, p["bl_rate"], duration, _LANE_BL))
-
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [replace(row[3], event_id=i) for i, row in enumerate(rows, start=1)]
+    for rank, build, names in _SCENARIOS[scenario.name][1]:
+        rows.extend(build(_sub_rng(scenario.seed, rank), rank, duration, *(p[k] for k in names)))
+    rows.sort(key=itemgetter(0, 1))
+    return [TraceEvent(i, t_us / 1e6, kind, src_ip, SERVER_IP, src_port, dst_port, body, label)
+            for i, (t_us, _, kind, src_ip, src_port, dst_port, body, label)
+            in enumerate(rows, start=1)]
 
 
 def summarize(scenario: Scenario, events: list[TraceEvent]) -> dict:

@@ -36,6 +36,28 @@ def test_gen_unknown_param_exits_2(tmp_path, cli_run):
     assert "bogus" in proc.stderr
 
 
+def test_gen_refuses_values_it_cannot_honour(tmp_path, cli_run):
+    # period=0 used to append pulse rows until memory ran out; inf used to
+    # end in an OverflowError traceback. The timeout makes a hang fail.
+    out = tmp_path / "x.jsonl"
+    for args in (["--scenario", "low_rate_pulse", "--param", "period=0"],
+                 ["--scenario", "mixed", "--param", "pulse_period=-1"],
+                 ["--scenario", "syn_flood", "--param", "rate=inf"],
+                 ["--scenario", "normal", "--param", "sources=nan"],
+                 ["--scenario", "normal", "--duration", "inf"]):
+        proc = cli_run(["gen", *args, "--out", str(out)], timeout=20)
+        assert proc.returncode == 2, args
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), args
+        assert not out.exists()
+
+
+def test_gen_stdout_matches_file(tmp_path, cli_run):
+    out = tmp_path / "t.jsonl"
+    args = ["gen", "--scenario", "udp_flood", "--seed", "4", "--duration", "2"]
+    assert cli_run([*args, "--out", str(out)]).returncode == 0
+    assert cli_run([*args, "--out", "-"]).stdout == out.read_text()
+
+
 def test_run_produces_verdicts_and_stats(tmp_path, cli_run):
     trace = tmp_path / "t.jsonl"
     cli_run(["gen", "--scenario", "syn_flood", "--seed", "42", "--out", str(trace)])

@@ -1,10 +1,14 @@
 """Generator determinism, schedules, labels, and benign well-formedness."""
 
+import hashlib
+import json
+
 import pytest
 
 from ddosgate.blacklist import CidrSnapshot, parse_feed
 from ddosgate.events import SYN, TcpInfo, serialize_trace_event, validate_udp_checksum
-from ddosgate.trafficgen import Scenario, generate, resolve_params, scenario_manifest, summarize
+from ddosgate.trafficgen import (SCENARIO_NAMES, Scenario, generate, resolve_params,
+                                 scenario_manifest, summarize)
 
 
 def _trace_bytes(scenario):
@@ -16,6 +20,23 @@ def test_unknown_scenario_and_param_rejected():
         resolve_params("teardrop", None)
     with pytest.raises(ValueError):
         resolve_params("syn_flood", {"warp": 9})
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("low_rate_pulse", "period", 0), ("low_rate_pulse", "period", "-5"),
+    ("mixed", "pulse_period", "0"), ("low_rate_pulse", "burst_rate", "inf"),
+    ("syn_flood", "rate", float("inf")), ("normal", "sources", "nan"),
+    ("mixed", "bl_fraction", "-inf"), ("http_attack", "rate", "1e400"),
+])
+def test_resolve_params_refuses_values_it_cannot_honour(name, key, value):
+    with pytest.raises(ValueError, match=f"parameter '{key}' must be"):
+        resolve_params(name, {key: value})
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("-inf"), float("nan")])
+def test_generate_refuses_non_finite_duration(duration):
+    with pytest.raises(ValueError, match="duration_secs must be finite"):
+        generate(Scenario("normal", seed=1, duration_secs=duration))
 
 
 def test_blacklist_mix_requires_feed():
@@ -151,3 +172,46 @@ def test_manifest_totals_match_trace():
 def test_scenario_manifest_regenerates_consistently():
     sc = Scenario("syn_flood", seed=42, duration_secs=2.0)
     assert scenario_manifest(sc) == summarize(sc, generate(sc))
+
+
+# sha256 of the trace (one serialized event per line, as `gen` writes it) and
+# of the manifest JSON, at seed 7, 4 s, default parameters. "mixed+feed" is
+# `mixed` with a feed, so its blacklist lane runs.
+PINNED = {
+    "normal": ("4ef92e748bf77333aca7d0567fd0c9490e7843b17ecf1c99007777460814b97f",
+               "8d9ca46b8883c0ab4255959e653746f38df68387096db592515c27448a4ad67c"),
+    "syn_flood": ("c39507fd51d09268a5532e275e379442388f8ccb65a4134775aab797965db959",
+                  "c53a049bc488a3ae8d1a72c392eaf4a88e22bc2ec32926de916e749f34f0932e"),
+    "ack_flood": ("dcc84cb4a7ad71d5d27a055bed995b65f97b9bd3185eb610801bb3be1849c38e",
+                  "152229d3747c9aaa11b0662c0e42cc429ba32c229faf4f0bb16faf7146151eae"),
+    "udp_flood": ("278aade1e2f30522ab9a247e751c6d3a5f7440e60be7924846dc766075d058e6",
+                  "6d93002bb8d8f870857ad27baddf019a4db6422fc98680006aef5120c3d2091d"),
+    "low_rate_pulse": ("e36c93269f3bb6ac599597b910f41f2a687e5b8bc4646523c8b5b729deb2d4f6",
+                       "41fa7d21a60061cba3158be0d00fa7263a3291d8efaca8644a4a88c5e00b69b6"),
+    "blacklist_mix": ("01276372c818a88fa88787a6fc886da15c2c2ba565d89b983ccb2b3da438b449",
+                      "e0f211454fbe98174ae4a69caad56149dd4b27d94e2ce2791b926a215b1cd68a"),
+    "http_attack": ("fe1e954b40897774b554e6d11f5054503d2b5d0e5a74277213ce2d097fa56471",
+                    "25f171e0e5ba231773275b71f9fc361b6dce8d3a6255e790395f62e09a04a3ef"),
+    "mixed": ("f3e5042cd1c34e29fff5fda512a91253aa83e70773d0e02fe882d0a75611dcad",
+              "e852798a77fec3dba1f94974d8af16f80f27770e1cec6fed7aa049cafc8e16d0"),
+    "mixed+feed": ("224ba65c7d65da14a9f68139a29574d6744810496fd5d37a7f64a2610f70be2d",
+                   "8543c567471d3394e68daaa585c90ede4d223cfd52f1aa484712d7dc0651c980"),
+}
+
+
+@pytest.mark.parametrize("case", [*SCENARIO_NAMES, "mixed+feed"])
+def test_scenario_bytes_are_pinned(case, tmp_path):
+    params = {}
+    if case in ("blacklist_mix", "mixed+feed"):
+        feed = tmp_path / "feed.txt"
+        feed.write_text("203.0.113.0/24\n192.0.2.0/25\n")
+        params["feed"] = str(feed)
+    sc = Scenario(case.partition("+")[0], params=params, seed=7, duration_secs=4.0)
+    events = generate(sc)
+    trace = "".join(serialize_trace_event(e) + "\n" for e in events)
+    manifest = summarize(sc, events)
+    if "feed" in manifest["params"]:
+        manifest["params"]["feed"] = "feed.txt"  # tmp_path differs from run to run
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (trace, json.dumps(manifest, indent=2)))
+    assert digests == PINNED[case]
