@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import urllib.request
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import Callable
 
 from .events import int_to_ipv4, ipv4_to_int
 
-DEFAULT_REFRESH_SECS = 300.0
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 
 
@@ -122,33 +122,44 @@ def fetch_feed(locator: str, timeout: float = DEFAULT_FETCH_TIMEOUT_SECS) -> str
         return fh.read()
 
 
-@dataclass(frozen=True)
-class BlacklistState:
-    current: CidrSnapshot = field(default_factory=lambda: CidrSnapshot([]))
-    refresh_interval_secs: float = DEFAULT_REFRESH_SECS
-    source_locator: str | None = None
-    error_count: int = 0
-    last_attempt_ts: float | None = None
-
-    def refresh_due(self, now: float) -> bool:
-        # Attempt time, not load time, gates retries: a failing feed is
-        # re-tried once per interval instead of on every event.
-        if self.source_locator is None:
-            return False
-        if self.last_attempt_ts is None:
-            return True
-        return now - self.last_attempt_ts >= self.refresh_interval_secs
-
-
-def refresh(state: BlacklistState, fetched: str | None, now: float) -> BlacklistState:
-    """Swap in a new snapshot on success; keep the old one on failure.
-
-    ``fetched`` is the feed text, or None when the fetch failed. A
-    failure only bumps error_count; the data path never sees partial
-    state and never loses its current list.
-    """
-    if fetched is None:
-        return replace(state, error_count=state.error_count + 1, last_attempt_ts=now)
+def refresh(current: CidrSnapshot, fetched: str, now: float) -> CidrSnapshot:
+    """The snapshot that replaces ``current`` once ``fetched`` feed text
+    arrives at trace time ``now``."""
     entries, _skipped = parse_feed(fetched)
-    snapshot = CidrSnapshot(entries, version=state.current.version + 1, loaded_at_ts=now)
-    return replace(state, current=snapshot, last_attempt_ts=now)
+    return CidrSnapshot(entries, version=current.version + 1, loaded_at_ts=now)
+
+
+class Blacklist:
+    """The L2 layer: the current snapshot and its lazy refresh on trace time.
+
+    A lookup first fetches the feed if ``refresh_secs`` have passed since
+    the last attempt (or none was made yet). Attempt time, not load time,
+    gates retries: a failing feed is re-tried once per interval instead
+    of on every event, and a failure only bumps ``error_count`` while the
+    old snapshot keeps serving. The engine is the one writer.
+    """
+
+    __slots__ = ("current", "locator", "refresh_secs", "fetch", "error_count", "last_attempt_ts")
+
+    def __init__(self, locator: str | None, refresh_secs: float, fetch: Callable[[str], str]):
+        self.current = CidrSnapshot([])
+        self.locator = locator  # file path or http(s) URL; None never fetches
+        self.refresh_secs = refresh_secs
+        self.fetch = fetch
+        self.error_count = 0
+        self.last_attempt_ts: float | None = None
+
+    def contains(self, ip: str, now: float) -> bool:
+        if self.locator is not None and (self.last_attempt_ts is None
+                                         or now - self.last_attempt_ts >= self.refresh_secs):
+            self._refresh(now)
+        return self.current.contains(ip)
+
+    def _refresh(self, now: float) -> None:
+        try:
+            fetched = self.fetch(self.locator)
+        except (OSError, ValueError):
+            self.error_count += 1  # keep serving the last good snapshot
+        else:
+            self.current = refresh(self.current, fetched, now)
+        self.last_attempt_ts = now

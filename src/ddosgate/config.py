@@ -18,10 +18,10 @@ file, which beats the defaults.
 from __future__ import annotations
 
 import math
-from typing import Callable, TextIO
+from typing import Callable
 
 from .analyzer import AnalyzerConfig, parse_signatures
-from .pipeline import Engine, EngineConfig, SandboxSink
+from .pipeline import Engine, EngineConfig
 from .ratelimit import LimiterConfig
 from .waf import parse_ruleset
 
@@ -140,13 +140,13 @@ def _fields(cfg: dict, owner: type) -> dict:
     return {name: cfg[key] for key, (_, cls, name) in _KEYS.items() if cls is owner}
 
 
-def build_engine(cfg: dict, sandbox_stream: TextIO | None = None) -> Engine:
+def build_engine(cfg: dict) -> Engine:
     """Assemble an Engine from a validated config map.
 
     File-shaped values (ruleset, signatures) are read here, and only
     when their path is set; unreadable files surface as OSError for the
-    caller to map to a runtime exit. Without a sandbox stream the engine
-    has no capture sink until the caller sets ``engine.sandbox``.
+    caller to map to a runtime exit. The engine has no capture sink
+    until the caller sets ``engine.sandbox``.
     """
     if cfg["blacklist.path"] and cfg["blacklist.url"]:
         raise ConfigError("set blacklist.path or blacklist.url, not both")
@@ -170,5 +170,4 @@ def build_engine(cfg: dict, sandbox_stream: TextIO | None = None) -> Engine:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    sandbox = SandboxSink(sandbox_stream) if sandbox_stream is not None else None
-    return Engine(engine_cfg, ruleset=ruleset, sandbox=sandbox)
+    return Engine(engine_cfg, ruleset=ruleset)

@@ -39,7 +39,7 @@ from .events import (
     serialize_verdict_record,
 )
 from .ratelimit import LimiterConfig, LimiterTable
-from .waf import RuleSet, default_ruleset, evaluate
+from .waf import Rule, default_ruleset, evaluate
 
 RATE_LIMITED = "rate_limited"
 BLACKLISTED = "blacklisted"
@@ -69,14 +69,10 @@ class SandboxSink:
 
     def __init__(self, stream: TextIO):
         self._stream = stream
-        self.captured = 0
-        self.by_reason: dict[str, int] = {}
 
-    def capture(self, event: TraceEvent, reason: str, verdict_ts: float) -> None:
+    def capture(self, event: TraceEvent, reason: str) -> None:
         self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%s}\n'
-                           % (serialize_trace_event(event), json.dumps(reason), json.dumps(verdict_ts)))
-        self.captured += 1
-        self.by_reason[reason] = self.by_reason.get(reason, 0) + 1
+                           % (serialize_trace_event(event), json.dumps(reason), json.dumps(event.ts)))
 
 
 @dataclass
@@ -84,8 +80,10 @@ class Stats:
     events: int = 0
     verdict_totals: dict[str, int] = field(default_factory=lambda: {
         FORWARD: 0, DROP_RATE_LIMITED: 0, REJECT_BLACKLISTED: 0, SANDBOX: 0})
-    examined: list[int] = field(default_factory=lambda: [0] * 5)  # index 1..4
-    blocked: list[int] = field(default_factory=lambda: [0] * 5)
+    # by layer; every event reaches layer 1, so its count is ``events``
+    examined: dict[int, int] = field(default_factory=lambda: {2: 0, 3: 0, 4: 0})
+    blocked: dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0, 3: 0, 4: 0})
+    sandbox_reasons: dict[str, int] = field(default_factory=dict)  # captures, so none without a sink
     blocked_by_source: dict[str, int] = field(default_factory=dict)
     waf_log_hits: dict[int, int] = field(default_factory=dict)
     first_ts: float | None = None
@@ -99,7 +97,7 @@ class EngineConfig:
     analyzer: AnalyzerConfig = AnalyzerConfig()
     rate_drop_to_sandbox: bool = False
     blacklist_locator: str | None = None  # file path or http(s) URL
-    blacklist_refresh_secs: float = bl.DEFAULT_REFRESH_SECS
+    blacklist_refresh_secs: float = 300.0
     top_n: int = 10
 
     def __post_init__(self):
@@ -110,39 +108,26 @@ class EngineConfig:
 
 
 class Engine:
-    def __init__(self, config: EngineConfig | None = None, ruleset: RuleSet | None = None,
+    def __init__(self, config: EngineConfig | None = None, ruleset: tuple[Rule, ...] | None = None,
                  sandbox: SandboxSink | None = None,
                  fetcher: Callable[[str], str] | None = None):
         self.config = config or EngineConfig()
         self.limiter = LimiterTable(self.config.limiter)
+        self.blacklist = bl.Blacklist(self.config.blacklist_locator,
+                                      self.config.blacklist_refresh_secs, fetcher or bl.fetch_feed)
         self.analyzer = Analyzer(self.config.analyzer)
         self.ruleset = ruleset if ruleset is not None else default_ruleset()
         self.sandbox = sandbox
         self.stats = Stats()
-        self._fetch = fetcher or bl.fetch_feed
-        self.blacklist = bl.BlacklistState(
-            refresh_interval_secs=self.config.blacklist_refresh_secs,
-            source_locator=self.config.blacklist_locator,
-        )
         self._last_ts = 0.0
-
-    # -- blacklist refresh -------------------------------------------------
-
-    def _maybe_refresh_blacklist(self, now: float) -> None:
-        state = self.blacklist
-        if not state.refresh_due(now):
-            return
-        try:
-            text: str | None = self._fetch(state.source_locator)
-        except (OSError, ValueError):
-            text = None  # keep serving the last good snapshot
-        self.blacklist = bl.refresh(state, text, now)
 
     # -- verdicts ----------------------------------------------------------
 
     def _sandbox(self, event: TraceEvent, layer: int, reason: str, rule_id: int | None = None) -> Verdict:
         if self.sandbox is not None:
-            self.sandbox.capture(event, reason, event.ts)  # persist before the verdict exists
+            self.sandbox.capture(event, reason)  # persist before the verdict exists
+            reasons = self.stats.sandbox_reasons
+            reasons[reason] = reasons.get(reason, 0) + 1
         return Verdict(SANDBOX, layer, reason, rule_id)
 
     def process_event(self, event: TraceEvent) -> Verdict:
@@ -173,15 +158,13 @@ class Engine:
         stats = self.stats
         now = event.ts
 
-        stats.examined[1] += 1
         if not self.limiter.acquire(event.src_ip, now):
             if self.config.rate_drop_to_sandbox:
                 return self._sandbox(event, 1, RATE_LIMITED)
             return _RATE_LIMITED_VERDICT
 
-        self._maybe_refresh_blacklist(now)
         stats.examined[2] += 1
-        if self.blacklist.current.contains(event.src_ip):
+        if self.blacklist.contains(event.src_ip, now):
             return _BLACKLISTED_VERDICT
 
         if event.kind == "http":
@@ -232,10 +215,11 @@ class Engine:
             "events": stats.events,
             "verdicts": dict(stats.verdict_totals),
             "layers": {
-                str(layer): {"examined": stats.examined[layer], "blocked": stats.blocked[layer]}
-                for layer in (1, 2, 3, 4)
+                str(layer): {"examined": stats.events if layer == 1 else stats.examined[layer],
+                             "blocked": blocked}
+                for layer, blocked in stats.blocked.items()
             },
-            "sandbox_reasons": dict(sorted(self.sandbox.by_reason.items())) if self.sandbox else {},
+            "sandbox_reasons": dict(sorted(stats.sandbox_reasons.items())),
             "waf_log_hits": {str(k): v for k, v in sorted(stats.waf_log_hits.items())},
             "top_offenders": [[ip, count] for ip, count in top[:self.config.top_n]],
             "first_ts": stats.first_ts,

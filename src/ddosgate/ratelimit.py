@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["LimiterConfig", "SourceBucket", "LimiterTable", "retry_after_secs"]
+__all__ = ["LimiterConfig", "SourceBucket", "LimiterTable"]
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,6 @@ class LimiterConfig:
 class SourceBucket:
     tokens: float
     last_update_ts: float
-
-
-def retry_after_secs(config: LimiterConfig, tokens: float) -> float:
-    """How long a bucket holding ``tokens`` (fewer than one) takes to
-    refill to one full token at the configured rate."""
-    return (1.0 - tokens) / config.rps
 
 
 @dataclass

@@ -364,6 +364,14 @@ _SCENARIOS: dict[str, tuple[dict, tuple]] = {
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 _POSITIVE = ("period", "pulse_period")  # a pulse train needs time to advance
+# Every numeric parameter and the duration lie in [0, _MAX_VALUE], so
+# each microsecond count and rate * duration product stays a finite float.
+_MAX_VALUE = 1e9
+
+
+def _check_range(what: str, value: float) -> None:
+    if not 0.0 <= value <= _MAX_VALUE:  # also refuses NaN
+        raise ValueError(f"{what} must be finite, from 0 to {_MAX_VALUE:g}, got {value}")
 
 
 def resolve_params(name: str, overrides: dict | None) -> dict:
@@ -375,8 +383,7 @@ def resolve_params(name: str, overrides: dict | None) -> dict:
             raise ValueError(f"scenario {name!r} has no parameter {key!r}")
         if key != "feed":
             value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"scenario {name!r} parameter {key!r} must be finite, got {value}")
+            _check_range(f"scenario {name!r} parameter {key!r}", value)
             if key in _POSITIVE and value <= 0:
                 raise ValueError(f"scenario {name!r} parameter {key!r} must be positive, got {value}")
         resolved[key] = value
@@ -389,8 +396,7 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     duration = scenario.duration_secs
     if scenario.name == "blacklist_mix" and not p["feed"]:
         raise ValueError("blacklist_mix requires a feed parameter (path to a CIDR feed file)")
-    if not math.isfinite(duration):
-        raise ValueError(f"duration_secs must be finite, got {duration}")
+    _check_range("duration_secs", duration)
     rows: list = []
     for rank, build, names in _SCENARIOS[scenario.name][1]:
         rows.extend(build(_sub_rng(scenario.seed, rank), rank, duration, *(p[k] for k in names)))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from urllib.parse import unquote_plus
 
 from .events import HttpInfo
@@ -56,14 +57,6 @@ class Rule:
     action: str
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...]
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-
 @dataclass(frozen=True, slots=True)
 class WafDecision:
     matched: bool
@@ -93,9 +86,6 @@ RULE 1007 any_header lowercase contains "() {" sandbox
 # known scanner fingerprint: record, do not block
 RULE 1008 any_header lowercase contains "sqlmap" log
 """
-
-_default_cache: RuleSet | None = None
-
 
 def apply_transforms(value: str, transforms: tuple[str, ...]) -> str:
     for t in transforms:
@@ -202,7 +192,7 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
                 op=op, arg=arg, arg_num=arg_num, pattern=pattern, action=action)
 
 
-def parse_ruleset(text: str) -> RuleSet:
+def parse_ruleset(text: str) -> tuple[Rule, ...]:
     rules = []
     seen_ids: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -214,14 +204,12 @@ def parse_ruleset(text: str) -> RuleSet:
             raise RulesetError(f"duplicate rule id {rule.id} (first defined on line {seen_ids[rule.id]})", line_no)
         seen_ids[rule.id] = line_no
         rules.append(rule)
-    return RuleSet(tuple(rules))
+    return tuple(rules)
 
 
-def default_ruleset() -> RuleSet:
-    global _default_cache
-    if _default_cache is None:
-        _default_cache = parse_ruleset(DEFAULT_RULESET_TEXT)
-    return _default_cache
+@cache
+def default_ruleset() -> tuple[Rule, ...]:
+    return parse_ruleset(DEFAULT_RULESET_TEXT)
 
 
 def _candidates(rule: Rule, request: HttpInfo) -> tuple[str, ...]:
@@ -254,10 +242,10 @@ def _rule_matches(rule: Rule, request: HttpInfo) -> bool:
     return False
 
 
-def evaluate(ruleset: RuleSet, request: HttpInfo) -> WafDecision:
+def evaluate(ruleset: tuple[Rule, ...], request: HttpInfo) -> WafDecision:
     """Pure; identical inputs always give identical decisions."""
     log_fired: list[int] = []
-    for rule in ruleset.rules:
+    for rule in ruleset:
         if _rule_matches(rule, request):
             if rule.action == SANDBOX_ACTION:
                 return WafDecision(True, rule.id, tuple(log_fired))

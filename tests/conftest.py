@@ -1,11 +1,16 @@
-"""The ``cli_run`` fixture: how the CLI tests start ``ddosgate``.
+"""Where the tests find ``ddosgate``, and the ``cli_run`` fixture.
 
-The child runs ``python -m ddosgate`` with the interpreter running the
-tests, and its ``PYTHONPATH`` starts with the directory holding the
-``ddosgate`` package this process imported. So the child runs the same
-code as the tests, from any working directory, installed or not, also
-when the tests found the package through something other than the
-environment (pytest's ``pythonpath`` setting, say).
+The tests import the ``ddosgate`` that the environment provides (an
+install, or ``PYTHONPATH``), so ``PYTHONPATH=<checkout>/src`` decides
+which checkout they test. Only when no ``ddosgate`` can be imported at
+all is this checkout's ``src`` appended to ``sys.path``, so a plain
+checkout runs as ``python -m pytest`` without installing.
+
+The ``cli_run`` child runs ``python -m ddosgate`` with the interpreter
+running the tests, and its ``PYTHONPATH`` starts with the directory
+holding the ``ddosgate`` package this process imported. So the child
+runs the same code as the tests, from any working directory, installed
+or not, also when the tests found the package through the fallback.
 """
 
 import os
@@ -15,7 +20,13 @@ from pathlib import Path
 
 import pytest
 
-import ddosgate
+try:
+    import ddosgate
+except ModuleNotFoundError as exc:
+    if exc.name != "ddosgate":
+        raise
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+    import ddosgate
 
 
 @pytest.fixture

@@ -1,14 +1,15 @@
-"""CIDR parsing, snapshot lookup vs a mask oracle, and refresh rules."""
+"""CIDR parsing, snapshot lookup vs a mask oracle, and the L2 refresh rules."""
 
 import random
 
+import pytest
+
 from ddosgate.blacklist import (
-    BlacklistState,
+    Blacklist,
     Cidr,
     CidrSnapshot,
     parse_cidr,
     parse_feed,
-    refresh,
     serialize_feed,
 )
 
@@ -91,35 +92,70 @@ def test_serialize_feed_is_canonical():
     assert serialize_feed(entries) == "10.0.0.0/8\n203.0.113.0/24\n"
 
 
+class _Feed:
+    """A fetch callable that serves queued texts (an exception is raised)
+    and records each locator it was asked for."""
+
+    def __init__(self, *texts):
+        self.texts = list(texts)
+        self.calls = []
+
+    def __call__(self, locator):
+        self.calls.append(locator)
+        text = self.texts.pop(0)
+        if isinstance(text, Exception):
+            raise text
+        return text
+
+
 def test_refresh_swaps_snapshot_and_bumps_version():
-    state = BlacklistState(source_locator="feed.txt", refresh_interval_secs=300.0)
-    assert state.refresh_due(0.0)  # never attempted yet
-    state = refresh(state, "203.0.113.0/24\n", now=0.0)
-    assert state.current.version == 1
-    assert state.current.contains("203.0.113.5")
-    assert not state.refresh_due(100.0)
-    assert state.refresh_due(300.0)
-    state = refresh(state, "198.51.100.0/24\n", now=300.0)
-    assert state.current.version == 2
-    assert not state.current.contains("203.0.113.5")
+    feed = _Feed("203.0.113.0/24\n", "198.51.100.0/24\n")
+    blacklist = Blacklist("feed.txt", 300.0, feed)
+    assert blacklist.contains("203.0.113.5", 0.0)  # the first lookup fetches
+    assert feed.calls == ["feed.txt"]
+    assert blacklist.current.version == 1
+    assert blacklist.current.loaded_at_ts == 0.0
+    assert blacklist.contains("203.0.113.5", 299.9)  # not due yet
+    assert len(feed.calls) == 1
+    assert not blacklist.contains("203.0.113.5", 300.0)  # due exactly at the interval
+    assert len(feed.calls) == 2
+    assert blacklist.current.version == 2
+    assert blacklist.contains("198.51.100.9", 300.0)
+    assert blacklist.error_count == 0
+    assert blacklist.last_attempt_ts == 300.0
 
 
 def test_failed_refresh_keeps_old_list_and_backs_off():
-    state = BlacklistState(source_locator="feed.txt", refresh_interval_secs=300.0)
-    state = refresh(state, "203.0.113.0/24\n", now=0.0)
+    feed = _Feed("203.0.113.0/24\n", OSError("feed down"), ValueError("bad URL"),
+                 "198.51.100.0/24\n")
+    blacklist = Blacklist("feed.txt", 300.0, feed)
+    assert blacklist.contains("203.0.113.5", 0.0)
     # feed goes dark: old snapshot keeps serving
-    state = refresh(state, None, now=300.0)
-    assert state.error_count == 1
-    assert state.current.version == 1
-    assert state.current.contains("203.0.113.5")
+    assert blacklist.contains("203.0.113.5", 300.0)
+    assert blacklist.error_count == 1
+    assert blacklist.current.version == 1
     # a failed attempt still counts as an attempt; no hot retry loop
-    assert not state.refresh_due(301.0)
-    assert state.refresh_due(600.0)
+    assert blacklist.contains("203.0.113.5", 599.0)
+    assert len(feed.calls) == 2
+    assert blacklist.contains("203.0.113.5", 600.0)
+    assert (len(feed.calls), blacklist.error_count, blacklist.last_attempt_ts) == (3, 2, 600.0)
+    assert not blacklist.contains("203.0.113.5", 900.0)  # recovered
+    assert (blacklist.current.version, blacklist.error_count) == (2, 2)
+
+
+def test_failed_refresh_propagates_other_errors():
+    blacklist = Blacklist("feed.txt", 300.0, _Feed(KeyError("not a fetch failure")))
+    with pytest.raises(KeyError):
+        blacklist.contains("203.0.113.5", 0.0)
 
 
 def test_no_locator_never_refreshes():
-    state = BlacklistState()
-    assert not state.refresh_due(1e9)
+    feed = _Feed()
+    blacklist = Blacklist(None, 300.0, feed)
+    assert not blacklist.contains("203.0.113.5", 0.0)
+    assert not blacklist.contains("203.0.113.5", 1e9)
+    assert feed.calls == []
+    assert blacklist.last_attempt_ts is None
 
 
 def test_empty_snapshot_contains_nothing():

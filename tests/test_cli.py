@@ -37,14 +37,18 @@ def test_gen_unknown_param_exits_2(tmp_path, cli_run):
 
 
 def test_gen_refuses_values_it_cannot_honour(tmp_path, cli_run):
-    # period=0 used to append pulse rows until memory ran out; inf used to
-    # end in an OverflowError traceback. The timeout makes a hang fail.
+    # period=0 used to append pulse rows until memory ran out; inf and 1e308
+    # used to end in an OverflowError traceback. The timeout makes a hang fail.
     out = tmp_path / "x.jsonl"
     for args in (["--scenario", "low_rate_pulse", "--param", "period=0"],
                  ["--scenario", "mixed", "--param", "pulse_period=-1"],
                  ["--scenario", "syn_flood", "--param", "rate=inf"],
                  ["--scenario", "normal", "--param", "sources=nan"],
-                 ["--scenario", "normal", "--duration", "inf"]):
+                 ["--scenario", "normal", "--duration", "inf"],
+                 ["--scenario", "normal", "--duration", "1e308"],
+                 ["--scenario", "low_rate_pulse", "--param", "period=1e308"],
+                 ["--scenario", "syn_flood", "--param", "rate=1e308"],
+                 ["--scenario", "low_rate_pulse", "--param", "width=1e308"]):
         proc = cli_run(["gen", *args, "--out", str(out)], timeout=20)
         assert proc.returncode == 2, args
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), args

@@ -10,7 +10,7 @@ import pytest
 from ddosgate.analyzer import DEFAULT_SIGNATURES
 from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config
 from ddosgate.events import serialize_trace_event
-from ddosgate.pipeline import EngineConfig
+from ddosgate.pipeline import EngineConfig, SandboxSink
 from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import default_ruleset
 
@@ -54,7 +54,9 @@ def _attr(obj, path):
 
 
 def _build(settings):
-    return build_engine(apply_overrides(default_config(), settings), io.StringIO())
+    engine = build_engine(apply_overrides(default_config(), settings))
+    engine.sandbox = SandboxSink(io.StringIO())
+    return engine
 
 
 def test_defaults_build_the_default_engine():
@@ -82,7 +84,7 @@ def test_path_keys_are_read_only_when_set(tmp_path):
     engine = _build([f"tcp.signatures_path={sigs}", f"waf.ruleset_path={rules}",
                      f"blacklist.path={feed}"])
     assert engine.config.analyzer.payload_signatures == (b"evil",)
-    assert [rule.id for rule in engine.ruleset.rules] == [7]
+    assert [rule.id for rule in engine.ruleset] == [7]
     assert engine.config.blacklist_locator == str(feed)
     with pytest.raises(ConfigError):
         _build([f"blacklist.path={feed}", "blacklist.url=http://feed.example/drop.txt"])

@@ -97,7 +97,7 @@ def test_sandbox_file_matches_sandbox_verdicts():
     assert [c["event"]["event_id"] for c in captured] == sandboxed_ids == [1, 3]
     assert all(c["reason"] == "udp_size_violation" for c in captured)
     assert captured[0]["verdict_ts"] == 0.0
-    assert engine.sandbox.captured == 2
+    assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 2}
 
 
 def test_rate_drop_to_sandbox_flag():
@@ -106,7 +106,7 @@ def test_rate_drop_to_sandbox_flag():
         engine.process_event(_http(i + 1, 0.0, "10.8.0.6"))
     v = engine.process_event(_http(11, 0.0, "10.8.0.6"))
     assert (v.decision, v.layer, v.reason) == ("sandbox", 1, "rate_limited")
-    assert engine.sandbox.by_reason == {"rate_limited": 1}
+    assert engine.stats_snapshot()["sandbox_reasons"] == {"rate_limited": 1}
 
 
 def test_out_of_order_event_identified():
@@ -229,3 +229,4 @@ def test_forward_when_sink_absent_and_sandbox_required():
     engine = Engine(EngineConfig())
     v = engine.process_event(_udp_bad(1, 0.0, "10.8.5.1"))
     assert v.decision == "sandbox"
+    assert engine.stats_snapshot()["sandbox_reasons"] == {}

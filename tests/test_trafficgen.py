@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -27,6 +28,9 @@ def test_unknown_scenario_and_param_rejected():
     ("mixed", "pulse_period", "0"), ("low_rate_pulse", "burst_rate", "inf"),
     ("syn_flood", "rate", float("inf")), ("normal", "sources", "nan"),
     ("mixed", "bl_fraction", "-inf"), ("http_attack", "rate", "1e400"),
+    ("low_rate_pulse", "period", "1e308"), ("syn_flood", "rate", "1e308"),
+    ("low_rate_pulse", "width", "1e308"), ("normal", "sources", "-1"),
+    ("mixed", "syn_rate", math.nextafter(1e9, math.inf)),
 ])
 def test_resolve_params_refuses_values_it_cannot_honour(name, key, value):
     with pytest.raises(ValueError, match=f"parameter '{key}' must be"):
@@ -37,6 +41,17 @@ def test_resolve_params_refuses_values_it_cannot_honour(name, key, value):
 def test_generate_refuses_non_finite_duration(duration):
     with pytest.raises(ValueError, match="duration_secs must be finite"):
         generate(Scenario("normal", seed=1, duration_secs=duration))
+
+
+@pytest.mark.parametrize("duration", [1e308, -1.0])
+def test_generate_refuses_duration_out_of_range(duration):
+    with pytest.raises(ValueError, match=r"duration_secs must be finite, from 0 to 1e\+09"):
+        generate(Scenario("normal", seed=1, duration_secs=duration))
+
+
+def test_range_ends_are_accepted():
+    assert resolve_params("low_rate_pulse", {"period": "1e9", "width": "0"})["period"] == 1e9
+    assert generate(Scenario("normal", seed=1, duration_secs=0.0)) == []
 
 
 def test_blacklist_mix_requires_feed():

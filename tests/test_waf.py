@@ -48,7 +48,7 @@ def test_transforms_apply_left_to_right():
 def test_parse_single_rule():
     rs = parse_ruleset('RULE 1001 uri lowercase,urldecode contains "union select" sandbox\n')
     assert len(rs) == 1
-    rule = rs.rules[0]
+    rule = rs[0]
     assert rule.id == 1001
     assert rule.target == "uri"
     assert rule.transforms == ("lowercase", "urldecode")
@@ -57,7 +57,7 @@ def test_parse_single_rule():
 
 def test_parse_numeric_rule_with_bare_argument():
     rs = parse_ruleset("RULE 2 duration_ms none num_gt 30000 sandbox\n")
-    assert rs.rules[0].arg_num == 30000.0
+    assert rs[0].arg_num == 30000.0
 
 
 def test_parse_comments_and_blanks_ignored():
@@ -95,13 +95,13 @@ def test_parse_errors_carry_line_numbers():
 
 def test_quoted_argument_escapes():
     rs = parse_ruleset(r'RULE 1 uri none contains "say \"hi\" \\ done" sandbox')
-    assert rs.rules[0].arg == 'say "hi" \\ done'
+    assert rs[0].arg == 'say "hi" \\ done'
 
 
 def test_default_ruleset_shape():
     rs = default_ruleset()
-    assert [r.id for r in rs.rules] == [1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008]
-    assert [r.action for r in rs.rules] == ["sandbox"] * 7 + ["log"]
+    assert [r.id for r in rs] == [1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008]
+    assert [r.action for r in rs] == ["sandbox"] * 7 + ["log"]
 
 
 def test_default_rules_match_and_near_miss():
