@@ -65,7 +65,7 @@ UDP_BAD_CHECKSUM = "udp_bad_checksum"
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_EPOCH = int(sys.float_info.max)  # every finite ts / bucket width truncates to at most this
 COOKIE_COUNTER_SECS = 64  # cookie counter advances once per 64 s of trace time
-COOKIE_MAX_SKEW = 1
+MAX_BUCKET_COUNT = 1000  # a window ring is a list of bucket_count ints per source and class
 
 DEFAULT_SIGNATURES: tuple[bytes, ...] = (
     b"() {",          # bash function-definition injection
@@ -106,17 +106,13 @@ class AnalyzerConfig:
                      "rst_flood_per_source", "psh_anomaly_per_source", "urg_anomaly_per_source"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.bucket_count < 1:
-            raise ValueError("bucket_count must be at least 1")
+        if not 1 <= self.bucket_count <= MAX_BUCKET_COUNT:
+            raise ValueError(f"bucket_count must be from 1 to {MAX_BUCKET_COUNT}")
         if self.udp_min_len < 8:
             raise ValueError("udp_min_len must be at least 8 (UDP header size)")
         if self.window_secs <= 0 or self.handshake_timeout_secs <= 0:
             raise ValueError("window_secs and handshake_timeout_secs must be positive")
-        try:
-            width = self.window_secs / self.bucket_count
-        except OverflowError:  # bucket_count beyond the float range
-            width = 0.0
-        if not width >= sys.float_info.min:
+        if not self.window_secs / self.bucket_count >= sys.float_info.min:
             raise ValueError("window_secs / bucket_count must be a normal positive float")
         if self.conn_table_max_entries < 1:
             raise ValueError("conn_table_max_entries must be at least 1")
@@ -125,13 +121,19 @@ class AnalyzerConfig:
 
 
 def parse_signatures(text: str) -> tuple[bytes, ...]:
-    r"""Signature file: one byte pattern per line, '#' comments, \xNN escapes."""
+    r"""Signature file: one byte pattern per line, '#' comments, \xNN escapes.
+
+    A line whose escapes do not decode, or name a character above \xff,
+    raises ValueError."""
     patterns = []
-    for raw in text.splitlines():
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        patterns.append(line.encode("utf-8").decode("unicode_escape").encode("latin-1"))
+        try:
+            patterns.append(line.encode("utf-8").decode("unicode_escape").encode("latin-1"))
+        except UnicodeError as exc:
+            raise ValueError(f"line {line_no}: bad signature {line!r}: {exc.reason}") from None
     return tuple(patterns)
 
 

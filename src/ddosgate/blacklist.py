@@ -9,7 +9,6 @@ empty one.
 
 from __future__ import annotations
 
-import urllib.request
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -116,6 +115,8 @@ def serialize_feed(entries: list[Cidr] | tuple[Cidr, ...]) -> str:
 def fetch_feed(locator: str, timeout: float = DEFAULT_FETCH_TIMEOUT_SECS) -> str:
     """Read the feed from a local path or an http(s) URL with a bounded timeout."""
     if locator.startswith(("http://", "https://")):
+        import urllib.request  # only URL feeds need the HTTP stack
+
         with urllib.request.urlopen(locator, timeout=timeout) as resp:
             return resp.read().decode("utf-8", errors="replace")
     with open(locator, encoding="utf-8") as fh:

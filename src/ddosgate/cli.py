@@ -19,7 +19,7 @@ import sys
 from contextlib import nullcontext
 
 from . import blacklist as bl
-from .config import ConfigError, apply_overrides, build_engine, default_config, parse_config
+from .config import ConfigError, apply_overrides, build_engine, default_config, parse_config, read_text
 from .events import TraceParseError, serialize_trace_event
 from .pipeline import OutOfOrderError, SandboxSink
 from .trafficgen import SCENARIO_NAMES, Scenario, generate, summarize
@@ -37,8 +37,7 @@ def _fail(message: str, code: int) -> int:
 def _load_config(args) -> dict:
     cfg = default_config()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            parse_config(fh.read(), cfg)
+        parse_config(read_text(args.config), cfg)
     apply_overrides(cfg, args.set or [])
     return cfg
 
@@ -127,8 +126,7 @@ def cmd_blacklist_fetch(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        with open(args.ruleset, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(args.ruleset)
     except OSError as exc:
         return _fail(str(exc), USAGE_EXIT)
     try:

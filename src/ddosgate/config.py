@@ -135,6 +135,16 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
+def read_text(path: str) -> str:
+    """The text of a config-side file; bytes that are not UTF-8 are a
+    ConfigError, unreadable files an OSError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _fields(cfg: dict, owner: type) -> dict:
     """The keyword arguments of ``owner`` that config keys fill."""
     return {name: cfg[key] for key, (_, cls, name) in _KEYS.items() if cls is owner}
@@ -145,21 +155,24 @@ def build_engine(cfg: dict) -> Engine:
 
     File-shaped values (ruleset, signatures) are read here, and only
     when their path is set; unreadable files surface as OSError for the
-    caller to map to a runtime exit. The engine has no capture sink
-    until the caller sets ``engine.sandbox``.
+    caller to map to a runtime exit, undecodable ones and bad signature
+    lines as ConfigError. The engine has no capture sink until the
+    caller sets ``engine.sandbox``.
     """
     if cfg["blacklist.path"] and cfg["blacklist.url"]:
         raise ConfigError("set blacklist.path or blacklist.url, not both")
 
     analyzer = _fields(cfg, AnalyzerConfig)
     if cfg["tcp.signatures_path"]:
-        with open(cfg["tcp.signatures_path"], encoding="utf-8") as fh:
-            analyzer["payload_signatures"] = parse_signatures(fh.read())
+        text = read_text(cfg["tcp.signatures_path"])
+        try:
+            analyzer["payload_signatures"] = parse_signatures(text)
+        except ValueError as exc:
+            raise ConfigError(f"tcp.signatures_path: {exc}") from None
 
     ruleset = None
     if cfg["waf.ruleset_path"]:
-        with open(cfg["waf.ruleset_path"], encoding="utf-8") as fh:
-            ruleset = parse_ruleset(fh.read())
+        ruleset = parse_ruleset(read_text(cfg["waf.ruleset_path"]))
 
     try:
         engine_cfg = EngineConfig(

@@ -83,7 +83,7 @@ class Stats:
     # by layer; every event reaches layer 1, so its count is ``events``
     examined: dict[int, int] = field(default_factory=lambda: {2: 0, 3: 0, 4: 0})
     blocked: dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0, 3: 0, 4: 0})
-    sandbox_reasons: dict[str, int] = field(default_factory=dict)  # captures, so none without a sink
+    sandbox_reasons: dict[str, int] = field(default_factory=dict)  # every sandbox verdict
     blocked_by_source: dict[str, int] = field(default_factory=dict)
     waf_log_hits: dict[int, int] = field(default_factory=dict)
     first_ts: float | None = None
@@ -126,8 +126,8 @@ class Engine:
     def _sandbox(self, event: TraceEvent, layer: int, reason: str, rule_id: int | None = None) -> Verdict:
         if self.sandbox is not None:
             self.sandbox.capture(event, reason)  # persist before the verdict exists
-            reasons = self.stats.sandbox_reasons
-            reasons[reason] = reasons.get(reason, 0) + 1
+        reasons = self.stats.sandbox_reasons
+        reasons[reason] = reasons.get(reason, 0) + 1
         return Verdict(SANDBOX, layer, reason, rule_id)
 
     def process_event(self, event: TraceEvent) -> Verdict:

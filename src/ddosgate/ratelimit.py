@@ -11,6 +11,7 @@ wall clock.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 __all__ = ["LimiterConfig", "SourceBucket", "LimiterTable"]
@@ -24,8 +25,8 @@ class LimiterConfig:
     def __post_init__(self):
         if self.rps <= 0:
             raise ValueError("rps must be positive")
-        if self.burst < 1:
-            raise ValueError("burst must be at least 1")
+        if not 1 <= self.burst <= sys.float_info.max:  # buckets hold float(burst) tokens
+            raise ValueError("burst must be at least 1 and fit in a float")
 
 
 @dataclass(slots=True)

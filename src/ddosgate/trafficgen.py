@@ -21,7 +21,10 @@ lane's own RNG stream, so one lane's draws never shift another's, and
 it is the same in every scenario that runs the lane. Each builder
 returns rows in emission order; the merge is a stable sort on
 timestamp, so ties go by lane rank, then by emission order within the
-lane. Events get their ids only after the merge.
+lane. Events get their ids only after the merge. Before any row is
+built, generate refuses a lane with more sources than its address and
+port formulas can name, and a trace of more than MAX_ROWS rows or pulse
+loop iterations; both are products of the parameters (_SIZES).
 
 Benign sources are built to stay under every default threshold: they
 complete handshakes, keep per-source averages at or below their rate
@@ -174,6 +177,9 @@ def _session_lane(rng: _Rng, lane: int, duration: float, ips: list[tuple[str, st
     return rows
 
 
+_POOL_SIZE = 256 * 250  # _pool runs out of third octets after this many sources
+
+
 def _pool(net: int, sources: float) -> list[str]:
     """A lane's own source addresses: 10.<net>.x.y, 250 to a /24."""
     return [f"10.{net}.{k // 250}.{1 + k % 250}" for k in range(int(sources))]
@@ -321,6 +327,32 @@ def _blacklist_lane(rng: _Rng, lane: int, duration: float, feed: str | None, sou
     return _session_lane(rng, lane, duration, ips, rate)
 
 
+# Each lane's size, from the parameters its function takes: the sources
+# it names, how many its address and port formulas can name, and the
+# rows (or, for pulses, loop iterations) it expects to build.
+def _rate_size(duration: float, sources: float, rate: float) -> tuple:
+    return int(sources), _POOL_SIZE, sources * rate * duration
+
+
+def _pulse_size(duration: float, sources: float, period: float, width: float,
+                burst_rate: float) -> tuple:
+    # source port 3000 + k runs out before the pool does
+    return (int(sources), 65536 - 3000,
+            sources * (duration / period + 1) * (1 + burst_rate * width))
+
+
+def _blacklist_size(duration: float, feed: str | None, sources: float, fraction: float,
+                    rate: float) -> tuple:
+    # clean source i is 198.51.100.<1 + i>; listed ones lie inside feed entries
+    clean = int(sources) - round(int(sources) * fraction) if feed else 0
+    return (int(sources) if clean > 0 else 0), 255, sources * rate * duration
+
+
+_SIZES = {_benign_lane: _rate_size, _syn_flood_lane: _rate_size,
+          _ack_flood_lane: _rate_size, _udp_flood_lane: _rate_size,
+          _http_attack_lane: _rate_size, _pulse_lane: _pulse_size,
+          _blacklist_lane: _blacklist_size}
+
 _COMMON_BENIGN = {"benign_sources": 3.0, "benign_rate": 2.0}
 _BENIGN = (_LANE_BENIGN, _benign_lane, ("benign_sources", "benign_rate"))
 
@@ -367,6 +399,9 @@ _POSITIVE = ("period", "pulse_period")  # a pulse train needs time to advance
 # Every numeric parameter and the duration lie in [0, _MAX_VALUE], so
 # each microsecond count and rate * duration product stays a finite float.
 _MAX_VALUE = 1e9
+# The most rows (or pulse loop iterations) one trace may ask for; a row
+# takes about 450 bytes while the trace is built.
+MAX_ROWS = 5_000_000
 
 
 def _check_range(what: str, value: float) -> None:
@@ -397,9 +432,21 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     if scenario.name == "blacklist_mix" and not p["feed"]:
         raise ValueError("blacklist_mix requires a feed parameter (path to a CIDR feed file)")
     _check_range("duration_secs", duration)
+    lanes = [(rank, build, [p[k] for k in names])
+             for rank, build, names in _SCENARIOS[scenario.name][1]]
+    work = 0.0
+    for _, build, args in lanes:
+        named, nameable, size = _SIZES[build](duration, *args)
+        if named > nameable:
+            raise ValueError(f"scenario {scenario.name!r}: {build.__name__.strip('_')} has "
+                             f"addresses for at most {nameable} sources, got {named}")
+        work += size
+    if not work <= MAX_ROWS:
+        raise ValueError(f"scenario {scenario.name!r} asks for about {work:.3g} rows or loop "
+                         f"iterations, more than {MAX_ROWS:,}")
     rows: list = []
-    for rank, build, names in _SCENARIOS[scenario.name][1]:
-        rows.extend(build(_sub_rng(scenario.seed, rank), rank, duration, *(p[k] for k in names)))
+    for rank, build, args in lanes:
+        rows.extend(build(_sub_rng(scenario.seed, rank), rank, duration, *args))
     rows.sort(key=itemgetter(0, 1))
     return [TraceEvent(i, t_us / 1e6, kind, src_ip, SERVER_IP, src_port, dst_port, body, label)
             for i, (t_us, _, kind, src_ip, src_port, dst_port, body, label)

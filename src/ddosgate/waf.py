@@ -10,10 +10,11 @@ ops          contains, matches (regex search), len_gt, num_gt
 actions      sandbox (block), log (record and keep going)
 
 The argument is double-quoted with backslash escapes for the quote and
-the backslash itself, or a bare number. num_gt pairs only with the
-numeric target duration_ms; the text operators pair with everything
-else. Rules evaluate in file order: the first sandbox match wins, log
-matches accumulate without stopping evaluation.
+the backslash itself, or a bare word. Rule ids and len_gt / num_gt
+arguments are integers in ASCII digits; ids start at 1. num_gt pairs
+only with the numeric target duration_ms; the text operators pair with
+everything else. Rules evaluate in file order: the first sandbox match
+wins, log matches accumulate without stopping evaluation.
 
 Deliberate weakness, kept for predictability: urldecode runs exactly
 once, so double-encoded payloads slip through.
@@ -52,7 +53,7 @@ class Rule:
     transforms: tuple[str, ...]
     op: str
     arg: str
-    arg_num: float | None  # parsed once for len_gt / num_gt
+    arg_num: int | None  # parsed once for len_gt / num_gt
     pattern: re.Pattern | None  # compiled once for matches
     action: str
 
@@ -103,36 +104,30 @@ def _urldecode_once(value: str) -> str:
     return unquote_plus(value, encoding="latin-1")
 
 
+# One token: a quoted argument (its only escapes are \" and \\), a quote
+# that is never closed, or a bare word.
+_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"|(")|([^\s"]\S*)', re.S)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
 def _split_rule_line(line: str, line_no: int) -> list[str]:
     """Whitespace tokenizer that keeps one double-quoted token intact."""
     tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        if line[i] == '"':
-            out = []
-            i += 1
-            while i < n and line[i] != '"':
-                if line[i] == "\\" and i + 1 < n and line[i + 1] in ('"', "\\"):
-                    out.append(line[i + 1])
-                    i += 2
-                else:
-                    out.append(line[i])
-                    i += 1
-            if i >= n:
-                raise RulesetError("unterminated quoted argument", line_no)
-            i += 1
-            tokens.append('"' + "".join(out))  # marker so a quoted "5" differs from bare 5
-        else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            tokens.append(line[i:j])
-            i = j
+    for match in _TOKEN.finditer(line):
+        quoted, unclosed, bare = match.groups()
+        if unclosed:
+            raise RulesetError("unterminated quoted argument", line_no)
+        # the marker makes a quoted "5" differ from a bare 5
+        tokens.append(bare or '"' + _ESCAPE.sub(r"\1", quoted))
     return tokens
+
+
+def _natural(text: str) -> int | None:
+    """``text`` as an integer if it is ASCII digits only, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _parse_rule(tokens: list[str], line_no: int) -> Rule:
@@ -141,9 +136,9 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
     keyword, id_tok, target_tok, transforms_tok, op, arg_tok, action = tokens
     if keyword != "RULE":
         raise RulesetError(f"expected 'RULE', got {keyword!r}", line_no)
-    if not id_tok.isdigit() or int(id_tok) < 1:
+    rule_id = _natural(id_tok)
+    if not rule_id:  # None or 0
         raise RulesetError(f"rule id must be a positive integer, got {id_tok!r}", line_no)
-    rule_id = int(id_tok)
 
     header_name = None
     if target_tok.startswith("header:"):
@@ -173,16 +168,13 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
     arg_num = None
     pattern = None
     if op in ("len_gt", "num_gt"):
-        try:
-            arg_num = float(arg)
-        except ValueError:
-            raise RulesetError(f"{op} needs a numeric argument, got {arg!r}", line_no) from None
-        if op == "len_gt" and arg_num != int(arg_num):
-            raise RulesetError("len_gt needs an integer argument", line_no)
+        arg_num = _natural(arg)
+        if arg_num is None:
+            raise RulesetError(f"{op} needs a numeric argument, got {arg!r}", line_no)
     elif op == "matches":
         try:
             pattern = re.compile(arg)
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:  # too large or too deep
             raise RulesetError(f"invalid regular expression: {exc}", line_no) from None
 
     if action not in (SANDBOX_ACTION, LOG_ACTION):

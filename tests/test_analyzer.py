@@ -8,6 +8,7 @@ import pytest
 from ddosgate.analyzer import (
     ACK_FLOOD,
     COOKIE_INVALID,
+    MAX_BUCKET_COUNT,
     PAYLOAD_SIGNATURE,
     PSH_ANOMALY,
     RST_FLOOD,
@@ -164,6 +165,20 @@ def test_payload_signature_beats_rate_checks():
 def test_parse_signatures_escapes():
     sigs = parse_signatures('# comment\n/bin/sh\n\\x90\\x90\n')
     assert sigs == (b"/bin/sh", b"\x90\x90")
+
+
+@pytest.mark.parametrize("line", ["\\xZZ", "\\u0100", "ends in \\"])
+def test_parse_signatures_refuses_bad_escapes(line):
+    with pytest.raises(ValueError, match="line 2: bad signature"):
+        parse_signatures("ok\n" + line + "\n")
+
+
+def test_bucket_count_is_capped():
+    assert AnalyzerConfig(bucket_count=MAX_BUCKET_COUNT).bucket_count == 1000
+    # refused when the config is built, before any ring exists
+    for count in (MAX_BUCKET_COUNT + 1, 100_000_000):
+        with pytest.raises(ValueError, match="bucket_count must be from 1 to 1000"):
+            AnalyzerConfig(bucket_count=count)
 
 
 def test_conn_table_evicts_oldest_half_open_first():

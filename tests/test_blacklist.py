@@ -1,13 +1,20 @@
 """CIDR parsing, snapshot lookup vs a mask oracle, and the L2 refresh rules."""
 
+import os
 import random
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+import ddosgate
 from ddosgate.blacklist import (
     Blacklist,
     Cidr,
     CidrSnapshot,
+    fetch_feed,
     parse_cidr,
     parse_feed,
     serialize_feed,
@@ -169,3 +176,34 @@ def test_entries_deduplicated_and_ordered():
                          parse_cidr("9.0.0.0/8")])
     assert [str(e) for e in snap.entries] == ["9.0.0.0/8", "10.0.0.0/8"]
     assert isinstance(snap.entries[0], Cidr)
+
+
+def test_fetch_feed_reads_a_url_with_a_timeout(monkeypatch):
+    calls = []
+
+    class Response:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def read(self):
+            return b"203.0.113.0/24\n\xff\n"
+
+    def urlopen(url, timeout):
+        calls.append((url, timeout))
+        return Response()
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    assert fetch_feed("https://feed.example/drop.txt") == "203.0.113.0/24\n\ufffd\n"
+    assert calls == [("https://feed.example/drop.txt", 10.0)]
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    code = ("import sys, ddosgate.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(ddosgate.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,9 @@
 
 import json
 import os
+import resource
+
+import pytest
 
 from ddosgate.config import apply_overrides, default_config, parse_config
 from ddosgate.waf import DEFAULT_RULESET_TEXT
@@ -252,3 +255,85 @@ def test_config_precedence_visible_end_to_end(tmp_path, cli_run):
 def test_console_script_is_importable_main():
     from ddosgate.cli import main
     assert main(["check", "--ruleset", "/nonexistent"]) == 2
+
+
+def _one_error_line(proc):
+    return (proc.returncode == 2 and len(proc.stderr.splitlines()) == 1
+            and proc.stderr.startswith("error: "))
+
+
+# Rules that used to stop check and run with a traceback, or (num_gt nan)
+# to parse into a rule that never fires.
+RULE_REFUSALS = {
+    "superscript_id": 'RULE \u00b2 uri none contains "x" sandbox',
+    "len_gt_nan": "RULE 1 uri none len_gt nan sandbox",
+    "len_gt_inf": "RULE 1 uri none len_gt inf sandbox",
+    "len_gt_1e400": "RULE 1 uri none len_gt 1e400 sandbox",
+    "num_gt_nan": "RULE 1 duration_ms none num_gt nan sandbox",
+    "huge_repeat": 'RULE 1 uri none matches "a{99999999999}" sandbox',
+    "deep_groups": 'RULE 1 uri none matches "' + "(" * 5000 + ")" * 5000 + '" sandbox',
+}
+
+
+@pytest.mark.parametrize("rule", RULE_REFUSALS.values(), ids=RULE_REFUSALS.keys())
+def test_malformed_rule_exits_2_under_check_and_run(rule, tmp_path, cli_run):
+    rules = tmp_path / "bad.rules"
+    rules.write_text("# pad\n" + rule + "\n", encoding="utf-8")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("")
+    check = cli_run(["check", "--ruleset", str(rules)])
+    run = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+                   "--set", f"sandbox.log_path={tmp_path / 'sb.jsonl'}",
+                   "--set", f"waf.ruleset_path={rules}"])
+    for proc in (check, run):
+        assert _one_error_line(proc), proc.stderr
+        assert "line 2" in proc.stderr
+
+
+def test_config_inputs_exit_2_without_traceback(tmp_path, cli_run):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"rate.rps = 5 # caf\xe9\n")
+    bad_hex, wide = tmp_path / "hex.sigs", tmp_path / "wide.sigs"
+    bad_hex.write_text("\\xZZ\n")
+    wide.write_text("\\u0100\n")
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({
+        "event_id": 1, "ts": 0.0, "kind": "http", "src_ip": "10.50.0.1", "dst_ip": "10.0.0.1",
+        "src_port": 40000, "dst_port": 80, "method": "GET", "uri": "/", "version": "HTTP/1.1",
+        "headers": [["host", "h"]], "body_b64": "", "duration_ms": 10}) + "\n")
+    run = ["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+           "--set", f"sandbox.log_path={tmp_path / 'sb.jsonl'}"]
+    for args in (run + ["--config", str(latin)],
+                 run + ["--set", f"waf.ruleset_path={latin}"],
+                 ["check", "--ruleset", str(latin)],
+                 run + ["--set", f"tcp.signatures_path={latin}"],
+                 run + ["--set", f"tcp.signatures_path={bad_hex}"],
+                 run + ["--set", f"tcp.signatures_path={wide}"],
+                 run + ["--set", "rate.burst=1" + "0" * 400],
+                 run[:2] + [os.devnull] + run[3:] + ["--set", "tcp.bucket_count=100000000"]):
+        proc = cli_run(args)
+        assert _one_error_line(proc), (args[-1], proc.stderr)
+
+
+def _small_address_space():
+    limit = 1 << 30  # a generator that builds the trace fails instead of filling memory
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_gen_refuses_traces_it_cannot_address_or_bound(tmp_path, cli_run):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    out = tmp_path / "x.jsonl"
+    for args, message in (
+            (["--scenario", "syn_flood", "--param", "sources=64001", "--param", "rate=0.1",
+              "--param", "benign_sources=0", "--duration", "10"], "at most 64000 sources"),
+            (["--scenario", "blacklist_mix", "--param", f"feed={feed}", "--param", "sources=300",
+              "--param", "fraction=0"], "at most 255 sources"),
+            (["--scenario", "low_rate_pulse", "--param", "period=1e-6", "--param", "width=0",
+              "--param", "benign_sources=0", "--duration", "1000"], "more than 5,000,000"),
+            (["--scenario", "syn_flood", "--param", "rate=1e9", "--duration", "1e9"],
+             "more than 5,000,000")):
+        proc = cli_run(["gen", *args, "--out", str(out)], timeout=20,
+                       preexec_fn=_small_address_space)
+        assert _one_error_line(proc) and message in proc.stderr, (args, proc.stderr)
+        assert not out.exists()

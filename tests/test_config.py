@@ -3,12 +3,13 @@ reaching its field, and bad values refused as ConfigError."""
 
 import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from ddosgate.analyzer import DEFAULT_SIGNATURES
-from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config
+from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config, read_text
 from ddosgate.events import serialize_trace_event
 from ddosgate.pipeline import EngineConfig, SandboxSink
 from ddosgate.trafficgen import Scenario, generate
@@ -131,6 +132,8 @@ def test_config_fuzz_refuses_or_runs():
     ["tcp.window_secs=1e-320"],
     ["tcp.window_secs=1e-305", "tcp.bucket_count=1000"],
     ["tcp.bucket_count=1" + "0" * 400],
+    ["tcp.bucket_count=1001"],
+    ["tcp.bucket_count=100000000"],
     ["tcp.conn_table_max_entries=0"],
     ["tcp.conn_table_max_entries=-1"],
     ["udp.max_len=7"],
@@ -165,3 +168,26 @@ def test_readme_config_table_matches_defaults():
             assert apply_overrides(default_config(), [f"{key}={text}"])[key] == defaults[key], key
             seen.append(key)
     assert sorted(seen) == sorted(defaults)
+
+
+def test_burst_must_fit_in_a_float():
+    biggest = str(int(sys.float_info.max))
+    engine = _build([f"rate.burst={biggest}"])
+    engine.run_trace([serialize_trace_event(e) for e in
+                      generate(Scenario("normal", seed=3, duration_secs=1.0))], io.StringIO())
+    with pytest.raises(ConfigError, match="burst"):
+        _build(["rate.burst=1" + "0" * 400])
+
+
+def test_undecodable_files_and_bad_signatures_are_config_errors(tmp_path):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"caf\xe9\n")
+    with pytest.raises(ConfigError, match="not UTF-8 text"):
+        read_text(str(latin))
+    for key in ("tcp.signatures_path", "waf.ruleset_path"):
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            _build([f"{key}={latin}"])
+    sigs = tmp_path / "sigs.txt"
+    sigs.write_text("/bin/sh\n\\u0100\n")
+    with pytest.raises(ConfigError, match=r"tcp.signatures_path: line 2: bad signature"):
+        _build([f"tcp.signatures_path={sigs}"])

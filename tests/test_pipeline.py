@@ -5,18 +5,15 @@ import json
 
 import pytest
 
-from ddosgate.analyzer import AnalyzerConfig
 from ddosgate.events import (
     HttpInfo,
     TcpInfo,
     TraceEvent,
     TraceParseError,
     UdpInfo,
-    compute_udp_checksum,
     serialize_trace_event,
 )
 from ddosgate.pipeline import Engine, EngineConfig, OutOfOrderError, SandboxSink
-from ddosgate.ratelimit import LimiterConfig
 
 SRV = "10.0.0.1"
 
@@ -229,4 +226,4 @@ def test_forward_when_sink_absent_and_sandbox_required():
     engine = Engine(EngineConfig())
     v = engine.process_event(_udp_bad(1, 0.0, "10.8.5.1"))
     assert v.decision == "sandbox"
-    assert engine.stats_snapshot()["sandbox_reasons"] == {}
+    assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 1}

@@ -8,6 +8,7 @@ import pytest
 
 from ddosgate.blacklist import CidrSnapshot, parse_feed
 from ddosgate.events import SYN, TcpInfo, serialize_trace_event, validate_udp_checksum
+from ddosgate import trafficgen
 from ddosgate.trafficgen import (SCENARIO_NAMES, Scenario, generate, resolve_params,
                                  scenario_manifest, summarize)
 
@@ -52,6 +53,52 @@ def test_generate_refuses_duration_out_of_range(duration):
 def test_range_ends_are_accepted():
     assert resolve_params("low_rate_pulse", {"period": "1e9", "width": "0"})["period"] == 1e9
     assert generate(Scenario("normal", seed=1, duration_secs=0.0)) == []
+
+
+# (scenario, parameters with a lane at its source limit, duration): the
+# limit is accepted and one source more is refused. The low rates (and,
+# for pulses, the zero duration) leave every lane empty.
+SOURCE_LIMITS = [
+    ("syn_flood", {"sources": 64000, "rate": 0.01, "benign_sources": 0}, 10.0),
+    ("normal", {"sources": 64000, "rate": 0.01}, 10.0),
+    ("low_rate_pulse", {"sources": 62536, "benign_sources": 0}, 0.0),
+    ("blacklist_mix", {"sources": 255, "fraction": 0, "rate": 0.01, "benign_sources": 0}, 10.0),
+]
+
+
+@pytest.mark.parametrize("name,params,duration", SOURCE_LIMITS)
+def test_generate_refuses_more_sources_than_a_lane_can_address(name, params, duration, tmp_path):
+    if name == "blacklist_mix":
+        feed = tmp_path / "feed.txt"
+        feed.write_text("203.0.113.0/24\n")
+        params = {**params, "feed": str(feed)}
+    assert generate(Scenario(name, params=params, duration_secs=duration)) == []
+    over = {**params, "sources": params["sources"] + 1}
+    with pytest.raises(ValueError, match=f"addresses for at most {params['sources']} sources"):
+        generate(Scenario(name, params=over, duration_secs=duration))
+
+
+def test_blacklist_mix_without_clean_sources_may_exceed_the_clean_range(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    events = generate(Scenario("blacklist_mix", seed=2, duration_secs=2.0, params={
+        "feed": str(feed), "sources": 300, "fraction": 1, "benign_sources": 0}))
+    assert {e.label for e in events} == {"attack:blacklist_mix"}
+
+
+def test_generate_refuses_more_rows_than_the_cap(monkeypatch):
+    monkeypatch.setattr(trafficgen, "MAX_ROWS", 1000)
+    # 2 sources x 100/s x 5 s = 1,000 flood rows, no benign lane
+    params = {"sources": 2, "rate": 100, "benign_sources": 0}
+    assert len(generate(Scenario("syn_flood", params=params, duration_secs=5.0))) == 1000
+    with pytest.raises(ValueError, match="more than 1,000"):
+        generate(Scenario("syn_flood", params=params, duration_secs=5.01))
+    # pulses count loop iterations: 1 source x (10 s / 0.1 s + 1) bursts x (1 + 0) rows
+    pulses = {"sources": 1, "period": 0.1, "width": 0, "benign_sources": 0}
+    assert generate(Scenario("low_rate_pulse", params=pulses, duration_secs=10.0)) == []
+    with pytest.raises(ValueError, match="more than 1,000"):
+        generate(Scenario("low_rate_pulse", params={**pulses, "period": 0.0099},
+                          duration_secs=10.0))
 
 
 def test_blacklist_mix_requires_feed():

@@ -1,10 +1,13 @@
 """Rule DSL parsing, transforms, and request evaluation."""
 
+import random
+
 import pytest
 
 from ddosgate.events import HttpInfo
 from ddosgate.waf import (
     RulesetError,
+    _split_rule_line,
     apply_transforms,
     default_ruleset,
     evaluate,
@@ -86,6 +89,22 @@ def test_parse_errors_carry_line_numbers():
         'RULE 1 uri none contains "x',                    # unterminated quote
         'RULE 1 uri none contains sandbox',               # wrong field count
         'RULE 1 uri none len_gt "many" sandbox',          # non-numeric argument
+        # numbers are ASCII digits only: each of these used to parse (RULE ١
+        # as rule 1, the arguments as floats) or end in a traceback
+        'RULE ² uri none contains "x" sandbox',
+        'RULE ١ uri none contains "x" sandbox',
+        'RULE ' + '9' * 5000 + ' uri none contains "x" sandbox',
+        "RULE 1 uri none len_gt nan sandbox",
+        "RULE 1 uri none len_gt inf sandbox",
+        "RULE 1 uri none len_gt 1e400 sandbox",
+        "RULE 1 duration_ms none num_gt nan sandbox",
+        "RULE 1 duration_ms none num_gt 5.0 sandbox",
+        "RULE 1 uri none len_gt -1 sandbox",
+        "RULE 1 uri none len_gt 1e3 sandbox",
+        'RULE 1 uri none len_gt " 5" sandbox',
+        # regexes too large or nested too deep to compile
+        'RULE 1 uri none matches "a{99999999999}" sandbox',
+        'RULE 1 uri none matches "' + "(" * 5000 + ")" * 5000 + '" sandbox',
     ]
     for line in cases:
         with pytest.raises(RulesetError) as exc:
@@ -172,3 +191,62 @@ def test_empty_ruleset_passes_everything():
     rs = parse_ruleset("")
     assert len(rs) == 0
     assert not evaluate(rs, _req(uri="/anything")).matched
+
+
+def _char_loop_split(line, line_no):
+    """The character loop that the token regex replaced, kept as an oracle."""
+    tokens = []
+    i = 0
+    n = len(line)
+    while i < n:
+        if line[i].isspace():
+            i += 1
+            continue
+        if line[i] == '"':
+            out = []
+            i += 1
+            while i < n and line[i] != '"':
+                if line[i] == "\\" and i + 1 < n and line[i + 1] in ('"', "\\"):
+                    out.append(line[i + 1])
+                    i += 2
+                else:
+                    out.append(line[i])
+                    i += 1
+            if i >= n:
+                raise RulesetError("unterminated quoted argument", line_no)
+            i += 1
+            tokens.append('"' + "".join(out))
+        else:
+            j = i
+            while j < n and not line[j].isspace():
+                j += 1
+            tokens.append(line[i:j])
+            i = j
+    return tokens
+
+
+def _tokens_or_error(split, line):
+    try:
+        return split(line, 4)
+    except RulesetError as exc:
+        return ("error", str(exc), exc.line_no)
+
+
+# quotes and backslashes weigh most; the rest are ASCII and Unicode
+# whitespace (the loop used str.isspace) and plain or non-ASCII text
+_TOKEN_ALPHABET = '""""\\\\\\  \t\n\r\x0b\x1c\x85\xa0 　aZ5_\'é²'
+
+
+def test_tokenizer_matches_the_character_loop():
+    rng = random.Random(20260918)
+    for _ in range(20_000):
+        line = "".join(rng.choice(_TOKEN_ALPHABET) for _ in range(rng.randrange(24)))
+        assert _tokens_or_error(_split_rule_line, line) == _tokens_or_error(_char_loop_split, line), line
+
+
+def test_numbers_are_ascii_integers():
+    rs = parse_ruleset("RULE 007 uri none len_gt 2048 sandbox\n"
+                       "RULE 8 duration_ms none num_gt \"30000\" log\n")
+    assert [(r.id, r.arg_num) for r in rs] == [(7, 2048), (8, 30000)]
+    assert all(type(r.arg_num) is int for r in rs)
+
