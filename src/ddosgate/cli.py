@@ -14,6 +14,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from contextlib import nullcontext
@@ -57,7 +58,14 @@ def cmd_run(args) -> int:
         # leaves an earlier capture intact.
         with open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh:
             engine.sandbox = SandboxSink(sandbox_fh)
-            trace_fh = sys.stdin if args.trace == "-" else open(args.trace, encoding="utf-8")
+            # Undecodable bytes reach the parser as lone surrogates, which it
+            # rejects as one bad line.
+            if args.trace == "-":
+                trace_fh = sys.stdin
+                if isinstance(trace_fh, io.TextIOWrapper):
+                    trace_fh.reconfigure(errors="surrogateescape")
+            else:
+                trace_fh = open(args.trace, encoding="utf-8", errors="surrogateescape")
             try:
                 with open(args.out, "w", encoding="utf-8") as out_fh:
                     engine.run_trace(trace_fh, out_fh, strict=args.strict)
@@ -70,6 +78,8 @@ def cmd_run(args) -> int:
                     stats_fh.write("\n")
     except (TraceParseError, OutOfOrderError) as exc:
         return _fail(str(exc), RUNTIME_EXIT)
+    except UnicodeDecodeError as exc:  # a stdin stand-in that decodes strictly
+        return _fail(f"trace is not UTF-8: {exc}", RUNTIME_EXIT)
     except OSError as exc:
         return _fail(str(exc), RUNTIME_EXIT)
     return 0

@@ -1,14 +1,12 @@
 """Event model, trace parsing/serialization, the IPv4 codec and UDP checksum math.
 
-Trace files are UTF-8 JSONL, one event per line. Every line carries
-``event_id, ts, kind, src_ip, dst_ip, src_port, dst_port`` plus per-kind
-fields; ``ts`` is a finite non-negative number and addresses are ASCII
-dotted quads without leading zeros:
-
-  tcp   flags (string over "SAFRPU"), seq, ack, urgent_ptr, payload_b64
-  udp   length, checksum, payload_b64
-  http  method, uri, version, headers ([[name, value], ...]), body_b64,
-        duration_ms
+Trace files are UTF-8 JSONL, one event per line. Every line starts with
+the seven head fields, the first seven fields of TraceEvent: ``event_id,
+ts, kind, src_ip, dst_ip, src_port, dst_port``. ``ts`` is a finite
+non-negative number and addresses are ASCII dotted quads without leading
+zeros. Each kind's body fields are stated once, in ``_BODIES``: their
+wire keys, checks and order, which is also the order of the body
+record's fields. Parse and serialize both read that table.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -25,8 +23,7 @@ import json
 import re
 import socket
 import sys
-from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple
 
 # TCP flag bits, letter-coded "SAFRPU" in traces.
 SYN = 0x01
@@ -65,8 +62,10 @@ class TraceParseError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True, slots=True)
-class TcpInfo:
+# The records are NamedTuples: immutable, positional, hashed in C, and equal
+# to the plain tuple of their fields.
+
+class TcpInfo(NamedTuple):
     flags: int  # bitmask of SYN/ACK/FIN/RST/PSH/URG; empty set is legal
     seq: int
     ack: int
@@ -74,15 +73,13 @@ class TcpInfo:
     payload: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class UdpInfo:
+class UdpInfo(NamedTuple):
     length: int  # UDP length field; may disagree with 8+len(payload)
     checksum: int
     payload: bytes
 
 
-@dataclass(frozen=True, slots=True)
-class HttpInfo:
+class HttpInfo(NamedTuple):
     method: str
     uri: str
     version: str
@@ -91,8 +88,7 @@ class HttpInfo:
     duration_ms: int  # time the client took to deliver the full request
 
 
-@dataclass(frozen=True, slots=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Directional 5-tuple; no normalization of direction."""
 
     src_ip: str
@@ -102,8 +98,7 @@ class FlowKey:
     proto: str
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     event_id: int
     ts: float
     kind: str  # "tcp" | "udp" | "http"
@@ -115,8 +110,7 @@ class TraceEvent:
     label: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     decision: str  # forward | drop_rate_limited | reject_blacklisted | sandbox
     layer: int  # 0 for forward, else 1..4
     reason: str  # machine-readable code, "" for forward
@@ -154,8 +148,28 @@ def int_to_ipv4(value: int) -> str:
     return socket.inet_ntoa(value.to_bytes(4, "big"))
 
 
-# The parser checks each field inline. Only once a check has failed does it
-# call a _bad_* helper, which raises the error that names the field.
+# A field's check: int (an integer from 0 to bound), float (a finite
+# non-negative number), str (a string of at least bound characters), or one
+# of these four wire encodings.
+_ADDR = "ipv4"  # a dotted-quad string, kept as text
+_FLAGS = "flags"  # letters over "SAFRPU" in any order, as a bitmask
+_B64 = "base64"  # a base64 string, as bytes
+_PAIRS = "pairs"  # [[name, value], ...] of strings, as a tuple of pairs
+
+# The wire format of each kind's body, stated once: kind -> (body record,
+# its fields in record order as (wire key, check, bound)).
+_BODIES = {
+    "tcp": (TcpInfo, (("flags", _FLAGS, 0), ("seq", int, _U32), ("ack", int, _U32),
+                      ("urgent_ptr", int, _U16), ("payload_b64", _B64, 0))),
+    "udp": (UdpInfo, (("length", int, _U16), ("checksum", int, _U16), ("payload_b64", _B64, 0))),
+    "http": (HttpInfo, (("method", str, 1), ("uri", str, 0), ("version", str, 0), ("headers", _PAIRS, 0),
+                        ("body_b64", _B64, 0), ("duration_ms", int, _U63))),
+}
+_HEAD_KEYS = TraceEvent._fields[:7]
+
+# Compact JSON; json.dumps would build a new encoder per call for these options.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _require(obj: dict, key: str, line_no: int | None):
     try:
@@ -164,54 +178,47 @@ def _require(obj: dict, key: str, line_no: int | None):
         raise TraceParseError(f"missing required field {key!r}", field=key, line_no=line_no) from None
 
 
-def _bad_ts(obj: dict, line_no: int | None) -> NoReturn:
-    ts = _require(obj, "ts", line_no)
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or ts < 0:
-        raise TraceParseError("ts must be a non-negative number", field="ts", line_no=line_no)
-    raise TraceParseError(f"ts must be finite, got {ts!r}", field="ts", line_no=line_no)
-
-
-def _bad_ipv4(obj: dict, field: str, line_no: int | None) -> NoReturn:
-    value = _require(obj, field, line_no)
-    if not isinstance(value, str):
-        raise TraceParseError(f"{field} must be a dotted-quad string", field=field, line_no=line_no)
-    raise TraceParseError(f"{field} is not a valid IPv4 address: {value!r}", field=field, line_no=line_no)
-
-
-def _bad_int(obj: dict, field: str, line_no: int | None) -> NoReturn:
-    value = _require(obj, field, line_no)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TraceParseError(f"{field} must be an integer", field=field, line_no=line_no)
-    raise TraceParseError(f"{field} out of range", field=field, line_no=line_no)
-
-
-def _check_flags(obj: dict, line_no: int | None) -> int:
-    # Also the success path for flag strings outside canonical "SAFRPU" order.
-    flags_s = _require(obj, "flags", line_no)
-    if not isinstance(flags_s, str):
-        raise TraceParseError("flags must be a string over 'SAFRPU'", field="flags", line_no=line_no)
-    try:
-        return flags_from_str(flags_s)
-    except TraceParseError as exc:
-        raise TraceParseError(str(exc), field="flags", line_no=line_no) from None
-
-
-def _decode_b64(value, field: str, line_no: int | None) -> bytes:
-    if not isinstance(value, str):
-        raise TraceParseError(f"{field} must be a base64 string", field=field, line_no=line_no)
-    try:
-        return base64.b64decode(value, validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII string
-        raise TraceParseError(f"{field} is not valid base64", field=field, line_no=line_no) from None
-
-
-def _b64_field(obj: dict, key: str, line_no: int | None) -> bytes:
-    value = obj.get(key)
-    if value == "":
-        return b""
-    if value is None:
-        _require(obj, key, line_no)
-    return _decode_b64(value, key, line_no)
+def _bad(obj: dict, key: str, check, bound: int, line_no: int | None):
+    """The slow path of a field that its inline check did not take: its
+    value when it is valid after all (flag letters out of canonical order,
+    non-empty base64, header pairs), else the TraceParseError naming it."""
+    value = _require(obj, key, line_no)
+    if check is int:
+        message = f"{key} must be an integer" if type(value) is not int else f"{key} out of range"
+    elif check is float:
+        if (type(value) is not float and type(value) is not int) or value < 0:
+            message = f"{key} must be a non-negative number"
+        else:
+            message = f"{key} must be finite, got {value!r}"
+    elif check is str:
+        message = f"{key} must be a {'non-empty ' if bound else ''}string"
+    elif check is _ADDR:
+        if type(value) is not str:
+            message = f"{key} must be a dotted-quad string"
+        else:
+            message = f"{key} is not a valid IPv4 address: {value!r}"
+    elif check is _FLAGS:
+        if type(value) is not str:
+            message = f"{key} must be a string over 'SAFRPU'"
+        else:
+            try:
+                return flags_from_str(value)
+            except TraceParseError as exc:
+                message = str(exc)
+    elif check is _B64:
+        if type(value) is not str:
+            message = f"{key} must be a base64 string"
+        else:
+            try:
+                return base64.b64decode(value, validate=True)
+            except ValueError:  # binascii.Error, or a non-ASCII string
+                message = f"{key} is not valid base64"
+    else:  # _PAIRS
+        if type(value) is list and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is str
+                                       and type(pair[1]) is str for pair in value):
+            return tuple((name, text) for name, text in value)
+        message = f"{key} must be an array of [name, value] pairs"
+    raise TraceParseError(message, field=key, line_no=line_no)
 
 
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
@@ -220,8 +227,16 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     Malformed-but-parseable packets (empty flag set, UDP length that
     disagrees with the payload) are preserved; flagging them is the
     analyzer's job, not the parser's. Fields are checked in a fixed
-    order and the first bad one is named in the TraceParseError.
+    order, the head's and then the body's in ``_BODIES`` order, and the
+    first bad one is named in the TraceParseError. A line holding
+    undecodable bytes (read with ``errors="surrogateescape"``) is
+    rejected as not UTF-8.
     """
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise TraceParseError("not valid UTF-8", line_no=line_no) from None
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -232,119 +247,71 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
 
     event_id = get("event_id")
     if type(event_id) is not int or not 0 <= event_id <= _U63:
-        _bad_int(obj, "event_id", line_no)
+        _bad(obj, "event_id", int, _U63, line_no)
     ts = get("ts")
     if (type(ts) is not float and type(ts) is not int) or not 0 <= ts <= _MAX_TS:
-        _bad_ts(obj, line_no)
+        _bad(obj, "ts", float, 0, line_no)
     kind = get("kind")
     if kind is None:
         _require(obj, "kind", line_no)
     src_ip = get("src_ip")
     if type(src_ip) is not str or ipv4_to_int(src_ip) is None:
-        _bad_ipv4(obj, "src_ip", line_no)
+        _bad(obj, "src_ip", _ADDR, 0, line_no)
     dst_ip = get("dst_ip")
     if type(dst_ip) is not str or ipv4_to_int(dst_ip) is None:
-        _bad_ipv4(obj, "dst_ip", line_no)
+        _bad(obj, "dst_ip", _ADDR, 0, line_no)
     src_port = get("src_port")
     if type(src_port) is not int or not 0 <= src_port <= _U16:
-        _bad_int(obj, "src_port", line_no)
+        _bad(obj, "src_port", int, _U16, line_no)
     dst_port = get("dst_port")
     if type(dst_port) is not int or not 0 <= dst_port <= _U16:
-        _bad_int(obj, "dst_port", line_no)
+        _bad(obj, "dst_port", int, _U16, line_no)
 
-    body: TcpInfo | UdpInfo | HttpInfo
-    if kind == "tcp":
-        flags = get("flags")
-        flags = _FLAGS_BY_STR.get(flags) if type(flags) is str else None
-        if flags is None:
-            flags = _check_flags(obj, line_no)
-        seq = get("seq")
-        if type(seq) is not int or not 0 <= seq <= _U32:
-            _bad_int(obj, "seq", line_no)
-        ack = get("ack")
-        if type(ack) is not int or not 0 <= ack <= _U32:
-            _bad_int(obj, "ack", line_no)
-        urgent_ptr = get("urgent_ptr")
-        if type(urgent_ptr) is not int or not 0 <= urgent_ptr <= _U16:
-            _bad_int(obj, "urgent_ptr", line_no)
-        body = TcpInfo(flags, seq, ack, urgent_ptr, _b64_field(obj, "payload_b64", line_no))
-    elif kind == "udp":
-        length = get("length")
-        if type(length) is not int or not 0 <= length <= _U16:
-            _bad_int(obj, "length", line_no)
-        checksum = get("checksum")
-        if type(checksum) is not int or not 0 <= checksum <= _U16:
-            _bad_int(obj, "checksum", line_no)
-        body = UdpInfo(length, checksum, _b64_field(obj, "payload_b64", line_no))
-    elif kind == "http":
-        method = get("method")
-        if type(method) is not str or not method:
-            _require(obj, "method", line_no)
-            raise TraceParseError("method must be a non-empty string", field="method", line_no=line_no)
-        raw_headers = get("headers")
-        if type(raw_headers) is not list:
-            _require(obj, "headers", line_no)
-            raise TraceParseError("headers must be an array of [name, value] pairs", field="headers", line_no=line_no)
-        headers = []
-        for pair in raw_headers:
-            if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not str:
-                raise TraceParseError("headers must be an array of [name, value] pairs", field="headers", line_no=line_no)
-            headers.append((pair[0], pair[1]))
-        uri = get("uri")
-        version = get("version")
-        if type(uri) is not str or type(version) is not str:
-            _require(obj, "uri", line_no)
-            _require(obj, "version", line_no)
-            raise TraceParseError("uri and version must be strings", field="uri", line_no=line_no)
-        body_bytes = _b64_field(obj, "body_b64", line_no)
-        duration_ms = get("duration_ms")
-        if type(duration_ms) is not int or not 0 <= duration_ms <= _U63:
-            _bad_int(obj, "duration_ms", line_no)
-        body = HttpInfo(method, uri, version, tuple(headers), body_bytes, duration_ms)
-    else:
+    spec = _BODIES.get(kind) if type(kind) is str else None
+    if spec is None:
         raise TraceParseError(f"unknown event kind {kind!r}", field="kind", line_no=line_no)
+    record, fields = spec
+    values = []
+    for key, check, bound in fields:
+        value = get(key)
+        if check is int:
+            if type(value) is not int or not 0 <= value <= bound:
+                _bad(obj, key, check, bound, line_no)
+        elif check is str:
+            if type(value) is not str or len(value) < bound:
+                _bad(obj, key, check, bound, line_no)
+        elif check is _FLAGS and type(value) is str and value in _FLAGS_BY_STR:
+            value = _FLAGS_BY_STR[value]
+        elif check is _B64 and value == "":
+            value = b""
+        else:
+            value = _bad(obj, key, check, bound, line_no)
+        values.append(value)
 
     label = get("label")
     if label is not None and type(label) is not str:
         raise TraceParseError("label must be a string", field="label", line_no=line_no)
-    return TraceEvent(event_id, float(ts), kind, src_ip, dst_ip, src_port, dst_port, body, label)
+    return TraceEvent(event_id, float(ts), kind, src_ip, dst_ip, src_port, dst_port, record._make(values), label)
 
 
 def serialize_trace_event(event: TraceEvent) -> str:
-    """Inverse of parse_trace_event; stable key order, compact separators."""
-    obj: dict = {
-        "event_id": event.event_id,
-        "ts": event.ts,
-        "kind": event.kind,
-        "src_ip": event.src_ip,
-        "dst_ip": event.dst_ip,
-        "src_port": event.src_port,
-        "dst_port": event.dst_port,
-    }
-    body = event.body
-    if event.kind == "tcp":
-        assert isinstance(body, TcpInfo)
-        obj["flags"] = flags_to_str(body.flags)
-        obj["seq"] = body.seq
-        obj["ack"] = body.ack
-        obj["urgent_ptr"] = body.urgent_ptr
-        obj["payload_b64"] = base64.b64encode(body.payload).decode("ascii")
-    elif event.kind == "udp":
-        assert isinstance(body, UdpInfo)
-        obj["length"] = body.length
-        obj["checksum"] = body.checksum
-        obj["payload_b64"] = base64.b64encode(body.payload).decode("ascii")
-    else:
-        assert isinstance(body, HttpInfo)
-        obj["method"] = body.method
-        obj["uri"] = body.uri
-        obj["version"] = body.version
-        obj["headers"] = [[n, v] for n, v in body.headers]
-        obj["body_b64"] = base64.b64encode(body.body).decode("ascii")
-        obj["duration_ms"] = body.duration_ms
+    """Inverse of parse_trace_event; stable key order, compact separators.
+
+    Raises ValueError when the body is not the record of the event's kind.
+    """
+    record, fields = _BODIES.get(event.kind, (None, ()))
+    if record is None or not isinstance(event.body, record):
+        raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
+    obj = dict(zip(_HEAD_KEYS, event))
+    for (key, check, _), value in zip(fields, event.body):
+        if check is _FLAGS:
+            value = flags_to_str(value)
+        elif check is _B64:
+            value = base64.b64encode(value).decode("ascii")
+        obj[key] = value  # header pairs are tuples, which JSON writes as arrays
     if event.label is not None:
         obj["label"] = event.label
-    return json.dumps(obj, separators=(",", ":"))
+    return _dumps(obj)
 
 
 def flow_key(event: TraceEvent) -> FlowKey:
@@ -400,7 +367,7 @@ def _verdict_tail(verdict: Verdict) -> str:
     obj: dict = {"event_id": 0, "decision": verdict.decision, "layer": verdict.layer, "reason": verdict.reason}
     if verdict.rule_id is not None:
         obj["rule_id"] = verdict.rule_id
-    return json.dumps(obj, separators=(",", ":"))[len('{"event_id":0'):]
+    return _dumps(obj)[len('{"event_id":0'):]
 
 
 def serialize_verdict_record(event: TraceEvent, verdict: Verdict) -> str:

@@ -165,6 +165,27 @@ def test_strict_mode_fails_on_garbage_line(tmp_path, cli_run):
     assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 1
 
 
+def test_non_utf8_line_is_a_parse_error(tmp_path, cli_run):
+    lines = [json.dumps({"event_id": i, "ts": float(i), "kind": "udp", "src_ip": "10.0.0.2",
+                         "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 8,
+                         "checksum": 0, "payload_b64": ""}).encode() for i in (1, 2)]
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(lines[0] + b"\n\xff\n" + lines[1] + b"\n")
+    common = ["--out", str(tmp_path / "v.jsonl"), "--set", f"sandbox.log_path={os.devnull}",
+              "--stats", str(tmp_path / "s.json")]
+
+    strict = cli_run(["run", "--trace", str(trace), *common])
+    assert strict.returncode == 1
+    assert strict.stderr.splitlines() == ["error: line 2: not valid UTF-8"]
+
+    for source in (str(trace), "-"):  # a file, and the same bytes on stdin
+        with open(trace, "rb") as fh:
+            lenient = cli_run(["run", "--trace", source, "--lenient", *common], stdin=fh)
+        assert lenient.returncode == 0, lenient.stderr
+        assert [json.loads(v)["event_id"] for v in (tmp_path / "v.jsonl").read_text().splitlines()] == [1, 2]
+        assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 1
+
+
 def test_check_reports_rule_count(tmp_path, cli_run):
     rules = tmp_path / "default.rules"
     rules.write_text(DEFAULT_RULESET_TEXT)

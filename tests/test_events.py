@@ -147,6 +147,58 @@ def test_serialize_parse_round_trip_all_kinds():
         assert parse_trace_event(serialize_trace_event(ev)) == ev
 
 
+def test_records_are_tuples_of_their_fields():
+    body = TcpInfo(SYN, 7, 0, 0, b"")
+    assert body == (SYN, 7, 0, 0, b"") and hash(body) == hash((SYN, 7, 0, 0, b""))
+    assert Verdict("forward", 0, "").rule_id is None
+    with pytest.raises(AttributeError):
+        body.seq = 8
+
+
+def test_serialize_rejects_a_body_of_another_kind():
+    ev = TraceEvent(1, 0.25, "tcp", "10.0.0.2", "10.0.0.1", 40000, 80, UdpInfo(12, 0x1234, b"abcd"))
+    with pytest.raises(ValueError, match="'tcp' event cannot carry a UdpInfo body"):
+        serialize_trace_event(ev)
+    with pytest.raises(ValueError):
+        serialize_trace_event(ev._replace(kind="icmp"))
+
+
+def _http_line(**overrides):
+    obj = {
+        "event_id": 1, "ts": 0.5, "kind": "http", "src_ip": "10.0.0.2",
+        "dst_ip": "10.0.0.1", "src_port": 40000, "dst_port": 80, "method": "GET",
+        "uri": "/", "version": "HTTP/1.1", "headers": [["host", "h"]], "body_b64": "",
+        "duration_ms": 10,
+    }
+    obj.update(overrides)
+    return json.dumps(obj)
+
+
+def test_http_fields_checked_in_record_order():
+    # each case breaks two fields; the first in record order is named
+    cases = [
+        ({"method": "", "uri": 1}, "method", "method must be a non-empty string"),
+        ({"uri": None, "headers": 1}, "uri", "uri must be a string"),
+        ({"version": 1.1, "headers": 1}, "version", "version must be a string"),
+        ({"headers": [["a"]], "body_b64": "!"}, "headers", "headers must be an array of [name, value] pairs"),
+        ({"body_b64": 7, "duration_ms": -1}, "body_b64", "body_b64 must be a base64 string"),
+    ]
+    for overrides, field, message in cases:
+        with pytest.raises(TraceParseError) as exc:
+            parse_trace_event(_http_line(**overrides))
+        assert (exc.value.field, str(exc.value)) == (field, message)
+    assert parse_trace_event(_http_line()).body == HttpInfo("GET", "/", "HTTP/1.1", (("host", "h"),), b"", 10)
+
+
+def test_parse_rejects_undecodable_bytes():
+    # a trace file is read with errors="surrogateescape", so b"\xff" arrives as "\udcff"
+    raw = _tcp_line(label="x").encode().replace(b'"x"', b'"\xff"')
+    with pytest.raises(TraceParseError, match="line 4: not valid UTF-8") as exc:
+        parse_trace_event(raw.decode("utf-8", "surrogateescape"), line_no=4)
+    assert exc.value.field is None
+    assert parse_trace_event(_tcp_line(label="naïve ✓")).label == "naïve ✓"
+
+
 def test_serialized_bytes_are_stable():
     ev = parse_trace_event(_tcp_line())
     assert serialize_trace_event(ev) == serialize_trace_event(ev)

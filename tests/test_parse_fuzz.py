@@ -3,7 +3,8 @@
 Golden tcp/udp/http lines from the ``mixed`` scenario get one field
 mutated each: wrong type, out of range, non-ASCII digits, non-finite
 numbers, a deleted key, a bad header pair, or the line cut short. Every
-mutated line must either parse or raise TraceParseError; a strict run
+mutated line must either parse or raise TraceParseError naming the
+mutated key (a line cut short names none); a strict run
 must give each line one verdict or raise TraceParseError or
 OutOfOrderError, and a lenient run must account for every line: one
 verdict, or one skipped line.
@@ -46,7 +47,8 @@ def _non_ascii_digit(rng: random.Random, value) -> str:
     return text[:i] + rng.choice(_UNICODE_DIGITS) + text[i + 1:]
 
 
-def _mutate(rng: random.Random, line: str) -> str:
+def _mutate(rng: random.Random, line: str) -> tuple[str, str | None]:
+    """The mutated line and the key it changed, None for a line cut short."""
     obj = json.loads(line)
     key = rng.choice(sorted(obj))
     how = rng.randrange(7)
@@ -61,14 +63,15 @@ def _mutate(rng: random.Random, line: str) -> str:
     elif how == 4:
         del obj[key]
     elif how == 5 and obj.get("headers"):
-        obj["headers"][rng.randrange(len(obj["headers"]))] = rng.choice(_BAD_PAIRS)
+        key = "headers"
+        obj[key][rng.randrange(len(obj[key]))] = rng.choice(_BAD_PAIRS)
     else:
-        return line[:rng.randrange(1, len(line))]
+        return line[:rng.randrange(1, len(line))], None
     text = json.dumps(obj, separators=(",", ":"), ensure_ascii=rng.random() < 0.5)
-    return text.replace('"<1e400>"', "1e400")
+    return text.replace('"<1e400>"', "1e400"), key
 
 
-def _mutants() -> list[str]:
+def _mutants() -> list[tuple[str, str | None]]:
     rng = random.Random(3031)
     golden = _golden_lines()
     return [_mutate(rng, rng.choice(golden)) for _ in range(MUTANTS)]
@@ -76,11 +79,13 @@ def _mutants() -> list[str]:
 
 def test_every_mutant_parses_or_raises_trace_parse_error():
     parsed = rejected = 0
-    for line in _mutants():
+    for line, key in _mutants():
         try:
             parse_trace_event(line)
-        except TraceParseError:
+        except TraceParseError as exc:
             rejected += 1
+            if key is not None:
+                assert exc.field == key, (line, str(exc))
         else:
             parsed += 1
     assert parsed + rejected == MUTANTS
@@ -89,7 +94,7 @@ def test_every_mutant_parses_or_raises_trace_parse_error():
 
 
 def test_lenient_run_accounts_for_every_mutant():
-    lines = _mutants()
+    lines = [line for line, _ in _mutants()]
     for start in range(0, len(lines), CHUNK):
         chunk = lines[start:start + CHUNK]
         out = io.StringIO()
@@ -98,7 +103,7 @@ def test_lenient_run_accounts_for_every_mutant():
 
 
 def test_strict_run_gives_one_verdict_or_a_documented_error():
-    lines = _mutants()
+    lines = [line for line, _ in _mutants()]
     outcomes = {"verdict": 0, TraceParseError: 0, OutOfOrderError: 0}
     for start in range(0, len(lines), CHUNK):
         engine = Engine()
