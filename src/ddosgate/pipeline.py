@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
@@ -39,7 +39,7 @@ from .events import (
     serialize_verdict_record,
 )
 from .ratelimit import LimiterConfig, LimiterTable
-from .waf import Rule, default_ruleset, evaluate
+from .waf import Rule, Ruleset, default_ruleset, evaluate
 
 RATE_LIMITED = "rate_limited"
 BLACKLISTED = "blacklisted"
@@ -108,7 +108,7 @@ class EngineConfig:
 
 
 class Engine:
-    def __init__(self, config: EngineConfig | None = None, ruleset: tuple[Rule, ...] | None = None,
+    def __init__(self, config: EngineConfig | None = None, ruleset: Sequence[Rule] | None = None,
                  sandbox: SandboxSink | None = None,
                  fetcher: Callable[[str], str] | None = None):
         self.config = config or EngineConfig()
@@ -116,7 +116,9 @@ class Engine:
         self.blacklist = bl.Blacklist(self.config.blacklist_locator,
                                       self.config.blacklist_refresh_secs, fetcher or bl.fetch_feed)
         self.analyzer = Analyzer(self.config.analyzer)
-        self.ruleset = ruleset if ruleset is not None else default_ruleset()
+        if ruleset is None:
+            ruleset = default_ruleset()
+        self.ruleset = ruleset if isinstance(ruleset, Ruleset) else Ruleset(ruleset)
         self.sandbox = sandbox
         self.stats = Stats()
         self._last_ts = 0.0

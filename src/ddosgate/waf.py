@@ -16,6 +16,11 @@ only with the numeric target duration_ms; the text operators pair with
 everything else. Rules evaluate in file order: the first sandbox match
 wins, log matches accumulate without stopping evaluation.
 
+``parse_ruleset`` compiles the rules once into a ``Ruleset``, which
+groups them by candidate (target, header name, transforms), so that per
+request each candidate value is derived and transformed once and then
+tested by every rule of its group.
+
 Deliberate weakness, kept for predictability: urldecode runs exactly
 once, so double-encoded payloads slip through.
 """
@@ -23,6 +28,7 @@ once, so double-encoded payloads slip through.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from urllib.parse import unquote_plus
@@ -34,7 +40,6 @@ LOG_ACTION = "log"
 
 _TEXT_TARGETS = ("method", "uri", "any_header", "body")
 _OPS = ("contains", "matches", "len_gt", "num_gt")
-_TRANSFORMS = ("none", "lowercase", "urldecode")
 
 _ASCII_LOWER = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
 
@@ -88,13 +93,10 @@ RULE 1007 any_header lowercase contains "() {" sandbox
 RULE 1008 any_header lowercase contains "sqlmap" log
 """
 
-def apply_transforms(value: str, transforms: tuple[str, ...]) -> str:
-    for t in transforms:
-        if t == "lowercase":
-            value = value.translate(_ASCII_LOWER)
-        elif t == "urldecode":
-            value = _urldecode_once(value)
-    return value
+def _lowercase(value: str) -> str:
+    # str.lower() agrees with the A-Z table on ASCII text only: it would
+    # also map É, İ and the Kelvin sign
+    return value.lower() if value.isascii() else value.translate(_ASCII_LOWER)
 
 
 def _urldecode_once(value: str) -> str:
@@ -102,6 +104,15 @@ def _urldecode_once(value: str) -> str:
         return value
     # each %XX is one byte, one char; invalid or cut-short escapes stay literal
     return unquote_plus(value, encoding="latin-1")
+
+
+_TRANSFORM_FNS = {"lowercase": _lowercase, "urldecode": _urldecode_once}
+
+
+def apply_transforms(value: str, transforms: tuple[str, ...]) -> str:
+    for t in transforms:
+        value = _TRANSFORM_FNS[t](value)
+    return value
 
 
 # One token: a quoted argument (its only escapes are \" and \\), a quote
@@ -153,7 +164,7 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
 
     transforms = tuple(t for t in transforms_tok.split(","))
     for t in transforms:
-        if t not in _TRANSFORMS:
+        if t != "none" and t not in _TRANSFORM_FNS:
             raise RulesetError(f"unknown transform {t!r}", line_no)
     transforms = tuple(t for t in transforms if t != "none")
 
@@ -184,7 +195,7 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
                 op=op, arg=arg, arg_num=arg_num, pattern=pattern, action=action)
 
 
-def parse_ruleset(text: str) -> tuple[Rule, ...]:
+def parse_ruleset(text: str) -> Ruleset:
     rules = []
     seen_ids: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -196,53 +207,104 @@ def parse_ruleset(text: str) -> tuple[Rule, ...]:
             raise RulesetError(f"duplicate rule id {rule.id} (first defined on line {seen_ids[rule.id]})", line_no)
         seen_ids[rule.id] = line_no
         rules.append(rule)
-    return tuple(rules)
+    return Ruleset(rules)
 
 
 @cache
-def default_ruleset() -> tuple[Rule, ...]:
+def default_ruleset() -> Ruleset:
     return parse_ruleset(DEFAULT_RULESET_TEXT)
 
 
-def _candidates(rule: Rule, request: HttpInfo) -> tuple[str, ...]:
-    if rule.target == "uri":
-        return (request.uri,)
-    if rule.target == "method":
-        return (request.method,)
-    if rule.target == "body":
-        return (request.body.decode("latin-1"),)
-    if rule.target == "any_header":
-        return tuple(value for _, value in request.headers)
-    # header:<name>, case-insensitive on the name, every occurrence tested
-    return tuple(value for name, value in request.headers if name.lower() == rule.header_name)
+# Each target's candidate values, before transforms.
+_TARGET_VALUES = {
+    "method": lambda request: (request.method,),
+    "uri": lambda request: (request.uri,),
+    "body": lambda request: (request.body.decode("latin-1"),),
+    "duration_ms": lambda request: (request.duration_ms,),
+    "any_header": lambda request: [value for _, value in request.headers],
+}
 
 
-def _rule_matches(rule: Rule, request: HttpInfo) -> bool:
+def _header_values(name: str):
+    # case-insensitive on the name, every occurrence tested
+    return lambda request: [value for key, value in request.headers if key.lower() == name]
+
+
+def _chain(transforms: tuple[str, ...]):
+    """One callable for a transform list, or None for an empty one."""
+    if len(transforms) < 2:
+        return _TRANSFORM_FNS[transforms[0]] if transforms else None
+    return lambda value: apply_transforms(value, transforms)
+
+
+def _test(rule: Rule):
+    """``(literal, None)`` for a text ``contains`` rule, else ``(None, check)``,
+    where ``check`` tests one candidate value."""
     if rule.target == "duration_ms":
-        return request.duration_ms > rule.arg_num
-    for candidate in _candidates(rule, request):
-        value = apply_transforms(candidate, rule.transforms)
-        if rule.op == "contains":
-            if rule.arg in value:
-                return True
-        elif rule.op == "matches":
-            if rule.pattern.search(value):
-                return True
-        else:  # len_gt
-            if len(value) > rule.arg_num:
-                return True
-    return False
+        return None, lambda value: value > rule.arg_num
+    if rule.op == "contains":
+        return rule.arg, None
+    if rule.op == "matches":
+        return None, rule.pattern.search
+    return None, lambda value: len(value) > rule.arg_num  # len_gt
 
 
-def evaluate(ruleset: tuple[Rule, ...], request: HttpInfo) -> WafDecision:
-    """Pure; identical inputs always give identical decisions."""
+class Ruleset(tuple):
+    """The rules in file order, compiled once for ``evaluate``.
+
+    A tuple of ``Rule``s (a slice or a sum is a plain tuple) that also
+    holds them grouped by candidate, ``(target, header_name, transforms)``,
+    so that per request each group derives its values once and tests all
+    of its rules on them.
+    """
+
+    def __new__(cls, rules: Iterable[Rule] = ()):
+        self = super().__new__(cls, rules)
+        # (target, header_name) -> transforms -> tests, each in order of first rule
+        by_target: dict[tuple, dict[tuple, list]] = {}
+        for pos, rule in enumerate(self):
+            transforms = () if rule.target == "duration_ms" else rule.transforms
+            by_target.setdefault((rule.target, rule.header_name), {}).setdefault(transforms, []).append(
+                (pos, rule.action == SANDBOX_ACTION, *_test(rule)))
+        groups = []
+        for (target, name), by_transforms in by_target.items():
+            derive = _TARGET_VALUES.get(target) or _header_values(name)
+            groups += [(derive, _chain(transforms), tuple(tests)) for transforms, tests in by_transforms.items()]
+        self._groups = tuple(groups)  # a target's groups are adjacent and share its values function
+        return self
+
+
+def evaluate(ruleset: Ruleset, request: HttpInfo) -> WafDecision:
+    """Pure; identical inputs always give identical decisions.
+
+    The first sandbox rule in file order that matches decides; the log
+    rules that match before it are listed in file order, each id once.
+    ``ruleset`` is a ``Ruleset``: wrap any other sequence of rules in one.
+    """
+    limit = len(ruleset)  # position of the first matching sandbox rule found so far
+    logged = []  # positions of matching log rules
+    derived_by = None
+    for derive, transform, tests in ruleset._groups:
+        if tests[0][0] >= limit:
+            continue
+        if derive is not derived_by:  # once per target
+            raw, derived_by = derive(request), derive
+        values = raw if transform is None else [transform(value) for value in raw]
+        for pos, sandbox, literal, check in tests:
+            if pos >= limit:
+                break
+            for value in values:
+                if check(value) if check else literal in value:
+                    if sandbox:
+                        limit = pos
+                    else:
+                        logged.append(pos)
+                    break
     log_fired: list[int] = []
-    for rule in ruleset:
-        if _rule_matches(rule, request):
-            if rule.action == SANDBOX_ACTION:
-                return WafDecision(True, rule.id, tuple(log_fired))
-            if rule.id not in log_fired:
-                log_fired.append(rule.id)
-    if not log_fired:
-        return PASS
-    return WafDecision(False, None, tuple(log_fired))
+    for pos in sorted(logged):
+        rule_id = ruleset[pos].id
+        if pos < limit and rule_id not in log_fired:
+            log_fired.append(rule_id)
+    if limit < len(ruleset):
+        return WafDecision(True, ruleset[limit].id, tuple(log_fired))
+    return WafDecision(False, None, tuple(log_fired)) if log_fired else PASS

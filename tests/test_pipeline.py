@@ -14,6 +14,7 @@ from ddosgate.events import (
     serialize_trace_event,
 )
 from ddosgate.pipeline import Engine, EngineConfig, OutOfOrderError, SandboxSink
+from ddosgate.waf import Ruleset, parse_ruleset
 
 SRV = "10.0.0.1"
 
@@ -73,6 +74,28 @@ def test_waf_consulted_only_after_rate_and_blacklist_pass():
     engine = _engine()
     v = engine.process_event(_http(1, 0.0, "10.8.0.2", uri="/p?id=1%20union%20select%202"))
     assert (v.decision, v.layer, v.rule_id) == ("sandbox", 4, 1001)
+
+
+def test_engine_takes_any_sequence_of_rules():
+    rules = parse_ruleset('RULE 1 any_header lowercase contains "sqlmap" log\n'
+                          'RULE 2 uri lowercase,urldecode contains "union select" sandbox\n'
+                          'RULE 3 uri none contains "/admin" sandbox\n'
+                          'RULE 4 uri none contains "/" log\n')
+    events = [TraceEvent(i + 1, i * 0.01, "http", f"10.8.1.{i}", SRV, 40000, 80,
+                         HttpInfo("GET", uri, "HTTP/1.1", (("user-agent", agent),), b"", 50))
+              for i, (uri, agent) in enumerate([("/", "curl"), ("/admin", "SQLMap"), ("/?q=UNION%20select", "x"),
+                                                ("/x", "sqlmap"), ("/admin?q=union+select", "sqlmap")])]
+    for ruleset in (rules, tuple(rules), list(rules), rules[1:], rules[:3]):
+        expected = _engine(ruleset=Ruleset(ruleset))
+        engine = _engine(ruleset=ruleset)
+        assert list(engine.ruleset) == list(ruleset)  # the Rules, in file order
+        for event in events:
+            assert engine.process_event(event) == expected.process_event(event)
+        assert engine.stats_snapshot() == expected.stats_snapshot()
+    assert _engine(ruleset=rules).ruleset is rules
+    engine = _engine(ruleset=rules[:3])
+    assert [engine.process_event(e).reason for e in events] == ["", "waf_rule_3", "waf_rule_2", "", "waf_rule_2"]
+    assert engine.stats_snapshot()["waf_log_hits"] == {"1": 3}
 
 
 def test_packet_events_use_layer_three():
