@@ -110,7 +110,7 @@ class AnalyzerConfig:
             raise ValueError(f"bucket_count must be from 1 to {MAX_BUCKET_COUNT}")
         if self.udp_min_len < 8:
             raise ValueError("udp_min_len must be at least 8 (UDP header size)")
-        if self.window_secs <= 0 or self.handshake_timeout_secs <= 0:
+        if not (self.window_secs > 0 and self.handshake_timeout_secs > 0):
             raise ValueError("window_secs and handshake_timeout_secs must be positive")
         if not self.window_secs / self.bucket_count >= sys.float_info.min:
             raise ValueError("window_secs / bucket_count must be a normal positive float")

@@ -10,8 +10,8 @@ Per event, short-circuiting on the first non-pass:
 
 HTTP events skip L3 and packet events skip L4; every event passes L1 and
 L2. One verdict line is written per consumed event, forwards included,
-so the verdict log is a complete audit trail. Sandboxed events are
-persisted to the capture sink before their verdict is emitted.
+so the verdict log is a complete audit trail. ``process_event`` persists
+each sandboxed event to the capture sink before its verdict is emitted.
 
 All timing derives from event timestamps; the blacklist refresh clock is
 the trace clock.
@@ -20,6 +20,7 @@ the trace clock.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -77,17 +78,11 @@ class SandboxSink:
 
 @dataclass
 class Stats:
-    events: int = 0
-    verdict_totals: dict[str, int] = field(default_factory=lambda: {
-        FORWARD: 0, DROP_RATE_LIMITED: 0, REJECT_BLACKLISTED: 0, SANDBOX: 0})
-    # by layer; every event reaches layer 1, so its count is ``events``
-    examined: dict[int, int] = field(default_factory=lambda: {2: 0, 3: 0, 4: 0})
-    blocked: dict[int, int] = field(default_factory=lambda: {1: 0, 2: 0, 3: 0, 4: 0})
-    sandbox_reasons: dict[str, int] = field(default_factory=dict)  # every sandbox verdict
-    blocked_by_source: dict[str, int] = field(default_factory=dict)
-    waf_log_hits: dict[int, int] = field(default_factory=dict)
+    # (kind, verdict) -> events: the one source of every verdict, layer and reason count
+    tally: defaultdict[tuple[str, Verdict], int] = field(default_factory=lambda: defaultdict(int))
+    blocked_by_source: defaultdict[str, int] = field(default_factory=lambda: defaultdict(int))
+    waf_log_hits: defaultdict[int, int] = field(default_factory=lambda: defaultdict(int))
     first_ts: float | None = None
-    last_ts: float | None = None
     skipped_lines: int = 0
 
 
@@ -103,7 +98,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.top_n < 0:
             raise ValueError("top_n must not be negative")
-        if self.blacklist_refresh_secs <= 0:
+        if not self.blacklist_refresh_secs > 0:
             raise ValueError("blacklist_refresh_secs must be positive")
 
 
@@ -125,13 +120,6 @@ class Engine:
 
     # -- verdicts ----------------------------------------------------------
 
-    def _sandbox(self, event: TraceEvent, layer: int, reason: str, rule_id: int | None = None) -> Verdict:
-        if self.sandbox is not None:
-            self.sandbox.capture(event, reason)  # persist before the verdict exists
-        reasons = self.stats.sandbox_reasons
-        reasons[reason] = reasons.get(reason, 0) + 1
-        return Verdict(SANDBOX, layer, reason, rule_id)
-
     def process_event(self, event: TraceEvent) -> Verdict:
         """Apply the layers in order; exactly one verdict per event.
 
@@ -142,48 +130,42 @@ class Engine:
             raise OutOfOrderError(event.event_id, event.ts, self._last_ts)
         self._last_ts = event.ts
         stats = self.stats
-        stats.events += 1
         if stats.first_ts is None:
             stats.first_ts = event.ts
-        stats.last_ts = event.ts
 
         verdict = self._decide(event)
 
-        stats.verdict_totals[verdict.decision] += 1
+        if verdict.decision == SANDBOX and self.sandbox is not None:
+            self.sandbox.capture(event, verdict.reason)  # persist before the verdict is written
+        stats.tally[(event.kind, verdict)] += 1
         if verdict.decision != FORWARD:
-            stats.blocked[verdict.layer] += 1
-            src = event.src_ip
-            stats.blocked_by_source[src] = stats.blocked_by_source.get(src, 0) + 1
+            stats.blocked_by_source[event.src_ip] += 1
         return verdict
 
     def _decide(self, event: TraceEvent) -> Verdict:
-        stats = self.stats
         now = event.ts
 
         if not self.limiter.acquire(event.src_ip, now):
             if self.config.rate_drop_to_sandbox:
-                return self._sandbox(event, 1, RATE_LIMITED)
+                return Verdict(SANDBOX, 1, RATE_LIMITED)
             return _RATE_LIMITED_VERDICT
 
-        stats.examined[2] += 1
         if self.blacklist.contains(event.src_ip, now):
             return _BLACKLISTED_VERDICT
 
         if event.kind == "http":
-            stats.examined[4] += 1
             waf = evaluate(self.ruleset, event.body)
             for rid in waf.log_fired:
-                stats.waf_log_hits[rid] = stats.waf_log_hits.get(rid, 0) + 1
+                self.stats.waf_log_hits[rid] += 1
             if waf.matched:
-                return self._sandbox(event, 4, f"waf_rule_{waf.rule_id}", waf.rule_id)
+                return Verdict(SANDBOX, 4, f"waf_rule_{waf.rule_id}", waf.rule_id)
         else:
-            stats.examined[3] += 1
             if event.kind == "tcp":
                 finding = self.analyzer.observe_tcp(event, now)
             else:
                 finding = self.analyzer.observe_udp(event)
             if finding is not None:
-                return self._sandbox(event, 3, finding.code, finding.detail)
+                return Verdict(SANDBOX, 3, finding.code, finding.detail)
 
         return _FORWARD_VERDICT
 
@@ -210,22 +192,40 @@ class Engine:
         return self.stats
 
     def stats_snapshot(self) -> dict:
-        """Point-in-time JSON-ready stats with a stable key order."""
+        """Point-in-time JSON-ready stats with a stable key order.
+
+        Every count derives from ``stats.tally``. Each event is examined at
+        L1, and ``events`` counts them; each without a layer-1 verdict at L2;
+        tcp/udp events at L3 and http events at L4 unless their verdict's
+        layer is 1 or 2. ``blocked[layer]`` counts the layer's non-forward
+        verdicts, and ``sandbox_reasons`` the sandbox verdicts by reason.
+        """
         stats = self.stats
+        verdicts = {FORWARD: 0, DROP_RATE_LIMITED: 0, REJECT_BLACKLISTED: 0, SANDBOX: 0}
+        reached = {1: 0, 2: 0, 3: 0, 4: 0}
+        blocked = {1: 0, 2: 0, 3: 0, 4: 0}
+        reasons: defaultdict[str, int] = defaultdict(int)
+        for (kind, (decision, layer, reason, _)), count in stats.tally.items():
+            verdicts[decision] += count
+            reached[1] += count
+            if layer != 1:
+                reached[2] += count
+                if layer != 2:
+                    reached[4 if kind == "http" else 3] += count
+            if decision != FORWARD:
+                blocked[layer] += count
+            if decision == SANDBOX:
+                reasons[reason] += count
         top = sorted(stats.blocked_by_source.items(), key=lambda kv: (-kv[1], kv[0]))
-        snapshot: dict = {
-            "events": stats.events,
-            "verdicts": dict(stats.verdict_totals),
-            "layers": {
-                str(layer): {"examined": stats.events if layer == 1 else stats.examined[layer],
-                             "blocked": blocked}
-                for layer, blocked in stats.blocked.items()
-            },
-            "sandbox_reasons": dict(sorted(stats.sandbox_reasons.items())),
+        return {
+            "events": reached[1],
+            "verdicts": verdicts,
+            "layers": {str(layer): {"examined": reached[layer], "blocked": blocked[layer]}
+                       for layer in blocked},
+            "sandbox_reasons": dict(sorted(reasons.items())),
             "waf_log_hits": {str(k): v for k, v in sorted(stats.waf_log_hits.items())},
             "top_offenders": [[ip, count] for ip, count in top[:self.config.top_n]],
             "first_ts": stats.first_ts,
-            "last_ts": stats.last_ts,
+            "last_ts": None if stats.first_ts is None else self._last_ts,
             "skipped_lines": stats.skipped_lines,
         }
-        return snapshot

@@ -23,7 +23,7 @@ class LimiterConfig:
     burst: int = 10
 
     def __post_init__(self):
-        if self.rps <= 0:
+        if not self.rps > 0:
             raise ValueError("rps must be positive")
         if not 1 <= self.burst <= sys.float_info.max:  # buckets hold float(burst) tokens
             raise ValueError("burst must be at least 1 and fit in a float")

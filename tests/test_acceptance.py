@@ -309,18 +309,19 @@ def test_09_mixed_100k_events_total_verdicts_and_exact_sandbox_file():
     sandbox_stream, verdict_out = StringIO(), StringIO()
     engine = Engine(sandbox=SandboxSink(sandbox_stream))
     started = time.perf_counter()
-    stats = engine.run_trace(lines, verdict_out)
+    engine.run_trace(lines, verdict_out)
     elapsed = time.perf_counter() - started
 
+    snap = engine.stats_snapshot()
     verdict_lines = verdict_out.getvalue().splitlines()
-    assert stats.events == len(verdict_lines) == len(lines)
+    assert snap["events"] == len(verdict_lines) == len(lines)
 
     sandboxed_ids = [json.loads(l)["event_id"] for l in verdict_lines
                      if json.loads(l)["decision"] == "sandbox"]
     captured_ids = [json.loads(l)["event"]["event_id"]
                     for l in sandbox_stream.getvalue().splitlines()]
     assert captured_ids == sandboxed_ids  # same events, same order, nothing else
-    assert len(captured_ids) == stats.verdict_totals["sandbox"]
+    assert len(captured_ids) == snap["verdicts"]["sandbox"]
     assert elapsed < 5.0
 
 

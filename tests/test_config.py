@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from ddosgate.analyzer import DEFAULT_SIGNATURES
+from ddosgate.analyzer import DEFAULT_SIGNATURES, AnalyzerConfig
 from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config, read_text
 from ddosgate.events import serialize_trace_event
 from ddosgate.pipeline import EngineConfig, SandboxSink
+from ddosgate.ratelimit import LimiterConfig
 from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import default_ruleset
 
@@ -97,6 +98,16 @@ def test_float_keys_refuse_non_finite(key, text):
     with pytest.raises(ConfigError) as exc:
         apply_overrides(default_config(), [f"{key}={text}"])
     assert key in str(exc.value)
+
+
+@pytest.mark.parametrize("make", [lambda: LimiterConfig(rps=float("nan")),
+                                  lambda: EngineConfig(blacklist_refresh_secs=float("nan")),
+                                  lambda: AnalyzerConfig(handshake_timeout_secs=float("nan"))],
+                         ids=["rps", "blacklist_refresh_secs", "handshake_timeout_secs"])
+def test_layer_configs_refuse_nan(make):
+    """The dataclasses refuse NaN themselves, not only the CLI's parser."""
+    with pytest.raises(ValueError):
+        make()
 
 
 @pytest.mark.parametrize("setting", ["stats.top_n=-1", "blacklist.refresh_secs=0",

@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,8 @@ from ddosgate.events import (
     serialize_trace_event,
 )
 from ddosgate.pipeline import Engine, EngineConfig, OutOfOrderError, SandboxSink
+from ddosgate.ratelimit import LimiterConfig
+from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import Ruleset, parse_ruleset
 
 SRV = "10.0.0.1"
@@ -48,9 +51,9 @@ def test_benign_request_forwards_at_layer_zero():
 
 def test_empty_trace_gives_zero_stats():
     engine = _engine()
-    stats = engine.run_trace([], io.StringIO())
-    assert stats.events == 0
+    engine.run_trace([], io.StringIO())
     snap = engine.stats_snapshot()
+    assert snap["events"] == 0
     assert snap["verdicts"] == {"forward": 0, "drop_rate_limited": 0,
                                 "reject_blacklisted": 0, "sandbox": 0}
     assert snap["first_ts"] is None
@@ -149,7 +152,7 @@ def test_non_finite_or_negative_ts_refused(bad_ts):
     # refused events change nothing: the source has the rest of its burst
     decisions = [engine.process_event(_http(4 + i, 1.0, "10.8.0.20")).decision for i in range(10)]
     assert decisions == ["forward"] * 9 + ["drop_rate_limited"]
-    assert engine.stats.events == 11
+    assert engine.stats_snapshot()["events"] == 11
 
 
 def test_strict_mode_aborts_on_malformed_line():
@@ -168,8 +171,9 @@ def test_lenient_mode_skips_and_counts():
     stats = engine.run_trace([good1, "nonsense", out_of_order, good2],
                              io.StringIO(), strict=False)
     assert stats.skipped_lines == 2
-    assert stats.events == 2
-    assert stats.verdict_totals["forward"] == 2
+    snap = engine.stats_snapshot()
+    assert snap["events"] == 2
+    assert snap["verdicts"]["forward"] == 2
 
 
 def test_lenient_mode_skips_non_finite_ts():
@@ -214,15 +218,64 @@ def test_verdict_count_equals_event_count():
         events.append(_syn(eid, i * 0.01, "10.8.1.1", 1000 + i)); eid += 1
         events.append(_http(eid, i * 0.01, f"10.8.2.{i + 1}")); eid += 1
     out = io.StringIO()
-    stats = engine.run_trace([serialize_trace_event(e) for e in events], out)
+    engine.run_trace([serialize_trace_event(e) for e in events], out)
     lines = out.getvalue().splitlines()
-    assert len(lines) == stats.events == 100
     snap = engine.stats_snapshot()
+    assert len(lines) == snap["events"] == 100
     assert sum(snap["verdicts"].values()) == 100
     # short-circuit monotonicity of the examined counters
     layers = snap["layers"]
     assert layers["1"]["examined"] >= layers["2"]["examined"]
     assert layers["2"]["examined"] >= layers["3"]["examined"] + layers["4"]["examined"]
+
+
+def _recount(events, verdict_lines):
+    """The snapshot's verdict, layer, reason and clock fields, recounted
+    from the verdict log joined with each event's kind and ts."""
+    verdicts = dict.fromkeys(("forward", "drop_rate_limited", "reject_blacklisted", "sandbox"), 0)
+    layers = {str(layer): {"examined": 0, "blocked": 0} for layer in range(1, 5)}
+    reasons = Counter()
+    accepted = []
+    for line in verdict_lines:
+        v = json.loads(line)
+        event = events[v["event_id"]]
+        accepted.append(event.ts)
+        verdicts[v["decision"]] += 1
+        for layer in (1, 2, 4 if event.kind == "http" else 3):  # the layers on its path
+            layers[str(layer)]["examined"] += 1
+            if layer == v["layer"]:
+                layers[str(layer)]["blocked"] += 1  # a forward has layer 0, so never gets here
+                break
+        if v["decision"] == "sandbox":
+            reasons[v["reason"]] += 1
+    return {"events": len(verdict_lines), "verdicts": verdicts, "layers": layers,
+            "sandbox_reasons": dict(sorted(reasons.items())),
+            "first_ts": accepted[0] if accepted else None,
+            "last_ts": accepted[-1] if accepted else None}
+
+
+def test_stats_snapshot_matches_verdict_log():
+    trace = list(generate(Scenario("mixed", seed=3, duration_secs=10.0)))
+    events = {e.event_id: e for e in trace}
+    lines = [serialize_trace_event(e) for e in trace]
+    runs = [  # (engine, strict); a lenient run gets an out-of-order last line to skip
+        (_engine(), True),
+        (_engine(rate_drop_to_sandbox=True, limiter=LimiterConfig(burst=2)), True),
+        (Engine(EngineConfig(blacklist_locator="inline"), fetcher=lambda _: "10.1.0.0/30\n"), False),
+    ]
+    snaps = []
+    for engine, strict in runs:
+        out = io.StringIO()
+        engine.run_trace(lines if strict else lines + [lines[0]], out, strict=strict)
+        recount = _recount(events, out.getvalue().splitlines())
+        snap = engine.stats_snapshot()
+        assert {key: snap[key] for key in recount} == recount
+        assert snap["skipped_lines"] == (0 if strict else 1)
+        snaps.append(snap)
+    _, l1_sandbox, no_sink = snaps
+    assert l1_sandbox["sandbox_reasons"]["rate_limited"] > 0  # L1 sandboxes, which L2 must not count
+    assert no_sink["layers"]["2"]["blocked"] > 0
+    assert no_sink["last_ts"] == trace[-1].ts  # the skipped line's ts 0.0 is not the last
 
 
 def test_top_offenders_counts_blocked_events():
