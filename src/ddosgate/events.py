@@ -6,7 +6,9 @@ ts, kind, src_ip, dst_ip, src_port, dst_port``. ``ts`` is a finite
 non-negative number and addresses are ASCII dotted quads without leading
 zeros. Each kind's body fields are stated once, in ``_BODIES``: their
 wire keys, checks and order, which is also the order of the body
-record's fields. Parse and serialize both read that table.
+record's fields. Parse and serialize both read that table: a canonical
+line, as serialize writes it, is read by regexes built from it, and any
+other line by ``json``.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -131,7 +133,7 @@ def flags_to_str(mask: int) -> str:
     return "".join(ch for ch in _LETTER_ORDER if mask & _FLAG_BY_LETTER[ch])
 
 
-# Every canonical-order flag string, so the parser's common case is one lookup.
+# Every canonical-order flag string, so a canonical line's flags are one lookup.
 _FLAGS_BY_STR = {flags_to_str(mask): mask for mask in range(64)}
 
 
@@ -165,7 +167,6 @@ _BODIES = {
     "http": (HttpInfo, (("method", str, 1), ("uri", str, 0), ("version", str, 0), ("headers", _PAIRS, 0),
                         ("body_b64", _B64, 0), ("duration_ms", int, _U63))),
 }
-_HEAD_KEYS = TraceEvent._fields[:7]
 
 # Compact JSON; json.dumps would build a new encoder per call for these options.
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -179,9 +180,9 @@ def _require(obj: dict, key: str, line_no: int | None):
 
 
 def _bad(obj: dict, key: str, check, bound: int, line_no: int | None):
-    """The slow path of a field that its inline check did not take: its
-    value when it is valid after all (flag letters out of canonical order,
-    non-empty base64, header pairs), else the TraceParseError naming it."""
+    """The slow path of a field that no inline check took: its value when
+    it is valid after all (flags, base64, header pairs), else the
+    TraceParseError naming it."""
     value = _require(obj, key, line_no)
     if check is int:
         message = f"{key} must be an integer" if type(value) is not int else f"{key} out of range"
@@ -221,6 +222,76 @@ def _bad(obj: dict, key: str, check, bound: int, line_no: int | None):
     raise TraceParseError(message, field=key, line_no=line_no)
 
 
+# A canonical line, exactly as serialize_trace_event writes it, as regexes
+# built from _BODIES: one for the head, which reads the kind, and one for
+# each kind's body and the label, with one group per field of a sub-pattern
+# per check. Integers have at most 20 digits, so int() stays far below the
+# interpreter's digit limit and a ts never rounds into range. Strings are
+# printable ASCII without '"' or '\', so a matched line is valid UTF-8 and
+# each string's text is its value.
+_PLAIN = r'[ !#-\[\]-~]*'
+_PAIR = re.compile(r'\["(%s)","(%s)"\]' % (_PLAIN, _PLAIN))
+_GROUP = {
+    int: "(0|[1-9][0-9]{0,19})",
+    float: r"((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)",
+    str: '"(%s)"' % _PLAIN,
+    _ADDR: '"(%s)"' % _IPV4.pattern,
+    _FLAGS: '"([SAFRPU]*)"',
+    _B64: '"([A-Za-z0-9+/=]*)"',
+    _PAIRS: r'(\[(?:%s(?:,%s)*)?\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),
+}
+_CANONICAL_HEAD = re.compile(
+    r'\{"event_id":%s,"ts":%s,"kind":"(%s)","src_ip":%s,"dst_ip":%s,"src_port":%s,"dst_port":%s'
+    % (_GROUP[int], _GROUP[float], "|".join(_BODIES), _GROUP[_ADDR], _GROUP[_ADDR], _GROUP[int], _GROUP[int]))
+# kind -> (the regex of the rest of its line, body record, the body fields' (check, bound))
+_CANONICAL_BODY = {
+    kind: (re.compile(r'%s(?:,"label":%s)?\}[ \t\n\r]*'
+                      % ("".join(',"%s":%s' % (key, _GROUP[check]) for key, check, _ in fields), _GROUP[str])),
+           record, tuple((check, bound) for _, check, bound in fields))
+    for kind, (record, fields) in _BODIES.items()
+}
+
+
+def _parse_canonical(line: str) -> TraceEvent | None:
+    """The event of a canonical line, the one parse_trace_event would give;
+    None for any other line, valid or not, which the JSON path then reads."""
+    head = _CANONICAL_HEAD.match(line)
+    if head is None:
+        return None
+    event_id, ts, kind, src_ip, dst_ip, src_port, dst_port = head.groups()
+    pattern, record, checks = _CANONICAL_BODY[kind]
+    match = pattern.fullmatch(line, head.end())
+    if match is None:
+        return None
+    *texts, label = match.groups()
+    event_id, ts, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
+    if event_id > _U63 or ts > _MAX_TS or src_port > _U16 or dst_port > _U16:
+        return None
+    values = []
+    for text, (check, bound) in zip(texts, checks):
+        if check is int:
+            value = int(text)
+            if value > bound:
+                return None
+        elif check is _FLAGS:
+            value = _FLAGS_BY_STR.get(text)  # letters out of canonical order miss
+            if value is None:
+                return None
+        elif check is _B64:
+            try:
+                value = base64.b64decode(text, validate=True) if text else b""
+            except ValueError:  # bad padding
+                return None
+        elif check is str:
+            if len(text) < bound:
+                return None
+            value = text
+        else:  # _PAIRS
+            value = tuple(_PAIR.findall(text))
+        values.append(value)
+    return TraceEvent(event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, record._make(values), label)
+
+
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     """Parse one JSONL trace line. Unknown fields are ignored.
 
@@ -231,7 +302,13 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     first bad one is named in the TraceParseError. A line holding
     undecodable bytes (read with ``errors="surrogateescape"``) is
     rejected as not UTF-8.
+
+    A canonical line takes ``_parse_canonical``; every other line, and
+    every error, comes from the JSON path below.
     """
+    event = _parse_canonical(line)
+    if event is not None:
+        return event
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -241,6 +318,10 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"malformed JSON: {exc.msg}", line_no=line_no) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise TraceParseError("malformed JSON: integer has too many digits", line_no=line_no) from None
+    except RecursionError:
+        raise TraceParseError("malformed JSON: nested too deeply", line_no=line_no) from None
     if type(obj) is not dict:
         raise TraceParseError("trace line is not a JSON object", line_no=line_no)
     get = obj.get
@@ -280,10 +361,6 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
         elif check is str:
             if type(value) is not str or len(value) < bound:
                 _bad(obj, key, check, bound, line_no)
-        elif check is _FLAGS and type(value) is str and value in _FLAGS_BY_STR:
-            value = _FLAGS_BY_STR[value]
-        elif check is _B64 and value == "":
-            value = b""
         else:
             value = _bad(obj, key, check, bound, line_no)
         values.append(value)
@@ -294,24 +371,47 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     return TraceEvent(event_id, float(ts), kind, src_ip, dst_ip, src_port, dst_port, record._make(values), label)
 
 
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+_FLAG_STRS = tuple(flags_to_str(mask) for mask in range(64))
+
+# How a field of each check is written: its %-conversion, and what turns the
+# value into the conversion's argument (None: the value itself). Flag letters
+# and base64 need no JSON escapes; other strings and header pairs go through
+# the compact encoder, which writes the pairs' tuples as arrays.
+_WRITE = {int: ("%d", None), str: ("%s", _dumps), _PAIRS: ("%s", _dumps),
+          _FLAGS: ('"%s"', lambda mask: _FLAG_STRS[mask & 63]), _B64: ('"%s"', _b64)}
+
+
+def _template(kind: str, fields) -> str:
+    """The %-template of a kind's line up to its label."""
+    head = ('{"event_id":%%d,"ts":%%r,"kind":%s,"src_ip":%%s,"dst_ip":%%s,"src_port":%%d,"dst_port":%%d'
+            % _dumps(kind))
+    return head + "".join(',"%s":%s' % (key, _WRITE[check][0]) for key, check, _ in fields)
+
+
+# kind -> (its template, body record, the body fields' writers)
+_TEMPLATES = {kind: (_template(kind, fields), record, tuple(_WRITE[check][1] for _, check, _ in fields))
+              for kind, (record, fields) in _BODIES.items()}
+
+
 def serialize_trace_event(event: TraceEvent) -> str:
     """Inverse of parse_trace_event; stable key order, compact separators.
+    The bytes are those of compact JSON for any finite ts, which is written
+    with repr as JSON writes it.
 
     Raises ValueError when the body is not the record of the event's kind.
     """
-    record, fields = _BODIES.get(event.kind, (None, ()))
-    if record is None or not isinstance(event.body, record):
-        raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
-    obj = dict(zip(_HEAD_KEYS, event))
-    for (key, check, _), value in zip(fields, event.body):
-        if check is _FLAGS:
-            value = flags_to_str(value)
-        elif check is _B64:
-            value = base64.b64encode(value).decode("ascii")
-        obj[key] = value  # header pairs are tuples, which JSON writes as arrays
-    if event.label is not None:
-        obj["label"] = event.label
-    return _dumps(obj)
+    event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, body, label = event
+    template, record, writers = _TEMPLATES.get(kind, (None, None, ()))
+    if record is None or not isinstance(body, record):
+        raise ValueError(f"a {kind!r} event cannot carry a {type(body).__name__} body")
+    values = [event_id, ts, _dumps(src_ip), _dumps(dst_ip), src_port, dst_port]
+    values += [value if write is None else write(value) for write, value in zip(writers, body)]
+    line = template % tuple(values)
+    return line + "}" if label is None else '%s,"label":%s}' % (line, _dumps(label))
 
 
 def flow_key(event: TraceEvent) -> FlowKey:

@@ -19,7 +19,6 @@ the trace clock.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TextIO
@@ -28,6 +27,7 @@ from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
 from .events import (
     _MAX_TS,
+    _dumps,
     DROP_RATE_LIMITED,
     FORWARD,
     REJECT_BLACKLISTED,
@@ -72,8 +72,8 @@ class SandboxSink:
         self._stream = stream
 
     def capture(self, event: TraceEvent, reason: str) -> None:
-        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%s}\n'
-                           % (serialize_trace_event(event), json.dumps(reason), json.dumps(event.ts)))
+        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%r}\n'
+                           % (serialize_trace_event(event), _dumps(reason), event.ts))
 
 
 @dataclass

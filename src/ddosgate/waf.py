@@ -31,7 +31,6 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
-from urllib.parse import unquote_plus
 
 from .events import HttpInfo
 
@@ -99,11 +98,22 @@ def _lowercase(value: str) -> str:
     return value.lower() if value.isascii() else value.translate(_ASCII_LOWER)
 
 
+# Each %XX is one byte, read as one latin-1 char, as unquote_plus(value,
+# encoding="latin-1") decodes it; invalid or cut-short escapes stay literal.
+_HEX_DIGITS = "0123456789ABCDEFabcdef"
+_HEX_PAIRS = {a + b: chr(int(a + b, 16)) for a in _HEX_DIGITS for b in _HEX_DIGITS}
+
+
 def _urldecode_once(value: str) -> str:
-    if "%" not in value and "+" not in value:
+    value = value.replace("+", " ")
+    if "%" not in value:
         return value
-    # each %XX is one byte, one char; invalid or cut-short escapes stay literal
-    return unquote_plus(value, encoding="latin-1")
+    first, *rest = value.split("%")
+    out = [first]
+    for part in rest:
+        char = _HEX_PAIRS.get(part[:2])
+        out.append("%" + part if char is None else char + part[2:])
+    return "".join(out)
 
 
 _TRANSFORM_FNS = {"lowercase": _lowercase, "urldecode": _urldecode_once}

@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import sys
 
 import pytest
 
@@ -184,6 +185,32 @@ def test_non_utf8_line_is_a_parse_error(tmp_path, cli_run):
         assert lenient.returncode == 0, lenient.stderr
         assert [json.loads(v)["event_id"] for v in (tmp_path / "v.jsonl").read_text().splitlines()] == [1, 2]
         assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 1
+
+
+# The interpreter limits int() to 4,300 digits from Python 3.11 on; before
+# that such an integer is read and fails its range check instead.
+@pytest.mark.parametrize("bad, malformed", [
+    ('{"event_id":' + "9" * 5000 + "}", hasattr(sys, "get_int_max_str_digits")),
+    ("[" * 200_000 + "]" * 200_000, True),
+], ids=["huge_integer", "deep_nesting"])
+def test_huge_integer_or_deep_nesting_is_one_bad_line(tmp_path, cli_run, bad, malformed):
+    good = [json.dumps({"event_id": i, "ts": float(i), "kind": "udp", "src_ip": "10.0.0.2",
+                        "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 8,
+                        "checksum": 0, "payload_b64": ""}) for i in (1, 2)]
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(good[0] + "\n" + bad + "\n" + good[1] + "\n")
+    common = ["--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
+              "--set", f"sandbox.log_path={os.devnull}", "--stats", str(tmp_path / "s.json")]
+
+    strict = cli_run(["run", *common])
+    assert strict.returncode == 1
+    assert len(strict.stderr.splitlines()) == 1 and strict.stderr.startswith("error: line 2: "), strict.stderr
+    assert strict.stderr.startswith("error: line 2: malformed JSON: ") == malformed
+
+    lenient = cli_run(["run", "--lenient", *common])
+    assert lenient.returncode == 0, lenient.stderr
+    assert [json.loads(v)["event_id"] for v in (tmp_path / "v.jsonl").read_text().splitlines()] == [1, 2]
+    assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 1
 
 
 def test_check_reports_rule_count(tmp_path, cli_run):

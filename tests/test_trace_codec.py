@@ -1,0 +1,181 @@
+"""The trace codec's fast paths against the general ones.
+
+``events._parse_canonical`` reads canonical lines with regexes; every
+other line goes through ``json``. For each line here the
+fast path must give the event the ``json`` path gives, or decline it.
+``serialize_trace_event`` and ``SandboxSink.capture`` write from
+%-templates; they must write the bytes of the dict-plus-JSON serializer
+they replaced, kept here as the reference.
+"""
+
+import base64
+import io
+import json
+import random
+
+import pytest
+
+from ddosgate import events
+from ddosgate.events import (
+    HttpInfo,
+    TraceEvent,
+    TraceParseError,
+    flags_to_str,
+    parse_trace_event,
+    serialize_trace_event,
+)
+from ddosgate.pipeline import SandboxSink
+from ddosgate.trafficgen import _SCENARIOS, Scenario, generate
+from test_parse_fuzz import _golden_lines, _mutate
+
+MUTANTS = 4000
+
+
+def _scenario_events(tmp_path) -> list[TraceEvent]:
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    evs = []
+    for name in sorted(_SCENARIOS):
+        params = {"feed": str(feed)} if name == "blacklist_mix" else {}
+        evs += generate(Scenario(name, params=params, seed=11, duration_secs=3.0))
+    return evs
+
+
+def _reference_serialize(event: TraceEvent) -> str:
+    obj = dict(zip(TraceEvent._fields[:7], event))
+    for (key, check, _), value in zip(events._BODIES[event.kind][1], event.body):
+        if check == events._FLAGS:
+            value = flags_to_str(value)
+        elif check == events._B64:
+            value = base64.b64encode(value).decode("ascii")
+        obj[key] = value
+    if event.label is not None:
+        obj["label"] = event.label
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _reference_capture(event: TraceEvent, reason: str) -> str:
+    return '{"event":%s,"reason":%s,"verdict_ts":%s}\n' % (
+        _reference_serialize(event), json.dumps(reason), json.dumps(event.ts))
+
+
+def _typed(event: TraceEvent):
+    return event, tuple(map(type, event)), tuple(map(type, event.body))
+
+
+def _json_outcome(line: str, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(events, "_parse_canonical", lambda line: None)
+        try:
+            return _typed(parse_trace_event(line))
+        except TraceParseError as exc:
+            return exc.field, str(exc)
+
+
+def _assert_fast_agrees_or_declines(lines, monkeypatch) -> int:
+    """The number of lines the fast path read."""
+    taken = 0
+    for line in lines:
+        fast = events._parse_canonical(line)
+        if fast is not None:
+            taken += 1
+            assert _typed(fast) == _json_outcome(line, monkeypatch), line
+    return taken
+
+
+def _tcp(**changes) -> str:
+    obj = {"event_id": 7, "ts": 1.5, "kind": "tcp", "src_ip": "10.0.0.2", "dst_ip": "10.0.0.1",
+           "src_port": 40000, "dst_port": 80, "flags": "SA", "seq": 1, "ack": 2, "urgent_ptr": 0,
+           "payload_b64": "AAE=", "label": "benign"}
+    obj.update(changes)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def test_fast_path_agrees_on_mutants(monkeypatch):
+    rng = random.Random(4047)
+    golden = _golden_lines()
+    mutants = [_mutate(rng, rng.choice(golden))[0] for _ in range(MUTANTS)]
+    assert _assert_fast_agrees_or_declines(golden + mutants, monkeypatch) > MUTANTS // 100
+
+
+def test_fast_path_agrees_on_every_scenario(tmp_path, monkeypatch):
+    lines = [serialize_trace_event(e) + "\n" for e in _scenario_events(tmp_path)]
+    taken = _assert_fast_agrees_or_declines(lines, monkeypatch)
+    # only a string the compact encoder escaped sends a generated line the long way
+    assert taken == sum("\\" not in line for line in lines) > len(lines) // 2
+
+
+def _http(**changes) -> str:
+    obj = {"event_id": 8, "ts": 2.0, "kind": "http", "src_ip": "10.0.0.3", "dst_ip": "10.0.0.1",
+           "src_port": 40001, "dst_port": 80, "method": "GET", "uri": "/a?b=[c]", "version": "HTTP/1.1",
+           "headers": [["host", "h"], ["x", "],[ "]], "body_b64": "", "duration_ms": 9}
+    obj.update(changes)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("line, fast", [
+    (_tcp(), True),
+    (_tcp() + "\r\n", True),
+    (_tcp() + "  \t", True),
+    (_tcp(label=None)[:-len(',"label":null}')] + "}", True),
+    (_tcp(ts=0), True),
+    (_tcp(ts=5), True),
+    (_tcp().replace('"ts":1.5', '"ts":1e5'), True),
+    (_tcp().replace('"ts":1.5', '"ts":1E-3'), True),
+    (_tcp(ts=2**64), True),
+    (_tcp(flags="AS"), False),  # letters out of canonical order
+    (_tcp(payload_b64="AAE"), False),  # bad padding: the json path names it
+    (_tcp(seq=2**32), False),
+    (_tcp(seq=10**20), False),  # 21 digits
+    (_tcp(ts=10**20), False),
+    (" " + _tcp(), False),
+    (_tcp().replace('{"event_id":7,', '{')[:-1] + ',"event_id":7}', False),  # reordered keys
+    (_tcp()[:-1] + ',"x":1}', False),  # an extra key
+    (_tcp()[:-1] + ',"seq":3}', False),  # a duplicate key: json keeps the last
+    (_tcp(label='say "hi"'), False),  # an escaped label
+    (_tcp(label="naïve"), False),
+    (_tcp(label=None), False),
+    (_http(), True),
+    (_http(headers=[]), True),
+    (_http(method=""), False),  # the json path names the empty method
+    (_http(headers=[["a", "b", "c"]]), False),
+    (_http(headers=[["a", 'q"']]), False),
+    (_http(uri="/\u00e9"), False),
+])
+def test_fast_path_edge_lines(line, fast, monkeypatch):
+    assert (events._parse_canonical(line) is not None) == fast
+    assert _assert_fast_agrees_or_declines([line], monkeypatch) == fast
+
+
+def test_lone_surrogate_label_is_not_utf8():
+    raw = _tcp(label="x").encode().replace(b'"x"', b'"\xff"').decode("utf-8", "surrogateescape")
+    assert events._parse_canonical(raw) is None
+    with pytest.raises(TraceParseError, match="not valid UTF-8"):
+        parse_trace_event(raw)
+
+
+def _odd_http_events() -> list[TraceEvent]:
+    headers = (("host", "hé"), ("x-q", 'a"b\\c\td'), ("x-u", "✓\U0001f600"), ("x-s", "\udc80"))
+    return [TraceEvent(9, 0.1 * i, "http", "10.0.0.4", "10.0.0.1", 41000, 80,
+                       HttpInfo("GET", uri, "HTTP/1.1", headers, b"\x00\xff", 120), label)
+            for i, (uri, label) in enumerate([("/a?q=\"x\"", "attack:é"), ("/ü", None),
+                                              ("/\\", 'we"ird\n')])]
+
+
+def test_serializer_writes_the_reference_bytes(tmp_path):
+    evs = _scenario_events(tmp_path) + _odd_http_events()
+    assert {e.kind for e in evs} == {"tcp", "udp", "http"}
+    for event in evs:
+        assert serialize_trace_event(event) == _reference_serialize(event)
+
+
+def test_capture_writes_the_reference_bytes(tmp_path):
+    evs = _scenario_events(tmp_path)[::7] + _odd_http_events()
+    reasons = ["syn_flood", "waf_rule_1001", 'r"\\é']
+    out = io.StringIO()
+    sink = SandboxSink(out)
+    expected = []
+    for i, event in enumerate(evs):
+        sink.capture(event, reasons[i % len(reasons)])
+        expected.append(_reference_capture(event, reasons[i % len(reasons)]))
+    assert out.getvalue() == "".join(expected)

@@ -45,6 +45,14 @@ def test_transform_urldecode_is_single_pass():
     assert apply_transforms("%253Cscript%253E", ("urldecode",)) == "%3Cscript%3E"
 
 
+def test_urldecode_agrees_with_unquote_plus_on_random_strings():
+    rng = random.Random(2718)
+    alphabet = "%%%++0123456789abcdefABCDEFgG é\u0100\u0663\U0001f600"
+    for _ in range(20000):
+        value = "".join(rng.choice(alphabet) for _ in range(rng.randrange(14)))
+        assert apply_transforms(value, ("urldecode",)) == unquote_plus(value, encoding="latin-1"), value
+
+
 def test_transform_lowercase_is_ascii_only():
     assert apply_transforms("ABC", ("lowercase",)) == "abc"
     assert apply_transforms("ÉÈ", ("lowercase",)) == "ÉÈ"
