@@ -4,11 +4,11 @@ Trace files are UTF-8 JSONL, one event per line. Every line starts with
 the seven head fields, the first seven fields of TraceEvent: ``event_id,
 ts, kind, src_ip, dst_ip, src_port, dst_port``. ``ts`` is a finite
 non-negative number and addresses are ASCII dotted quads without leading
-zeros. Each kind's body fields are stated once, in ``_BODIES``: their
-wire keys, checks and order, which is also the order of the body
-record's fields. Parse and serialize both read that table: a canonical
-line, as serialize writes it, is read by regexes built from it, and any
-other line by ``json``.
+zeros. The head fields are stated once, in ``_HEAD``, and each kind's
+body fields once, in ``_BODIES``: their wire keys, checks and order,
+which is also the order of the record's fields. Parse and serialize
+both read these tables: a canonical line, as serialize writes it, is
+read by regexes built from them, and any other line by ``json``.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -133,8 +133,10 @@ def flags_to_str(mask: int) -> str:
     return "".join(ch for ch in _LETTER_ORDER if mask & _FLAG_BY_LETTER[ch])
 
 
-# Every canonical-order flag string, so a canonical line's flags are one lookup.
-_FLAGS_BY_STR = {flags_to_str(mask): mask for mask in range(64)}
+# Every flag string in canonical letter order, by mask, and the mask of each,
+# so writing a mask or reading a canonical line's flags is one lookup.
+_FLAG_STRS = tuple(flags_to_str(mask) for mask in range(64))
+_FLAGS_BY_STR = {text: mask for mask, text in enumerate(_FLAG_STRS)}
 
 
 def ipv4_to_int(text: str) -> int | None:
@@ -150,16 +152,20 @@ def int_to_ipv4(value: int) -> str:
     return socket.inet_ntoa(value.to_bytes(4, "big"))
 
 
-# A field's check: int (an integer from 0 to bound), float (a finite
-# non-negative number), str (a string of at least bound characters), or one
-# of these four wire encodings.
+# A field's check: int (an integer from 0 to bound), float (a number from 0
+# to bound, as a float), str (a string of at least bound characters), or one
+# of these five wire encodings.
+_KIND = "kind"  # one of the kinds in _BODIES
 _ADDR = "ipv4"  # a dotted-quad string, kept as text
 _FLAGS = "flags"  # letters over "SAFRPU" in any order, as a bitmask
 _B64 = "base64"  # a base64 string, as bytes
 _PAIRS = "pairs"  # [[name, value], ...] of strings, as a tuple of pairs
 
-# The wire format of each kind's body, stated once: kind -> (body record,
-# its fields in record order as (wire key, check, bound)).
+# The wire format, stated once as (wire key, check, bound) fields: the head
+# every line starts with, in TraceEvent order, and each kind's body, as
+# kind -> (body record, its fields in record order).
+_HEAD = (("event_id", int, _U63), ("ts", float, _MAX_TS), ("kind", _KIND, 0), ("src_ip", _ADDR, 0),
+         ("dst_ip", _ADDR, 0), ("src_port", int, _U16), ("dst_port", int, _U16))
 _BODIES = {
     "tcp": (TcpInfo, (("flags", _FLAGS, 0), ("seq", int, _U32), ("ack", int, _U32),
                       ("urgent_ptr", int, _U16), ("payload_b64", _B64, 0))),
@@ -172,30 +178,37 @@ _BODIES = {
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _require(obj: dict, key: str, line_no: int | None):
+def _field(obj: dict, key: str, check, bound, line_no: int | None):
+    """The value of field ``key`` of a decoded line, or the TraceParseError
+    naming it."""
     try:
-        return obj[key]
+        value = obj[key]
     except KeyError:
         raise TraceParseError(f"missing required field {key!r}", field=key, line_no=line_no) from None
-
-
-def _bad(obj: dict, key: str, check, bound: int, line_no: int | None):
-    """The slow path of a field that no inline check took: its value when
-    it is valid after all (flags, base64, header pairs), else the
-    TraceParseError naming it."""
-    value = _require(obj, key, line_no)
     if check is int:
+        if type(value) is int and 0 <= value <= bound:
+            return value
         message = f"{key} must be an integer" if type(value) is not int else f"{key} out of range"
     elif check is float:
         if (type(value) is not float and type(value) is not int) or value < 0:
             message = f"{key} must be a non-negative number"
+        elif value <= bound:  # False for NaN
+            return float(value)
         else:
             message = f"{key} must be finite, got {value!r}"
     elif check is str:
+        if type(value) is str and len(value) >= bound:
+            return value
         message = f"{key} must be a {'non-empty ' if bound else ''}string"
+    elif check is _KIND:
+        if type(value) is str and value in _BODIES:
+            return value
+        message = f"unknown event kind {value!r}"
     elif check is _ADDR:
         if type(value) is not str:
             message = f"{key} must be a dotted-quad string"
+        elif ipv4_to_int(value) is not None:
+            return value
         else:
             message = f"{key} is not a valid IPv4 address: {value!r}"
     elif check is _FLAGS:
@@ -223,26 +236,25 @@ def _bad(obj: dict, key: str, check, bound: int, line_no: int | None):
 
 
 # A canonical line, exactly as serialize_trace_event writes it, as regexes
-# built from _BODIES: one for the head, which reads the kind, and one for
-# each kind's body and the label, with one group per field of a sub-pattern
-# per check. Integers have at most 20 digits, so int() stays far below the
-# interpreter's digit limit and a ts never rounds into range. Strings are
-# printable ASCII without '"' or '\', so a matched line is valid UTF-8 and
-# each string's text is its value.
+# built from _HEAD and _BODIES: one for the head, which reads the kind, and
+# one for each kind's body and the label, with one group per field of a
+# sub-pattern per check. Integers have at most 20 digits, so int() stays far
+# below the interpreter's digit limit and a ts never rounds into range.
+# Strings are printable ASCII without '"' or '\', so a matched line is valid
+# UTF-8 and each string's text is its value.
 _PLAIN = r'[ !#-\[\]-~]*'
 _PAIR = re.compile(r'\["(%s)","(%s)"\]' % (_PLAIN, _PLAIN))
 _GROUP = {
     int: "(0|[1-9][0-9]{0,19})",
     float: r"((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)",
     str: '"(%s)"' % _PLAIN,
+    _KIND: '"(%s)"' % "|".join(_BODIES),
     _ADDR: '"(%s)"' % _IPV4.pattern,
     _FLAGS: '"([SAFRPU]*)"',
     _B64: '"([A-Za-z0-9+/=]*)"',
     _PAIRS: r'(\[(?:%s(?:,%s)*)?\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),
 }
-_CANONICAL_HEAD = re.compile(
-    r'\{"event_id":%s,"ts":%s,"kind":"(%s)","src_ip":%s,"dst_ip":%s,"src_port":%s,"dst_port":%s'
-    % (_GROUP[int], _GROUP[float], "|".join(_BODIES), _GROUP[_ADDR], _GROUP[_ADDR], _GROUP[int], _GROUP[int]))
+_CANONICAL_HEAD = re.compile(r"\{" + ",".join('"%s":%s' % (key, _GROUP[check]) for key, check, _ in _HEAD))
 # kind -> (the regex of the rest of its line, body record, the body fields' (check, bound))
 _CANONICAL_BODY = {
     kind: (re.compile(r'%s(?:,"label":%s)?\}[ \t\n\r]*'
@@ -298,10 +310,10 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     Malformed-but-parseable packets (empty flag set, UDP length that
     disagrees with the payload) are preserved; flagging them is the
     analyzer's job, not the parser's. Fields are checked in a fixed
-    order, the head's and then the body's in ``_BODIES`` order, and the
-    first bad one is named in the TraceParseError. A line holding
-    undecodable bytes (read with ``errors="surrogateescape"``) is
-    rejected as not UTF-8.
+    order, the head's in ``_HEAD`` order and then the body's in
+    ``_BODIES`` order, and the first bad one is named in the
+    TraceParseError. A line holding undecodable bytes (read with
+    ``errors="surrogateescape"``) is rejected as not UTF-8.
 
     A canonical line takes ``_parse_canonical``; every other line, and
     every error, comes from the JSON path below.
@@ -324,76 +336,32 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
         raise TraceParseError("malformed JSON: nested too deeply", line_no=line_no) from None
     if type(obj) is not dict:
         raise TraceParseError("trace line is not a JSON object", line_no=line_no)
-    get = obj.get
-
-    event_id = get("event_id")
-    if type(event_id) is not int or not 0 <= event_id <= _U63:
-        _bad(obj, "event_id", int, _U63, line_no)
-    ts = get("ts")
-    if (type(ts) is not float and type(ts) is not int) or not 0 <= ts <= _MAX_TS:
-        _bad(obj, "ts", float, 0, line_no)
-    kind = get("kind")
-    if kind is None:
-        _require(obj, "kind", line_no)
-    src_ip = get("src_ip")
-    if type(src_ip) is not str or ipv4_to_int(src_ip) is None:
-        _bad(obj, "src_ip", _ADDR, 0, line_no)
-    dst_ip = get("dst_ip")
-    if type(dst_ip) is not str or ipv4_to_int(dst_ip) is None:
-        _bad(obj, "dst_ip", _ADDR, 0, line_no)
-    src_port = get("src_port")
-    if type(src_port) is not int or not 0 <= src_port <= _U16:
-        _bad(obj, "src_port", int, _U16, line_no)
-    dst_port = get("dst_port")
-    if type(dst_port) is not int or not 0 <= dst_port <= _U16:
-        _bad(obj, "dst_port", int, _U16, line_no)
-
-    spec = _BODIES.get(kind) if type(kind) is str else None
-    if spec is None:
-        raise TraceParseError(f"unknown event kind {kind!r}", field="kind", line_no=line_no)
-    record, fields = spec
-    values = []
-    for key, check, bound in fields:
-        value = get(key)
-        if check is int:
-            if type(value) is not int or not 0 <= value <= bound:
-                _bad(obj, key, check, bound, line_no)
-        elif check is str:
-            if type(value) is not str or len(value) < bound:
-                _bad(obj, key, check, bound, line_no)
-        else:
-            value = _bad(obj, key, check, bound, line_no)
-        values.append(value)
-
-    label = get("label")
+    head = [_field(obj, key, check, bound, line_no) for key, check, bound in _HEAD]
+    record, fields = _BODIES[head[2]]  # by its kind
+    body = record._make([_field(obj, key, check, bound, line_no) for key, check, bound in fields])
+    label = obj.get("label")
     if label is not None and type(label) is not str:
         raise TraceParseError("label must be a string", field="label", line_no=line_no)
-    return TraceEvent(event_id, float(ts), kind, src_ip, dst_ip, src_port, dst_port, record._make(values), label)
+    return TraceEvent(*head, body, label)
 
 
 def _b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
 
-_FLAG_STRS = tuple(flags_to_str(mask) for mask in range(64))
-
 # How a field of each check is written: its %-conversion, and what turns the
-# value into the conversion's argument (None: the value itself). Flag letters
-# and base64 need no JSON escapes; other strings and header pairs go through
-# the compact encoder, which writes the pairs' tuples as arrays.
-_WRITE = {int: ("%d", None), str: ("%s", _dumps), _PAIRS: ("%s", _dumps),
+# value into the conversion's argument (None: the value itself). Kinds, flag
+# letters and base64 need no JSON escapes; other strings, addresses and
+# header pairs go through the compact encoder, which writes the pairs'
+# tuples as arrays.
+_WRITE = {int: ("%d", None), float: ("%r", None), str: ("%s", _dumps), _KIND: ('"%s"', None),
+          _ADDR: ("%s", _dumps), _PAIRS: ("%s", _dumps),
           _FLAGS: ('"%s"', lambda mask: _FLAG_STRS[mask & 63]), _B64: ('"%s"', _b64)}
 
-
-def _template(kind: str, fields) -> str:
-    """The %-template of a kind's line up to its label."""
-    head = ('{"event_id":%%d,"ts":%%r,"kind":%s,"src_ip":%%s,"dst_ip":%%s,"src_port":%%d,"dst_port":%%d'
-            % _dumps(kind))
-    return head + "".join(',"%s":%s' % (key, _WRITE[check][0]) for key, check, _ in fields)
-
-
-# kind -> (its template, body record, the body fields' writers)
-_TEMPLATES = {kind: (_template(kind, fields), record, tuple(_WRITE[check][1] for _, check, _ in fields))
+# kind -> (the %-template of its line up to the label, body record, the body
+# fields' writers); serialize_trace_event writes the head values itself.
+_TEMPLATES = {kind: ("{" + ",".join('"%s":%s' % (key, _WRITE[check][0]) for key, check, _ in _HEAD + fields),
+                     record, tuple(_WRITE[check][1] for _, check, _ in fields))
               for kind, (record, fields) in _BODIES.items()}
 
 
@@ -408,7 +376,7 @@ def serialize_trace_event(event: TraceEvent) -> str:
     template, record, writers = _TEMPLATES.get(kind, (None, None, ()))
     if record is None or not isinstance(body, record):
         raise ValueError(f"a {kind!r} event cannot carry a {type(body).__name__} body")
-    values = [event_id, ts, _dumps(src_ip), _dumps(dst_ip), src_port, dst_port]
+    values = [event_id, ts, kind, _dumps(src_ip), _dumps(dst_ip), src_port, dst_port]
     values += [value if write is None else write(value) for write, value in zip(writers, body)]
     line = template % tuple(values)
     return line + "}" if label is None else '%s,"label":%s}' % (line, _dumps(label))

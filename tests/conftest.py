@@ -1,4 +1,5 @@
-"""Where the tests find ``ddosgate``, and the ``cli_run`` fixture.
+"""Where the tests find ``ddosgate``, and the ``cli_run`` and
+``bench_inputs_root`` fixtures.
 
 The tests import the ``ddosgate`` that the environment provides (an
 install, or ``PYTHONPATH``), so ``PYTHONPATH=<checkout>/src`` decides
@@ -43,3 +44,10 @@ def cli_run():
                               capture_output=True, text=True, env=env, **kwargs)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def bench_inputs_root(tmp_path_factory) -> str:
+    """One input cache for ``perfbench/workloads.prepare`` per test run, so
+    each benchmark trace is generated once however many tests read it."""
+    return str(tmp_path_factory.mktemp("bench-inputs"))

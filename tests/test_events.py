@@ -1,5 +1,6 @@
 """Trace model: parsing, serialization, flags, the IPv4 codec and the UDP checksum."""
 
+import itertools
 import json
 import random
 
@@ -102,6 +103,20 @@ def test_parse_rejects_non_finite_ts():
         with pytest.raises(TraceParseError) as exc:
             parse_trace_event(line)
         assert exc.value.field == "ts"
+
+
+def test_head_fields_checked_in_head_order():
+    # each case breaks two head fields, by a bad value or by leaving the
+    # first out; the first in head order is named
+    bad = {"event_id": -1, "ts": -1.0, "kind": "icmp", "src_ip": "10.0.0.256", "dst_ip": 7,
+           "src_port": 65536, "dst_port": None}
+    for first, second in itertools.combinations(bad, 2):
+        obj = json.loads(_tcp_line(**{second: bad[second]}))
+        missing = {key: value for key, value in obj.items() if key != first}
+        for broken in ({**obj, first: bad[first]}, missing):
+            with pytest.raises(TraceParseError) as exc:
+                parse_trace_event(json.dumps(broken))
+            assert exc.value.field == first, broken
 
 
 def test_ipv4_codec():

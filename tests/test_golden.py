@@ -37,9 +37,9 @@ def _sha256(path) -> str:
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_workload_outputs_match_reference(workload, tmp_path):
+def test_workload_outputs_match_reference(workload, tmp_path, bench_inputs_root):
     ref = REFERENCE["workloads"][workload]
-    inputs = workloads.prepare(workload, REFERENCE["seed"], str(tmp_path / "inputs"))
+    inputs = workloads.prepare(workload, REFERENCE["seed"], bench_inputs_root)
     assert (_sha256(inputs.trace), inputs.events) == (ref["trace"], ref["events"])
 
     out = {name: tmp_path / name for name in ("verdicts", "sandbox", "stats")}

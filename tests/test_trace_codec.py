@@ -26,9 +26,11 @@ from ddosgate.events import (
 )
 from ddosgate.pipeline import SandboxSink
 from ddosgate.trafficgen import _SCENARIOS, Scenario, generate
+from test_golden import REFERENCE, workloads
 from test_parse_fuzz import _golden_lines, _mutate
 
 MUTANTS = 4000
+BENCH_STRIDE = 10  # every 10th line of each benchmark trace: 16,309 lines in all
 
 
 def _scenario_events(tmp_path) -> list[TraceEvent]:
@@ -103,6 +105,20 @@ def test_fast_path_agrees_on_every_scenario(tmp_path, monkeypatch):
     taken = _assert_fast_agrees_or_declines(lines, monkeypatch)
     # only a string the compact encoder escaped sends a generated line the long way
     assert taken == sum("\\" not in line for line in lines) > len(lines) // 2
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_json_path_agrees_on_benchmark_traces(workload, bench_inputs_root, monkeypatch):
+    # perfbench/workloads.py writes these lines without the program's
+    # serializer; every one takes the fast path, so only here does the json
+    # path read them
+    inputs = workloads.prepare(workload, REFERENCE["seed"], bench_inputs_root)
+    with open(inputs.trace, encoding="utf-8") as fh:
+        lines = fh.readlines()[::BENCH_STRIDE]
+    fast = [events._parse_canonical(line) for line in lines]
+    assert None not in fast
+    monkeypatch.setattr(events, "_parse_canonical", lambda line: None)
+    assert [_typed(parse_trace_event(line)) for line in lines] == [_typed(event) for event in fast]
 
 
 def _http(**changes) -> str:
