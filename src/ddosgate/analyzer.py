@@ -16,13 +16,16 @@ a stateless server until the count decays below half the threshold.
 
 Stateless UDP side: port, size, and checksum filtering.
 
-Sliding windows are rings of bucket_count counters over window_secs, so
-threshold decisions are exact to within one bucket. A half-open finding
-additionally depends on flows opened up to handshake_timeout_secs
-before the window, since a SYN only folds into the window when it
-expires. A ring exists only once written, and a source's rings are
-dropped once they have all left the window, so window state covers only
-the sources seen in about the last two windows.
+Both sides return the layer-3 ``Verdict`` of their finding, or None;
+each verdict is built once.
+
+Sliding windows are rings of bucket_count counters over window_secs, one
+per (source, finding code), so threshold decisions are exact to within
+one bucket. A half-open finding additionally depends on flows opened up
+to handshake_timeout_secs before the window, since a SYN only folds into
+the window when it expires. A ring exists only once written and is
+dropped on its own once it has left the window, so window state covers
+only the (source, finding) pairs counted in about the last two windows.
 
 All time comes from packet timestamps.
 """
@@ -37,12 +40,14 @@ from .events import (
     ACK,
     PSH,
     RST,
+    SANDBOX,
     SYN,
     URG,
     FlowKey,
     TcpInfo,
     TraceEvent,
     UdpInfo,
+    Verdict,
     flow_key,
     ipv4_to_int,
     validate_udp_checksum,
@@ -62,10 +67,15 @@ UDP_BLOCKED_PORT = "udp_blocked_port"
 UDP_SIZE_VIOLATION = "udp_size_violation"
 UDP_BAD_CHECKSUM = "udp_bad_checksum"
 
+# The verdict of every finding that carries no rule id, shared, not rebuilt per packet.
+_VERDICTS = {code: Verdict(SANDBOX, 3, code) for code in (
+    SYN_HALF_OPEN, ACK_FLOOD, RST_FLOOD, PSH_ANOMALY, URG_ANOMALY, COOKIE_INVALID,
+    UDP_BLOCKED_PORT, UDP_SIZE_VIOLATION, UDP_BAD_CHECKSUM)}
+
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_EPOCH = int(sys.float_info.max)  # every finite ts / bucket width truncates to at most this
 COOKIE_COUNTER_SECS = 64  # cookie counter advances once per 64 s of trace time
-MAX_BUCKET_COUNT = 1000  # a window ring is a list of bucket_count ints per source and class
+MAX_BUCKET_COUNT = 1000  # a window ring is a list of bucket_count ints per source and finding
 
 DEFAULT_SIGNATURES: tuple[bytes, ...] = (
     b"() {",          # bash function-definition injection
@@ -74,12 +84,6 @@ DEFAULT_SIGNATURES: tuple[bytes, ...] = (
     b"cmd.exe /c",
     b"\x90\x90\x90\x90\x90\x90\x90\x90",  # NOP sled
 )
-
-
-@dataclass(frozen=True, slots=True)
-class Finding:
-    code: str
-    detail: int | None = None
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,6 @@ class _Window:
         return self.total
 
 
-_SYN_INCOMPLETE = 0
-_BARE_ACK = 1
-_RST = 2
-_PSH = 3
-_URG = 4
-_N_CLASSES = 5
-
-
 class Analyzer:
     """Single-writer analyzer state; packets must arrive in timestamp
     order, which ``Engine.process_event`` guards for the pipeline."""
@@ -238,11 +234,12 @@ class Analyzer:
         self.entries = ChainMap(self._half_open, self._established)  # every tracked flow
         self._pending_by_source: dict[str, int] = {}
         self._expires_at = 0.0
-        # source -> one ring per class, None until first written
-        self._windows: dict[str, list[_Window | None]] = {}
+        # (source, finding code) -> its ring, made on its first count
+        self._windows: dict[tuple[str, str], _Window] = {}
         self._next_sweep = 0.0
         self.cookie_mode = False
-        self._signatures = list(enumerate(self.config.payload_signatures, start=1))
+        self._signatures = [(sig, Verdict(SANDBOX, 3, PAYLOAD_SIGNATURE, sig_id))
+                            for sig_id, sig in enumerate(self.config.payload_signatures, start=1)]
 
     # -- window helpers ----------------------------------------------------
 
@@ -252,18 +249,22 @@ class Analyzer:
         except OverflowError:  # the quotient rounded to inf
             return _MAX_EPOCH
 
-    def _bump(self, src_ip: str, cls: int, ts: float) -> int:
-        """Count one ``cls`` packet of the source at ``ts``; returns the
-        window total. A ring is made on its first count."""
+    def _bump(self, src_ip: str, code: str, ts: float) -> int:
+        """Count one packet toward the source's ``code`` finding at ``ts``;
+        returns the window total. A ring is made on its first count."""
         epoch = self._epoch(ts)
-        rings = self._windows.get(src_ip)
-        if rings is None:
-            rings = self._windows[src_ip] = [None] * _N_CLASSES
-        ring = rings[cls]
+        key = (src_ip, code)
+        ring = self._windows.get(key)
         if ring is None:
-            ring = rings[cls] = _Window(self.config.bucket_count, epoch)
+            ring = self._windows[key] = _Window(self.config.bucket_count, epoch)
         ring.add(epoch)
         return ring.total
+
+    def _flag(self, src_ip: str, code: str, ts: float, threshold: int) -> Verdict | None:
+        """Count the packet; the finding's verdict once the total reaches ``threshold``."""
+        if self._bump(src_ip, code, ts) >= threshold:
+            return _VERDICTS[code]
+        return None
 
     # -- handshake table ---------------------------------------------------
 
@@ -290,7 +291,7 @@ class Analyzer:
                 self._expires_at = expired_at
                 return
             self._close_half_open(flow)
-            self._bump(flow.src_ip, _SYN_INCOMPLETE, expired_at)
+            self._bump(flow.src_ip, SYN_HALF_OPEN, expired_at)
         self._expires_at = now + timeout
 
     def _evict_for_capacity(self, now: float) -> None:
@@ -300,7 +301,7 @@ class Analyzer:
             if self._half_open:
                 flow = next(iter(self._half_open))
                 self._close_half_open(flow)
-                self._bump(flow.src_ip, _SYN_INCOMPLETE, now)
+                self._bump(flow.src_ip, SYN_HALF_OPEN, now)
             else:
                 self._established.popitem(last=False)
 
@@ -313,17 +314,16 @@ class Analyzer:
             self.cookie_mode = False
 
     def _evict_expired_windows(self, now: float) -> None:
-        """Drop the rings of every source whose rings all last moved
-        bucket_count or more epochs before ``epoch(now)``. Called after
-        ``_expire(now)``, so every later add or count uses an epoch at or
-        after ``epoch(now)`` and would first reset such a ring to all
-        zeros, which is what a missing ring reads. Runs at most once per
-        window_secs of trace time."""
+        """Drop every ring that last moved bucket_count or more epochs
+        before ``epoch(now)``. Called after ``_expire(now)``, so every
+        later add or count uses an epoch at or after ``epoch(now)`` and
+        would first reset such a ring to all zeros, which is what a
+        missing ring reads. Runs at most once per window_secs of trace
+        time."""
         cutoff = self._epoch(now) - self.config.bucket_count
-        stale = [src for src, rings in self._windows.items()
-                 if all(ring is None or ring.epoch <= cutoff for ring in rings)]
-        for src in stale:
-            del self._windows[src]
+        stale = [key for key, ring in self._windows.items() if ring.epoch <= cutoff]
+        for key in stale:
+            del self._windows[key]
         self._next_sweep = now + self.config.window_secs
 
     def _advance_clock(self, now: float) -> None:
@@ -343,17 +343,19 @@ class Analyzer:
         """Incomplete handshakes charged to a source: window-folded
         expiries plus its half-open flows still pending."""
         pending = self._pending_by_source.get(src_ip, 0)
-        rings = self._windows.get(src_ip)
-        if rings is None or rings[_SYN_INCOMPLETE] is None:
+        ring = self._windows.get((src_ip, SYN_HALF_OPEN))
+        if ring is None:
             return pending
-        return rings[_SYN_INCOMPLETE].count(self._epoch(now)) + pending
+        return ring.count(self._epoch(now)) + pending
 
-    def observe_tcp(self, pkt: TraceEvent, now: float) -> Finding | None:
+    def observe_tcp(self, pkt: TraceEvent) -> Verdict | None:
         """Fixed check order, first hit wins; at most one finding per packet.
 
-        ``now`` must be finite and not earlier than any earlier packet's.
+        The clock is ``pkt.ts``, which must be finite and not earlier than
+        any earlier packet's.
         """
         cfg = self.config
+        now = pkt.ts
         self._advance_clock(now)
         body = pkt.body
         assert isinstance(body, TcpInfo)
@@ -363,9 +365,9 @@ class Analyzer:
 
         # (1) concrete maliciousness beats rate anomalies
         if flags & PSH and payload:
-            for sig_id, sig in self._signatures:
+            for sig, verdict in self._signatures:
                 if sig in payload:
-                    return Finding(PAYLOAD_SIGNATURE, sig_id)
+                    return verdict
 
         # (2) connection-opening SYN
         if flags & SYN and not flags & ACK:
@@ -377,7 +379,7 @@ class Analyzer:
             if created is not None:
                 # retransmitted/superseded SYN: the old pending one never
                 # completed, charge it now and restart the clock
-                self._bump(src, _SYN_INCOMPLETE, now)
+                self._bump(src, SYN_HALF_OPEN, now)
                 if created != now:
                     half_open[flow] = now
                     half_open.move_to_end(flow)
@@ -387,7 +389,7 @@ class Analyzer:
                 self._pending_by_source[src] = self._pending_by_source.get(src, 0) + 1
             # SYN on an established flow: ignore for state, still thresholded
             if self.incomplete_count(src, now) >= cfg.syn_half_open_per_source:
-                return Finding(SYN_HALF_OPEN)
+                return _VERDICTS[SYN_HALF_OPEN]
             return None
 
         if flags & ACK:
@@ -399,7 +401,7 @@ class Analyzer:
                 if self.cookie_mode and check_syn_cookie(
                         cfg.syncookie_secret, flow, int(now // COOKIE_COUNTER_SECS),
                         (body.ack - 1) & 0xFFFFFFFF) is None:
-                    return Finding(COOKIE_INVALID)
+                    return _VERDICTS[COOKIE_INVALID]
                 if pending:
                     self._close_half_open(flow)
                 else:
@@ -408,43 +410,35 @@ class Analyzer:
                 return None
             # (4) bare ACK with no flow behind it
             if not payload and flow not in self._established:
-                if self._bump(src, _BARE_ACK, now) >= cfg.ack_flood_per_source:
-                    return Finding(ACK_FLOOD)
-                return None
+                return self._flag(src, ACK_FLOOD, now, cfg.ack_flood_per_source)
 
         # (5) reset frequency
         if flags & RST:
-            if self._bump(src, _RST, now) >= cfg.rst_flood_per_source:
-                return Finding(RST_FLOOD)
-            return None
+            return self._flag(src, RST_FLOOD, now, cfg.rst_flood_per_source)
 
         # (6) push with nothing pushed
         if flags & PSH and not payload:
-            if self._bump(src, _PSH, now) >= cfg.psh_anomaly_per_source:
-                return Finding(PSH_ANOMALY)
-            return None
+            return self._flag(src, PSH_ANOMALY, now, cfg.psh_anomaly_per_source)
 
         # (7) urgent-pointer misuse
         if flags & URG and (body.urgent_ptr == 0 or not flags & ACK):
-            if self._bump(src, _URG, now) >= cfg.urg_anomaly_per_source:
-                return Finding(URG_ANOMALY)
-            return None
+            return self._flag(src, URG_ANOMALY, now, cfg.urg_anomaly_per_source)
 
         return None
 
-    def observe_udp(self, pkt: TraceEvent) -> Finding | None:
+    def observe_udp(self, pkt: TraceEvent) -> Verdict | None:
         """Stateless checks: blocked port, then size, then checksum."""
         cfg = self.config
         body = pkt.body
         assert isinstance(body, UdpInfo)
         if pkt.dst_port in cfg.udp_blocked_ports:
-            return Finding(UDP_BLOCKED_PORT)
+            return _VERDICTS[UDP_BLOCKED_PORT]
         if (body.length < cfg.udp_min_len or body.length > cfg.udp_max_len
                 or body.length != 8 + len(body.payload)):
-            return Finding(UDP_SIZE_VIOLATION)
+            return _VERDICTS[UDP_SIZE_VIOLATION]
         if cfg.udp_validate_checksum and body.checksum != 0:
             # checksum 0 means "not computed" and passes
             if not validate_udp_checksum(pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port,
                                          body.length, body.checksum, body.payload):
-                return Finding(UDP_BAD_CHECKSUM)
+                return _VERDICTS[UDP_BAD_CHECKSUM]
         return None

@@ -113,13 +113,14 @@ def serialize_feed(entries: list[Cidr] | tuple[Cidr, ...]) -> str:
 
 
 def fetch_feed(locator: str, timeout: float = DEFAULT_FETCH_TIMEOUT_SECS) -> str:
-    """Read the feed from a local path or an http(s) URL with a bounded timeout."""
+    """Read the feed from a local path or an http(s) URL with a bounded
+    timeout. Either way an undecodable byte spoils only its own line."""
     if locator.startswith(("http://", "https://")):
         import urllib.request  # only URL feeds need the HTTP stack
 
         with urllib.request.urlopen(locator, timeout=timeout) as resp:
             return resp.read().decode("utf-8", errors="replace")
-    with open(locator, encoding="utf-8") as fh:
+    with open(locator, encoding="utf-8", errors="replace") as fh:
         return fh.read()
 
 

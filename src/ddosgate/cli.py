@@ -54,28 +54,28 @@ def cmd_run(args) -> int:
             engine = build_engine(cfg)
         except RulesetError as exc:
             return _fail(f"ruleset: {exc}", USAGE_EXIT)
-        # Opened only once the config is known good, so a config error
-        # leaves an earlier capture intact.
-        with open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh:
-            engine.sandbox = SandboxSink(sandbox_fh)
-            # Undecodable bytes reach the parser as lone surrogates, which it
-            # rejects as one bad line.
-            if args.trace == "-":
-                trace_fh = sys.stdin
-                if isinstance(trace_fh, io.TextIOWrapper):
-                    trace_fh.reconfigure(errors="surrogateescape")
-            else:
-                trace_fh = open(args.trace, encoding="utf-8", errors="surrogateescape")
-            try:
-                with open(args.out, "w", encoding="utf-8") as out_fh:
-                    engine.run_trace(trace_fh, out_fh, strict=args.strict)
-            finally:
-                if trace_fh is not sys.stdin:
-                    trace_fh.close()
-            if args.stats:
-                with open(args.stats, "w", encoding="utf-8") as stats_fh:
-                    json.dump(engine.stats_snapshot(), stats_fh, indent=2)
-                    stats_fh.write("\n")
+        # Undecodable bytes reach the parser as lone surrogates, which it
+        # rejects as one bad line.
+        if args.trace == "-":
+            trace_fh = sys.stdin
+            if isinstance(trace_fh, io.TextIOWrapper):
+                trace_fh.reconfigure(errors="surrogateescape")
+        else:
+            trace_fh = open(args.trace, encoding="utf-8", errors="surrogateescape")
+        # The outputs are opened only once the config and the trace are
+        # known good, so an error there leaves earlier outputs intact.
+        try:
+            with open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh, \
+                    open(args.out, "w", encoding="utf-8") as out_fh:
+                engine.sandbox = SandboxSink(sandbox_fh)
+                engine.run_trace(trace_fh, out_fh, strict=args.strict)
+        finally:
+            if trace_fh is not sys.stdin:
+                trace_fh.close()
+        if args.stats:
+            with open(args.stats, "w", encoding="utf-8") as stats_fh:
+                json.dump(engine.stats_snapshot(), stats_fh, indent=2)
+                stats_fh.write("\n")
     except (TraceParseError, OutOfOrderError) as exc:
         return _fail(str(exc), RUNTIME_EXIT)
     except UnicodeDecodeError as exc:  # a stdin stand-in that decodes strictly

@@ -24,6 +24,7 @@ import functools
 import json
 import re
 import socket
+import struct
 import sys
 from typing import NamedTuple
 
@@ -398,10 +399,9 @@ def _ones_complement_sum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
         raise ValueError(f"not an IPv4 address pair: {src_ip!r}, {dst_ip!r}")
     total = ((src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
              + 0x0011 + length + src_port + dst_port + length + checksum)
-    n = len(payload)
-    data = payload if n % 2 == 0 else payload + b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+    if len(payload) % 2:
+        payload += b"\x00"
+    total += sum(struct.unpack("!%dH" % (len(payload) // 2), payload))
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return total

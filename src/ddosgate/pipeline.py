@@ -47,6 +47,7 @@ BLACKLISTED = "blacklisted"
 
 # The verdicts that carry nothing from the event are shared, not rebuilt per event.
 _RATE_LIMITED_VERDICT = Verdict(DROP_RATE_LIMITED, 1, RATE_LIMITED)
+_RATE_LIMITED_SANDBOX_VERDICT = Verdict(SANDBOX, 1, RATE_LIMITED)
 _BLACKLISTED_VERDICT = Verdict(REJECT_BLACKLISTED, 2, BLACKLISTED)
 _FORWARD_VERDICT = Verdict(FORWARD, 0, "")
 
@@ -147,7 +148,7 @@ class Engine:
 
         if not self.limiter.acquire(event.src_ip, now):
             if self.config.rate_drop_to_sandbox:
-                return Verdict(SANDBOX, 1, RATE_LIMITED)
+                return _RATE_LIMITED_SANDBOX_VERDICT
             return _RATE_LIMITED_VERDICT
 
         if self.blacklist.contains(event.src_ip, now):
@@ -161,11 +162,11 @@ class Engine:
                 return Verdict(SANDBOX, 4, f"waf_rule_{waf.rule_id}", waf.rule_id)
         else:
             if event.kind == "tcp":
-                finding = self.analyzer.observe_tcp(event, now)
+                verdict = self.analyzer.observe_tcp(event)
             else:
-                finding = self.analyzer.observe_udp(event)
-            if finding is not None:
-                return Verdict(SANDBOX, 3, finding.code, finding.detail)
+                verdict = self.analyzer.observe_udp(event)
+            if verdict is not None:
+                return verdict
 
         return _FORWARD_VERDICT
 

@@ -200,6 +200,16 @@ def test_fetch_feed_reads_a_url_with_a_timeout(monkeypatch):
     assert calls == [("https://feed.example/drop.txt", 10.0)]
 
 
+def test_feed_file_with_an_undecodable_byte_loses_only_that_line(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_bytes(b"10.0.0.0/8\n\xff\n192.168.0.0/16\n")
+    assert fetch_feed(str(feed)) == "10.0.0.0/8\n\ufffd\n192.168.0.0/16\n"
+    blacklist = Blacklist(str(feed), 300.0, fetch_feed)
+    assert blacklist.contains("10.1.2.3", 0.0)
+    assert blacklist.contains("192.168.9.9", 0.0)
+    assert (blacklist.error_count, len(blacklist.current)) == (0, 2)
+
+
 def test_importing_the_cli_loads_no_http_stack():
     code = ("import sys, ddosgate.cli; "
             "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")

@@ -87,6 +87,18 @@ def test_run_missing_trace_exits_1(tmp_path, cli_run):
     assert proc.returncode == 1
 
 
+def test_run_missing_trace_keeps_earlier_outputs(tmp_path, cli_run):
+    sandbox, verdicts = tmp_path / "sb.jsonl", tmp_path / "v.jsonl"
+    sandbox.write_bytes(b'{"earlier":"capture"}\n')
+    verdicts.write_bytes(b'{"earlier":"verdict"}\n')
+    proc = cli_run(["run", "--trace", str(tmp_path / "nope.jsonl"), "--out", str(verdicts),
+                    "--set", f"sandbox.log_path={sandbox}"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "nope.jsonl" in proc.stderr
+    assert sandbox.read_bytes() == b'{"earlier":"capture"}\n'
+    assert verdicts.read_bytes() == b'{"earlier":"verdict"}\n'
+
+
 def test_run_unknown_config_key_exits_2(tmp_path, cli_run):
     trace = tmp_path / "t.jsonl"
     trace.write_text("")
@@ -241,6 +253,17 @@ def test_blacklist_fetch_normalizes_and_reports(tmp_path, cli_run):
     assert proc.returncode == 0
     assert out.read_text() == "10.77.0.0/16\n203.0.113.0/24\n"
     assert "2 entries written, 2 lines skipped" in proc.stdout
+
+
+def test_blacklist_fetch_skips_only_an_undecodable_line(tmp_path, cli_run):
+    feed = tmp_path / "raw.txt"
+    feed.write_bytes(b"10.0.0.0/8\n\xff\n192.168.0.0/16\n")
+    out = tmp_path / "clean.txt"
+    proc = cli_run(["blacklist", "fetch", "--path", str(feed), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == "10.0.0.0/8\n192.168.0.0/16\n"
+    assert "2 entries written, 1 lines skipped" in proc.stdout
+    assert "skipped line 2: bad_address" in proc.stdout
 
 
 def test_blacklist_fetch_failure_leaves_out_untouched(tmp_path, cli_run):

@@ -17,6 +17,7 @@ from ddosgate.events import (
     TraceParseError,
     UdpInfo,
     Verdict,
+    _ones_complement_sum,
     compute_udp_checksum,
     flags_from_str,
     flags_to_str,
@@ -256,6 +257,32 @@ def test_udp_validate_of_computed_random_packets():
         csum = compute_udp_checksum(src, dst, sport, dport, length, payload)
         assert 1 <= csum <= 0xFFFF
         assert validate_udp_checksum(src, dst, sport, dport, length, csum, payload)
+
+
+def _reference_sum(src, dst, sport, dport, length, checksum, payload):
+    """The one's-complement sum as a byte-pair loop over pseudo-header,
+    UDP header and payload, padded with one zero byte if odd."""
+    data = (bytes(int(part) for part in f"{src}.{dst}".split(".")) + bytes((0, 17))
+            + b"".join(v.to_bytes(2, "big") for v in (length, sport, dport, length, checksum))
+            + payload)
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total > 0xFFFF:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def test_ones_complement_sum_matches_byte_pair_loop():
+    rng = random.Random(2207)
+    for size in list(range(80)) * 4:  # every length 0-79, odd ones included, four times
+        src, dst = (int_to_ipv4(rng.getrandbits(32)) for _ in range(2))
+        sport, dport, checksum = rng.getrandbits(16), rng.getrandbits(16), rng.getrandbits(16)
+        payload = rng.randbytes(size) if size % 3 else b"\xff" * size  # all-ones words carry most
+        args = (src, dst, sport, dport, 8 + size, checksum, payload)
+        assert _ones_complement_sum(*args) == _reference_sum(*args), args
 
 
 def test_udp_single_byte_payload_corruption_detected():

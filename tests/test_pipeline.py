@@ -12,6 +12,7 @@ from ddosgate.events import (
     TraceEvent,
     TraceParseError,
     UdpInfo,
+    flags_from_str,
     serialize_trace_event,
 )
 from ddosgate.pipeline import Engine, EngineConfig, OutOfOrderError, SandboxSink
@@ -105,6 +106,22 @@ def test_packet_events_use_layer_three():
     engine = _engine()
     v = engine.process_event(_udp_bad(1, 0.0, "10.8.0.3"))
     assert (v.decision, v.layer, v.reason) == ("sandbox", 3, "udp_size_violation")
+
+
+def test_layer_three_verdict_is_the_analyzers_own():
+    engine = _engine()
+    returned = []
+    for name in ("observe_tcp", "observe_udp"):
+        def spy(pkt, observe=getattr(engine.analyzer, name)):
+            returned.append(observe(pkt))
+            return returned[-1]
+        setattr(engine.analyzer, name, spy)
+    signature = TraceEvent(1, 0.0, "tcp", "10.8.0.9", SRV, 4000, 80,
+                           TcpInfo(flags_from_str("PA"), 1, 1, 0, b"/bin/sh -c"))
+    for event in (signature, _udp_bad(2, 0.1, "10.8.0.9")):
+        verdict = engine._decide(event)
+        assert verdict is returned[-1] is not None
+    assert [v.reason for v in returned] == ["payload_signature", "udp_size_violation"]
 
 
 def test_sandbox_file_matches_sandbox_verdicts():
