@@ -79,7 +79,9 @@ class CidrSnapshot:
         return len(self.entries)
 
     def contains(self, ip: str) -> bool:
-        """True iff any entry's prefix covers ip."""
+        """True iff any entry's prefix covers ip; an empty snapshot parses no address."""
+        if not self._starts:
+            return False
         value = ipv4_to_int(ip)
         if value is None:
             return False

@@ -8,7 +8,9 @@ zeros. The head fields are stated once, in ``_HEAD``, and each kind's
 body fields once, in ``_BODIES``: their wire keys, checks and order,
 which is also the order of the record's fields. Parse and serialize
 both read these tables: a canonical line, as serialize writes it, is
-read by regexes built from them, and any other line by ``json``.
+read by regexes built from them and one converter per kind, whose
+checks the codec tests hold to ``_BODIES``, and any other line by
+``json``.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -140,12 +142,26 @@ _FLAG_STRS = tuple(flags_to_str(mask) for mask in range(64))
 _FLAGS_BY_STR = {text: mask for mask, text in enumerate(_FLAG_STRS)}
 
 
+# The values of the dotted quads read last: L2 reads each event's source,
+# and the UDP checksum and the SYN-cookie hash both addresses, after the
+# parser has checked them. Emptied when full, so a flood of new sources
+# keeps it bounded and pays one probe and one store per address.
+_IPV4_VALUES: dict[str, int] = {}
+_IPV4_VALUES_MAX = 1024
+
+
 def ipv4_to_int(text: str) -> int | None:
     """The 32-bit value of a dotted quad such as "10.0.0.1", or None when
     ``text`` is not one: ASCII digits only, no leading zeros, octets 0..255."""
+    value = _IPV4_VALUES.get(text)
+    if value is not None:
+        return value
     if _IPV4.fullmatch(text) is None:
         return None
-    return int.from_bytes(socket.inet_aton(text), "big")
+    if len(_IPV4_VALUES) >= _IPV4_VALUES_MAX:
+        _IPV4_VALUES.clear()
+    value = _IPV4_VALUES[text] = int.from_bytes(socket.inet_aton(text), "big")
+    return value
 
 
 def int_to_ipv4(value: int) -> str:
@@ -256,12 +272,53 @@ _GROUP = {
     _PAIRS: r'(\[(?:%s(?:,%s)*)?\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),
 }
 _CANONICAL_HEAD = re.compile(r"\{" + ",".join('"%s":%s' % (key, _GROUP[check]) for key, check, _ in _HEAD))
-# kind -> (the regex of the rest of its line, body record, the body fields' (check, bound))
+# Each kind's body from its matched texts, with the checks of _BODIES that
+# the regex leaves: int bounds, flag letters in canonical order, base64
+# padding and a non-empty method. None declines the line. A converter's
+# parameters are its record's fields. Records are built with tuple.__new__,
+# which skips the NamedTuple constructor's argument handling.
+_new = tuple.__new__
+
+
+def _b64decode(text: str) -> bytes | None:
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError:  # bad padding
+        return None
+
+
+def _tcp_body(flags, seq, ack, urgent_ptr, payload):
+    flags = _FLAGS_BY_STR.get(flags)  # letters out of canonical order miss
+    seq, ack, urgent_ptr = int(seq), int(ack), int(urgent_ptr)
+    payload = _b64decode(payload) if payload else b""
+    if flags is None or seq > _U32 or ack > _U32 or urgent_ptr > _U16 or payload is None:
+        return None
+    return _new(TcpInfo, (flags, seq, ack, urgent_ptr, payload))
+
+
+def _udp_body(length, checksum, payload):
+    length, checksum = int(length), int(checksum)
+    payload = _b64decode(payload) if payload else b""
+    if length > _U16 or checksum > _U16 or payload is None:
+        return None
+    return _new(UdpInfo, (length, checksum, payload))
+
+
+def _http_body(method, uri, version, headers, body, duration_ms):
+    duration_ms = int(duration_ms)
+    body = _b64decode(body) if body else b""
+    if not method or duration_ms > _U63 or body is None:
+        return None
+    return _new(HttpInfo, (method, uri, version, tuple(_PAIR.findall(headers)), body, duration_ms))
+
+
+_CONVERTERS = {"tcp": _tcp_body, "udp": _udp_body, "http": _http_body}
+# kind -> (the regex of the rest of its line, its body converter)
 _CANONICAL_BODY = {
     kind: (re.compile(r'%s(?:,"label":%s)?\}[ \t\n\r]*'
                       % ("".join(',"%s":%s' % (key, _GROUP[check]) for key, check, _ in fields), _GROUP[str])),
-           record, tuple((check, bound) for _, check, bound in fields))
-    for kind, (record, fields) in _BODIES.items()
+           _CONVERTERS[kind])
+    for kind, (_, fields) in _BODIES.items()
 }
 
 
@@ -272,37 +329,18 @@ def _parse_canonical(line: str) -> TraceEvent | None:
     if head is None:
         return None
     event_id, ts, kind, src_ip, dst_ip, src_port, dst_port = head.groups()
-    pattern, record, checks = _CANONICAL_BODY[kind]
+    pattern, convert = _CANONICAL_BODY[kind]
     match = pattern.fullmatch(line, head.end())
     if match is None:
         return None
-    *texts, label = match.groups()
     event_id, ts, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
     if event_id > _U63 or ts > _MAX_TS or src_port > _U16 or dst_port > _U16:
         return None
-    values = []
-    for text, (check, bound) in zip(texts, checks):
-        if check is int:
-            value = int(text)
-            if value > bound:
-                return None
-        elif check is _FLAGS:
-            value = _FLAGS_BY_STR.get(text)  # letters out of canonical order miss
-            if value is None:
-                return None
-        elif check is _B64:
-            try:
-                value = base64.b64decode(text, validate=True) if text else b""
-            except ValueError:  # bad padding
-                return None
-        elif check is str:
-            if len(text) < bound:
-                return None
-            value = text
-        else:  # _PAIRS
-            value = tuple(_PAIR.findall(text))
-        values.append(value)
-    return TraceEvent(event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, record._make(values), label)
+    *texts, label = match.groups()
+    body = convert(*texts)
+    if body is None:
+        return None
+    return _new(TraceEvent, (event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, body, label))
 
 
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:

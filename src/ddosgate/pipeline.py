@@ -40,7 +40,7 @@ from .events import (
     serialize_verdict_record,
 )
 from .ratelimit import LimiterConfig, LimiterTable
-from .waf import Rule, Ruleset, default_ruleset, evaluate
+from .waf import SANDBOX_ACTION, Rule, Ruleset, default_ruleset, evaluate
 
 RATE_LIMITED = "rate_limited"
 BLACKLISTED = "blacklisted"
@@ -115,6 +115,9 @@ class Engine:
         if ruleset is None:
             ruleset = default_ruleset()
         self.ruleset = ruleset if isinstance(ruleset, Ruleset) else Ruleset(ruleset)
+        # rule id -> the one verdict of each sandbox rule, shared by every request it catches
+        self._waf_verdicts = {rule.id: Verdict(SANDBOX, 4, f"waf_rule_{rule.id}", rule.id)
+                              for rule in self.ruleset if rule.action == SANDBOX_ACTION}
         self.sandbox = sandbox
         self.stats = Stats()
         self._last_ts = 0.0
@@ -159,7 +162,7 @@ class Engine:
             for rid in waf.log_fired:
                 self.stats.waf_log_hits[rid] += 1
             if waf.matched:
-                return Verdict(SANDBOX, 4, f"waf_rule_{waf.rule_id}", waf.rule_id)
+                return self._waf_verdicts[waf.rule_id]
         else:
             if event.kind == "tcp":
                 verdict = self.analyzer.observe_tcp(event)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import ddosgate
+from ddosgate import blacklist
 from ddosgate.blacklist import (
     Blacklist,
     Cidr,
@@ -169,6 +170,22 @@ def test_empty_snapshot_contains_nothing():
     snap = CidrSnapshot([])
     assert not snap.contains("10.0.0.1")
     assert len(snap) == 0
+
+
+def test_empty_snapshot_parses_no_address(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(blacklist, "ipv4_to_int", refuse)
+    assert not CidrSnapshot([]).contains("10.0.0.1")
+    assert not CidrSnapshot([]).contains("not an address")
+
+
+def test_loaded_snapshot_misses_malformed_addresses():
+    snap = CidrSnapshot([parse_cidr("0.0.0.0/0")])
+    assert snap.contains("10.0.0.1")
+    for bad in ("", "10.0.0", "256.0.0.1", "010.0.0.1", "10.0.0.1 ", "hello"):
+        assert not snap.contains(bad)
 
 
 def test_entries_deduplicated_and_ordered():

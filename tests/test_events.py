@@ -17,6 +17,8 @@ from ddosgate.events import (
     TraceParseError,
     UdpInfo,
     Verdict,
+    _IPV4_VALUES,
+    _IPV4_VALUES_MAX,
     _ones_complement_sum,
     compute_udp_checksum,
     flags_from_str,
@@ -132,6 +134,17 @@ def test_ipv4_codec():
         text = int_to_ipv4(value)
         assert text == ".".join(str(value >> shift & 255) for shift in (24, 16, 8, 0))
         assert ipv4_to_int(text) == value
+
+
+def test_ipv4_values_stay_bounded_and_exact():
+    rng = random.Random(78)
+    values = [rng.getrandbits(32) for _ in range(3 * _IPV4_VALUES_MAX)]
+    for value in values:
+        assert ipv4_to_int(int_to_ipv4(value)) == value
+        assert len(_IPV4_VALUES) <= _IPV4_VALUES_MAX
+    assert _IPV4_VALUES[int_to_ipv4(values[-1])] == values[-1]
+    assert ipv4_to_int("010.0.0.1") is None
+    assert "010.0.0.1" not in _IPV4_VALUES
 
 
 def test_parse_rejects_unknown_kind_and_bad_base64():

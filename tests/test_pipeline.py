@@ -14,6 +14,7 @@ from ddosgate.events import (
     UdpInfo,
     flags_from_str,
     serialize_trace_event,
+    serialize_verdict_record,
 )
 from ddosgate.pipeline import Engine, EngineConfig, OutOfOrderError, SandboxSink
 from ddosgate.ratelimit import LimiterConfig
@@ -78,6 +79,15 @@ def test_waf_consulted_only_after_rate_and_blacklist_pass():
     engine = _engine()
     v = engine.process_event(_http(1, 0.0, "10.8.0.2", uri="/p?id=1%20union%20select%202"))
     assert (v.decision, v.layer, v.rule_id) == ("sandbox", 4, 1001)
+
+
+def test_a_waf_rule_gives_one_shared_verdict():
+    engine = _engine()
+    caught = [_http(1, 0.0, "10.8.0.4", uri="/?q=<script>"), _http(2, 0.1, "10.8.0.5", uri="/x?<SCRIPT")]
+    first, second = [engine.process_event(e) for e in caught]
+    assert first is second
+    assert serialize_verdict_record(caught[1], second) == (
+        '{"event_id":2,"decision":"sandbox","layer":4,"reason":"waf_rule_1002","rule_id":1002}')
 
 
 def test_engine_takes_any_sequence_of_rules():

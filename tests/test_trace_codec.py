@@ -9,6 +9,7 @@ they replaced, kept here as the reference.
 """
 
 import base64
+import inspect
 import io
 import json
 import random
@@ -161,6 +162,34 @@ def _http(**changes) -> str:
 def test_fast_path_edge_lines(line, fast, monkeypatch):
     assert (events._parse_canonical(line) is not None) == fast
     assert _assert_fast_agrees_or_declines([line], monkeypatch) == fast
+
+
+def _udp(**changes) -> str:
+    obj = {"event_id": 9, "ts": 3.0, "kind": "udp", "src_ip": "10.0.0.5", "dst_ip": "10.0.0.1",
+           "src_port": 40002, "dst_port": 53, "length": 10, "checksum": 0, "payload_b64": "AAE="}
+    obj.update(changes)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+_LINES = {"tcp": _tcp, "udp": _udp, "http": _http}
+_INT_BODY_FIELDS = [(kind, key, bound) for kind, (_, fields) in events._BODIES.items()
+                    for key, check, bound in fields if check is int]
+
+
+@pytest.mark.parametrize("kind, key, bound", _INT_BODY_FIELDS, ids=[f"{k}.{f}" for k, f, _ in _INT_BODY_FIELDS])
+def test_int_body_field_bounds(kind, key, bound, monkeypatch):
+    at_bound = _LINES[kind](**{key: bound})
+    assert _assert_fast_agrees_or_declines([at_bound], monkeypatch) == 1
+    past = _LINES[kind](**{key: bound + 1})
+    assert events._parse_canonical(past) is None
+    assert _json_outcome(past, monkeypatch) == (key, f"{key} out of range")
+
+
+@pytest.mark.parametrize("kind", sorted(events._BODIES))
+def test_each_converter_takes_its_records_fields(kind):
+    record, _ = events._BODIES[kind]
+    convert = events._CANONICAL_BODY[kind][1]
+    assert tuple(inspect.signature(convert).parameters) == record._fields
 
 
 def test_lone_surrogate_label_is_not_utf8():
