@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from collections import ChainMap, OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .events import (
     ACK,
@@ -86,8 +86,7 @@ DEFAULT_SIGNATURES: tuple[bytes, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
+class _AnalyzerFields(NamedTuple):
     window_secs: float = 10.0
     bucket_count: int = 10
     syn_half_open_per_source: int = 50
@@ -105,7 +104,12 @@ class AnalyzerConfig:
     syncookie_secret: int = 0x9E3779B97F4A7C15
     payload_signatures: tuple[bytes, ...] = DEFAULT_SIGNATURES
 
-    def __post_init__(self):
+
+class AnalyzerConfig(_AnalyzerFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __init__(self, *_args, **_kwargs):
         for name in ("syn_half_open_per_source", "syn_half_open_global", "ack_flood_per_source",
                      "rst_flood_per_source", "psh_anomaly_per_source", "urg_anomaly_per_source"):
             if getattr(self, name) < 1:
@@ -152,7 +156,10 @@ def _mix64(z: int) -> int:
 
 
 def _cookie_hash(secret: int, flow: FlowKey, counter: int) -> int:
-    addrs = (ipv4_to_int(flow.src_ip) << 32) | ipv4_to_int(flow.dst_ip)
+    src, dst = ipv4_to_int(flow.src_ip), ipv4_to_int(flow.dst_ip)
+    if src is None or dst is None:
+        raise ValueError(f"not an IPv4 flow: {flow.src_ip!r}, {flow.dst_ip!r}")
+    addrs = (src << 32) | dst
     ports = (flow.src_port << 48) | (flow.dst_port << 32) | (counter & 0xFFFFFFFF)
     h = _mix64(secret ^ 0x9E3779B97F4A7C15)
     h = _mix64(h ^ addrs)
@@ -162,7 +169,8 @@ def _cookie_hash(secret: int, flow: FlowKey, counter: int) -> int:
 
 def make_syn_cookie(secret: int, flow: FlowKey, counter: int, mss_idx: int) -> int:
     """32-bit cookie: counter mod 8 in bits 31..29, mss_idx in 28..26,
-    low 26 bits from the keyed mixer over (secret, flow 4-tuple, counter)."""
+    low 26 bits from the keyed mixer over (secret, flow 4-tuple, counter).
+    Raises ValueError when a flow address is not a dotted quad."""
     if not 0 <= mss_idx < 8:
         raise ValueError(f"mss_idx must be in 0..7, got {mss_idx}")
     return ((counter % 8) << 29) | (mss_idx << 26) | (_cookie_hash(secret, flow, counter) & 0x03FFFFFF)
@@ -172,8 +180,11 @@ def check_syn_cookie(secret: int, flow: FlowKey, counter_now: int, value: int) -
     """Accept a cookie minted at counter_now or counter_now - 1.
 
     Returns the embedded mss_idx, or None on rejection (stale counter or
-    hash mismatch). Rejection is a value, never an exception.
+    hash mismatch, or a flow address that is not a dotted quad, for
+    which no cookie is minted). Rejection is a value, never an exception.
     """
+    if ipv4_to_int(flow.src_ip) is None or ipv4_to_int(flow.dst_ip) is None:
+        return None
     top = value >> 29
     mss_idx = (value >> 26) & 7
     low = value & 0x03FFFFFF

@@ -10,16 +10,14 @@ empty one.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .events import int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Cidr:
+class Cidr(NamedTuple):  # ordered as (base, prefix_len)
     base: int  # network address as 32-bit int, host bits zero
     prefix_len: int
 

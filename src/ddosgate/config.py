@@ -9,7 +9,7 @@ Example file::
     udp.blocked_ports = 19,1900
 
 Lines starting with '#' and blank lines are ignored. Every key has a
-built-in default, the default of the layer dataclass field it fills;
+built-in default, the default of the layer config field it fills;
 an unknown key is an error, not a warning, so typos cannot silently
 disable a layer. Command-line ``--set key=value`` overrides beat the
 file, which beats the defaults.
@@ -65,7 +65,7 @@ def _parse_ports(text: str) -> frozenset[int]:
     return frozenset(ports)
 
 
-# key -> (parser, dataclass, field): the key fills that field and its
+# key -> (parser, layer config, field): the key fills that field and its
 # default is that field's default. The path keys fill no field; the
 # third item is their own default.
 _KEYS: dict[str, tuple[Callable[[str], object], type | None, str]] = {
@@ -98,7 +98,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], type | None, str]] = {
 
 
 def default_config() -> dict:
-    return {key: owner.__dataclass_fields__[name].default if owner else name
+    return {key: owner._field_defaults[name] if owner else name
             for key, (_, owner, name) in _KEYS.items()}
 
 

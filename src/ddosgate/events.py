@@ -25,7 +25,6 @@ import base64
 import functools
 import json
 import re
-import socket
 import struct
 import sys
 from typing import NamedTuple
@@ -160,13 +159,13 @@ def ipv4_to_int(text: str) -> int | None:
         return None
     if len(_IPV4_VALUES) >= _IPV4_VALUES_MAX:
         _IPV4_VALUES.clear()
-    value = _IPV4_VALUES[text] = int.from_bytes(socket.inet_aton(text), "big")
+    value = _IPV4_VALUES[text] = int.from_bytes(bytes(map(int, text.split("."))), "big")
     return value
 
 
 def int_to_ipv4(value: int) -> str:
     """Inverse of ipv4_to_int for 0 <= value < 2**32."""
-    return socket.inet_ntoa(value.to_bytes(4, "big"))
+    return ".".join(map(str, value.to_bytes(4, "big")))
 
 
 # A field's check: int (an integer from 0 to bound), float (a number from 0
@@ -429,12 +428,13 @@ def flow_key(event: TraceEvent) -> FlowKey:
 
 
 def _ones_complement_sum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
-                         length: int, checksum: int, payload: bytes) -> int:
+                         length: int, checksum: int, payload: bytes) -> int | None:
     # Pseudo-header (src, dst, zero byte + protocol 17, UDP length),
-    # UDP header, payload padded with one zero byte if odd.
+    # UDP header, payload padded with one zero byte if odd. None when
+    # either address is not a dotted quad.
     src, dst = ipv4_to_int(src_ip), ipv4_to_int(dst_ip)
     if src is None or dst is None:
-        raise ValueError(f"not an IPv4 address pair: {src_ip!r}, {dst_ip!r}")
+        return None
     total = ((src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
              + 0x0011 + length + src_port + dst_port + length + checksum)
     if len(payload) % 2:
@@ -451,17 +451,22 @@ def compute_udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
 
     A computed value of 0 is transmitted as 0xFFFF, so 0 is never returned.
     Requires length == 8 + len(payload); packets violating that are an
-    analyzer finding, not something this function will sign.
+    analyzer finding, not something this function will sign. Raises
+    ValueError when either is violated or an address is not a dotted quad.
     """
     if length != 8 + len(payload):
         raise ValueError(f"length field {length} != 8 + payload size {len(payload)}")
-    value = (~_ones_complement_sum(src_ip, dst_ip, src_port, dst_port, length, 0, payload)) & 0xFFFF
+    total = _ones_complement_sum(src_ip, dst_ip, src_port, dst_port, length, 0, payload)
+    if total is None:
+        raise ValueError(f"not an IPv4 address pair: {src_ip!r}, {dst_ip!r}")
+    value = ~total & 0xFFFF
     return 0xFFFF if value == 0 else value
 
 
 def validate_udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
                           length: int, checksum: int, payload: bytes) -> bool:
-    """True iff re-summing with the checksum field in place yields 0xFFFF."""
+    """True iff re-summing with the checksum field in place yields 0xFFFF;
+    False when an address is not a dotted quad."""
     return _ones_complement_sum(src_ip, dst_ip, src_port, dst_port, length, checksum, payload) == 0xFFFF
 
 

@@ -20,8 +20,7 @@ the trace clock.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
@@ -77,18 +76,19 @@ class SandboxSink:
                            % (serialize_trace_event(event), _dumps(reason), event.ts))
 
 
-@dataclass
 class Stats:
-    # (kind, verdict) -> events: the one source of every verdict, layer and reason count
-    tally: defaultdict[tuple[str, Verdict], int] = field(default_factory=lambda: defaultdict(int))
-    blocked_by_source: defaultdict[str, int] = field(default_factory=lambda: defaultdict(int))
-    waf_log_hits: defaultdict[int, int] = field(default_factory=lambda: defaultdict(int))
-    first_ts: float | None = None
-    skipped_lines: int = 0
+    __slots__ = ("tally", "blocked_by_source", "waf_log_hits", "first_ts", "skipped_lines")
+
+    def __init__(self):
+        # (kind, verdict) -> events: the one source of every verdict, layer and reason count
+        self.tally: defaultdict[tuple[str, Verdict], int] = defaultdict(int)
+        self.blocked_by_source: defaultdict[str, int] = defaultdict(int)
+        self.waf_log_hits: defaultdict[int, int] = defaultdict(int)
+        self.first_ts: float | None = None
+        self.skipped_lines = 0
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class _EngineFields(NamedTuple):
     limiter: LimiterConfig = LimiterConfig()
     analyzer: AnalyzerConfig = AnalyzerConfig()
     rate_drop_to_sandbox: bool = False
@@ -96,7 +96,12 @@ class EngineConfig:
     blacklist_refresh_secs: float = 300.0
     top_n: int = 10
 
-    def __post_init__(self):
+
+class EngineConfig(_EngineFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __init__(self, *_args, **_kwargs):
         if self.top_n < 0:
             raise ValueError("top_n must not be negative")
         if not self.blacklist_refresh_secs > 0:

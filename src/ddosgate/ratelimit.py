@@ -12,34 +12,34 @@ wall clock.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["LimiterConfig", "SourceBucket", "LimiterTable"]
+__all__ = ["LimiterConfig", "LimiterTable"]
 
 
-@dataclass(frozen=True)
-class LimiterConfig:
+class _LimiterFields(NamedTuple):
     rps: float = 5.0
     burst: int = 10
 
-    def __post_init__(self):
+
+class LimiterConfig(_LimiterFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __init__(self, *_args, **_kwargs):
         if not self.rps > 0:
             raise ValueError("rps must be positive")
         if not 1 <= self.burst <= sys.float_info.max:  # buckets hold float(burst) tokens
             raise ValueError("burst must be at least 1 and fit in a float")
 
 
-@dataclass(slots=True)
-class SourceBucket:
-    tokens: float
-    last_update_ts: float
-
-
-@dataclass
 class LimiterTable:
-    config: LimiterConfig = field(default_factory=LimiterConfig)
-    buckets: dict[str, SourceBucket] = field(default_factory=dict)
-    _next_sweep: float = field(default=0.0, init=False, repr=False)
+    __slots__ = ("config", "buckets", "_next_sweep")
+
+    def __init__(self, config: LimiterConfig | None = None):
+        self.config = config or LimiterConfig()
+        self.buckets: dict[str, tuple[float, float]] = {}  # source -> (tokens, last_ts)
+        self._next_sweep = 0.0
 
     def acquire(self, src_ip: str, now: float) -> bool:
         """Refill the source's bucket to ``now``, then try to consume one
@@ -54,16 +54,13 @@ class LimiterTable:
         cfg = self.config
         bucket = self.buckets.get(src_ip)
         if bucket is None:
-            bucket = SourceBucket(tokens=float(cfg.burst), last_update_ts=now)
-            self.buckets[src_ip] = bucket
+            tokens = float(cfg.burst)
         else:
-            elapsed = now - bucket.last_update_ts
-            bucket.tokens = min(float(cfg.burst), bucket.tokens + elapsed * cfg.rps)
-            bucket.last_update_ts = now
-        if bucket.tokens >= 1.0:
-            bucket.tokens -= 1.0
-            return True
-        return False
+            tokens, last_ts = bucket
+            tokens = min(float(cfg.burst), tokens + (now - last_ts) * cfg.rps)
+        allowed = tokens >= 1.0
+        self.buckets[src_ip] = (tokens - 1.0 if allowed else tokens, now)
+        return allowed
 
     def _evict_refilled(self, now: float) -> None:
         """Drop every bucket that ``acquire`` would refill to exactly
@@ -74,8 +71,8 @@ class LimiterTable:
         in about the last two periods."""
         rps = self.config.rps
         burst = float(self.config.burst)
-        full = [ip for ip, b in self.buckets.items()
-                if b.tokens + (now - b.last_update_ts) * rps >= burst]
+        full = [ip for ip, (tokens, last_ts) in self.buckets.items()
+                if tokens + (now - last_ts) * rps >= burst]
         for ip in full:
             del self.buckets[ip]
         self._next_sweep = now + burst / rps

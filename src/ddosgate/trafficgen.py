@@ -35,8 +35,8 @@ well-formed UDP and inoffensive HTTP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import blacklist as bl
 from .events import compute_udp_checksum, HttpInfo, int_to_ipv4, TcpInfo, TraceEvent, UdpInfo
@@ -93,10 +93,9 @@ def _sub_rng(seed: int, lane: int) -> _Rng:
     return _Rng(z ^ (z >> 27))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict | None = None  # parameter overrides, as resolve_params takes them
     seed: int = 0
     duration_secs: float = 10.0
 

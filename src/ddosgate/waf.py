@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .events import HttpInfo
 
@@ -49,8 +49,7 @@ class RulesetError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     id: int
     target: str  # "header" for header:<name>, otherwise the target word
     header_name: str | None  # lowercased, only for header:<name>
@@ -62,8 +61,7 @@ class Rule:
     action: str
 
 
-@dataclass(frozen=True, slots=True)
-class WafDecision:
+class WafDecision(NamedTuple):
     matched: bool
     rule_id: int | None  # first sandbox-action rule that fired
     log_fired: tuple[int, ...]  # log-action rules seen before the verdict

@@ -1,4 +1,4 @@
-"""The config table: defaults from the layer dataclasses, every key
+"""The config table: defaults from the layer config fields, every key
 reaching its field, and bad values refused as ConfigError."""
 
 import io
@@ -68,7 +68,7 @@ def test_defaults_build_the_default_engine():
     assert engine.ruleset is default_ruleset()
 
 
-def test_every_dataclass_key_reaches_its_field():
+def test_every_config_key_reaches_its_field():
     assert set(NON_DEFAULT) == set(default_config()) - PATH_KEYS
     defaults = _build([])
     engine = _build([f"{key}={text}" for key, (text, _, _) in NON_DEFAULT.items()])
@@ -100,14 +100,39 @@ def test_float_keys_refuse_non_finite(key, text):
     assert key in str(exc.value)
 
 
-@pytest.mark.parametrize("make", [lambda: LimiterConfig(rps=float("nan")),
-                                  lambda: EngineConfig(blacklist_refresh_secs=float("nan")),
-                                  lambda: AnalyzerConfig(handshake_timeout_secs=float("nan"))],
-                         ids=["rps", "blacklist_refresh_secs", "handshake_timeout_secs"])
-def test_layer_configs_refuse_nan(make):
-    """The dataclasses refuse NaN themselves, not only the CLI's parser."""
-    with pytest.raises(ValueError):
-        make()
+# (layer config, field, a value its checks refuse)
+_BAD_FIELDS = [(LimiterConfig, "rps", float("nan")), (LimiterConfig, "burst", 0),
+               (EngineConfig, "blacklist_refresh_secs", float("nan")), (EngineConfig, "top_n", -1),
+               (AnalyzerConfig, "handshake_timeout_secs", float("nan")),
+               (AnalyzerConfig, "udp_max_len", 7)]
+
+
+def _with(cls, name, value):
+    return [value if field == name else default for field, default in cls._field_defaults.items()]
+
+
+@pytest.mark.parametrize("route", [
+    lambda cls, name, value: cls(**{name: value}),
+    lambda cls, name, value: cls(*_with(cls, name, value)),
+    lambda cls, name, value: cls._make(_with(cls, name, value)),
+    lambda cls, name, value: cls()._replace(**{name: value}),
+], ids=["keywords", "positional", "_make", "_replace"])
+@pytest.mark.parametrize("cls, name, value", _BAD_FIELDS, ids=[name for _, name, _ in _BAD_FIELDS])
+def test_layer_configs_refuse_nan(route, cls, name, value):
+    """The layer configs refuse NaN and other bad values themselves, not
+    only the CLI's parser, on every route that builds one."""
+    with pytest.raises(ValueError, match=name):
+        route(cls, name, value)
+
+
+@pytest.mark.parametrize("cls", [LimiterConfig, EngineConfig, AnalyzerConfig])
+def test_layer_configs_are_tuples_of_their_fields(cls):
+    cfg = cls()
+    assert cfg == tuple(cls._field_defaults.values())
+    assert cfg._replace() == cfg and type(cfg._replace()) is cls
+    assert cls._make(cfg) == cfg and hash(cls._make(cfg)) == hash(cfg)
+    with pytest.raises(AttributeError):
+        cfg.extra = 1
 
 
 @pytest.mark.parametrize("setting", ["stats.top_n=-1", "blacklist.refresh_secs=0",
@@ -167,7 +192,7 @@ def _readme_config_rows():
 
 def test_readme_config_table_matches_defaults():
     """Every key is in the table once, and each default shown there
-    parses to the default the dataclass field holds."""
+    parses to the default the config field holds."""
     defaults = default_config()
     seen = []
     for keys, texts in _readme_config_rows():

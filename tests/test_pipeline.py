@@ -6,12 +6,15 @@ from collections import Counter
 
 import pytest
 
+from ddosgate.analyzer import AnalyzerConfig, make_syn_cookie
 from ddosgate.events import (
+    FlowKey,
     HttpInfo,
     TcpInfo,
     TraceEvent,
     TraceParseError,
     UdpInfo,
+    compute_udp_checksum,
     flags_from_str,
     serialize_trace_event,
     serialize_verdict_record,
@@ -132,6 +135,28 @@ def test_layer_three_verdict_is_the_analyzers_own():
         verdict = engine._decide(event)
         assert verdict is returned[-1] is not None
     assert [v.reason for v in returned] == ["payload_signature", "udp_size_violation"]
+
+
+def test_udp_checksum_from_a_name_is_bad_not_an_error():
+    """A library-built event may carry an address that is not a dotted
+    quad; its checksum cannot match, so L3 answers instead of raising."""
+    engine = _engine()
+    event = TraceEvent(1, 0.0, "udp", "host-a", SRV, 5000, 53, UdpInfo(10, 7, b"ab"))
+    v = engine.process_event(event)
+    assert (v.decision, v.layer, v.reason) == ("sandbox", 3, "udp_bad_checksum")
+    with pytest.raises(ValueError, match="not an IPv4 address pair"):
+        compute_udp_checksum("host-a", SRV, 5000, 53, 10, b"ab")
+
+
+def test_cookie_ack_from_a_name_is_invalid_not_an_error():
+    engine = _engine(analyzer=AnalyzerConfig(syn_half_open_global=1))
+    assert engine.process_event(_syn(1, 0.0, "10.8.0.7", 4000)).decision == "forward"
+    ack = TraceEvent(2, 0.1, "tcp", "host-a", SRV, 4001, 80, TcpInfo(flags_from_str("A"), 2, 1, 0, b""))
+    v = engine.process_event(ack)
+    assert engine.analyzer.cookie_mode
+    assert (v.decision, v.layer, v.reason) == ("sandbox", 3, "cookie_invalid")
+    with pytest.raises(ValueError, match="not an IPv4 flow"):
+        make_syn_cookie(1, FlowKey("host-a", 4001, SRV, 80, "tcp"), 0, 0)
 
 
 def test_sandbox_file_matches_sandbox_verdicts():

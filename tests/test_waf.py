@@ -1,6 +1,5 @@
 """Rule DSL parsing, transforms, and request evaluation."""
 
-import dataclasses
 import random
 from collections import Counter
 from urllib.parse import unquote_plus
@@ -385,7 +384,7 @@ def _random_ruleset(rng):
     logs = [rule for rule in rules if rule.action == "log"]
     if logs and rng.random() < 0.25:
         # built by hand: another rule, before or after it, repeats a log rule's id
-        twin = dataclasses.replace(rng.choice(rules), id=rng.choice(logs).id, action="log")
+        twin = rng.choice(rules)._replace(id=rng.choice(logs).id, action="log")
         at = rng.randrange(len(rules) + 1)
         return rules[:at] + (twin,) + rules[at:]
     return tuple(rules)
