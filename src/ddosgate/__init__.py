@@ -10,7 +10,7 @@ produces labeled benign and attack traces for end-to-end evaluation.
 
 from .events import TraceEvent, Verdict, parse_trace_event, serialize_trace_event
 from .pipeline import Engine, EngineConfig, SandboxSink
-from .trafficgen import Scenario, generate, scenario_manifest
+from .trafficgen import Scenario, generate
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,5 @@ __all__ = [
     "SandboxSink",
     "Scenario",
     "generate",
-    "scenario_manifest",
     "__version__",
 ]

@@ -471,7 +471,3 @@ def summarize(scenario: Scenario, events: list[TraceEvent]) -> dict:
         "label_counts": dict(sorted(label_counts.items())),
         "source_labels": dict(sorted(source_labels.items())),
     }
-
-
-def scenario_manifest(scenario: Scenario) -> dict:
-    return summarize(scenario, generate(scenario))

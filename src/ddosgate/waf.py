@@ -16,13 +16,15 @@ only with the numeric target duration_ms; the text operators pair with
 everything else. Rules evaluate in file order: the first sandbox match
 wins, log matches accumulate without stopping evaluation.
 
-``parse_ruleset`` compiles the rules once into a ``Ruleset``, which
-groups them by candidate (target, header name, transforms), so that per
-request each candidate value is derived and transformed once and then
-tested by every rule of its group.
+``parse_ruleset`` compiles the rules once, in file order, into a
+``Ruleset``. Per request, ``evaluate`` derives and transforms each
+candidate (target, header name, transforms) once, on the first rule
+that reads it, and returns at the first sandbox match.
 
-Deliberate weakness, kept for predictability: urldecode runs exactly
-once, so double-encoded payloads slip through.
+Deliberate weaknesses, kept for predictability: urldecode runs exactly
+once, so double-encoded payloads slip through; and no default rule
+decodes before looking for traversal, so encoded dots and slashes
+(``%2e%2e/``, ``..%2f``) slip past rule 1003.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ DEFAULT_RULESET_TEXT = """\
 RULE 1001 uri lowercase,urldecode contains "union select" sandbox
 # reflected script tag
 RULE 1002 uri lowercase,urldecode contains "<script" sandbox
-# path traversal (literal only; encoded dots are caught post-decode by 1001/1002 style rules)
+# path traversal (literal only: %2e%2e/ and ..%2f are not decoded, so they pass)
 RULE 1003 uri none contains "../" sandbox
 # tautology probe in the body
 RULE 1004 body lowercase,urldecode contains "' or 1=1" sandbox
@@ -261,58 +263,48 @@ class Ruleset(tuple):
     """The rules in file order, compiled once for ``evaluate``.
 
     A tuple of ``Rule``s (a slice or a sum is a plain tuple) that also
-    holds them grouped by candidate, ``(target, header_name, transforms)``,
-    so that per request each group derives its values once and tests all
-    of its rules on them.
+    holds each rule compiled, in the same order, as ``(id, is_sandbox,
+    slot, derive, transform, literal, check)``. Rules on one candidate,
+    ``(target, header_name, transforms)``, share a slot, so that per
+    request each candidate is derived and transformed once.
     """
 
     def __new__(cls, rules: Iterable[Rule] = ()):
         self = super().__new__(cls, rules)
-        # (target, header_name) -> transforms -> tests, each in order of first rule
-        by_target: dict[tuple, dict[tuple, list]] = {}
-        for pos, rule in enumerate(self):
+        slots: dict[tuple, int] = {}
+        compiled = []
+        for rule in self:
             transforms = () if rule.target == "duration_ms" else rule.transforms
-            by_target.setdefault((rule.target, rule.header_name), {}).setdefault(transforms, []).append(
-                (pos, rule.action == SANDBOX_ACTION, *_test(rule)))
-        groups = []
-        for (target, name), by_transforms in by_target.items():
-            derive = _TARGET_VALUES.get(target) or _header_values(name)
-            groups += [(derive, _chain(transforms), tuple(tests)) for transforms, tests in by_transforms.items()]
-        self._groups = tuple(groups)  # a target's groups are adjacent and share its values function
+            slot = slots.setdefault((rule.target, rule.header_name, transforms), len(slots))
+            derive = _TARGET_VALUES.get(rule.target) or _header_values(rule.header_name)
+            compiled.append((rule.id, rule.action == SANDBOX_ACTION, slot, derive, _chain(transforms), *_test(rule)))
+        self._rules = tuple(compiled)
+        self._slots = len(slots)
         return self
 
 
 def evaluate(ruleset: Ruleset, request: HttpInfo) -> WafDecision:
     """Pure; identical inputs always give identical decisions.
 
-    The first sandbox rule in file order that matches decides; the log
-    rules that match before it are listed in file order, each id once.
-    ``ruleset`` is a ``Ruleset``: wrap any other sequence of rules in one.
+    The rules run in file order: the first sandbox rule that matches
+    decides, and the log rules that match before it are listed in file
+    order, each id once. ``ruleset`` is a ``Ruleset``: wrap any other
+    sequence of rules in one.
     """
-    limit = len(ruleset)  # position of the first matching sandbox rule found so far
-    logged = []  # positions of matching log rules
-    derived_by = None
-    for derive, transform, tests in ruleset._groups:
-        if tests[0][0] >= limit:
-            continue
-        if derive is not derived_by:  # once per target
-            raw, derived_by = derive(request), derive
-        values = raw if transform is None else [transform(value) for value in raw]
-        for pos, sandbox, literal, check in tests:
-            if pos >= limit:
-                break
-            for value in values:
-                if check(value) if check else literal in value:
-                    if sandbox:
-                        limit = pos
-                    else:
-                        logged.append(pos)
-                    break
+    derived = [None] * ruleset._slots  # each slot's transformed values, filled on first use
     log_fired: list[int] = []
-    for pos in sorted(logged):
-        rule_id = ruleset[pos].id
-        if pos < limit and rule_id not in log_fired:
-            log_fired.append(rule_id)
-    if limit < len(ruleset):
-        return WafDecision(True, ruleset[limit].id, tuple(log_fired))
+    for rule_id, sandbox, slot, derive, transform, literal, check in ruleset._rules:
+        values = derived[slot]
+        if values is None:
+            values = derive(request)
+            if transform is not None:
+                values = [transform(value) for value in values]
+            derived[slot] = values
+        for value in values:
+            if check(value) if check else literal in value:
+                if sandbox:
+                    return WafDecision(True, rule_id, tuple(log_fired))
+                if rule_id not in log_fired:
+                    log_fired.append(rule_id)
+                break
     return WafDecision(False, None, tuple(log_fired)) if log_fired else PASS

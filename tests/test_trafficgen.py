@@ -9,8 +9,7 @@ import pytest
 from ddosgate.blacklist import CidrSnapshot, parse_feed
 from ddosgate.events import SYN, TcpInfo, serialize_trace_event, validate_udp_checksum
 from ddosgate import trafficgen
-from ddosgate.trafficgen import (SCENARIO_NAMES, Scenario, generate, resolve_params,
-                                 scenario_manifest, summarize)
+from ddosgate.trafficgen import SCENARIO_NAMES, Scenario, generate, resolve_params, summarize
 
 
 def _trace_bytes(scenario):
@@ -229,11 +228,6 @@ def test_manifest_totals_match_trace():
     # disjoint pools: each source carries exactly one label
     for e in events:
         assert manifest["source_labels"][e.src_ip] == (e.label or "benign")
-
-
-def test_scenario_manifest_regenerates_consistently():
-    sc = Scenario("syn_flood", seed=42, duration_secs=2.0)
-    assert scenario_manifest(sc) == summarize(sc, generate(sc))
 
 
 # sha256 of the trace (one serialized event per line, as `gen` writes it) and

@@ -14,6 +14,7 @@ from ddosgate.waf import (
     Ruleset,
     RulesetError,
     WafDecision,
+    _TRANSFORM_FNS,
     _split_rule_line,
     apply_transforms,
     default_ruleset,
@@ -179,6 +180,45 @@ def test_log_fires_then_sandbox_short_circuits():
     decision = evaluate(rs, _req(uri="/x", headers=(("user-agent", "SQLMap"),)))
     assert decision.matched and decision.rule_id == 2
     assert decision.log_fired == (1,)
+
+
+def test_rules_after_the_deciding_rule_are_not_tested():
+    calls = []
+
+    class Spy:
+        def search(self, value):
+            calls.append(value)
+            return None
+
+    rules = parse_ruleset('RULE 1 uri none contains "zzz" log\n'
+                          'RULE 2 body none contains "a" sandbox\n'
+                          'RULE 3 uri none matches "q" sandbox\n')
+    rs = Ruleset(rules[:2] + (rules[2]._replace(pattern=Spy()),))
+    assert evaluate(rs, _req(uri="/q", body=b"a")) == WafDecision(True, 2, ())
+    assert calls == []
+    # the spy is wired in: with no body match, rule 3 runs
+    assert evaluate(rs, _req(uri="/q", body=b"b")) == PASS
+    assert calls == ["/q"]
+
+
+def test_each_candidate_is_derived_once_per_request(monkeypatch):
+    calls = Counter()
+    urldecode = _TRANSFORM_FNS["urldecode"]
+
+    def counted(value):
+        calls[value] += 1
+        return urldecode(value)
+
+    monkeypatch.setitem(_TRANSFORM_FNS, "urldecode", counted)
+    rs = parse_ruleset('RULE 1 uri lowercase,urldecode contains "a" log\n'
+                       'RULE 2 body urldecode contains "b" log\n'
+                       'RULE 3 uri lowercase,urldecode matches "c" log\n'
+                       'RULE 4 uri lowercase,urldecode len_gt 100 sandbox\n'
+                       'RULE 5 body urldecode contains "zzz" sandbox\n')
+    decisions = [evaluate(rs, _req(uri=f"/%61{n}c", body=f"%62{n}".encode())) for n in range(3)]
+    assert decisions == [WafDecision(False, None, (1, 2, 3))] * 3
+    # one call per request on each of the two candidates
+    assert calls == Counter({f"/%61{n}c": 1 for n in range(3)} | {f"%62{n}": 1 for n in range(3)})
 
 
 def test_any_header_tests_every_value():
