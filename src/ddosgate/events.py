@@ -10,7 +10,9 @@ which is also the order of the record's fields. Parse and serialize
 both read these tables: a canonical line, as serialize writes it, is
 read by regexes built from them and one converter per kind, whose
 checks the codec tests hold to ``_BODIES``, and any other line by
-``json``.
+``json``. A canonical line holds exactly the bytes serialize writes for
+its event, so serialize returns the line the fast path read last for the
+event built from it, and writes any other event from templates.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -22,6 +24,7 @@ optional ``rule_id``.
 from __future__ import annotations
 
 import base64
+import binascii
 import functools
 import json
 import re
@@ -272,18 +275,22 @@ _GROUP = {
 }
 _CANONICAL_HEAD = re.compile(r"\{" + ",".join('"%s":%s' % (key, _GROUP[check]) for key, check, _ in _HEAD))
 # Each kind's body from its matched texts, with the checks of _BODIES that
-# the regex leaves: int bounds, flag letters in canonical order, base64
-# padding and a non-empty method. None declines the line. A converter's
+# the regex leaves: int bounds, flag letters in canonical order, canonical
+# base64 and a non-empty method. None declines the line. A converter's
 # parameters are its record's fields. Records are built with tuple.__new__,
 # which skips the NamedTuple constructor's argument handling.
 _new = tuple.__new__
 
 
 def _b64decode(text: str) -> bytes | None:
+    """The bytes of ``text`` if it is exactly what b64encode writes for
+    them, else None: bad padding, stray low bits ("QR==") and excess padding
+    ("AAAA=") all decline."""
     try:
-        return base64.b64decode(text, validate=True)
-    except ValueError:  # bad padding
+        data = binascii.a2b_base64(text)
+    except binascii.Error:
         return None
+    return data if binascii.b2a_base64(data, newline=False) == text.encode() else None
 
 
 def _tcp_body(flags, seq, ack, urgent_ptr, payload):
@@ -321,9 +328,15 @@ _CANONICAL_BODY = {
 }
 
 
+# The event _parse_canonical built last, its line and its ts text, stored as
+# one tuple so no reader pairs one call's event with another call's line.
+_last_canonical: tuple[TraceEvent | None, str, str] = (None, "", "")
+
+
 def _parse_canonical(line: str) -> TraceEvent | None:
     """The event of a canonical line, the one parse_trace_event would give;
     None for any other line, valid or not, which the JSON path then reads."""
+    global _last_canonical
     head = _CANONICAL_HEAD.match(line)
     if head is None:
         return None
@@ -332,14 +345,16 @@ def _parse_canonical(line: str) -> TraceEvent | None:
     match = pattern.fullmatch(line, head.end())
     if match is None:
         return None
-    event_id, ts, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
-    if event_id > _U63 or ts > _MAX_TS or src_port > _U16 or dst_port > _U16:
+    event_id, ts_value, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
+    if event_id > _U63 or ts_value > _MAX_TS or src_port > _U16 or dst_port > _U16:
         return None
     *texts, label = match.groups()
     body = convert(*texts)
     if body is None:
         return None
-    return _new(TraceEvent, (event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, body, label))
+    event = _new(TraceEvent, (event_id, ts_value, kind, src_ip, dst_ip, src_port, dst_port, body, label))
+    _last_canonical = (event, line, ts)
+    return event
 
 
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
@@ -408,8 +423,16 @@ def serialize_trace_event(event: TraceEvent) -> str:
     The bytes are those of compact JSON for any finite ts, which is written
     with repr as JSON writes it.
 
+    The event _parse_canonical built last is written as its own line,
+    without trailing whitespace, when its ts was spelled as repr writes it:
+    a canonical line holds exactly these bytes. Any other event is written
+    from its kind's template.
+
     Raises ValueError when the body is not the record of the event's kind.
     """
+    last, line, ts_text = _last_canonical
+    if event is last and repr(event.ts) == ts_text:
+        return line.rstrip(" \t\n\r")
     event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, body, label = event
     template, record, writers = _TEMPLATES.get(kind, (None, None, ()))
     if record is None or not isinstance(body, record):

@@ -65,8 +65,10 @@ class OutOfOrderError(RuntimeError):
 
 
 class SandboxSink:
-    """Append-only capture of sandboxed traffic: the event verbatim, the
-    reason it was caught, and the trace time of the verdict."""
+    """Append-only capture of sandboxed traffic: the event as
+    serialize_trace_event writes it (for the event just read from a
+    canonical line, that line without trailing whitespace), the reason it
+    was caught, and the trace time of the verdict."""
 
     def __init__(self, stream: TextIO):
         self._stream = stream

@@ -3,9 +3,11 @@
 ``events._parse_canonical`` reads canonical lines with regexes; every
 other line goes through ``json``. For each line here the
 fast path must give the event the ``json`` path gives, or decline it.
-``serialize_trace_event`` and ``SandboxSink.capture`` write from
-%-templates; they must write the bytes of the dict-plus-JSON serializer
-they replaced, kept here as the reference.
+``serialize_trace_event`` and ``SandboxSink.capture`` write the event the
+fast path read last as its line, and any other from %-templates; either
+way they must write the bytes of the dict-plus-JSON serializer the
+templates replaced, kept here as the reference. So every line the fast
+path reads, written back, must give the reference bytes.
 """
 
 import base64
@@ -94,11 +96,20 @@ def _tcp(**changes) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def test_fast_path_agrees_on_mutants(monkeypatch):
+def _golden_and_mutant_lines() -> list[str]:
     rng = random.Random(4047)
     golden = _golden_lines()
-    mutants = [_mutate(rng, rng.choice(golden))[0] for _ in range(MUTANTS)]
-    assert _assert_fast_agrees_or_declines(golden + mutants, monkeypatch) > MUTANTS // 100
+    return golden + [_mutate(rng, rng.choice(golden))[0] for _ in range(MUTANTS)]
+
+
+def _bench_sample(workload: str, bench_inputs_root: str) -> list[str]:
+    inputs = workloads.prepare(workload, REFERENCE["seed"], bench_inputs_root)
+    with open(inputs.trace, encoding="utf-8") as fh:
+        return fh.readlines()[::BENCH_STRIDE]
+
+
+def test_fast_path_agrees_on_mutants(monkeypatch):
+    assert _assert_fast_agrees_or_declines(_golden_and_mutant_lines(), monkeypatch) > MUTANTS // 100
 
 
 def test_fast_path_agrees_on_every_scenario(tmp_path, monkeypatch):
@@ -113,9 +124,7 @@ def test_json_path_agrees_on_benchmark_traces(workload, bench_inputs_root, monke
     # perfbench/workloads.py writes these lines without the program's
     # serializer; every one takes the fast path, so only here does the json
     # path read them
-    inputs = workloads.prepare(workload, REFERENCE["seed"], bench_inputs_root)
-    with open(inputs.trace, encoding="utf-8") as fh:
-        lines = fh.readlines()[::BENCH_STRIDE]
+    lines = _bench_sample(workload, bench_inputs_root)
     fast = [events._parse_canonical(line) for line in lines]
     assert None not in fast
     monkeypatch.setattr(events, "_parse_canonical", lambda line: None)
@@ -130,7 +139,7 @@ def _http(**changes) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("line, fast", [
+_EDGE_LINES = [
     (_tcp(), True),
     (_tcp() + "\r\n", True),
     (_tcp() + "  \t", True),
@@ -140,8 +149,13 @@ def _http(**changes) -> str:
     (_tcp().replace('"ts":1.5', '"ts":1e5'), True),
     (_tcp().replace('"ts":1.5', '"ts":1E-3'), True),
     (_tcp(ts=2**64), True),
+    (_tcp().replace('"ts":1.5', '"ts":0.10'), True),  # like 5, 1e5 and 1E-3: not as repr writes it
     (_tcp(flags="AS"), False),  # letters out of canonical order
     (_tcp(payload_b64="AAE"), False),  # bad padding: the json path names it
+    (_tcp(payload_b64="QR=="), False),  # stray low bits
+    (_tcp(payload_b64="AAAA="), False),  # excess padding
+    (_tcp(payload_b64="AAA=="), False),
+    (_tcp(payload_b64="QQ==QQ=="), False),  # data after padding
     (_tcp(seq=2**32), False),
     (_tcp(seq=10**20), False),  # 21 digits
     (_tcp(ts=10**20), False),
@@ -158,10 +172,47 @@ def _http(**changes) -> str:
     (_http(headers=[["a", "b", "c"]]), False),
     (_http(headers=[["a", 'q"']]), False),
     (_http(uri="/\u00e9"), False),
-])
+]
+
+
+@pytest.mark.parametrize("line, fast", _EDGE_LINES)
 def test_fast_path_edge_lines(line, fast, monkeypatch):
     assert (events._parse_canonical(line) is not None) == fast
     assert _assert_fast_agrees_or_declines([line], monkeypatch) == fast
+
+
+@pytest.mark.parametrize("text", ["QR==", "AAAA=", "AAA==", "QQ==QQ=="])
+def test_non_canonical_base64_reads_as_b64decode_validates_it(text, monkeypatch):
+    # the fast path declines it, and the json path gives the event or error
+    # of the running interpreter's b64decode(validate=True)
+    try:
+        payload = base64.b64decode(text, validate=True)
+    except ValueError:
+        expected = ("payload_b64", "payload_b64 is not valid base64")
+    else:
+        event = parse_trace_event(_tcp(payload_b64=""))
+        expected = _typed(event._replace(body=event.body._replace(payload=payload)))
+    assert _json_outcome(_tcp(payload_b64=text), monkeypatch) == expected
+
+
+def _assert_written_as_read(lines) -> int:
+    """The number of lines the fast path read. Each one's event, parsed and
+    then written, must give the reference bytes."""
+    taken = 0
+    for line in lines:
+        if events._parse_canonical(line) is not None:
+            taken += 1
+            event = parse_trace_event(line)
+            assert serialize_trace_event(event) == _reference_serialize(event), line
+    return taken
+
+
+def test_every_fast_line_is_written_as_the_reference_writes_it(tmp_path, bench_inputs_root):
+    lines = _golden_and_mutant_lines() + [serialize_trace_event(e) + "\n" for e in _scenario_events(tmp_path)]
+    for workload in workloads.WORKLOADS:
+        lines += _bench_sample(workload, bench_inputs_root)
+    lines += [line for line, _ in _EDGE_LINES]
+    assert _assert_written_as_read(lines) > len(lines) // 2
 
 
 def _udp(**changes) -> str:
@@ -224,3 +275,24 @@ def test_capture_writes_the_reference_bytes(tmp_path):
         sink.capture(event, reasons[i % len(reasons)])
         expected.append(_reference_capture(event, reasons[i % len(reasons)]))
     assert out.getvalue() == "".join(expected)
+
+
+def test_capture_of_a_parsed_line_is_the_line_itself(monkeypatch):
+    # with no templates, only the event the parser built last can be written
+    monkeypatch.setattr(events, "_TEMPLATES", {})
+    out = io.StringIO()
+    sink = SandboxSink(out)
+    expected = []
+    for line in (_tcp() + "\r\n", _udp(), _http() + " \t"):
+        event = parse_trace_event(line)
+        sink.capture(event, "syn_flood")
+        expected.append(_reference_capture(event, "syn_flood"))
+        with pytest.raises(ValueError):
+            sink.capture(event._replace(), "syn_flood")  # equal, but not the parser's
+    assert out.getvalue() == "".join(expected)
+    earlier = parse_trace_event(_tcp())
+    parse_trace_event(_udp())
+    with pytest.raises(ValueError):
+        sink.capture(earlier, "syn_flood")
+    with pytest.raises(ValueError):
+        sink.capture(parse_trace_event(_tcp(ts=5)), "syn_flood")  # ts not as repr writes it
