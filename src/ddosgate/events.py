@@ -12,7 +12,8 @@ read by regexes built from them and one converter per kind, whose
 checks the codec tests hold to ``_BODIES``, and any other line by
 ``json``. A canonical line holds exactly the bytes serialize writes for
 its event, so serialize returns the line the fast path read last for the
-event built from it, and writes any other event from templates.
+event built from it; any other event is written as compact JSON of its
+fields.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -23,7 +24,6 @@ optional ``rule_id``.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import functools
 import json
@@ -197,6 +197,23 @@ _BODIES = {
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
+# One base64 rule for both parse paths and the writer: a trace holds
+# exactly what b64encode writes (RFC 4648 canonical encoding).
+def _b64(data: bytes) -> str:
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+def _b64decode(text: str) -> bytes | None:
+    """The bytes of ``text`` if it is exactly what _b64 writes for them,
+    else None: bad padding, stray low bits ("QR=="), excess padding
+    ("AAAA=") and non-ASCII text all decline."""
+    try:
+        data = binascii.a2b_base64(text)
+    except ValueError:  # binascii.Error, or a non-ASCII string
+        return None
+    return data if binascii.b2a_base64(data, newline=False) == text.encode() else None
+
+
 def _field(obj: dict, key: str, check, bound, line_no: int | None):
     """The value of field ``key`` of a decoded line, or the TraceParseError
     naming it."""
@@ -242,10 +259,10 @@ def _field(obj: dict, key: str, check, bound, line_no: int | None):
         if type(value) is not str:
             message = f"{key} must be a base64 string"
         else:
-            try:
-                return base64.b64decode(value, validate=True)
-            except ValueError:  # binascii.Error, or a non-ASCII string
-                message = f"{key} is not valid base64"
+            data = _b64decode(value)
+            if data is not None:
+                return data
+            message = f"{key} is not valid base64"
     else:  # _PAIRS
         if type(value) is list and all(type(pair) is list and len(pair) == 2 and type(pair[0]) is str
                                        and type(pair[1]) is str for pair in value):
@@ -280,17 +297,6 @@ _CANONICAL_HEAD = re.compile(r"\{" + ",".join('"%s":%s' % (key, _GROUP[check]) f
 # parameters are its record's fields. Records are built with tuple.__new__,
 # which skips the NamedTuple constructor's argument handling.
 _new = tuple.__new__
-
-
-def _b64decode(text: str) -> bytes | None:
-    """The bytes of ``text`` if it is exactly what b64encode writes for
-    them, else None: bad padding, stray low bits ("QR==") and excess padding
-    ("AAAA=") all decline."""
-    try:
-        data = binascii.a2b_base64(text)
-    except binascii.Error:
-        return None
-    return data if binascii.b2a_base64(data, newline=False) == text.encode() else None
 
 
 def _tcp_body(flags, seq, ack, urgent_ptr, payload):
@@ -398,49 +404,29 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     return TraceEvent(*head, body, label)
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-# How a field of each check is written: its %-conversion, and what turns the
-# value into the conversion's argument (None: the value itself). Kinds, flag
-# letters and base64 need no JSON escapes; other strings, addresses and
-# header pairs go through the compact encoder, which writes the pairs'
-# tuples as arrays.
-_WRITE = {int: ("%d", None), float: ("%r", None), str: ("%s", _dumps), _KIND: ('"%s"', None),
-          _ADDR: ("%s", _dumps), _PAIRS: ("%s", _dumps),
-          _FLAGS: ('"%s"', lambda mask: _FLAG_STRS[mask & 63]), _B64: ('"%s"', _b64)}
-
-# kind -> (the %-template of its line up to the label, body record, the body
-# fields' writers); serialize_trace_event writes the head values itself.
-_TEMPLATES = {kind: ("{" + ",".join('"%s":%s' % (key, _WRITE[check][0]) for key, check, _ in _HEAD + fields),
-                     record, tuple(_WRITE[check][1] for _, check, _ in fields))
-              for kind, (record, fields) in _BODIES.items()}
-
-
 def serialize_trace_event(event: TraceEvent) -> str:
     """Inverse of parse_trace_event; stable key order, compact separators.
-    The bytes are those of compact JSON for any finite ts, which is written
-    with repr as JSON writes it.
 
     The event _parse_canonical built last is written as its own line,
     without trailing whitespace, when its ts was spelled as repr writes it:
     a canonical line holds exactly these bytes. Any other event is written
-    from its kind's template.
+    as compact JSON of its fields, keyed and ordered by _HEAD and its
+    kind's _BODIES entry, then its label when set.
 
     Raises ValueError when the body is not the record of the event's kind.
     """
     last, line, ts_text = _last_canonical
     if event is last and repr(event.ts) == ts_text:
         return line.rstrip(" \t\n\r")
-    event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, body, label = event
-    template, record, writers = _TEMPLATES.get(kind, (None, None, ()))
-    if record is None or not isinstance(body, record):
-        raise ValueError(f"a {kind!r} event cannot carry a {type(body).__name__} body")
-    values = [event_id, ts, kind, _dumps(src_ip), _dumps(dst_ip), src_port, dst_port]
-    values += [value if write is None else write(value) for write, value in zip(writers, body)]
-    line = template % tuple(values)
-    return line + "}" if label is None else '%s,"label":%s}' % (line, _dumps(label))
+    record, fields = _BODIES.get(event.kind, (None, ()))
+    if record is None or not isinstance(event.body, record):
+        raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
+    obj = {key: value for (key, _, _), value in zip(_HEAD, event)}
+    for (key, check, _), value in zip(fields, event.body):
+        obj[key] = _FLAG_STRS[value & 63] if check is _FLAGS else _b64(value) if check is _B64 else value
+    if event.label is not None:
+        obj["label"] = event.label
+    return _dumps(obj)
 
 
 def flow_key(event: TraceEvent) -> FlowKey:

@@ -308,8 +308,7 @@ def _blacklist_lane(rng: _Rng, lane: int, duration: float, feed: str | None, sou
     """Sessions from listed and clean sources; no lane without a feed."""
     if not feed:
         return []
-    with open(feed, encoding="utf-8") as fh:
-        entries, _skipped = bl.parse_feed(fh.read())
+    entries, _skipped = bl.parse_feed(bl.fetch_feed(feed))
     if not entries:
         raise ValueError(f"feed {feed!r} contains no usable entries")
     sources = int(sources)

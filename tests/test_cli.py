@@ -266,6 +266,20 @@ def test_blacklist_fetch_skips_only_an_undecodable_line(tmp_path, cli_run):
     assert "skipped line 2: bad_address" in proc.stdout
 
 
+def test_gen_skips_only_an_undecodable_feed_line(tmp_path, cli_run):
+    # gen reads its feed as run and blacklist fetch do
+    traces = []
+    for name, text in (("raw.txt", b"10.0.0.0/8\n\xff\n192.168.0.0/16\n"),
+                       ("clean.txt", b"10.0.0.0/8\n192.168.0.0/16\n")):
+        feed = tmp_path / name
+        feed.write_bytes(text)
+        proc = cli_run(["gen", "--scenario", "blacklist_mix", "--param", f"feed={feed}", "--seed", "3",
+                        "--out", "-"])
+        assert proc.returncode == 0, proc.stderr
+        traces.append(proc.stdout)
+    assert traces[0] == traces[1] and '"src_ip":"192.168.0.' in traces[0]
+
+
 def test_blacklist_fetch_failure_leaves_out_untouched(tmp_path, cli_run):
     out = tmp_path / "clean.txt"
     proc = cli_run(["blacklist", "fetch", "--path", str(tmp_path / "absent.txt"),
