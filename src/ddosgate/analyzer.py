@@ -21,8 +21,10 @@ each verdict is built once.
 
 Sliding windows are rings of bucket_count counters over window_secs, one
 per (source, finding code), so threshold decisions are exact to within
-one bucket. A half-open finding additionally depends on flows opened up
-to handshake_timeout_secs before the window, since a SYN only folds into
+one bucket. A ring is one list of bucket_count + 2 ints: its newest
+epoch, its total and its counters. Its epoch only moves forward. A
+half-open finding additionally depends on flows opened up to
+handshake_timeout_secs before the window, since a SYN only folds into
 the window when it expires. A ring exists only once written and is
 dropped on its own once it has left the window, so window state covers
 only the (source, finding) pairs counted in about the last two windows.
@@ -37,6 +39,7 @@ from collections import ChainMap, OrderedDict
 from typing import NamedTuple
 
 from .events import (
+    _new,
     ACK,
     PSH,
     RST,
@@ -48,7 +51,6 @@ from .events import (
     TraceEvent,
     UdpInfo,
     Verdict,
-    flow_key,
     ipv4_to_int,
     validate_udp_checksum,
 )
@@ -75,7 +77,7 @@ _VERDICTS = {code: Verdict(SANDBOX, 3, code) for code in (
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MAX_EPOCH = int(sys.float_info.max)  # every finite ts / bucket width truncates to at most this
 COOKIE_COUNTER_SECS = 64  # cookie counter advances once per 64 s of trace time
-MAX_BUCKET_COUNT = 1000  # a window ring is a list of bucket_count ints per source and finding
+MAX_BUCKET_COUNT = 1000  # a window ring is a list of bucket_count + 2 ints per source and finding
 
 DEFAULT_SIGNATURES: tuple[bytes, ...] = (
     b"() {",          # bash function-definition injection
@@ -196,42 +198,6 @@ def check_syn_cookie(secret: int, flow: FlowKey, counter_now: int, value: int) -
     return None
 
 
-class _Window:
-    """Ring of bucket counters; each bucket spans window_secs / bucket_count."""
-
-    __slots__ = ("counts", "epoch", "total")
-
-    def __init__(self, buckets: int, epoch: int):
-        self.counts = [0] * buckets
-        self.epoch = epoch
-        self.total = 0
-
-    def add(self, epoch: int, n: int = 1) -> None:
-        counts = self.counts
-        size = len(counts)
-        if epoch > self.epoch:
-            steps = epoch - self.epoch
-            if steps >= size:
-                for i in range(size):
-                    counts[i] = 0
-                self.total = 0
-            else:
-                base = self.epoch
-                for k in range(1, steps + 1):
-                    i = (base + k) % size
-                    self.total -= counts[i]
-                    counts[i] = 0
-            self.epoch = epoch
-        elif epoch <= self.epoch - size:
-            return  # belongs to a bucket that already rotated out
-        counts[epoch % size] += n
-        self.total += n
-
-    def count(self, epoch: int) -> int:
-        self.add(epoch, 0)
-        return self.total
-
-
 class Analyzer:
     """Single-writer analyzer state; packets must arrive in timestamp
     order, which ``Engine.process_event`` guards for the pipeline."""
@@ -245,8 +211,8 @@ class Analyzer:
         self.entries = ChainMap(self._half_open, self._established)  # every tracked flow
         self._pending_by_source: dict[str, int] = {}
         self._expires_at = 0.0
-        # (source, finding code) -> its ring, made on its first count
-        self._windows: dict[tuple[str, str], _Window] = {}
+        # (source, finding code) -> its ring [epoch, total, *counts], made on its first count
+        self._windows: dict[tuple[str, str], list[int]] = {}
         self._next_sweep = 0.0
         self.cookie_mode = False
         self._signatures = [(sig, Verdict(SANDBOX, 3, PAYLOAD_SIGNATURE, sig_id))
@@ -260,20 +226,41 @@ class Analyzer:
         except OverflowError:  # the quotient rounded to inf
             return _MAX_EPOCH
 
-    def _bump(self, src_ip: str, code: str, ts: float) -> int:
-        """Count one packet toward the source's ``code`` finding at ``ts``;
-        returns the window total. A ring is made on its first count."""
+    def _count(self, src_ip: str, code: str, ts: float, n: int = 1) -> int:
+        """Add ``n`` packets to the source's ``code`` window at ``ts``; the
+        window total. A ring is made on its first count, so ``n=0`` reads
+        without making one.
+
+        A ring rotates only forward, when ``epoch(ts)`` is past its epoch,
+        and its epoch never goes back: packets arrive in ts order, and
+        ``_expire`` folds flows in age order before a packet counts
+        anything, so every fold's expiry is at or after every earlier count
+        on that ring. A read at an earlier ts gives the current total and
+        leaves the ring as it was."""
         epoch = self._epoch(ts)
         key = (src_ip, code)
         ring = self._windows.get(key)
         if ring is None:
-            ring = self._windows[key] = _Window(self.config.bucket_count, epoch)
-        ring.add(epoch)
-        return ring.total
+            if not n:
+                return 0
+            ring = self._windows[key] = [epoch, 0] + [0] * self.config.bucket_count
+        size = len(ring) - 2
+        if epoch > ring[0]:
+            if epoch - ring[0] >= size:
+                ring[1:] = [0] * (size + 1)
+            else:
+                for e in range(ring[0] + 1, epoch + 1):
+                    i = 2 + e % size
+                    ring[1] -= ring[i]
+                    ring[i] = 0
+            ring[0] = epoch
+        ring[2 + epoch % size] += n
+        ring[1] += n
+        return ring[1]
 
     def _flag(self, src_ip: str, code: str, ts: float, threshold: int) -> Verdict | None:
         """Count the packet; the finding's verdict once the total reaches ``threshold``."""
-        if self._bump(src_ip, code, ts) >= threshold:
+        if self._count(src_ip, code, ts) >= threshold:
             return _VERDICTS[code]
         return None
 
@@ -302,7 +289,7 @@ class Analyzer:
                 self._expires_at = expired_at
                 return
             self._close_half_open(flow)
-            self._bump(flow.src_ip, SYN_HALF_OPEN, expired_at)
+            self._count(flow.src_ip, SYN_HALF_OPEN, expired_at)
         self._expires_at = now + timeout
 
     def _evict_for_capacity(self, now: float) -> None:
@@ -312,7 +299,7 @@ class Analyzer:
             if self._half_open:
                 flow = next(iter(self._half_open))
                 self._close_half_open(flow)
-                self._bump(flow.src_ip, SYN_HALF_OPEN, now)
+                self._count(flow.src_ip, SYN_HALF_OPEN, now)
             else:
                 self._established.popitem(last=False)
 
@@ -332,7 +319,7 @@ class Analyzer:
         missing ring reads. Runs at most once per window_secs of trace
         time."""
         cutoff = self._epoch(now) - self.config.bucket_count
-        stale = [key for key, ring in self._windows.items() if ring.epoch <= cutoff]
+        stale = [key for key, ring in self._windows.items() if ring[0] <= cutoff]
         for key in stale:
             del self._windows[key]
         self._next_sweep = now + self.config.window_secs
@@ -353,11 +340,7 @@ class Analyzer:
     def incomplete_count(self, src_ip: str, now: float) -> int:
         """Incomplete handshakes charged to a source: window-folded
         expiries plus its half-open flows still pending."""
-        pending = self._pending_by_source.get(src_ip, 0)
-        ring = self._windows.get((src_ip, SYN_HALF_OPEN))
-        if ring is None:
-            return pending
-        return ring.count(self._epoch(now)) + pending
+        return self._count(src_ip, SYN_HALF_OPEN, now, 0) + self._pending_by_source.get(src_ip, 0)
 
     def observe_tcp(self, pkt: TraceEvent) -> Verdict | None:
         """Fixed check order, first hit wins; at most one finding per packet.
@@ -380,17 +363,16 @@ class Analyzer:
                 if sig in payload:
                     return verdict
 
+        flow = _new(FlowKey, (src, pkt.src_port, pkt.dst_ip, pkt.dst_port, "tcp"))
         # (2) connection-opening SYN
         if flags & SYN and not flags & ACK:
             if self.cookie_mode:
                 return None  # stateless server: cookie goes out, nothing stored
-            flow = flow_key(pkt)
             half_open = self._half_open
             created = half_open.get(flow)
             if created is not None:
                 # retransmitted/superseded SYN: the old pending one never
-                # completed, charge it now and restart the clock
-                self._bump(src, SYN_HALF_OPEN, now)
+                # completed, charge it below and restart the clock
                 if created != now:
                     half_open[flow] = now
                     half_open.move_to_end(flow)
@@ -399,12 +381,12 @@ class Analyzer:
                 half_open[flow] = now
                 self._pending_by_source[src] = self._pending_by_source.get(src, 0) + 1
             # SYN on an established flow: ignore for state, still thresholded
-            if self.incomplete_count(src, now) >= cfg.syn_half_open_per_source:
+            charged = self._count(src, SYN_HALF_OPEN, now, 0 if created is None else 1)
+            if charged + self._pending_by_source.get(src, 0) >= cfg.syn_half_open_per_source:
                 return _VERDICTS[SYN_HALF_OPEN]
             return None
 
         if flags & ACK:
-            flow = flow_key(pkt)
             pending = flow in self._half_open
             # (3) handshake completion: of a half-open flow, or of any new
             # flow under SYN cookies, where the ACK must carry a valid cookie

@@ -13,7 +13,7 @@ checks the codec tests hold to ``_BODIES``, and any other line by
 ``json``. A canonical line holds exactly the bytes serialize writes for
 its event, so serialize returns the line the fast path read last for the
 event built from it; any other event is written as compact JSON of its
-fields.
+fields and read back, so serialize refuses every event parse refuses.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -404,36 +404,58 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     return TraceEvent(*head, body, label)
 
 
+def _event_json(event: TraceEvent) -> str:
+    """Compact JSON of the fields of ``event``, unchecked: keyed and
+    ordered by _HEAD and its kind's _BODIES entry, then its label when set.
+    Raises ValueError naming a field whose value cannot be encoded, or for
+    a body that is not its kind's record."""
+    record, fields = _BODIES.get(event.kind, (None, ()))
+    if record is None or not isinstance(event.body, record):
+        raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
+    obj = {}
+    for (key, check, _), value in zip(_HEAD + fields, (*event[:7], *event.body)):
+        try:
+            obj[key] = _FLAG_STRS[value & 63] if check is _FLAGS else _b64(value) if check is _B64 else value
+        except TypeError:
+            raise ValueError(f"{key} cannot be written: {value!r}") from None
+    if event.label is not None:
+        obj["label"] = event.label
+    try:
+        return _dumps(obj)
+    except (TypeError, ValueError) as exc:  # a value json cannot write: name the first
+        for key, value in obj.items():
+            try:
+                _dumps(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} cannot be written: {exc}") from None
+        raise
+
+
 def serialize_trace_event(event: TraceEvent) -> str:
     """Inverse of parse_trace_event; stable key order, compact separators.
 
     The event _parse_canonical built last is written as its own line,
     without trailing whitespace, when its ts was spelled as repr writes it:
     a canonical line holds exactly these bytes. Any other event is written
-    as compact JSON of its fields, keyed and ordered by _HEAD and its
-    kind's _BODIES entry, then its label when set.
+    by ``_event_json`` and read back, so every event the reader would
+    refuse or read as another event raises ValueError naming the field.
 
-    Raises ValueError when the body is not the record of the event's kind.
+    The read-back leaves in _last_canonical a fresh event that no caller
+    holds and so none can pass in: the identity check still gives a line
+    only to the event built from it, and every capture its own line.
     """
     last, line, ts_text = _last_canonical
     if event is last and repr(event.ts) == ts_text:
         return line.rstrip(" \t\n\r")
-    record, fields = _BODIES.get(event.kind, (None, ()))
-    if record is None or not isinstance(event.body, record):
-        raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
-    obj = {key: value for (key, _, _), value in zip(_HEAD, event)}
-    for (key, check, _), value in zip(fields, event.body):
-        obj[key] = _FLAG_STRS[value & 63] if check is _FLAGS else _b64(value) if check is _B64 else value
-    if event.label is not None:
-        obj["label"] = event.label
-    return _dumps(obj)
-
-
-def flow_key(event: TraceEvent) -> FlowKey:
-    """Directional 5-tuple key for tcp/udp events; http has no flow."""
-    if event.kind not in ("tcp", "udp"):
-        raise ValueError(f"flow_key is only defined for tcp/udp events, got {event.kind!r}")
-    return FlowKey(event.src_ip, event.src_port, event.dst_ip, event.dst_port, event.kind)
+    line = _event_json(event)
+    read = parse_trace_event(line)  # its TraceParseError names the field
+    if read != event:
+        for (key, _, _), wrote, got in zip(_HEAD + _BODIES[event.kind][1] + (("label", str, 0),),
+                                           (*event[:7], *event.body, event.label),
+                                           (*read[:7], *read.body, read.label)):
+            if wrote != got:
+                raise ValueError(f"{key} {wrote!r} would read back as {got!r}")
+    return line
 
 
 def _ones_complement_sum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,

@@ -27,6 +27,7 @@ from .analyzer import Analyzer, AnalyzerConfig
 from .events import (
     _MAX_TS,
     _dumps,
+    _event_json,
     DROP_RATE_LIMITED,
     FORWARD,
     REJECT_BLACKLISTED,
@@ -68,14 +69,20 @@ class SandboxSink:
     """Append-only capture of sandboxed traffic: the event as
     serialize_trace_event writes it (for the event just read from a
     canonical line, that line without trailing whitespace), the reason it
-    was caught, and the trace time of the verdict."""
+    was caught, and the trace time of the verdict. The engine trusts a
+    library caller's event, so one the writer refuses, such as one from
+    an address that is not a dotted quad, is captured with its fields as
+    given."""
 
     def __init__(self, stream: TextIO):
         self._stream = stream
 
     def capture(self, event: TraceEvent, reason: str) -> None:
-        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%r}\n'
-                           % (serialize_trace_event(event), _dumps(reason), event.ts))
+        try:
+            line = serialize_trace_event(event)
+        except ValueError:
+            line = _event_json(event)
+        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%r}\n' % (line, _dumps(reason), event.ts))
 
 
 class Stats:
@@ -136,6 +143,9 @@ class Engine:
 
         The one clock guard: ts must be finite and no earlier than the
         previous event's, so the layers may rely on non-decreasing time.
+        Apart from that guard a library caller's event is trusted: the
+        layers decide on its fields as given, and it is captured as given
+        where serialize_trace_event refuses it.
         """
         if not self._last_ts <= event.ts <= _MAX_TS:
             raise OutOfOrderError(event.event_id, event.ts, self._last_ts)

@@ -34,6 +34,7 @@ from ddosgate.events import (
     compute_udp_checksum,
     flags_from_str,
 )
+from test_state_bounded import CHURN_CONFIG, _churn_lines, _run
 
 SRV = "10.0.0.1"
 
@@ -463,3 +464,90 @@ def test_epoch_saturates_instead_of_raising():
     assert a.observe_tcp(_tcp("10.52.0.1", 1000, "A", 1e308)) is None
     f = a.observe_tcp(_tcp("10.52.0.1", 1000, "A", sys.float_info.max))
     assert f is not None and f.reason == ACK_FLOOD
+
+
+# -- window ring oracle ----------------------------------------------------
+
+_KEYS = [(src, code) for src in ("10.53.0.1", "10.53.0.2") for code in (ACK_FLOOD, SYN_HALF_OPEN)]
+_WIDTH = 0.5  # bucket width; ts / width overflows to inf above sys.float_info.max / 2
+# ts near the float maximum, ascending: the first two have finite epochs
+# far apart, the rest all saturate to one epoch
+_HUGE_TS = (4e307, 8e307, 1e308, 1.2e308, 1.7e308, sys.float_info.max)
+
+
+def _model_epoch(ts):
+    q = ts / _WIDTH
+    return int(sys.float_info.max) if q == float("inf") else int(q)
+
+
+@pytest.mark.parametrize("bucket_count", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_window_count_matches_a_plain_model(bucket_count, seed):
+    """Each (source, finding) keeps the list of (epoch, n) it was charged;
+    its total at epoch E is the sum of n over epochs above E - bucket_count.
+    ``_count`` must return that total after every call, with jumps of 0
+    to 3 x bucket_count epochs and ts near the float maximum, where the
+    epoch saturates. A read at a ts earlier than the ring's epoch returns
+    the ring's total and leaves it as it was."""
+    rng = random.Random(seed)
+    a = Analyzer(AnalyzerConfig(window_secs=bucket_count * _WIDTH, bucket_count=bucket_count))
+    charged = {key: [] for key in _KEYS}
+    epoch = 0
+    times = []
+    for _ in range(300):
+        epoch += rng.choice((0, 0, 0, rng.randint(0, 3 * bucket_count)))
+        times.append((epoch + 0.05 + 0.9 * rng.random()) * _WIDTH)
+    times += sorted(rng.choice(_HUGE_TS) for _ in range(30))
+    for ts in times:
+        key = rng.choice(_KEYS)
+        n = rng.randint(0, 1)
+        now = _model_epoch(ts)
+        if n:
+            charged[key].append(now)
+        expected = sum(1 for e in charged[key] if e > now - bucket_count)
+        assert a._count(*key, ts, n) == expected, (ts, key, n)
+        assert (key in a._windows) == bool(charged[key])  # a read makes no ring
+        ring = a._windows.get(key)
+        if ring is not None and ring[0] > 0 and rng.random() < 0.3:
+            before = list(ring)
+            earlier = rng.uniform(0.0, ring[0] * _WIDTH * (1 - 1e-9))
+            assert a._count(*key, earlier, 0) == before[1]
+            if key[1] == SYN_HALF_OPEN:
+                assert a.incomplete_count(key[0], earlier) == before[1]
+            assert ring == before
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_ring_epochs_never_go_back(seed, monkeypatch):
+    """The invariant ``_count`` relies on instead of a below-window case:
+    with the handshake timeout longer than the window and a few packets
+    per second, so the clock jumps, expired SYNs fold into their rings
+    buckets behind the packet clock, yet no count lands before its
+    ring's epoch and no ring's epoch goes back."""
+    count = Analyzer._count
+    clock = {"now": 0.0}
+    lags = []  # buckets between the clock and each count
+
+    def forward_only(self, src_ip, code, ts, n=1):
+        ring = self._windows.get((src_ip, code))
+        before = None if ring is None else ring[0]
+        if n:
+            assert before is None or self._epoch(ts) >= before, (src_ip, code, ts)
+            lags.append(self._epoch(clock["now"]) - self._epoch(ts))
+        total = count(self, src_ip, code, ts, n)
+        ring = self._windows.get((src_ip, code))
+        assert before is None or ring[0] >= before
+        return total
+
+    advance = Analyzer._advance_clock
+
+    def advance_clock(self, now):
+        clock["now"] = now
+        advance(self, now)
+
+    monkeypatch.setattr(Analyzer, "_count", forward_only)
+    monkeypatch.setattr(Analyzer, "_advance_clock", advance_clock)
+    config = CHURN_CONFIG._replace(analyzer=CHURN_CONFIG.analyzer._replace(handshake_timeout_secs=9.0))
+    assert config.analyzer.handshake_timeout_secs > config.analyzer.window_secs
+    _run(_churn_lines(seed=seed, seconds=200.0, sources=60, rate=3.0), config)
+    assert sum(lag > 0 for lag in lags) > 30 and max(lags) >= 3

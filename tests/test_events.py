@@ -23,7 +23,6 @@ from ddosgate.events import (
     compute_udp_checksum,
     flags_from_str,
     flags_to_str,
-    flow_key,
     int_to_ipv4,
     ipv4_to_int,
     parse_trace_event,
@@ -231,15 +230,6 @@ def test_parse_rejects_undecodable_bytes():
 def test_serialized_bytes_are_stable():
     ev = parse_trace_event(_tcp_line())
     assert serialize_trace_event(ev) == serialize_trace_event(ev)
-
-
-def test_flow_key_only_for_packets():
-    ev = parse_trace_event(_tcp_line())
-    assert flow_key(ev).proto == "tcp"
-    http = TraceEvent(1, 0.0, "http", "10.0.0.2", "10.0.0.1", 1, 80,
-                      HttpInfo("GET", "/", "HTTP/1.1", (), b"", 10))
-    with pytest.raises(ValueError):
-        flow_key(http)
 
 
 # checksum vectors frozen from an independent byte-level reference

@@ -7,7 +7,8 @@ fast path must give the event the ``json`` path gives, or decline it.
 fast path read last as its line, and any other as compact JSON of its
 fields; either way they must write the bytes of the dict-plus-JSON
 serializer kept here as the reference. So every line either path reads,
-written back, must give the reference bytes.
+written back, must give the reference bytes. An event whose line the
+reader would refuse, or read as another event, the writer must refuse.
 """
 
 import base64
@@ -20,7 +21,9 @@ import pytest
 
 from ddosgate import events
 from ddosgate.events import (
+    SYN,
     HttpInfo,
+    TcpInfo,
     TraceEvent,
     TraceParseError,
     flags_to_str,
@@ -302,3 +305,112 @@ def test_capture_of_a_parsed_line_is_the_line_itself(monkeypatch):
         sink.capture(earlier, "syn_flood")
     with pytest.raises(ValueError):
         sink.capture(parse_trace_event(_tcp(ts=5)), "syn_flood")  # ts not as repr writes it
+
+
+_GOOD = TraceEvent(1, 1.5, "tcp", "10.0.0.2", "10.0.0.1", 40000, 80, TcpInfo(SYN, 1, 0, 0, b""))
+_GOOD_HTTP = TraceEvent(2, 1.5, "http", "10.0.0.2", "10.0.0.1", 40000, 80,
+                        HttpInfo("GET", "/", "HTTP/1.1", (), b"", 10))
+# (field named, event): each but the last two writes a line the reader
+# refuses; flags 64 would read back as flags 0, and a str payload has no
+# base64
+_REFUSED = [
+    ("ts", _GOOD._replace(ts=float("nan"))),
+    ("event_id", _GOOD._replace(event_id=-1)),
+    ("src_port", _GOOD._replace(src_port=70_000)),
+    ("src_ip", _GOOD._replace(src_ip="host")),
+    ("method", _GOOD_HTTP._replace(body=_GOOD_HTTP.body._replace(method=""))),
+    ("dst_port", _GOOD._replace(dst_port=True)),
+    ("flags", _GOOD._replace(body=_GOOD.body._replace(flags=64))),
+    ("payload_b64", _GOOD._replace(body=_GOOD.body._replace(payload="x"))),
+]
+
+
+@pytest.mark.parametrize("field, event", _REFUSED, ids=[f"{field}-{i}" for i, (field, _) in enumerate(_REFUSED)])
+def test_writer_refuses_what_the_reader_refuses(field, event):
+    with pytest.raises(ValueError) as exc:
+        serialize_trace_event(event)
+    assert str(exc.value).startswith(field + " ")
+    if isinstance(exc.value, TraceParseError):
+        assert exc.value.field == field
+    if field != "payload_b64":  # the engine trusts a library caller's event: captured as given
+        out = io.StringIO()
+        SandboxSink(out).capture(event, "syn_flood")
+        assert out.getvalue().startswith('{"event":%s,' % _reference_serialize(event))
+
+
+def test_read_back_leaves_each_capture_its_own_line():
+    """The writer's read-back makes the event it parses the one
+    _parse_canonical built last; an event parsed before still gets its
+    line's bytes, written afresh, and the read-back event is no caller's."""
+    line = _tcp(ts=2.5)
+    event = parse_trace_event(line)
+    assert serialize_trace_event(_GOOD) == _reference_serialize(_GOOD)
+    assert events._last_canonical[0] == _GOOD and events._last_canonical[0] is not _GOOD
+    out = io.StringIO()
+    SandboxSink(out).capture(event, "syn_flood")
+    assert out.getvalue() == _reference_capture(event, "syn_flood")
+    assert json.loads(out.getvalue())["event"] == json.loads(line)
+
+
+_TEXT = ' !"\\AZaz~\u00e9\u2713\U0001f600\t'  # quotes, a backslash, non-ASCII, a tab
+# check -> values that break it, as a function of the field's bound
+_BAD = {
+    int: lambda bound: (-1, bound + 1, True, 1.0, "1"),
+    float: lambda bound: (-1.0, float("nan"), float("inf"), True, "1"),
+    str: lambda bound: ("", 5, b"x") if bound else (5, b"x"),
+    events._ADDR: lambda bound: ("host", "010.0.0.1", "1.2.3", 5),
+    events._FLAGS: lambda bound: (64, -1, "S", 1.0),
+    events._B64: lambda bound: ("x", 5),
+    events._PAIRS: lambda bound: ((("a", 1),), [["a", "b"]], ("ab",)),
+}
+
+
+def _random_value(rng, check, bound):
+    if check is int:
+        return rng.choice((0, bound, rng.randint(0, bound)))
+    if check is float:
+        return rng.choice((0.0, events._MAX_TS, 5e-324, rng.uniform(0, 1e6), float(rng.randint(0, 10**6))))
+    if check is str:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randint(bound, 6)))
+    if check is events._ADDR:
+        return rng.choice(("0.0.0.0", "255.255.255.255", ".".join(str(rng.randrange(256)) for _ in range(4))))
+    if check is events._FLAGS:
+        return rng.randrange(64)
+    if check is events._B64:
+        return rng.randbytes(rng.choice((0, 1, 2, 3, 17)))
+    return tuple((_random_value(rng, str, 0), _random_value(rng, str, 0)) for _ in range(rng.randint(0, 3)))
+
+
+def _random_event(rng) -> TraceEvent:
+    kind = rng.choice(sorted(events._BODIES))
+    record, fields = events._BODIES[kind]
+    head = [kind if check is events._KIND else _random_value(rng, check, bound) for _, check, bound in events._HEAD]
+    body = record(*(_random_value(rng, check, bound) for _, check, bound in fields))
+    return TraceEvent(*head, body, rng.choice((None, _random_value(rng, str, 0))))
+
+
+def test_writer_round_trips_and_refuses_each_bad_field():
+    """Seeded events built field by field from the tables' bounds read back
+    as themselves, field types included. Each single-field violation raises
+    a ValueError whose message starts with the field's wire key."""
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(150):
+        event = _random_event(rng)
+        assert _typed(parse_trace_event(serialize_trace_event(event))) == _typed(event)
+        body_fields = events._BODIES[event.kind][1]
+        for i, (key, check, bound) in enumerate(events._HEAD + body_fields + (("label", str, 0),)):
+            if check is events._KIND:
+                continue
+            for bad in _BAD[check](bound) if key != "label" else (5, b"x"):
+                if i < 7:
+                    broken = event._replace(**{TraceEvent._fields[i]: bad})
+                elif key != "label":
+                    broken = event._replace(body=event.body._replace(**{event.body._fields[i - 7]: bad}))
+                else:
+                    broken = event._replace(label=bad)
+                with pytest.raises(ValueError) as exc:
+                    serialize_trace_event(broken)
+                assert str(exc.value).startswith(key + " "), (key, bad, str(exc.value))
+                refused += 1
+    assert refused > 5000
