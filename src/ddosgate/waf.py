@@ -16,10 +16,13 @@ only with the numeric target duration_ms; the text operators pair with
 everything else. Rules evaluate in file order: the first sandbox match
 wins, log matches accumulate without stopping evaluation.
 
-``parse_ruleset`` compiles the rules once, in file order, into a
-``Ruleset``. Per request, ``evaluate`` derives and transforms each
-candidate (target, header name, transforms) once, on the first rule
-that reads it, and returns at the first sandbox match.
+``parse_ruleset`` parses the rules into a ``Ruleset``, which compiles
+them once, in file order, into one Python function that ``evaluate``
+calls. Rule text is bound in that function's namespace as data, never
+written into its source. Per request the function reads each target's
+raw value once, derives and transforms each candidate (target, header
+name, transforms) once, on the first rule that reads it, and returns at
+the first sandbox match.
 
 Deliberate weaknesses, kept for predictability: urldecode runs exactly
 once, so double-encoded payloads slip through; and no default rule
@@ -225,61 +228,126 @@ def default_ruleset() -> Ruleset:
     return parse_ruleset(DEFAULT_RULESET_TEXT)
 
 
-# Each target's candidate values, before transforms.
-_TARGET_VALUES = {
-    "method": lambda request: (request.method,),
-    "uri": lambda request: (request.uri,),
-    "body": lambda request: (request.body.decode("latin-1"),),
-    "duration_ms": lambda request: (request.duration_ms,),
-    "any_header": lambda request: [value for _, value in request.headers],
+# The source that reads each single-valued target's raw value. The raw
+# value of any_header is request.headers itself, and that of header:<name>
+# the list of that header's values.
+_SINGLE_SOURCES = {
+    "method": "request.method",
+    "uri": "request.uri",
+    "body": 'request.body.decode("latin-1")',
+    "duration_ms": "request.duration_ms",
 }
 
 
-def _header_values(name: str):
-    # case-insensitive on the name, every occurrence tested
-    return lambda request: [value for key, value in request.headers if key.lower() == name]
+def _compile(rules: tuple[Rule, ...]):
+    """One function that decides as ``rules`` do, in file order.
 
+    Its source holds only names that this function numbers itself:
+    every value taken from a rule (argument, pattern, header name, id)
+    is bound in the function's namespace, and a rule's target, op and
+    action only choose which fixed snippet is written, so no rule text
+    becomes code. Each rule is one flat statement: an ``if`` on a
+    single value, or a ``for`` over a list of values whose body is that
+    ``if``; there is no ``elif`` chain to nest. Each raw value and each
+    candidate (target, header name, transforms) is derived into a local
+    just before the first rule that reads it. Every statement before
+    that one returns or falls through to it, so the local is set
+    wherever it is read.
+    """
+    namespace = {"WafDecision": WafDecision, "PASS": PASS}
+    lines = ["def evaluate(request):"]
+    derived: dict[tuple, str] = {}  # raw value or candidate -> its local
+    fns: dict[str, str] = {}  # transform name -> its constant
 
-def _chain(transforms: tuple[str, ...]):
-    """One callable for a transform list, or None for an empty one."""
-    if len(transforms) < 2:
-        return _TRANSFORM_FNS[transforms[0]] if transforms else None
-    return lambda value: apply_transforms(value, transforms)
+    def const(value) -> str:
+        name = f"_c{len(namespace)}"
+        namespace[name] = value
+        return name
 
+    def local(key: tuple, source) -> str:
+        if key not in derived:
+            code = source()  # may derive the locals it reads first
+            derived[key] = f"_v{len(derived)}"
+            lines.append(f"    {derived[key]} = {code}")
+        return derived[key]
 
-def _test(rule: Rule):
-    """``(literal, None)`` for a text ``contains`` rule, else ``(None, check)``,
-    where ``check`` tests one candidate value."""
-    if rule.target == "duration_ms":
-        return None, lambda value: value > rule.arg_num
-    if rule.op == "contains":
-        return rule.arg, None
-    if rule.op == "matches":
-        return None, rule.pattern.search
-    return None, lambda value: len(value) > rule.arg_num  # len_gt
+    def transformed(value: str, transforms: tuple[str, ...]) -> str:
+        for t in transforms:
+            if t not in fns:
+                fns[t] = const(_TRANSFORM_FNS[t])
+            value = f"{fns[t]}({value})"
+        return value
+
+    def candidate(rule: Rule) -> tuple[str, bool]:
+        """The local that holds the rule's candidate, and whether it is a list."""
+        transforms = () if rule.target == "duration_ms" else rule.transforms
+        if rule.target in _SINGLE_SOURCES:
+            raw = local((rule.target,), lambda: _SINGLE_SOURCES[rule.target])
+            if transforms:
+                raw = local((rule.target, transforms), lambda: transformed(raw, transforms))
+            return raw, False
+        headers = local(("headers",), lambda: "request.headers")
+        if rule.target == "any_header":
+            key, pairs = ("any_header", transforms), f"_, value in {headers}"
+        else:  # header:<name>: case-insensitive on the name, every occurrence
+            key = ("header", rule.header_name)
+            raw = local(key, lambda: f"[value for key, value in {headers} if key.lower() == "
+                                     f"{const(rule.header_name)}]")
+            if not transforms:
+                return raw, True
+            key, pairs = key + (transforms,), f"value in {raw}"
+        return local(key, lambda: f"[{transformed('value', transforms)} for {pairs}]"), True
+
+    logs = False  # whether a log rule came earlier in the file
+    for rule in rules:
+        if rule.target == "duration_ms":
+            test = "{} > " + const(rule.arg_num)
+        elif rule.op == "contains":
+            test = const(rule.arg) + " in {}"
+        elif rule.op == "matches":
+            test = const(rule.pattern.search) + "({})"
+        else:  # len_gt
+            test = "len({}) > " + const(rule.arg_num)
+        sandbox = rule.action == SANDBOX_ACTION
+        if sandbox:
+            action = (f"return WafDecision(True, {const(rule.id)}, tuple(log_fired))" if logs
+                      else f"return {const(WafDecision(True, rule.id, ()))}")
+        else:
+            if not logs:
+                lines.append("    log_fired = []")
+                logs = True
+            rule_id = const(rule.id)
+            action = f"if {rule_id} not in log_fired: log_fired.append({rule_id})"
+        value, multi = candidate(rule)
+        if multi:
+            lines.append(f"    for value in {value}:")
+            lines.append(f"        if {test.format('value')}:")
+            lines.append(f"            {action}")
+            if not sandbox:
+                lines.append("            break")
+        else:
+            lines.append(f"    if {test.format(value)}:")
+            lines.append(f"        {action}")
+    lines.append("    return WafDecision(False, None, tuple(log_fired)) if log_fired else PASS" if logs
+                 else "    return PASS")
+    exec(compile("\n".join(lines), "<waf ruleset>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 class Ruleset(tuple):
-    """The rules in file order, compiled once for ``evaluate``.
+    """The rules in file order, compiled once into one function.
 
-    A tuple of ``Rule``s (a slice or a sum is a plain tuple) that also
-    holds each rule compiled, in the same order, as ``(id, is_sandbox,
-    slot, derive, transform, literal, check)``. Rules on one candidate,
-    ``(target, header_name, transforms)``, share a slot, so that per
-    request each candidate is derived and transformed once.
+    A tuple of ``Rule``s (a slice or a sum is a plain tuple). ``__new__``
+    compiles the rules, in file order, into one Python function that
+    ``evaluate`` calls. Rule text is bound in that function's namespace
+    as data, never written into its source. Per request the function
+    reads each target's raw value once and derives each candidate,
+    ``(target, header_name, transforms)``, once.
     """
 
     def __new__(cls, rules: Iterable[Rule] = ()):
         self = super().__new__(cls, rules)
-        slots: dict[tuple, int] = {}
-        compiled = []
-        for rule in self:
-            transforms = () if rule.target == "duration_ms" else rule.transforms
-            slot = slots.setdefault((rule.target, rule.header_name, transforms), len(slots))
-            derive = _TARGET_VALUES.get(rule.target) or _header_values(rule.header_name)
-            compiled.append((rule.id, rule.action == SANDBOX_ACTION, slot, derive, _chain(transforms), *_test(rule)))
-        self._rules = tuple(compiled)
-        self._slots = len(slots)
+        self._evaluate = _compile(self)
         return self
 
 
@@ -288,23 +356,8 @@ def evaluate(ruleset: Ruleset, request: HttpInfo) -> WafDecision:
 
     The rules run in file order: the first sandbox rule that matches
     decides, and the log rules that match before it are listed in file
-    order, each id once. ``ruleset`` is a ``Ruleset``: wrap any other
-    sequence of rules in one.
+    order, each id once. ``ruleset`` is a ``Ruleset``, whose rules were
+    compiled once into the function this calls: wrap any other sequence
+    of rules in one.
     """
-    derived = [None] * ruleset._slots  # each slot's transformed values, filled on first use
-    log_fired: list[int] = []
-    for rule_id, sandbox, slot, derive, transform, literal, check in ruleset._rules:
-        values = derived[slot]
-        if values is None:
-            values = derive(request)
-            if transform is not None:
-                values = [transform(value) for value in values]
-            derived[slot] = values
-        for value in values:
-            if check(value) if check else literal in value:
-                if sandbox:
-                    return WafDecision(True, rule_id, tuple(log_fired))
-                if rule_id not in log_fired:
-                    log_fired.append(rule_id)
-                break
-    return WafDecision(False, None, tuple(log_fired)) if log_fired else PASS
+    return ruleset._evaluate(request)

@@ -355,3 +355,24 @@ def test_forward_when_sink_absent_and_sandbox_required():
     v = engine.process_event(_udp_bad(1, 0.0, "10.8.5.1"))
     assert v.decision == "sandbox"
     assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 1}
+
+
+def test_each_request_that_reaches_layer_four_calls_evaluate_once(monkeypatch):
+    """The benchmark times L4 by wrapping ``ddosgate.pipeline.evaluate``:
+    a pipeline that bypassed that name would report the layer as free."""
+    import ddosgate.pipeline
+
+    calls = []
+    evaluate = ddosgate.pipeline.evaluate
+    monkeypatch.setattr(ddosgate.pipeline, "evaluate",
+                        lambda ruleset, request: calls.append(request) or evaluate(ruleset, request))
+    trace = [serialize_trace_event(e) for e in generate(Scenario("http_attack", seed=7))]
+    examined = []
+    for limiter in (LimiterConfig(), LimiterConfig(burst=1)):  # the second stops some requests at L1
+        calls.clear()
+        engine = _engine(limiter=limiter)
+        engine.run_trace(trace, io.StringIO())
+        layers = engine.stats_snapshot()["layers"]
+        assert len(calls) == layers["4"]["examined"] and layers["4"]["blocked"] > 0
+        examined.append(len(calls))
+    assert examined[0] > examined[1] > 0

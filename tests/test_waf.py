@@ -1,16 +1,23 @@
 """Rule DSL parsing, transforms, and request evaluation."""
 
+import builtins
+import io
+import os
 import random
+import re
+import tokenize
 from collections import Counter
 from urllib.parse import unquote_plus
 
 import pytest
 
+from ddosgate import waf
 from ddosgate.events import HttpInfo
 from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import (
     PASS,
     SANDBOX_ACTION,
+    Rule,
     Ruleset,
     RulesetError,
     WafDecision,
@@ -470,3 +477,136 @@ def test_compiled_ruleset_decides_as_the_rule_by_rule_reference():
     assert {op for *_, op, _ in seen} == {"contains", "matches", "len_gt", "num_gt"}
     assert {action for *_, action in seen} == {"sandbox", "log"}
     assert len(outcomes) == 4 and min(outcomes.values()) >= 1_000, outcomes
+
+
+def test_each_target_is_read_once_per_request():
+    reads, decodes = Counter(), []
+
+    class CountedBody(bytes):
+        def decode(self, *args):
+            decodes.append(args)
+            return super().decode(*args)
+
+    class CountedRequest(HttpInfo):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            reads[name] += 1
+            return super().__getattribute__(name)
+
+    targets = ["method", "uri", "body", "any_header", "header:X-A", "header:x-a"]
+    lines = [f'RULE {n} {target} {transforms} contains "zzz" log'
+             for n, (target, transforms) in enumerate(
+                 ((t, tr) for t in targets for tr in ("none", "lowercase", "urldecode,lowercase")), start=1)]
+    lines += ["RULE 100 duration_ms none num_gt 5 log", "RULE 101 duration_ms none num_gt 7 log",
+              'RULE 102 body none len_gt 1 log', 'RULE 103 body urldecode matches "b" log']
+    rules = parse_ruleset("\n".join(lines))
+    fields = ("GET", "/a", "HTTP/1.1", (("X-A", "1"), ("b", "2")), b"%62", 9)
+    decision = evaluate(rules, CountedRequest(*fields[:4], CountedBody(fields[4]), fields[5]))
+    assert decision == _reference_evaluate(rules, HttpInfo(*fields)) == WafDecision(False, None, (100, 101, 102, 103))
+    assert decodes == [("latin-1",)]
+    assert reads == Counter(["method", "uri", "headers", "body", "duration_ms"])
+
+
+# Text that would change the meaning of Python source if it were written
+# into it: quotes, backslashes, newlines, format fields and a statement.
+_HOSTILE = ['"', "'", "\\", '"""', "'''", "\n", "\r\n", "{}", "{0}", "%s", "\\n", "\\\\",
+            '__import__("os").system("x")#', "')\n    return 1#", '"); __import__("os").system("x"); ("']
+
+
+def _compiled_sources(monkeypatch):
+    """The list that the source of every ruleset compiled from now on is added to."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(waf, "compile", spy, raising=False)
+    return sources
+
+
+def test_rule_text_is_bound_as_data_never_as_source(monkeypatch):
+    sources = _compiled_sources(monkeypatch)
+    monkeypatch.setattr(os, "system", lambda command: pytest.fail(f"ran {command!r}"))
+    rules = []
+    for n, text in enumerate(_HOSTILE, start=1):
+        if "\n" not in text:  # a rule line cannot hold a newline
+            name = "".join(c for c in text if not c.isspace()).lstrip('"') + str(n)
+            rules += parse_ruleset(f"RULE {3 * n} uri none contains {_quoted(text)} log\n"
+                                   f"RULE {3 * n + 1} header:{name} none contains {_quoted(text)} log\n"
+                                   f"RULE {3 * n + 2} body none matches {_quoted(re.escape(text))} log\n")
+        # built by hand: a str id, and a header name with any text
+        rules += [Rule(f"{n}{text}", "any_header", None, (), "contains", text, None, None, "log"),
+                  Rule(text, "header", text.lower(), (), "matches", text, None, re.compile(re.escape(text)), "log")]
+    rules.append(Rule('1") or True or ("', "uri", None, (), "contains", "\n", None, None, SANDBOX_ACTION))
+    ruleset = Ruleset(rules)
+    requests = [_req(uri=f"/{text}", headers=((text, text), (f"{text}{n}".lstrip('"'), text)),
+                     body=text.encode("latin-1")) for n, text in enumerate(_HOSTILE, start=1)]
+    requests.append(_req(uri="/plain", headers=(("a", "b"),), body=b"c"))
+    decisions = [evaluate(ruleset, request) for request in requests]
+    assert decisions == [_reference_evaluate(ruleset, request) for request in requests]
+    # each text matches only as itself
+    assert [d.matched for d in decisions] == ["\n" in text for text in _HOSTILE] + [False]
+    assert all(len(d.log_fired) >= 2 for d in decisions[:-1]) and decisions[-1] == PASS
+    # the source holds no string but the body's codec, no number, and only
+    # fixed names besides the numbered locals and constants
+    names, literals = set(), []
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME and not re.fullmatch(r"_[cv][0-9]+", tok.string):
+                names.add(tok.string)
+            elif tok.type in (tokenize.STRING, tokenize.NUMBER):
+                literals.append(tok.string)
+    assert set(literals) == {'"latin-1"'}
+    assert names <= {"def", "evaluate", "request", "method", "uri", "body", "decode", "duration_ms", "headers",
+                     "if", "for", "in", "not", "return", "break", "value", "key", "_", "lower", "len", "else",
+                     "log_fired", "append", "tuple", "WafDecision", "PASS", "True", "False", "None"}, names
+
+
+def _large_ruleset_text(rng, count):
+    """``count`` random rules over every target, transform list, op and
+    action, with 100 header names. One rule in 50 is a sandbox rule with a
+    rare match, so that many requests run through the whole ruleset."""
+    lines = []
+    for rule_id in range(1, count + 1):
+        sandbox = rng.random() < 0.02
+        target = rng.choice(_TARGETS + [f"header:H-{rng.randrange(100)}"])
+        if target == "duration_ms":
+            op, arg = "num_gt", str(rng.choice([99, 100, 30000, 60000]))
+        else:
+            op = rng.choice(["contains", "contains", "matches", "len_gt"])
+            if op == "contains":
+                pieces = rng.randint(3, 4) if sandbox else rng.randrange(4)
+                arg = _quoted("".join(rng.choice(_PIECES) for _ in range(pieces)))
+            elif op == "matches":
+                arg = _quoted(rng.choice(_PATTERNS) + ("[Kk]" * 3 if sandbox else ""))
+            else:
+                arg = str(rng.randrange(30, 40) if sandbox else rng.randrange(40))
+        action = "sandbox" if sandbox else "log"
+        lines.append(f"RULE {rule_id} {target} {rng.choice(_TRANSFORM_LISTS)} {op} {arg} {action}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_large_ruleset_compiles_and_decides_as_the_reference(tmp_path, capsys):
+    from ddosgate.cli import main
+
+    rng = random.Random(5000)
+    text = _large_ruleset_text(rng, 5_000)
+    rules = parse_ruleset(text)
+    assert len(rules) == 5_000
+    assert {rule.target for rule in rules} == {"method", "uri", "any_header", "header", "body", "duration_ms"}
+    assert {rule.transforms for rule in rules} == {(), ("lowercase",), ("urldecode",),
+                                                   ("lowercase", "urldecode"), ("urldecode", "lowercase")}
+    assert {(rule.op, rule.action) for rule in rules} == {
+        (op, action) for op in ("contains", "matches", "len_gt", "num_gt") for action in ("sandbox", "log")}
+    corpus = [request for _, hit, miss in _DEFAULT_RULE_PAIRS for request in (hit, miss)]
+    corpus += [_random_request(rng) for _ in range(120)]
+    decisions = [evaluate(rules, request) for request in corpus]
+    assert decisions == [_reference_evaluate(rules, request) for request in corpus]
+    passed = sum(not decision.matched for decision in decisions)
+    assert 10 <= passed <= len(corpus) - 10  # many requests ran through all 5,000 rules, many stopped early
+    path = tmp_path / "large.rules"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", "--ruleset", str(path)]) == 0
+    assert capsys.readouterr().out == "5000 rules\n"
