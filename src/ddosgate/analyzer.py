@@ -10,9 +10,12 @@ half-open flow that outlives the handshake timeout, or is dropped from
 a full table, is folded into its source's sliding window of incomplete
 handshakes; a full table with no half-open flow drops the oldest
 established one. Per-source windows also count bare ACKs, RSTs,
-empty-payload PSHs and URG misuse. When the global half-open count
-crosses its threshold the engine flips into SYN-cookie mode and models
-a stateless server until the count decays below half the threshold.
+empty-payload PSHs and URG misuse.
+
+Each TCP packet first steps the clock to its ts: expired half-open flows
+fold into their windows, then rings that have left the window are swept
+(at most once per window_secs), then SYN-cookie mode (a stateless server)
+is set: on at syn_half_open_global half-open flows, off below half that.
 
 Stateless UDP side: port, size, and checksum filtering.
 
@@ -276,10 +279,6 @@ class Analyzer:
             del self._pending_by_source[src]
 
     def _expire(self, now: float) -> None:
-        # _expires_at is never later than the oldest flow's expiry: the
-        # oldest SYN's ts only grows, and a flow added later has ts >= now
-        if now <= self._expires_at:
-            return
         timeout = self.config.handshake_timeout_secs
         half_open = self._half_open
         while half_open:
@@ -303,17 +302,9 @@ class Analyzer:
             else:
                 self._established.popitem(last=False)
 
-    def _update_cookie_mode(self) -> None:
-        threshold = self.config.syn_half_open_global
-        if not self.cookie_mode:
-            if len(self._half_open) >= threshold:
-                self.cookie_mode = True
-        elif len(self._half_open) < threshold / 2:
-            self.cookie_mode = False
-
     def _evict_expired_windows(self, now: float) -> None:
         """Drop every ring that last moved bucket_count or more epochs
-        before ``epoch(now)``. Called after ``_expire(now)``, so every
+        before ``epoch(now)``. Called after the expiry step, so every
         later add or count uses an epoch at or after ``epoch(now)`` and
         would first reset such a ring to all zeros, which is what a
         missing ring reads. Runs at most once per window_secs of trace
@@ -323,12 +314,6 @@ class Analyzer:
         for key in stale:
             del self._windows[key]
         self._next_sweep = now + self.config.window_secs
-
-    def _advance_clock(self, now: float) -> None:
-        self._expire(now)
-        if now >= self._next_sweep:
-            self._evict_expired_windows(now)
-        self._update_cookie_mode()
 
     # -- public observers --------------------------------------------------
 
@@ -350,7 +335,14 @@ class Analyzer:
         """
         cfg = self.config
         now = pkt.ts
-        self._advance_clock(now)
+        # _expires_at is never later than the oldest flow's expiry: the
+        # oldest SYN's ts only grows, and a flow added later has ts >= now
+        if now > self._expires_at:
+            self._expire(now)
+        if now >= self._next_sweep:
+            self._evict_expired_windows(now)
+        threshold = cfg.syn_half_open_global
+        self.cookie_mode = len(self._half_open) >= (threshold / 2 if self.cookie_mode else threshold)
         body = pkt.body
         assert isinstance(body, TcpInfo)
         flags = body.flags
@@ -363,7 +355,7 @@ class Analyzer:
                 if sig in payload:
                     return verdict
 
-        flow = _new(FlowKey, (src, pkt.src_port, pkt.dst_ip, pkt.dst_port, "tcp"))
+        flow = _new(FlowKey, (src, pkt.src_port, pkt.dst_ip, pkt.dst_port))
         # (2) connection-opening SYN
         if flags & SYN and not flags & ACK:
             if self.cookie_mode:

@@ -96,13 +96,12 @@ class HttpInfo(NamedTuple):
 
 
 class FlowKey(NamedTuple):
-    """Directional 5-tuple; no normalization of direction."""
+    """A TCP flow's directional 4-tuple; no normalization of direction."""
 
     src_ip: str
     src_port: int
     dst_ip: str
     dst_port: int
-    proto: str
 
 
 class TraceEvent(NamedTuple):

@@ -46,8 +46,6 @@ RATE_LIMITED = "rate_limited"
 BLACKLISTED = "blacklisted"
 
 # The verdicts that carry nothing from the event are shared, not rebuilt per event.
-_RATE_LIMITED_VERDICT = Verdict(DROP_RATE_LIMITED, 1, RATE_LIMITED)
-_RATE_LIMITED_SANDBOX_VERDICT = Verdict(SANDBOX, 1, RATE_LIMITED)
 _BLACKLISTED_VERDICT = Verdict(REJECT_BLACKLISTED, 2, BLACKLISTED)
 _FORWARD_VERDICT = Verdict(FORWARD, 0, "")
 
@@ -126,6 +124,9 @@ class Engine:
         self.blacklist = bl.Blacklist(self.config.blacklist_locator,
                                       self.config.blacklist_refresh_secs, fetcher or bl.fetch_feed)
         self.analyzer = Analyzer(self.config.analyzer)
+        # the one L1 verdict, shared by every event the limiter refuses
+        self._rate_limited_verdict = Verdict(
+            SANDBOX if self.config.rate_drop_to_sandbox else DROP_RATE_LIMITED, 1, RATE_LIMITED)
         if ruleset is None:
             ruleset = default_ruleset()
         self.ruleset = ruleset if isinstance(ruleset, Ruleset) else Ruleset(ruleset)
@@ -167,9 +168,7 @@ class Engine:
         now = event.ts
 
         if not self.limiter.acquire(event.src_ip, now):
-            if self.config.rate_drop_to_sandbox:
-                return _RATE_LIMITED_SANDBOX_VERDICT
-            return _RATE_LIMITED_VERDICT
+            return self._rate_limited_verdict
 
         if self.blacklist.contains(event.src_ip, now):
             return _BLACKLISTED_VERDICT

@@ -122,12 +122,6 @@ def _urldecode_once(value: str) -> str:
 _TRANSFORM_FNS = {"lowercase": _lowercase, "urldecode": _urldecode_once}
 
 
-def apply_transforms(value: str, transforms: tuple[str, ...]) -> str:
-    for t in transforms:
-        value = _TRANSFORM_FNS[t](value)
-    return value
-
-
 # One token: a quoted argument (its only escapes are \" and \\), a quote
 # that is never closed, or a bare word.
 _TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"|(")|([^\s"]\S*)', re.S)

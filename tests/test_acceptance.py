@@ -178,15 +178,14 @@ def test_05_syn_cookie_10k_round_trips_and_1m_forgeries():
     for _ in range(10_000):
         secret = rng.getrandbits(64)
         flow = FlowKey(str(ipaddress.IPv4Address(rng.getrandbits(32))), rng.randint(1, 65535),
-                       str(ipaddress.IPv4Address(rng.getrandbits(32))), rng.randint(1, 65535),
-                       "tcp")
+                       str(ipaddress.IPv4Address(rng.getrandbits(32))), rng.randint(1, 65535))
         counter = rng.getrandbits(20)
         mss_idx = rng.randrange(8)
         assert check_syn_cookie(secret, flow, counter,
                                 make_syn_cookie(secret, flow, counter, mss_idx)) == mss_idx
 
     secret = 0xD1CEB0A710C0FFEE
-    flow = FlowKey("198.51.100.7", 44123, "10.0.0.1", 443, "tcp")
+    flow = FlowKey("198.51.100.7", 44123, "10.0.0.1", 443)
     counter = 1000
 
     def forgery_accepts(seed):

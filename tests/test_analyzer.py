@@ -278,7 +278,7 @@ def test_syn_on_established_flow_stores_nothing():
 
 # -- SYN cookies ----------------------------------------------------------
 
-_FLOW = FlowKey("172.16.3.4", 51515, SRV, 80, "tcp")
+_FLOW = FlowKey("172.16.3.4", 51515, SRV, 80)
 
 
 def test_cookie_round_trip_and_skew():
@@ -299,7 +299,7 @@ def test_cookie_rejects_tampering():
     for bit in range(32):
         assert check_syn_cookie(secret, _FLOW, 100, value ^ (1 << bit)) != 3 or bit in (26, 27, 28), \
             "flipping any non-mss bit must not verify"
-    other_flow = FlowKey("172.16.3.5", 51515, SRV, 80, "tcp")
+    other_flow = FlowKey("172.16.3.5", 51515, SRV, 80)
     assert check_syn_cookie(secret, other_flow, 100, value) is None
     assert check_syn_cookie(secret ^ 1, _FLOW, 100, value) is None
 
@@ -331,7 +331,7 @@ def test_cookie_mode_hysteresis_and_stateless_completion():
     assert a.half_open_count() == 10
 
     # a completion ACK must present ack = cookie + 1 for its own flow
-    flow = FlowKey("10.22.0.1", 7777, SRV, 80, "tcp")
+    flow = FlowKey("10.22.0.1", 7777, SRV, 80)
     cookie = make_syn_cookie(cfg.syncookie_secret, flow, int(0.2 // 64), 2)
     ok = a.observe_tcp(_tcp("10.22.0.1", 7777, "A", 0.2, ack=(cookie + 1) & 0xFFFFFFFF))
     assert ok is None
@@ -344,6 +344,29 @@ def test_cookie_mode_hysteresis_and_stateless_completion():
     assert not a.cookie_mode
 
 
+def _probe(a, ts):
+    """A packet no check acts on, so only its clock step changes state:
+    the half-open count and cookie mode after it."""
+    assert a.observe_tcp(_tcp("10.25.0.1", 1000, "P", ts, payload=b"x")) is None
+    return a.half_open_count(), a.cookie_mode
+
+
+@pytest.mark.parametrize("threshold, lowest_in", [(10, 5), (5, 3)])
+def test_cookie_mode_enters_at_the_threshold_and_leaves_below_half(threshold, lowest_in):
+    timeout = 100.0
+    a = Analyzer(AnalyzerConfig(syn_half_open_global=threshold, syn_half_open_per_source=1000,
+                                handshake_timeout_secs=timeout))
+    rising = []
+    for i in range(threshold):
+        a.observe_tcp(_tcp(f"10.26.0.{i + 1}", 1000, "S", float(i)))
+        rising.append(_probe(a, float(i)))
+    assert rising == [(n, n == threshold) for n in range(1, threshold + 1)]
+    # flow i, parked at ts i, expires just after i + timeout: each probe
+    # expires exactly one more
+    falling = [_probe(a, i + timeout + 0.5) for i in range(threshold)]
+    assert falling == [(n, n >= lowest_in) for n in range(threshold - 1, -1, -1)]
+
+
 def test_established_via_cookie_counts_as_connection():
     cfg = AnalyzerConfig(syn_half_open_global=2, syn_half_open_per_source=1000)
     a = Analyzer(cfg)
@@ -351,7 +374,7 @@ def test_established_via_cookie_counts_as_connection():
     a.observe_tcp(_tcp("10.30.0.2", 1000, "S", 0.0))
     a.observe_tcp(_tcp("10.30.0.3", 1000, "S", 0.1))  # flips to cookie mode
     assert a.cookie_mode
-    flow = FlowKey("10.30.0.9", 4242, SRV, 80, "tcp")
+    flow = FlowKey("10.30.0.9", 4242, SRV, 80)
     cookie = make_syn_cookie(cfg.syncookie_secret, flow, 0, 1)
     assert a.observe_tcp(_tcp("10.30.0.9", 4242, "A", 0.2, ack=(cookie + 1) & 0xFFFFFFFF)) is None
     # established entry now exists: follow-up data is not a bare ACK
@@ -539,14 +562,14 @@ def test_ring_epochs_never_go_back(seed, monkeypatch):
         assert before is None or ring[0] >= before
         return total
 
-    advance = Analyzer._advance_clock
+    observe_tcp = Analyzer.observe_tcp
 
-    def advance_clock(self, now):
-        clock["now"] = now
-        advance(self, now)
+    def clocked_observe_tcp(self, pkt):
+        clock["now"] = pkt.ts
+        return observe_tcp(self, pkt)
 
     monkeypatch.setattr(Analyzer, "_count", forward_only)
-    monkeypatch.setattr(Analyzer, "_advance_clock", advance_clock)
+    monkeypatch.setattr(Analyzer, "observe_tcp", clocked_observe_tcp)
     config = CHURN_CONFIG._replace(analyzer=CHURN_CONFIG.analyzer._replace(handshake_timeout_secs=9.0))
     assert config.analyzer.handshake_timeout_secs > config.analyzer.window_secs
     _run(_churn_lines(seed=seed, seconds=200.0, sources=60, rate=3.0), config)

@@ -156,7 +156,7 @@ def test_cookie_ack_from_a_name_is_invalid_not_an_error():
     assert engine.analyzer.cookie_mode
     assert (v.decision, v.layer, v.reason) == ("sandbox", 3, "cookie_invalid")
     with pytest.raises(ValueError, match="not an IPv4 flow"):
-        make_syn_cookie(1, FlowKey("host-a", 4001, SRV, 80, "tcp"), 0, 0)
+        make_syn_cookie(1, FlowKey("host-a", 4001, SRV, 80), 0, 0)
 
 
 def test_sandbox_file_matches_sandbox_verdicts():

@@ -23,7 +23,6 @@ from ddosgate.waf import (
     WafDecision,
     _TRANSFORM_FNS,
     _split_rule_line,
-    apply_transforms,
     default_ruleset,
     evaluate,
     parse_ruleset,
@@ -35,21 +34,25 @@ def _req(method="GET", uri="/", headers=(("host", "example.test"),), body=b"",
     return HttpInfo(method, uri, "HTTP/1.1", tuple(headers), body, duration_ms)
 
 
+_URLDECODE = _TRANSFORM_FNS["urldecode"]
+_LOWERCASE = _TRANSFORM_FNS["lowercase"]
+
+
 def test_transform_urldecode_basics():
-    assert apply_transforms("%3Cscript%3E", ("urldecode",)) == "<script>"
-    assert apply_transforms("a+b", ("urldecode",)) == "a b"
-    assert apply_transforms("%ZZ", ("urldecode",)) == "%ZZ"
-    assert apply_transforms("100%", ("urldecode",)) == "100%"
+    assert _URLDECODE("%3Cscript%3E") == "<script>"
+    assert _URLDECODE("a+b") == "a b"
+    assert _URLDECODE("%ZZ") == "%ZZ"
+    assert _URLDECODE("100%") == "100%"
     # each escape is one byte read as latin-1, never a UTF-8 sequence
-    assert apply_transforms("%C3%A9", ("urldecode",)) == "\xc3\xa9"
-    assert apply_transforms("a%2Bb", ("urldecode",)) == "a+b"
-    assert apply_transforms("é%41", ("urldecode",)) == "éA"
-    assert apply_transforms("%4", ("urldecode",)) == "%4"
+    assert _URLDECODE("%C3%A9") == "\xc3\xa9"
+    assert _URLDECODE("a%2Bb") == "a+b"
+    assert _URLDECODE("é%41") == "éA"
+    assert _URLDECODE("%4") == "%4"
 
 
 def test_transform_urldecode_is_single_pass():
     # %25 decodes to '%', but the result is not decoded again
-    assert apply_transforms("%253Cscript%253E", ("urldecode",)) == "%3Cscript%3E"
+    assert _URLDECODE("%253Cscript%253E") == "%3Cscript%3E"
 
 
 def test_urldecode_agrees_with_unquote_plus_on_random_strings():
@@ -57,24 +60,26 @@ def test_urldecode_agrees_with_unquote_plus_on_random_strings():
     alphabet = "%%%++0123456789abcdefABCDEFgG é\u0100\u0663\U0001f600"
     for _ in range(20000):
         value = "".join(rng.choice(alphabet) for _ in range(rng.randrange(14)))
-        assert apply_transforms(value, ("urldecode",)) == unquote_plus(value, encoding="latin-1"), value
+        assert _URLDECODE(value) == unquote_plus(value, encoding="latin-1"), value
 
 
 def test_transform_lowercase_is_ascii_only():
-    assert apply_transforms("ABC", ("lowercase",)) == "abc"
-    assert apply_transforms("ÉÈ", ("lowercase",)) == "ÉÈ"
+    assert _LOWERCASE("ABC") == "abc"
+    assert _LOWERCASE("ÉÈ") == "ÉÈ"
     # only A-Z map: str.lower() would turn İ into "i̇" and the Kelvin sign into "k"
-    assert apply_transforms("İ\u212aK", ("lowercase",)) == "İ\u212ak"
-    assert apply_transforms("ßSS", ("lowercase",)) == "ßss"
-    # the decoded value is non-ASCII although the raw one is ASCII
-    assert apply_transforms("%C3K", ("urldecode", "lowercase")) == "Ãk"
-    assert apply_transforms("%C3K", ("lowercase", "urldecode")) == "Ãk"
+    assert _LOWERCASE("İ\u212aK") == "İ\u212ak"
+    assert _LOWERCASE("ßSS") == "ßss"
+    # a decoded value is non-ASCII although the raw one is ASCII: %C3K is ÃK
+    assert _LOWERCASE(_URLDECODE("%C3K")) == "Ãk"
 
 
 def test_transforms_apply_left_to_right():
-    assert apply_transforms("%41BC", ("urldecode", "lowercase")) == "abc"
+    request = _req(uri="%41BC")
+    decode_first, lower_first = (parse_ruleset(f'RULE 1 uri {transforms} matches "^abc$" sandbox')
+                                 for transforms in ("urldecode,lowercase", "lowercase,urldecode"))
+    assert evaluate(decode_first, request) == WafDecision(True, 1, ())
     # other order: lowercase first leaves %41 to decode into 'A'
-    assert apply_transforms("%41BC", ("lowercase", "urldecode")) == "Abc"
+    assert evaluate(lower_first, request) == PASS
 
 
 def test_parse_single_rule():
@@ -334,7 +339,7 @@ def _reference_urldecode_once(value):
     return unquote_plus(value, encoding="latin-1")
 
 
-def _reference_apply_transforms(value, transforms):
+def _reference_transform(value, transforms):
     for t in transforms:
         if t == "lowercase":
             value = value.translate(_REFERENCE_ASCII_LOWER)
@@ -360,7 +365,7 @@ def _reference_rule_matches(rule, request):
     if rule.target == "duration_ms":
         return request.duration_ms > rule.arg_num
     for candidate in _reference_candidates(rule, request):
-        value = _reference_apply_transforms(candidate, rule.transforms)
+        value = _reference_transform(candidate, rule.transforms)
         if rule.op == "contains":
             if rule.arg in value:
                 return True
