@@ -10,10 +10,13 @@ which is also the order of the record's fields. Parse and serialize
 both read these tables: a canonical line, as serialize writes it, is
 read by regexes built from them and one converter per kind, whose
 checks the codec tests hold to ``_BODIES``, and any other line by
-``json``. A canonical line holds exactly the bytes serialize writes for
-its event, so serialize returns the line the fast path read last for the
-event built from it; any other event is written as compact JSON of its
-fields and read back, so serialize refuses every event parse refuses.
+``json``. Apart from the http header list, those regexes repeat or make
+optional single characters and classes only, which keeps ``re`` on its
+fast paths. A
+canonical line holds exactly the bytes serialize writes for its event,
+so serialize returns the line the fast path read last for the event
+built from it; any other event is written as compact JSON of its fields
+and read back, so serialize refuses every event parse refuses.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -44,8 +47,9 @@ _FLAG_BY_LETTER = {"S": SYN, "A": ACK, "F": FIN, "R": RST, "P": PSH, "U": URG}
 _LETTER_ORDER = "SAFRPU"
 
 # Dotted quad, ASCII digits only, no leading zeros, each octet 0..255.
+# Written out four times, not as a {3} repeat: see the shape rule below.
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_IPV4 = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+_IPV4 = re.compile(r"\.".join((_OCTET,) * 4))
 
 _U16 = 2**16 - 1
 _U32 = 2**32 - 1
@@ -276,18 +280,21 @@ def _field(obj: dict, key: str, check, bound, line_no: int | None):
 # sub-pattern per check. Integers have at most 20 digits, so int() stays far
 # below the interpreter's digit limit and a ts never rounds into range.
 # Strings are printable ASCII without '"' or '\', so a matched line is valid
-# UTF-8 and each string's text is its value.
+# UTF-8 and each string's text is its value. The shape rule: re runs a group
+# that is repeated or optional on its slow path, which saves and restores
+# state on each pass, so a repeat is written out, an optional group is
+# written "(?:X|)", and only the header list keeps a "(?:,X)*".
 _PLAIN = r'[ !#-\[\]-~]*'
 _PAIR = re.compile(r'\["(%s)","(%s)"\]' % (_PLAIN, _PLAIN))
 _GROUP = {
     int: "(0|[1-9][0-9]{0,19})",
-    float: r"((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)",
+    float: r"((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|))",
     str: '"(%s)"' % _PLAIN,
     _KIND: '"(%s)"' % "|".join(_BODIES),
     _ADDR: '"(%s)"' % _IPV4.pattern,
     _FLAGS: '"([SAFRPU]*)"',
     _B64: '"([A-Za-z0-9+/=]*)"',
-    _PAIRS: r'(\[(?:%s(?:,%s)*)?\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),
+    _PAIRS: r'(\[\]|\[%s(?:,%s)*\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),
 }
 _CANONICAL_HEAD = re.compile(r"\{" + ",".join('"%s":%s' % (key, _GROUP[check]) for key, check, _ in _HEAD))
 # Each kind's body from its matched texts, with the checks of _BODIES that
@@ -326,7 +333,7 @@ def _http_body(method, uri, version, headers, body, duration_ms):
 _CONVERTERS = {"tcp": _tcp_body, "udp": _udp_body, "http": _http_body}
 # kind -> (the regex of the rest of its line, its body converter)
 _CANONICAL_BODY = {
-    kind: (re.compile(r'%s(?:,"label":%s)?\}[ \t\n\r]*'
+    kind: (re.compile(r'%s(?:,"label":%s|)\}[ \t\n\r]*'
                       % ("".join(',"%s":%s' % (key, _GROUP[check]) for key, check, _ in fields), _GROUP[str])),
            _CONVERTERS[kind])
     for kind, (_, fields) in _BODIES.items()

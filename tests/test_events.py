@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -17,8 +18,10 @@ from ddosgate.events import (
     TraceParseError,
     UdpInfo,
     Verdict,
+    _IPV4,
     _IPV4_VALUES,
     _IPV4_VALUES_MAX,
+    _OCTET,
     _ones_complement_sum,
     compute_udp_checksum,
     flags_from_str,
@@ -133,6 +136,23 @@ def test_ipv4_codec():
         text = int_to_ipv4(value)
         assert text == ".".join(str(value >> shift & 255) for shift in (24, 16, 8, 0))
         assert ipv4_to_int(text) == value
+
+
+def _is_octet(text: str) -> bool:
+    return str(int(text)) == text and int(text) <= 255
+
+
+def test_octet_and_dotted_quad_match_the_oracle():
+    # every string of 1-4 ASCII digits, then 4-tuples over the boundaries;
+    # int() also reads "\u0663", which no octet may be
+    for width in range(1, 5):
+        for digits in itertools.product("0123456789", repeat=width):
+            text = "".join(digits)
+            assert (re.fullmatch(_OCTET, text) is not None) == _is_octet(text), text
+    edges = "0 9 10 99 100 199 200 249 250 255 256 01 001 300 999 \u0663".split()
+    for octets in itertools.product(edges, repeat=4):
+        text = ".".join(octets)
+        assert (_IPV4.fullmatch(text) is not None) == all(map(_is_octet, octets)), text
 
 
 def test_ipv4_values_stay_bounded_and_exact():

@@ -189,6 +189,21 @@ def test_fast_path_edge_lines(line, fast, monkeypatch):
     assert _assert_fast_agrees_or_declines([line], monkeypatch) == fast
 
 
+def test_canonical_patterns_keep_off_the_general_repeat():
+    # re compiles a repeat or an optional group over a multi-character
+    # sub-pattern to its slow path, which saves and restores state on each
+    # pass; only the header list needs one
+    pairs = events._GROUP[events._PAIRS]
+    assert pairs.count(")*") == 1
+    patterns = [events._IPV4.pattern, events._CANONICAL_HEAD.pattern]
+    patterns += [pattern.pattern for pattern, _ in events._CANONICAL_BODY.values()]
+    for pattern in patterns:
+        rest = pattern.replace(pairs, "")
+        for shape in (")?", "){", ")+", ")*"):
+            assert shape not in rest, (shape, pattern)
+    assert sum(pairs in pattern for pattern in patterns) == 1
+
+
 @pytest.mark.parametrize("text", ["QR==", "AAAA=", "AAA==", "AAAA====", "QQ==QQ==", "AA AA", "AAE\u00e9"])
 def test_non_canonical_base64_is_not_valid_base64(text, monkeypatch):
     # the same error on every interpreter: both paths take only what
