@@ -50,10 +50,12 @@ from .events import (
     SYN,
     URG,
     FlowKey,
+    LineError,
     TcpInfo,
     TraceEvent,
     UdpInfo,
     Verdict,
+    content_lines,
     ipv4_to_int,
     validate_udp_checksum,
 )
@@ -137,16 +139,13 @@ def parse_signatures(text: str) -> tuple[bytes, ...]:
     r"""Signature file: one byte pattern per line, '#' comments, \xNN escapes.
 
     A line whose escapes do not decode, or name a character above \xff,
-    raises ValueError."""
+    raises LineError, a ValueError."""
     patterns = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         try:
             patterns.append(line.encode("utf-8").decode("unicode_escape").encode("latin-1"))
         except UnicodeError as exc:
-            raise ValueError(f"line {line_no}: bad signature {line!r}: {exc.reason}") from None
+            raise LineError(f"bad signature {line!r}: {exc.reason}", line_no) from None
     return tuple(patterns)
 
 
@@ -160,10 +159,10 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _cookie_hash(secret: int, flow: FlowKey, counter: int) -> int:
+def _cookie_hash(secret: int, flow: FlowKey, counter: int) -> int | None:
     src, dst = ipv4_to_int(flow.src_ip), ipv4_to_int(flow.dst_ip)
     if src is None or dst is None:
-        raise ValueError(f"not an IPv4 flow: {flow.src_ip!r}, {flow.dst_ip!r}")
+        return None  # not an IPv4 flow: no cookie is minted for it
     addrs = (src << 32) | dst
     ports = (flow.src_port << 48) | (flow.dst_port << 32) | (counter & 0xFFFFFFFF)
     h = _mix64(secret ^ 0x9E3779B97F4A7C15)
@@ -178,7 +177,10 @@ def make_syn_cookie(secret: int, flow: FlowKey, counter: int, mss_idx: int) -> i
     Raises ValueError when a flow address is not a dotted quad."""
     if not 0 <= mss_idx < 8:
         raise ValueError(f"mss_idx must be in 0..7, got {mss_idx}")
-    return ((counter % 8) << 29) | (mss_idx << 26) | (_cookie_hash(secret, flow, counter) & 0x03FFFFFF)
+    h = _cookie_hash(secret, flow, counter)
+    if h is None:
+        raise ValueError(f"not an IPv4 flow: {flow.src_ip!r}, {flow.dst_ip!r}")
+    return ((counter % 8) << 29) | (mss_idx << 26) | (h & 0x03FFFFFF)
 
 
 def check_syn_cookie(secret: int, flow: FlowKey, counter_now: int, value: int) -> int | None:
@@ -188,14 +190,13 @@ def check_syn_cookie(secret: int, flow: FlowKey, counter_now: int, value: int) -
     hash mismatch, or a flow address that is not a dotted quad, for
     which no cookie is minted). Rejection is a value, never an exception.
     """
-    if ipv4_to_int(flow.src_ip) is None or ipv4_to_int(flow.dst_ip) is None:
-        return None
     top = value >> 29
     mss_idx = (value >> 26) & 7
     low = value & 0x03FFFFFF
     for c in (counter_now, counter_now - 1):
         if c >= 0 and c % 8 == top:
-            if _cookie_hash(secret, flow, c) & 0x03FFFFFF == low:
+            h = _cookie_hash(secret, flow, c)
+            if h is not None and h & 0x03FFFFFF == low:
                 return mss_idx
             return None
     return None
@@ -380,10 +381,10 @@ class Analyzer:
 
         if flags & ACK:
             pending = flow in self._half_open
-            # (3) handshake completion: of a half-open flow, or of any new
-            # flow under SYN cookies, where the ACK must carry a valid cookie
+            # (3) handshake completion: of a half-open flow, from the table,
+            # or under SYN cookies of any new flow whose ACK has a valid cookie
             if pending or self.cookie_mode and flow not in self._established:
-                if self.cookie_mode and check_syn_cookie(
+                if not pending and check_syn_cookie(
                         cfg.syncookie_secret, flow, int(now // COOKIE_COUNTER_SECS),
                         (body.ack - 1) & 0xFFFFFFFF) is None:
                     return _VERDICTS[COOKIE_INVALID]

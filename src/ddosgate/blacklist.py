@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, NamedTuple
 
-from .events import int_to_ipv4, ipv4_to_int
+from .events import content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 
@@ -95,10 +95,7 @@ def parse_feed(text: str) -> tuple[list[Cidr], list[tuple[int, str]]]:
     """
     entries: list[Cidr] = []
     skipped: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         cidr = parse_cidr(line)
         if cidr is None:
             skipped.append((line_no, "bad_address"))
@@ -112,13 +109,13 @@ def serialize_feed(entries: list[Cidr] | tuple[Cidr, ...]) -> str:
     return "".join(f"{c}\n" for c in sorted(set(entries)))
 
 
-def fetch_feed(locator: str, timeout: float = DEFAULT_FETCH_TIMEOUT_SECS) -> str:
+def fetch_feed(locator: str) -> str:
     """Read the feed from a local path or an http(s) URL with a bounded
     timeout. Either way an undecodable byte spoils only its own line."""
     if locator.startswith(("http://", "https://")):
         import urllib.request  # only URL feeds need the HTTP stack
 
-        with urllib.request.urlopen(locator, timeout=timeout) as resp:
+        with urllib.request.urlopen(locator, timeout=DEFAULT_FETCH_TIMEOUT_SECS) as resp:
             return resp.read().decode("utf-8", errors="replace")
     with open(locator, encoding="utf-8", errors="replace") as fh:
         return fh.read()

@@ -56,22 +56,17 @@ def cmd_run(args) -> int:
             return _fail(f"ruleset: {exc}", USAGE_EXIT)
         # Undecodable bytes reach the parser as lone surrogates, which it
         # rejects as one bad line.
-        if args.trace == "-":
-            trace_fh = sys.stdin
-            if isinstance(trace_fh, io.TextIOWrapper):
-                trace_fh.reconfigure(errors="surrogateescape")
-        else:
-            trace_fh = open(args.trace, encoding="utf-8", errors="surrogateescape")
+        from_stdin = args.trace == "-"
+        if from_stdin and isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(errors="surrogateescape")
         # The outputs are opened only once the config and the trace are
         # known good, so an error there leaves earlier outputs intact.
-        try:
-            with open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh, \
-                    open(args.out, "w", encoding="utf-8") as out_fh:
-                engine.sandbox = SandboxSink(sandbox_fh)
-                engine.run_trace(trace_fh, out_fh, strict=args.strict)
-        finally:
-            if trace_fh is not sys.stdin:
-                trace_fh.close()
+        with (nullcontext(sys.stdin) if from_stdin
+              else open(args.trace, encoding="utf-8", errors="surrogateescape")) as trace_fh, \
+                open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh, \
+                open(args.out, "w", encoding="utf-8") as out_fh:
+            engine.sandbox = SandboxSink(sandbox_fh)
+            engine.run_trace(trace_fh, out_fh, strict=args.strict)
         if args.stats:
             with open(args.stats, "w", encoding="utf-8") as stats_fh:
                 json.dump(engine.stats_snapshot(), stats_fh, indent=2)
@@ -136,12 +131,8 @@ def cmd_blacklist_fetch(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        text = read_text(args.ruleset)
-    except OSError as exc:
-        return _fail(str(exc), USAGE_EXIT)
-    try:
-        ruleset = parse_ruleset(text)
-    except RulesetError as exc:
+        ruleset = parse_ruleset(read_text(args.ruleset))
+    except (OSError, RulesetError) as exc:
         return _fail(str(exc), USAGE_EXIT)
     print(f"{len(ruleset)} rules")
     return 0
@@ -168,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen", help="generate a labeled synthetic trace")
     gen_p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    gen_p.add_argument("--seed", type=int, default=0)
-    gen_p.add_argument("--duration", type=float, default=10.0, metavar="SECONDS")
+    gen_p.add_argument("--seed", type=int, default=Scenario._field_defaults["seed"])
+    gen_p.add_argument("--duration", type=float, default=Scenario._field_defaults["duration_secs"],
+                       metavar="SECONDS")
     gen_p.add_argument("--out", required=True,
                        help="trace output path, or - for stdout (no manifest)")
     gen_p.add_argument("--param", action="append", metavar="KEY=VALUE",

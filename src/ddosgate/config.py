@@ -21,16 +21,14 @@ import math
 from typing import Callable
 
 from .analyzer import AnalyzerConfig, parse_signatures
+from .events import LineError, content_lines
 from .pipeline import Engine, EngineConfig
 from .ratelimit import LimiterConfig
 from .waf import parse_ruleset
 
 
-class ConfigError(ValueError):
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(prefix + message)
+class ConfigError(LineError):
+    """A bad config line, override, file or value."""
 
 
 def _parse_bool(text: str) -> bool:
@@ -115,10 +113,7 @@ def _assign(cfg: dict, key: str, raw: str, line_no: int | None) -> None:
 
 def parse_config(text: str, cfg: dict | None = None) -> dict:
     cfg = cfg if cfg is not None else default_config()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"expected 'key = value', got {line!r}", line_no)

@@ -23,6 +23,11 @@ ground truth and is never consulted by any defense layer.
 
 Verdict log lines carry ``event_id, decision, layer, reason`` and an
 optional ``rule_id``.
+
+The config file, WAF ruleset, blacklist feed and signature list share one
+line layout, read by ``content_lines``. A bad line there (the feed skips
+its own) or in a trace raises a ``LineError``, which keeps ``line_no``
+and writes the "line N: " prefix.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import json
 import re
 import struct
 import sys
+from collections.abc import Iterator
 from typing import NamedTuple
 
 # TCP flag bits, letter-coded "SAFRPU" in traces.
@@ -63,14 +69,29 @@ REJECT_BLACKLISTED = "reject_blacklisted"
 SANDBOX = "sandbox"
 
 
-class TraceParseError(ValueError):
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number from 1, stripped line) of each line of ``text`` that
+    is neither blank nor a '#' comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+class LineError(ValueError):
+    """A bad input line; the message starts "line N: " when N is known."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+
+
+class TraceParseError(LineError):
     """A trace line could not be turned into a TraceEvent."""
 
     def __init__(self, message: str, field: str | None = None, line_no: int | None = None):
         self.field = field
-        self.line_no = line_no
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(prefix + message)
+        super().__init__(message, line_no)
 
 
 # The records are NamedTuples: immutable, positional, hashed in C, and equal

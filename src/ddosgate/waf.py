@@ -37,21 +37,28 @@ from collections.abc import Iterable
 from functools import cache
 from typing import NamedTuple
 
-from .events import HttpInfo
+from .events import HttpInfo, LineError, content_lines
 
 SANDBOX_ACTION = "sandbox"
 LOG_ACTION = "log"
 
-_TEXT_TARGETS = ("method", "uri", "any_header", "body")
+# Each single-valued target, with the source that reads its raw value.
+# The other targets are any_header, whose raw value is request.headers
+# itself, and header:<name>, whose raw value is the list of that
+# header's values.
+_SINGLE_SOURCES = {
+    "method": "request.method",
+    "uri": "request.uri",
+    "body": 'request.body.decode("latin-1")',
+    "duration_ms": "request.duration_ms",
+}
 _OPS = ("contains", "matches", "len_gt", "num_gt")
 
 _ASCII_LOWER = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
 
 
-class RulesetError(ValueError):
-    def __init__(self, message: str, line_no: int):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+class RulesetError(LineError):
+    """A rule line that does not parse, or a rule id defined twice."""
 
 
 class Rule(NamedTuple):
@@ -164,7 +171,7 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
         if not header_name:
             raise RulesetError("header: target needs a header name", line_no)
         target = "header"
-    elif target_tok in _TEXT_TARGETS or target_tok == "duration_ms":
+    elif target_tok in _SINGLE_SOURCES or target_tok == "any_header":
         target = target_tok
     else:
         raise RulesetError(f"unknown target {target_tok!r}", line_no)
@@ -205,10 +212,7 @@ def _parse_rule(tokens: list[str], line_no: int) -> Rule:
 def parse_ruleset(text: str) -> Ruleset:
     rules = []
     seen_ids: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in content_lines(text):
         rule = _parse_rule(_split_rule_line(line, line_no), line_no)
         if rule.id in seen_ids:
             raise RulesetError(f"duplicate rule id {rule.id} (first defined on line {seen_ids[rule.id]})", line_no)
@@ -220,17 +224,6 @@ def parse_ruleset(text: str) -> Ruleset:
 @cache
 def default_ruleset() -> Ruleset:
     return parse_ruleset(DEFAULT_RULESET_TEXT)
-
-
-# The source that reads each single-valued target's raw value. The raw
-# value of any_header is request.headers itself, and that of header:<name>
-# the list of that header's values.
-_SINGLE_SOURCES = {
-    "method": "request.method",
-    "uri": "request.uri",
-    "body": 'request.body.decode("latin-1")',
-    "duration_ms": "request.duration_ms",
-}
 
 
 def _compile(rules: tuple[Rule, ...]):

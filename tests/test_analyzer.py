@@ -383,6 +383,23 @@ def test_established_via_cookie_counts_as_connection():
         assert f is None
 
 
+def test_flow_stored_before_cookie_mode_completes_from_the_table():
+    """No cookie was sent for a flow stored half-open before the mode was
+    armed, so its ACK completes it from the table; an ACK for a flow the
+    table does not hold still needs a valid cookie."""
+    a = Analyzer(AnalyzerConfig(syn_half_open_global=2))
+    a.observe_tcp(_tcp("10.31.0.1", 1001, "S", 0.0))
+    a.observe_tcp(_tcp("10.31.0.1", 1002, "S", 0.0))
+    a.observe_tcp(_tcp("10.31.0.1", 1003, "S", 0.1))  # arms the mode, stores nothing
+    assert a.cookie_mode
+    assert a.observe_tcp(_tcp("10.31.0.1", 1001, "A", 0.2, ack=777)) is None
+    assert a.half_open_count() == 1
+    assert FlowKey("10.31.0.1", 1001, SRV, 80) in a._established
+    assert a.cookie_mode
+    assert a.observe_tcp(_tcp("10.31.0.1", 1003, "A", 0.3, ack=777)) == _VERDICTS[COOKIE_INVALID]
+    assert FlowKey("10.31.0.1", 1003, SRV, 80) not in a.entries
+
+
 # -- UDP ------------------------------------------------------------------
 
 

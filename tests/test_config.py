@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from ddosgate.analyzer import DEFAULT_SIGNATURES, AnalyzerConfig
-from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config, read_text
-from ddosgate.events import serialize_trace_event
+from ddosgate.analyzer import DEFAULT_SIGNATURES, AnalyzerConfig, parse_signatures
+from ddosgate.blacklist import Cidr, parse_feed
+from ddosgate.config import ConfigError, apply_overrides, build_engine, default_config, parse_config, read_text
+from ddosgate.events import LineError, serialize_trace_event
 from ddosgate.pipeline import EngineConfig, SandboxSink
 from ddosgate.ratelimit import LimiterConfig
 from ddosgate.trafficgen import Scenario, generate
-from ddosgate.waf import default_ruleset
+from ddosgate.waf import default_ruleset, parse_ruleset
 
 PATH_KEYS = {"blacklist.path", "blacklist.url", "tcp.signatures_path", "waf.ruleset_path",
              "sandbox.log_path"}
@@ -227,3 +228,29 @@ def test_undecodable_files_and_bad_signatures_are_config_errors(tmp_path):
     sigs.write_text("/bin/sh\n\\u0100\n")
     with pytest.raises(ConfigError, match=r"tcp.signatures_path: line 2: bad signature"):
         _build([f"tcp.signatures_path={sigs}"])
+
+
+# (parser, a valid item, what the parser reads from it, a bad item)
+_FORMATS = {
+    "config": (parse_config, "rate.rps = 7", lambda cfg: cfg["rate.rps"] == 7.0, "rate.rps 7"),
+    "ruleset": (parse_ruleset, 'RULE 7 uri none contains "x" sandbox',
+                lambda rules: [rule.id for rule in rules] == [7], 'RULE 8 nowhere none contains "x" sandbox'),
+    "signatures": (parse_signatures, r"ab\x41", lambda sigs: sigs == (b"abA",), r"\xZZ"),
+    "feed": (parse_feed, "10.1.0.0/16", lambda read: read == ([Cidr(0x0A010000, 16)], []), "10.1.0.0/33"),
+}
+
+
+@pytest.mark.parametrize("name", _FORMATS)
+def test_config_side_formats_share_one_line_layout(name):
+    """An indented comment, a whitespace-only line and CRLF endings are
+    read alike by all four formats, and a bad item is named by its line."""
+    parse, valid, read_ok, bad = _FORMATS[name]
+    head = f"  # a comment\r\n \t \r\n  {valid}  \r\n\r\n"
+    assert read_ok(parse(head))
+    text = head + bad + "\r\n"
+    if parse is parse_feed:
+        assert parse(text) == ([Cidr(0x0A010000, 16)], [(5, "bad_address")])
+        return
+    with pytest.raises(LineError) as exc:
+        parse(text)
+    assert exc.value.line_no == 5 and str(exc.value).startswith("line 5: ")
