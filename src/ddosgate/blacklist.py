@@ -3,18 +3,28 @@
 The feed is plain text: one CIDR or bare IPv4 per line, '#' comments.
 A parsed feed becomes an immutable snapshot; refresh swaps whole
 snapshots atomically so a lookup never sees a half-updated list.
-Fetch failures keep the previous snapshot: a stale blacklist beats an
-empty one.
+Read failures keep the previous snapshot: a stale blacklist beats an
+empty one. The engine reads feed files; only ``fetch_feed`` talks HTTP.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .events import content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
+# A downloaded feed over MAX_FEED_BYTES (8 MiB) is refused. Its longest
+# canonical line, "255.255.255.255/32\n", is 19 bytes, so the bound holds
+# at least 441,505 entries. The largest feed this repo serves, the
+# benchmark's gates_open feed of 3,301 lines, is about 54 KB, 1/156 of the
+# bound. Public IPv4 drop lists are of the same order or a little larger:
+# about a thousand netblocks in Spamhaus DROP, a few thousand in FireHOL
+# level1, tens of thousands of addresses in blocklist.de's all.txt, each
+# under a megabyte as published. A larger file can still be fetched by
+# other means and read through `blacklist.path`, which has no bound.
+MAX_FEED_BYTES = 8 << 20
 
 
 class Cidr(NamedTuple):  # ordered as (base, prefix_len)
@@ -109,16 +119,41 @@ def serialize_feed(entries: list[Cidr] | tuple[Cidr, ...]) -> str:
     return "".join(f"{c}\n" for c in sorted(set(entries)))
 
 
-def fetch_feed(locator: str) -> str:
-    """Read the feed from a local path or an http(s) URL with a bounded
-    timeout. Either way an undecodable byte spoils only its own line."""
-    if locator.startswith(("http://", "https://")):
-        import urllib.request  # only URL feeds need the HTTP stack
-
-        with urllib.request.urlopen(locator, timeout=DEFAULT_FETCH_TIMEOUT_SECS) as resp:
-            return resp.read().decode("utf-8", errors="replace")
-    with open(locator, encoding="utf-8", errors="replace") as fh:
+def read_feed(path: str) -> str:
+    """A feed file's text; an undecodable byte spoils only its own line."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return fh.read()
+
+
+def _check_http_url(url: str) -> None:
+    if url.partition(":")[0].lower() not in ("http", "https"):
+        raise ValueError(f"not an http(s) URL: {url!r}")
+
+
+def fetch_feed(url: str) -> str:
+    """Download a feed from an http(s) URL, decoded as ``read_feed`` decodes
+    a file. Another scheme, also as a redirect's target, or a body over
+    MAX_FEED_BYTES is a ValueError; any other failure, the HTTP stack's own
+    errors included, an OSError."""
+    _check_http_url(url)
+    import http.client
+    import urllib.request  # the one place that loads the HTTP stack
+
+    class HttpOnlyRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            _check_http_url(newurl)  # urllib itself would follow one to ftp://
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+    opener = urllib.request.build_opener(HttpOnlyRedirects)
+    try:
+        with opener.open(url, timeout=DEFAULT_FETCH_TIMEOUT_SECS) as resp:
+            body = resp.read(MAX_FEED_BYTES + 1)
+            if len(body) > MAX_FEED_BYTES:
+                raise ValueError(f"feed is larger than {MAX_FEED_BYTES} bytes")
+            resp.read()  # b"" after a whole body; IncompleteRead after one cut short
+    except http.client.HTTPException as exc:
+        raise OSError(f"bad HTTP response: {exc!r}") from None
+    return body.decode("utf-8", errors="replace")
 
 
 def refresh(current: CidrSnapshot, fetched: str, now: float) -> CidrSnapshot:
@@ -131,32 +166,31 @@ def refresh(current: CidrSnapshot, fetched: str, now: float) -> CidrSnapshot:
 class Blacklist:
     """The L2 layer: the current snapshot and its lazy refresh on trace time.
 
-    A lookup first fetches the feed if ``refresh_secs`` have passed since
-    the last attempt (or none was made yet). Attempt time, not load time,
-    gates retries: a failing feed is re-tried once per interval instead
-    of on every event, and a failure only bumps ``error_count`` while the
-    old snapshot keeps serving. The engine is the one writer.
+    A lookup first reads the feed file if ``refresh_secs`` have passed
+    since the last attempt (or none was made yet). Attempt time, not load
+    time, gates retries: a failing read is re-tried once per interval
+    instead of on every event, and a failure only bumps ``error_count``
+    while the old snapshot keeps serving. The engine is the one writer.
     """
 
-    __slots__ = ("current", "locator", "refresh_secs", "fetch", "error_count", "last_attempt_ts")
+    __slots__ = ("current", "path", "refresh_secs", "error_count", "last_attempt_ts")
 
-    def __init__(self, locator: str | None, refresh_secs: float, fetch: Callable[[str], str]):
+    def __init__(self, path: str | None, refresh_secs: float):
         self.current = CidrSnapshot([])
-        self.locator = locator  # file path or http(s) URL; None never fetches
+        self.path = path  # None never reads
         self.refresh_secs = refresh_secs
-        self.fetch = fetch
         self.error_count = 0
         self.last_attempt_ts: float | None = None
 
     def contains(self, ip: str, now: float) -> bool:
-        if self.locator is not None and (self.last_attempt_ts is None
-                                         or now - self.last_attempt_ts >= self.refresh_secs):
+        if self.path is not None and (self.last_attempt_ts is None
+                                      or now - self.last_attempt_ts >= self.refresh_secs):
             self._refresh(now)
         return self.current.contains(ip)
 
     def _refresh(self, now: float) -> None:
         try:
-            fetched = self.fetch(self.locator)
+            fetched = read_feed(self.path)
         except (OSError, ValueError):
             self.error_count += 1  # keep serving the last good snapshot
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -111,18 +112,39 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_blacklist_fetch(args) -> int:
-    locator = args.url or args.path
+def _replace_file(path: str, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, then move it into
+    place, so a reader sees the old file or the new one, never part of
+    one. On failure the old file stays and the new one is removed. A
+    symbolic link keeps its place and the file it names is replaced; a
+    path that exists but is no regular file (a FIFO, /dev/stdout) has no
+    file to swap, so it is written through."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
     try:
-        text = bl.fetch_feed(locator)
+        with fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def cmd_blacklist_fetch(args) -> int:
+    try:
+        text = bl.fetch_feed(args.url) if args.url is not None else bl.read_feed(args.path)
     except (OSError, ValueError) as exc:
         return _fail(f"fetch failed, output untouched: {exc}", RUNTIME_EXIT)
     entries, skipped = bl.parse_feed(text)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(bl.serialize_feed(entries))
+        _replace_file(args.out, bl.serialize_feed(entries))
     except OSError as exc:
-        return _fail(str(exc), RUNTIME_EXIT)
+        return _fail(f"write failed, output untouched: {exc}", RUNTIME_EXIT)
     print(f"{len(entries)} entries written, {len(skipped)} lines skipped")
     for line_no, reason in skipped:
         print(f"  skipped line {line_no}: {reason}")

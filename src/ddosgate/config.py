@@ -71,7 +71,6 @@ _KEYS: dict[str, tuple[Callable[[str], object], type | None, str]] = {
     "rate.burst": (_parse_int, LimiterConfig, "burst"),
     "rate.drop_to_sandbox": (_parse_bool, EngineConfig, "rate_drop_to_sandbox"),
     "blacklist.path": (str, None, ""),
-    "blacklist.url": (str, None, ""),
     "blacklist.refresh_secs": (_parse_float, EngineConfig, "blacklist_refresh_secs"),
     "tcp.window_secs": (_parse_float, AnalyzerConfig, "window_secs"),
     "tcp.bucket_count": (_parse_int, AnalyzerConfig, "bucket_count"),
@@ -154,9 +153,6 @@ def build_engine(cfg: dict) -> Engine:
     lines as ConfigError. The engine has no capture sink until the
     caller sets ``engine.sandbox``.
     """
-    if cfg["blacklist.path"] and cfg["blacklist.url"]:
-        raise ConfigError("set blacklist.path or blacklist.url, not both")
-
     analyzer = _fields(cfg, AnalyzerConfig)
     if cfg["tcp.signatures_path"]:
         text = read_text(cfg["tcp.signatures_path"])
@@ -173,7 +169,7 @@ def build_engine(cfg: dict) -> Engine:
         engine_cfg = EngineConfig(
             limiter=LimiterConfig(**_fields(cfg, LimiterConfig)),
             analyzer=AnalyzerConfig(**analyzer),
-            blacklist_locator=cfg["blacklist.path"] or cfg["blacklist.url"] or None,
+            blacklist_path=cfg["blacklist.path"] or None,
             **_fields(cfg, EngineConfig),
         )
     except ValueError as exc:

@@ -20,7 +20,7 @@ the trace clock.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
@@ -99,7 +99,7 @@ class _EngineFields(NamedTuple):
     limiter: LimiterConfig = LimiterConfig()
     analyzer: AnalyzerConfig = AnalyzerConfig()
     rate_drop_to_sandbox: bool = False
-    blacklist_locator: str | None = None  # file path or http(s) URL
+    blacklist_path: str | None = None
     blacklist_refresh_secs: float = 300.0
     top_n: int = 10
 
@@ -117,12 +117,10 @@ class EngineConfig(_EngineFields):
 
 class Engine:
     def __init__(self, config: EngineConfig | None = None, ruleset: Sequence[Rule] | None = None,
-                 sandbox: SandboxSink | None = None,
-                 fetcher: Callable[[str], str] | None = None):
+                 sandbox: SandboxSink | None = None):
         self.config = config or EngineConfig()
         self.limiter = LimiterTable(self.config.limiter)
-        self.blacklist = bl.Blacklist(self.config.blacklist_locator,
-                                      self.config.blacklist_refresh_secs, fetcher or bl.fetch_feed)
+        self.blacklist = bl.Blacklist(self.config.blacklist_path, self.config.blacklist_refresh_secs)
         self.analyzer = Analyzer(self.config.analyzer)
         # the one L1 verdict, shared by every event the limiter refuses
         self._rate_limited_verdict = Verdict(

@@ -308,7 +308,7 @@ def _blacklist_lane(rng: _Rng, lane: int, duration: float, feed: str | None, sou
     """Sessions from listed and clean sources; no lane without a feed."""
     if not feed:
         return []
-    entries, _skipped = bl.parse_feed(bl.fetch_feed(feed))
+    entries, _skipped = bl.parse_feed(bl.read_feed(feed))
     if not entries:
         raise ValueError(f"feed {feed!r} contains no usable entries")
     sources = int(sources)

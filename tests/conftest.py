@@ -34,12 +34,14 @@ except ModuleNotFoundError as exc:
 def cli_run():
     """``cli_run(args, **kwargs)`` runs ``python -m ddosgate *args`` and
     returns the ``CompletedProcess`` (text output captured); ``kwargs`` go
-    to ``subprocess.run``, e.g. ``input=`` for piping."""
+    to ``subprocess.run``, e.g. ``input=`` for piping. The child's
+    environment is this process's at the call, so a test's
+    ``monkeypatch.setenv`` reaches it."""
     package_parent = str(Path(ddosgate.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (package_parent, os.environ.get("PYTHONPATH")) if p)}
 
     def run(args, **kwargs):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (package_parent, os.environ.get("PYTHONPATH")) if p)}
         return subprocess.run([sys.executable, "-m", "ddosgate", *args],
                               capture_output=True, text=True, env=env, **kwargs)
 

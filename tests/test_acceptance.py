@@ -257,10 +257,10 @@ def test_06_waf_rules_hit_near_misses_pass_benign_corpus_clean():
 # -- 7: layer ordering under overlapping violations ---------------------------
 
 
-def test_07_rate_limit_outranks_blacklist_outranks_waf():
-    engine = Engine(
-        EngineConfig(blacklist_locator="inline", blacklist_refresh_secs=300.0),
-        fetcher=lambda locator: "10.9.0.0/16\n")
+def test_07_rate_limit_outranks_blacklist_outranks_waf(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("10.9.0.0/16\n")
+    engine = Engine(EngineConfig(blacklist_path=str(feed), blacklist_refresh_secs=300.0))
     line = ('{"event_id":%d,"ts":0.0,"kind":"http","src_ip":"10.9.0.1",'
             '"dst_ip":"10.0.0.1","src_port":40000,"dst_port":80,"method":"GET",'
             '"uri":"/?q=union+select","version":"HTTP/1.1",'
@@ -350,7 +350,7 @@ def test_10_every_attack_source_flagged_no_benign_sandboxed(tmp_path):
     for name in ("syn_flood", "ack_flood", "udp_flood", "low_rate_pulse",
                  "http_attack", "blacklist_mix"):
         params = {"feed": str(feed)} if name == "blacklist_mix" else {}
-        config = (EngineConfig(blacklist_locator=str(feed))
+        config = (EngineConfig(blacklist_path=str(feed))
                   if name == "blacklist_mix" else EngineConfig())
         engine = Engine(config, sandbox=SandboxSink(StringIO()))
         flagged, labels, benign_sandboxed, _ = _run_scenario(

@@ -1,5 +1,6 @@
 """CIDR parsing, snapshot lookup vs a mask oracle, and the L2 refresh rules."""
 
+import io
 import os
 import random
 import subprocess
@@ -18,6 +19,7 @@ from ddosgate.blacklist import (
     fetch_feed,
     parse_cidr,
     parse_feed,
+    read_feed,
     serialize_feed,
 )
 
@@ -100,70 +102,65 @@ def test_serialize_feed_is_canonical():
     assert serialize_feed(entries) == "10.0.0.0/8\n203.0.113.0/24\n"
 
 
-class _Feed:
-    """A fetch callable that serves queued texts (an exception is raised)
-    and records each locator it was asked for."""
-
-    def __init__(self, *texts):
-        self.texts = list(texts)
-        self.calls = []
-
-    def __call__(self, locator):
-        self.calls.append(locator)
-        text = self.texts.pop(0)
-        if isinstance(text, Exception):
-            raise text
-        return text
-
-
-def test_refresh_swaps_snapshot_and_bumps_version():
-    feed = _Feed("203.0.113.0/24\n", "198.51.100.0/24\n")
-    blacklist = Blacklist("feed.txt", 300.0, feed)
-    assert blacklist.contains("203.0.113.5", 0.0)  # the first lookup fetches
-    assert feed.calls == ["feed.txt"]
-    assert blacklist.current.version == 1
-    assert blacklist.current.loaded_at_ts == 0.0
+def test_refresh_swaps_snapshot_and_bumps_version(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    blacklist = Blacklist(str(feed), 300.0)
+    assert blacklist.contains("203.0.113.5", 0.0)  # the first lookup reads the file
+    assert (blacklist.current.version, blacklist.current.loaded_at_ts) == (1, 0.0)
+    feed.write_text("198.51.100.0/24\n")
     assert blacklist.contains("203.0.113.5", 299.9)  # not due yet
-    assert len(feed.calls) == 1
+    assert blacklist.current.version == 1
     assert not blacklist.contains("203.0.113.5", 300.0)  # due exactly at the interval
-    assert len(feed.calls) == 2
     assert blacklist.current.version == 2
     assert blacklist.contains("198.51.100.9", 300.0)
     assert blacklist.error_count == 0
     assert blacklist.last_attempt_ts == 300.0
 
 
-def test_failed_refresh_keeps_old_list_and_backs_off():
-    feed = _Feed("203.0.113.0/24\n", OSError("feed down"), ValueError("bad URL"),
-                 "198.51.100.0/24\n")
-    blacklist = Blacklist("feed.txt", 300.0, feed)
+def test_failed_refresh_keeps_old_list_and_backs_off(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    blacklist = Blacklist(str(feed), 300.0)
     assert blacklist.contains("203.0.113.5", 0.0)
-    # feed goes dark: old snapshot keeps serving
+    # the file goes: the old snapshot keeps serving
+    feed.unlink()
     assert blacklist.contains("203.0.113.5", 300.0)
-    assert blacklist.error_count == 1
-    assert blacklist.current.version == 1
+    assert (blacklist.error_count, blacklist.current.version) == (1, 1)
     # a failed attempt still counts as an attempt; no hot retry loop
     assert blacklist.contains("203.0.113.5", 599.0)
-    assert len(feed.calls) == 2
+    assert (blacklist.error_count, blacklist.last_attempt_ts) == (1, 300.0)
+    feed.mkdir()  # a directory is no feed either
     assert blacklist.contains("203.0.113.5", 600.0)
-    assert (len(feed.calls), blacklist.error_count, blacklist.last_attempt_ts) == (3, 2, 600.0)
-    assert not blacklist.contains("203.0.113.5", 900.0)  # recovered
-    assert (blacklist.current.version, blacklist.error_count) == (2, 2)
+    assert (blacklist.error_count, blacklist.last_attempt_ts) == (2, 600.0)
+    feed.rmdir()
+    blacklist.path += "\0"  # open() refuses a NUL in a path with a ValueError
+    assert blacklist.contains("203.0.113.5", 900.0)
+    assert (blacklist.error_count, blacklist.current.version) == (3, 1)
+    blacklist.path = str(feed)
+    feed.write_text("198.51.100.0/24\n")
+    assert not blacklist.contains("203.0.113.5", 1200.0)  # recovered
+    assert (blacklist.current.version, blacklist.error_count) == (2, 3)
 
 
-def test_failed_refresh_propagates_other_errors():
-    blacklist = Blacklist("feed.txt", 300.0, _Feed(KeyError("not a fetch failure")))
+def test_failed_refresh_propagates_other_errors(monkeypatch):
+    def read_feed(path):
+        raise KeyError("not a read failure")
+
+    monkeypatch.setattr(blacklist, "read_feed", read_feed)
     with pytest.raises(KeyError):
-        blacklist.contains("203.0.113.5", 0.0)
+        Blacklist("feed.txt", 300.0).contains("203.0.113.5", 0.0)
 
 
-def test_no_locator_never_refreshes():
-    feed = _Feed()
-    blacklist = Blacklist(None, 300.0, feed)
-    assert not blacklist.contains("203.0.113.5", 0.0)
-    assert not blacklist.contains("203.0.113.5", 1e9)
-    assert feed.calls == []
-    assert blacklist.last_attempt_ts is None
+def test_no_path_never_refreshes(monkeypatch):
+    def read_feed(path):
+        raise AssertionError(f"read {path!r}")
+
+    monkeypatch.setattr(blacklist, "read_feed", read_feed)
+    never = Blacklist(None, 300.0)
+    assert not never.contains("203.0.113.5", 0.0)
+    assert not never.contains("203.0.113.5", 1e9)
+    assert never.last_attempt_ts is None
 
 
 def test_empty_snapshot_contains_nothing():
@@ -198,33 +195,31 @@ def test_entries_deduplicated_and_ordered():
 def test_fetch_feed_reads_a_url_with_a_timeout(monkeypatch):
     calls = []
 
-    class Response:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def read(self):
-            return b"203.0.113.0/24\n\xff\n"
-
-    def urlopen(url, timeout):
+    def open_url(opener, url, timeout):
         calls.append((url, timeout))
-        return Response()
+        return io.BytesIO(b"203.0.113.0/24\n\xff\n")
 
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", open_url)
     assert fetch_feed("https://feed.example/drop.txt") == "203.0.113.0/24\n\ufffd\n"
     assert calls == [("https://feed.example/drop.txt", 10.0)]
+
+
+@pytest.mark.parametrize("url", ["file:///etc/hosts", "ftp://feed.example/drop.txt",
+                                 "feed.txt", "data:,10.0.0.0/8"])
+def test_fetch_feed_refuses_other_schemes(url, monkeypatch):
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", None)  # never reached
+    with pytest.raises(ValueError, match="not an http"):
+        fetch_feed(url)
 
 
 def test_feed_file_with_an_undecodable_byte_loses_only_that_line(tmp_path):
     feed = tmp_path / "feed.txt"
     feed.write_bytes(b"10.0.0.0/8\n\xff\n192.168.0.0/16\n")
-    assert fetch_feed(str(feed)) == "10.0.0.0/8\n\ufffd\n192.168.0.0/16\n"
-    blacklist = Blacklist(str(feed), 300.0, fetch_feed)
-    assert blacklist.contains("10.1.2.3", 0.0)
-    assert blacklist.contains("192.168.9.9", 0.0)
-    assert (blacklist.error_count, len(blacklist.current)) == (0, 2)
+    assert read_feed(str(feed)) == "10.0.0.0/8\n\ufffd\n192.168.0.0/16\n"
+    lookup = Blacklist(str(feed), 300.0)
+    assert lookup.contains("10.1.2.3", 0.0)
+    assert lookup.contains("192.168.9.9", 0.0)
+    assert (lookup.error_count, len(lookup.current)) == (0, 2)
 
 
 def test_importing_the_cli_loads_no_http_stack():

@@ -99,13 +99,15 @@ def test_run_missing_trace_keeps_earlier_outputs(tmp_path, cli_run):
     assert verdicts.read_bytes() == b'{"earlier":"verdict"}\n'
 
 
-def test_run_unknown_config_key_exits_2(tmp_path, cli_run):
+@pytest.mark.parametrize("setting", ["rate.rp=9", "blacklist.url=http://127.0.0.1:9/drop.txt"])
+def test_run_unknown_config_key_exits_2(setting, tmp_path, cli_run):
     trace = tmp_path / "t.jsonl"
     trace.write_text("")
     proc = cli_run(["run", "--trace", str(trace), "--out", str(tmp_path / "v.jsonl"),
-                    "--set", "rate.rp=9"])
+                    "--set", setting])
     assert proc.returncode == 2
-    assert "rate.rp" in proc.stderr
+    key = setting.partition("=")[0]
+    assert proc.stderr.splitlines() == [f"error: unknown config key {key!r}"]
 
 
 def test_run_non_finite_config_value_exits_2_without_traceback(tmp_path, cli_run):

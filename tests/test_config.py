@@ -17,8 +17,7 @@ from ddosgate.ratelimit import LimiterConfig
 from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import default_ruleset, parse_ruleset
 
-PATH_KEYS = {"blacklist.path", "blacklist.url", "tcp.signatures_path", "waf.ruleset_path",
-             "sandbox.log_path"}
+PATH_KEYS = {"blacklist.path", "tcp.signatures_path", "waf.ruleset_path", "sandbox.log_path"}
 FLOAT_KEYS = ("rate.rps", "blacklist.refresh_secs", "tcp.window_secs",
               "tcp.handshake_timeout_secs")
 
@@ -88,9 +87,7 @@ def test_path_keys_are_read_only_when_set(tmp_path):
                      f"blacklist.path={feed}"])
     assert engine.config.analyzer.payload_signatures == (b"evil",)
     assert [rule.id for rule in engine.ruleset] == [7]
-    assert engine.config.blacklist_locator == str(feed)
-    with pytest.raises(ConfigError):
-        _build([f"blacklist.path={feed}", "blacklist.url=http://feed.example/drop.txt"])
+    assert engine.config.blacklist_path == str(feed)
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)

@@ -74,3 +74,59 @@ def test_cli_import_loads_no_heavy_module():
     added = set(json.loads(proc.stdout))
     assert "ddosgate.cli" in added
     assert sorted(added.intersection(HEAVY_MODULES)) == []
+
+
+# The one function in src/ that may load the HTTP stack.
+NETWORK_PATH = ("blacklist.py", "fetch_feed")
+
+
+def _network_imports(path: Path) -> list[tuple[str, str | None, str]]:
+    """(file, enclosing function or None, module) of each import of
+    ``urllib`` or ``http`` in the file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend((path.name, function, module) for module in modules
+                         if module.partition(".")[0] in ("urllib", "http"))
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    return found
+
+
+def test_only_fetch_feed_imports_the_http_stack():
+    found = [hit for path in FILES if ROOT / "src" in path.parents for hit in _network_imports(path)]
+    assert found and {(name, function) for name, function, _ in found} == {NETWORK_PATH}, found
+
+
+def test_run_and_gen_with_a_feed_load_no_http_stack(tmp_path):
+    """A ``gen`` and a ``run`` that both read a feed file leave the HTTP
+    stack unloaded in a fresh interpreter."""
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    script = """if True:
+        import json, sys
+        from ddosgate.cli import main
+        feed, out = sys.argv[1:]
+        gen = main(["gen", "--scenario", "blacklist_mix", "--param", f"feed={feed}",
+                    "--duration", "5", "--out", f"{out}/trace.jsonl"])
+        run = main(["run", "--trace", f"{out}/trace.jsonl", "--out", f"{out}/v.jsonl",
+                    "--stats", f"{out}/stats.json", "--set", f"blacklist.path={feed}",
+                    "--set", f"sandbox.log_path={out}/s.jsonl"])
+        print(json.dumps([gen, run, sorted({"urllib.request", "http.client"} & set(sys.modules))]))
+    """
+    package_parent = str(Path(ddosgate.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script, str(feed), str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_parent}, timeout=60, check=True)
+    assert json.loads(proc.stdout) == [0, 0, []]
+    stats = json.loads((tmp_path / "stats.json").read_text())
+    assert stats["verdicts"]["reject_blacklisted"] > 0

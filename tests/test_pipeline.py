@@ -29,10 +29,9 @@ SRV = "10.0.0.1"
 
 def _engine(**kwargs):
     sink = SandboxSink(io.StringIO())
-    fetcher = kwargs.pop("fetcher", None)
     ruleset = kwargs.pop("ruleset", None)
     cfg = EngineConfig(**kwargs)
-    return Engine(cfg, ruleset=ruleset, sandbox=sink, fetcher=fetcher)
+    return Engine(cfg, ruleset=ruleset, sandbox=sink)
 
 
 def _http(eid, ts, src, uri="/", duration_ms=50):
@@ -64,10 +63,11 @@ def test_empty_trace_gives_zero_stats():
     assert snap["first_ts"] is None
 
 
-def test_rate_limit_beats_blacklist_beats_waf():
+def test_rate_limit_beats_blacklist_beats_waf(tmp_path):
     """One event that is over-rate, blacklisted, and WAF-matching at once."""
-    feed = "203.0.113.0/24\n"
-    engine = _engine(blacklist_locator="feed", fetcher=lambda loc: feed)
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    engine = _engine(blacklist_path=str(feed))
     bad_uri = "/p?id=1%20union%20select%202"
     verdicts = [engine.process_event(_http(i + 1, 0.0, "203.0.113.9", uri=bad_uri))
                 for i in range(11)]
@@ -240,26 +240,26 @@ def test_lenient_mode_skips_non_finite_ts():
     assert stats.skipped_lines == 2
 
 
-def test_blacklist_loads_lazily_and_survives_feed_failure():
-    calls = []
-
-    def flaky(locator):
-        calls.append(locator)
-        if len(calls) == 1:
-            return "203.0.113.0/24\n"
-        raise OSError("feed down")
-
-    engine = _engine(blacklist_locator="feed", blacklist_refresh_secs=300.0, fetcher=flaky)
+def test_blacklist_loads_lazily_and_survives_feed_failure(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    engine = _engine(blacklist_path=str(feed), blacklist_refresh_secs=300.0)
+    assert engine.blacklist.last_attempt_ts is None  # nothing read before the first event
     assert engine.process_event(_http(1, 0.0, "203.0.113.1")).decision == "reject_blacklisted"
-    assert calls == ["feed"]
-    # within the interval: no new fetch attempt
+    assert engine.blacklist.current.version == 1
+    feed.unlink()
+    # within the interval: no new read attempt
     engine.process_event(_http(2, 100.0, "203.0.113.1"))
-    assert len(calls) == 1
-    # interval elapsed, fetch fails, old list keeps serving
+    assert (engine.blacklist.error_count, engine.blacklist.last_attempt_ts) == (0, 0.0)
+    # interval elapsed, the read fails, old list keeps serving
     v = engine.process_event(_http(3, 300.0, "203.0.113.1"))
-    assert len(calls) == 2
     assert v.decision == "reject_blacklisted"
-    assert engine.blacklist.error_count == 1
+    assert (engine.blacklist.error_count, engine.blacklist.current.version) == (1, 1)
+    # the file comes back with a new CIDR: read at the next interval, not before
+    feed.write_text("198.51.100.0/24\n")
+    assert engine.process_event(_http(4, 599.0, "198.51.100.1")).decision == "forward"
+    assert engine.process_event(_http(5, 600.0, "198.51.100.1")).decision == "reject_blacklisted"
+    assert (engine.blacklist.error_count, engine.blacklist.current.version) == (1, 2)
 
 
 def test_verdict_count_equals_event_count():
@@ -306,14 +306,16 @@ def _recount(events, verdict_lines):
             "last_ts": accepted[-1] if accepted else None}
 
 
-def test_stats_snapshot_matches_verdict_log():
+def test_stats_snapshot_matches_verdict_log(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("10.1.0.0/30\n")
     trace = list(generate(Scenario("mixed", seed=3, duration_secs=10.0)))
     events = {e.event_id: e for e in trace}
     lines = [serialize_trace_event(e) for e in trace]
     runs = [  # (engine, strict); a lenient run gets an out-of-order last line to skip
         (_engine(), True),
         (_engine(rate_drop_to_sandbox=True, limiter=LimiterConfig(burst=2)), True),
-        (Engine(EngineConfig(blacklist_locator="inline"), fetcher=lambda _: "10.1.0.0/30\n"), False),
+        (Engine(EngineConfig(blacklist_path=str(feed))), False),
     ]
     snaps = []
     for engine, strict in runs:

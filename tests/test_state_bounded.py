@@ -78,7 +78,7 @@ def _blacklist_mix(tmp_path):
     feed.write_text("203.0.113.0/24\n198.18.64.0/18\n")
     scenario = Scenario("blacklist_mix", seed=17, duration_secs=40.0, params={"feed": str(feed)})
     return ([serialize_trace_event(e) for e in generate(scenario)],
-            EngineConfig(blacklist_locator=str(feed)))
+            EngineConfig(blacklist_path=str(feed)))
 
 
 def _churn():
