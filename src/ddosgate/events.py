@@ -8,15 +8,15 @@ zeros. The head fields are stated once, in ``_HEAD``, and each kind's
 body fields once, in ``_BODIES``: their wire keys, checks and order,
 which is also the order of the record's fields. Parse and serialize
 both read these tables: a canonical line, as serialize writes it, is
-read by regexes built from them and one converter per kind, whose
-checks the codec tests hold to ``_BODIES``, and any other line by
-``json``. Apart from the http header list, those regexes repeat or make
-optional single characters and classes only, which keeps ``re`` on its
-fast paths. A
-canonical line holds exactly the bytes serialize writes for its event,
-so serialize returns the line the fast path read last for the event
-built from it; any other event is written as compact JSON of its fields
-and read back, so serialize refuses every event parse refuses.
+read by regexes built from them and by one function,
+``_parse_canonical``, which makes the checks of ``_BODIES`` the regexes
+leave, and any other line by ``json``. Apart from the http header list,
+those regexes repeat or make optional single characters and classes
+only, which keeps ``re`` on its fast paths. A canonical line holds
+exactly the bytes serialize writes for its event, so serialize returns
+the line the fast path read last for the event built from it; any other
+event is written as compact JSON of its fields and read back, so
+serialize refuses every event parse refuses.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -318,47 +318,15 @@ _GROUP = {
     _PAIRS: r'(\[\]|\[%s(?:,%s)*\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),
 }
 _CANONICAL_HEAD = re.compile(r"\{" + ",".join('"%s":%s' % (key, _GROUP[check]) for key, check, _ in _HEAD))
-# Each kind's body from its matched texts, with the checks of _BODIES that
-# the regex leaves: int bounds, flag letters in canonical order, canonical
-# base64 and a non-empty method. None declines the line. A converter's
-# parameters are its record's fields. Records are built with tuple.__new__,
-# which skips the NamedTuple constructor's argument handling.
-_new = tuple.__new__
-
-
-def _tcp_body(flags, seq, ack, urgent_ptr, payload):
-    flags = _FLAGS_BY_STR.get(flags)  # letters out of canonical order miss
-    seq, ack, urgent_ptr = int(seq), int(ack), int(urgent_ptr)
-    payload = _b64decode(payload) if payload else b""
-    if flags is None or seq > _U32 or ack > _U32 or urgent_ptr > _U16 or payload is None:
-        return None
-    return _new(TcpInfo, (flags, seq, ack, urgent_ptr, payload))
-
-
-def _udp_body(length, checksum, payload):
-    length, checksum = int(length), int(checksum)
-    payload = _b64decode(payload) if payload else b""
-    if length > _U16 or checksum > _U16 or payload is None:
-        return None
-    return _new(UdpInfo, (length, checksum, payload))
-
-
-def _http_body(method, uri, version, headers, body, duration_ms):
-    duration_ms = int(duration_ms)
-    body = _b64decode(body) if body else b""
-    if not method or duration_ms > _U63 or body is None:
-        return None
-    return _new(HttpInfo, (method, uri, version, tuple(_PAIR.findall(headers)), body, duration_ms))
-
-
-_CONVERTERS = {"tcp": _tcp_body, "udp": _udp_body, "http": _http_body}
-# kind -> (the regex of the rest of its line, its body converter)
+# kind -> the regex of the rest of its line: the body's fields, then the label
 _CANONICAL_BODY = {
-    kind: (re.compile(r'%s(?:,"label":%s|)\}[ \t\n\r]*'
-                      % ("".join(',"%s":%s' % (key, _GROUP[check]) for key, check, _ in fields), _GROUP[str])),
-           _CONVERTERS[kind])
+    kind: re.compile(r'%s(?:,"label":%s|)\}[ \t\n\r]*'
+                     % ("".join(',"%s":%s' % (key, _GROUP[check]) for key, check, _ in fields), _GROUP[str]))
     for kind, (_, fields) in _BODIES.items()
 }
+# Records are built with tuple.__new__, which skips the NamedTuple
+# constructor's argument handling.
+_new = tuple.__new__
 
 
 # The event _parse_canonical built last, its line and its ts text, stored as
@@ -374,17 +342,36 @@ def _parse_canonical(line: str) -> TraceEvent | None:
     if head is None:
         return None
     event_id, ts, kind, src_ip, dst_ip, src_port, dst_port = head.groups()
-    pattern, convert = _CANONICAL_BODY[kind]
-    match = pattern.fullmatch(line, head.end())
+    match = _CANONICAL_BODY[kind].fullmatch(line, head.end())
     if match is None:
         return None
     event_id, ts_value, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
     if event_id > _U63 or ts_value > _MAX_TS or src_port > _U16 or dst_port > _U16:
         return None
-    *texts, label = match.groups()
-    body = convert(*texts)
-    if body is None:
-        return None
+    # The checks of _BODIES that the regexes leave: int bounds, flag letters
+    # in canonical order, canonical base64 and a non-empty method.
+    if kind == "tcp":
+        flags, seq, ack, urgent_ptr, payload, label = match.groups()
+        flags = _FLAGS_BY_STR.get(flags)  # letters out of canonical order miss
+        seq, ack, urgent_ptr = int(seq), int(ack), int(urgent_ptr)
+        payload = _b64decode(payload) if payload else b""
+        if flags is None or seq > _U32 or ack > _U32 or urgent_ptr > _U16 or payload is None:
+            return None
+        body = _new(TcpInfo, (flags, seq, ack, urgent_ptr, payload))
+    elif kind == "udp":
+        length, checksum, payload, label = match.groups()
+        length, checksum = int(length), int(checksum)
+        payload = _b64decode(payload) if payload else b""
+        if length > _U16 or checksum > _U16 or payload is None:
+            return None
+        body = _new(UdpInfo, (length, checksum, payload))
+    else:
+        method, uri, version, headers, payload, duration_ms, label = match.groups()
+        duration_ms = int(duration_ms)
+        payload = _b64decode(payload) if payload else b""
+        if not method or duration_ms > _U63 or payload is None:
+            return None
+        body = _new(HttpInfo, (method, uri, version, tuple(_PAIR.findall(headers)), payload, duration_ms))
     event = _new(TraceEvent, (event_id, ts_value, kind, src_ip, dst_ip, src_port, dst_port, body, label))
     _last_canonical = (event, line, ts)
     return event

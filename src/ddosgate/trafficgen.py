@@ -39,9 +39,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import blacklist as bl
+from .analyzer import _MASK64, _mix64
 from .events import compute_udp_checksum, HttpInfo, int_to_ipv4, TcpInfo, TraceEvent, UdpInfo
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
 
 SERVER_IP = "10.0.0.1"
@@ -68,10 +68,7 @@ class _Rng:
 
     def next64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return _mix64(self._state)
 
     def below(self, n: int) -> int:
         return self.next64() % n
@@ -142,7 +139,7 @@ def _session_lane(rng: _Rng, lane: int, duration: float, ips: list[tuple[str, st
         emitted = 0
         t_us = rng.below(500_000)  # staggered start
         while emitted < budget and t_us < dur_us:
-            if rng.below(3) == 2 and emitted + 1 <= budget:
+            if rng.below(3) == 2:
                 # standalone DNS-style lookup, checksum computed for real
                 sport = 30000 + rng.below(20000)
                 payload = bytes(rng.below(256) for _ in range(16 + rng.below(24)))

@@ -168,6 +168,47 @@ def test_run_reads_stdin_for_piping(tmp_path, cli_run):
     assert len((tmp_path / "v.jsonl").read_text().splitlines()) == len(gen.stdout.splitlines())
 
 
+# Pairings of run's four paths that name one file, over the defaults below;
+# a sandbox of None leaves sandbox.log_path at its default, sandbox.jsonl.
+_SAME_FILE = {
+    "out_is_trace": {"out": "t.jsonl"},
+    "stats_is_trace": {"stats": "t.jsonl"},
+    "sandbox_is_trace": {"sandbox": "t.jsonl"},
+    "trace_is_default_sandbox": {"trace": "sandbox.jsonl", "sandbox": None},
+    "out_is_sandbox": {"out": "sb.jsonl"},
+    "stats_is_out": {"stats": "v.jsonl"},
+    "stats_is_sandbox": {"stats": "sb.jsonl"},
+    "out_is_symlink_to_trace": {"out": "link.jsonl"},
+}
+
+
+@pytest.mark.parametrize("paths", _SAME_FILE.values(), ids=_SAME_FILE)
+def test_run_refuses_two_paths_to_one_file(tmp_path, cli_run, paths):
+    paths = {"trace": "t.jsonl", "out": "v.jsonl", "stats": "s.json", "sandbox": "sb.jsonl", **paths}
+    trace = tmp_path / paths["trace"]
+    trace.write_text(json.dumps({"event_id": 1, "ts": 1.0, "kind": "udp", "src_ip": "10.0.0.2",
+                                 "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 8,
+                                 "checksum": 0, "payload_b64": ""}) + "\n")
+    os.symlink(trace.name, tmp_path / "link.jsonl")
+    for name in ("v.jsonl", "s.json", "sb.jsonl"):
+        if not (tmp_path / name).exists():
+            (tmp_path / name).write_bytes(b"earlier\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    args = ["run", "--trace", paths["trace"], "--out", paths["out"], "--stats", paths["stats"]]
+    if paths["sandbox"] is not None:
+        args += ["--set", f"sandbox.log_path={paths['sandbox']}"]
+    proc = cli_run(args, cwd=tmp_path)
+    assert _one_error_line(proc) and "name the same file" in proc.stderr, proc.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_run_lets_a_device_repeat_and_reads_stdin(cli_run):
+    # every output to the null device, as a set-up-only run has them
+    proc = cli_run(["run", "--trace", "-", "--out", os.devnull, "--stats", os.devnull,
+                    "--set", f"sandbox.log_path={os.devnull}"], input="")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_strict_mode_fails_on_garbage_line(tmp_path, cli_run):
     trace = tmp_path / "t.jsonl"
     trace.write_text('{"bad": 1}\n')

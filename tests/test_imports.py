@@ -1,4 +1,5 @@
-"""No module under src/ or tests/ imports a name it never uses, and
+"""No module under src/ or tests/ imports a name it never uses, no
+module in src/ binds a private name that src/ never reads, and
 importing the CLI stays light.
 
 A name counts as used when the module reads it anywhere (a bare name,
@@ -55,6 +56,46 @@ def test_no_unused_import(path):
     used = _used(tree)
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in used)
     assert unused == [], f"{path.relative_to(ROOT)}: unused imports (line, name): {unused}"
+
+
+def _private_bindings(tree: ast.Module) -> dict[str, int]:
+    """Each private name (``_x``, not a dunder) bound at module level by
+    ``def``, ``class`` or assignment -> the line it is bound on."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                        names[sub.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: loaded bare names, attribute names and the
+    names it imports from other modules."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_private_name_in_src_goes_unread():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = sorted((str(path.relative_to(ROOT)), line, name) for path, tree in trees.items()
+                    for name, line in _private_bindings(tree).items() if name not in read)
+    assert unread == [], f"private names bound in src/ but never read (file, line, name): {unread}"
 
 
 # Modules that ``import ddosgate.cli`` must not load: ``dataclasses`` (which

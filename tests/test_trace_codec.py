@@ -12,7 +12,6 @@ reader would refuse, or read as another event, the writer must refuse.
 """
 
 import base64
-import inspect
 import io
 import json
 import random
@@ -196,7 +195,7 @@ def test_canonical_patterns_keep_off_the_general_repeat():
     pairs = events._GROUP[events._PAIRS]
     assert pairs.count(")*") == 1
     patterns = [events._IPV4.pattern, events._CANONICAL_HEAD.pattern]
-    patterns += [pattern.pattern for pattern, _ in events._CANONICAL_BODY.values()]
+    patterns += [pattern.pattern for pattern in events._CANONICAL_BODY.values()]
     for pattern in patterns:
         rest = pattern.replace(pairs, "")
         for shape in (")?", "){", ")+", ")*"):
@@ -260,11 +259,15 @@ def test_int_body_field_bounds(kind, key, bound, monkeypatch):
     assert _json_outcome(past, monkeypatch) == (key, f"{key} out of range")
 
 
-@pytest.mark.parametrize("kind", sorted(events._BODIES))
-def test_each_converter_takes_its_records_fields(kind):
-    record, _ = events._BODIES[kind]
-    convert = events._CANONICAL_BODY[kind][1]
-    assert tuple(inspect.signature(convert).parameters) == record._fields
+_B64_FIELDS = [("tcp", "payload_b64"), ("udp", "payload_b64"), ("http", "body_b64")]
+
+
+@pytest.mark.parametrize("kind, key", _B64_FIELDS, ids=[kind for kind, _ in _B64_FIELDS])
+@pytest.mark.parametrize("text", ["QR==", "AAAA=", "AAA==", "QQ==QQ=="])
+def test_each_kinds_base64_check_on_the_fast_path(kind, key, text, monkeypatch):
+    line = _LINES[kind](**{key: text})
+    assert events._parse_canonical(line) is None
+    assert _json_outcome(line, monkeypatch) == (key, f"{key} is not valid base64")
 
 
 def test_lone_surrogate_label_is_not_utf8():
