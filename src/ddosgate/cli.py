@@ -49,15 +49,22 @@ def cmd_run(args) -> int:
         cfg = _load_config(args)
     except OSError as exc:
         return _fail(f"cannot read config: {exc}", USAGE_EXIT)
-    # Refuse two of these that name one file, before anything is opened: the
-    # trace would be truncated before it is read, or two writers would
-    # interleave. A device or FIFO, such as /dev/null, is a stream and may repeat.
+    # Refuse an output that names an input or another output, before
+    # anything is opened: an input would be truncated before it is read or
+    # overwritten while it is still read, or two writers would interleave.
+    # Inputs may share a file. A device or FIFO, such as /dev/null, is a
+    # stream and may repeat.
     seen = {}
-    for name, path in (("--trace", None if args.trace == "-" else args.trace), ("--out", args.out),
-                       ("--stats", args.stats), ("sandbox.log_path", cfg["sandbox.log_path"])):
+    for writes, name, path in ((False, "--trace", None if args.trace == "-" else args.trace),
+                               (False, "--config", args.config),
+                               (False, "blacklist.path", cfg["blacklist.path"]),
+                               (False, "waf.ruleset_path", cfg["waf.ruleset_path"]),
+                               (False, "tcp.signatures_path", cfg["tcp.signatures_path"]),
+                               (True, "--out", args.out), (True, "--stats", args.stats),
+                               (True, "sandbox.log_path", cfg["sandbox.log_path"])):
         if path and (os.path.isfile(path) or not os.path.exists(path)):
             other = seen.setdefault(os.path.realpath(path), name)
-            if other != name:
+            if writes and other != name:
                 return _fail(f"{other} and {name} name the same file: {path}", USAGE_EXIT)
 
     try:

@@ -8,9 +8,9 @@ zeros. The head fields are stated once, in ``_HEAD``, and each kind's
 body fields once, in ``_BODIES``: their wire keys, checks and order,
 which is also the order of the record's fields. Parse and serialize
 both read these tables: a canonical line, as serialize writes it, is
-read by regexes built from them and by one function,
-``_parse_canonical``, which makes the checks of ``_BODIES`` the regexes
-leave, and any other line by ``json``. Apart from the http header list,
+read by regexes built from them in ``parse_trace_event`` itself, which
+makes the checks of ``_BODIES`` the regexes leave, and any other line by
+``_parse_json``, through ``json``. Apart from the http header list,
 those regexes repeat or make optional single characters and classes
 only, which keeps ``re`` on its fast paths. A canonical line holds
 exactly the bytes serialize writes for its event, so serialize returns
@@ -329,52 +329,10 @@ _CANONICAL_BODY = {
 _new = tuple.__new__
 
 
-# The event _parse_canonical built last, its line and its ts text, stored as
-# one tuple so no reader pairs one call's event with another call's line.
+# The event parse_trace_event built last from a canonical line, that line
+# and its ts text, stored as one tuple so no reader pairs one call's event
+# with another call's line.
 _last_canonical: tuple[TraceEvent | None, str, str] = (None, "", "")
-
-
-def _parse_canonical(line: str) -> TraceEvent | None:
-    """The event of a canonical line, the one parse_trace_event would give;
-    None for any other line, valid or not, which the JSON path then reads."""
-    global _last_canonical
-    head = _CANONICAL_HEAD.match(line)
-    if head is None:
-        return None
-    event_id, ts, kind, src_ip, dst_ip, src_port, dst_port = head.groups()
-    match = _CANONICAL_BODY[kind].fullmatch(line, head.end())
-    if match is None:
-        return None
-    event_id, ts_value, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
-    if event_id > _U63 or ts_value > _MAX_TS or src_port > _U16 or dst_port > _U16:
-        return None
-    # The checks of _BODIES that the regexes leave: int bounds, flag letters
-    # in canonical order, canonical base64 and a non-empty method.
-    if kind == "tcp":
-        flags, seq, ack, urgent_ptr, payload, label = match.groups()
-        flags = _FLAGS_BY_STR.get(flags)  # letters out of canonical order miss
-        seq, ack, urgent_ptr = int(seq), int(ack), int(urgent_ptr)
-        payload = _b64decode(payload) if payload else b""
-        if flags is None or seq > _U32 or ack > _U32 or urgent_ptr > _U16 or payload is None:
-            return None
-        body = _new(TcpInfo, (flags, seq, ack, urgent_ptr, payload))
-    elif kind == "udp":
-        length, checksum, payload, label = match.groups()
-        length, checksum = int(length), int(checksum)
-        payload = _b64decode(payload) if payload else b""
-        if length > _U16 or checksum > _U16 or payload is None:
-            return None
-        body = _new(UdpInfo, (length, checksum, payload))
-    else:
-        method, uri, version, headers, payload, duration_ms, label = match.groups()
-        duration_ms = int(duration_ms)
-        payload = _b64decode(payload) if payload else b""
-        if not method or duration_ms > _U63 or payload is None:
-            return None
-        body = _new(HttpInfo, (method, uri, version, tuple(_PAIR.findall(headers)), payload, duration_ms))
-    event = _new(TraceEvent, (event_id, ts_value, kind, src_ip, dst_ip, src_port, dst_port, body, label))
-    _last_canonical = (event, line, ts)
-    return event
 
 
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
@@ -388,12 +346,54 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     TraceParseError. A line holding undecodable bytes (read with
     ``errors="surrogateescape"``) is rejected as not UTF-8.
 
-    A canonical line takes ``_parse_canonical``; every other line, and
-    every error, comes from the JSON path below.
+    A canonical line is read here, by the regexes; every other line, and
+    every error, comes from ``_parse_json``, which gives the same event
+    for a canonical line.
     """
-    event = _parse_canonical(line)
-    if event is not None:
-        return event
+    global _last_canonical
+    head = _CANONICAL_HEAD.match(line)
+    if head is None:
+        return _parse_json(line, line_no)
+    event_id, ts, kind, src_ip, dst_ip, src_port, dst_port = head.groups()
+    match = _CANONICAL_BODY[kind].fullmatch(line, head.end())
+    if match is None:
+        return _parse_json(line, line_no)
+    event_id, ts_value, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
+    if event_id > _U63 or ts_value > _MAX_TS or src_port > _U16 or dst_port > _U16:
+        return _parse_json(line, line_no)
+    # The checks of _BODIES that the regexes leave: int bounds, flag letters
+    # in canonical order, canonical base64 and a non-empty method.
+    if kind == "tcp":
+        flags, seq, ack, urgent_ptr, payload, label = match.groups()
+        flags = _FLAGS_BY_STR.get(flags)  # letters out of canonical order miss
+        seq, ack, urgent_ptr = int(seq), int(ack), int(urgent_ptr)
+        payload = _b64decode(payload) if payload else b""
+        if flags is None or seq > _U32 or ack > _U32 or urgent_ptr > _U16 or payload is None:
+            return _parse_json(line, line_no)
+        body = _new(TcpInfo, (flags, seq, ack, urgent_ptr, payload))
+    elif kind == "udp":
+        length, checksum, payload, label = match.groups()
+        length, checksum = int(length), int(checksum)
+        payload = _b64decode(payload) if payload else b""
+        if length > _U16 or checksum > _U16 or payload is None:
+            return _parse_json(line, line_no)
+        body = _new(UdpInfo, (length, checksum, payload))
+    else:
+        method, uri, version, headers, payload, duration_ms, label = match.groups()
+        duration_ms = int(duration_ms)
+        payload = _b64decode(payload) if payload else b""
+        if not method or duration_ms > _U63 or payload is None:
+            return _parse_json(line, line_no)
+        body = _new(HttpInfo, (method, uri, version, tuple(_PAIR.findall(headers)), payload, duration_ms))
+    event = _new(TraceEvent, (event_id, ts_value, kind, src_ip, dst_ip, src_port, dst_port, body, label))
+    _last_canonical = (event, line, ts)
+    return event
+
+
+def _parse_json(line: str, line_no: int | None) -> TraceEvent:
+    """The event of any trace line, read by ``json`` and checked field by
+    field through ``_field``, or the TraceParseError naming the first bad
+    field."""
     if not line.isascii():
         try:
             line.encode("utf-8")
@@ -448,11 +448,12 @@ def _event_json(event: TraceEvent) -> str:
 def serialize_trace_event(event: TraceEvent) -> str:
     """Inverse of parse_trace_event; stable key order, compact separators.
 
-    The event _parse_canonical built last is written as its own line,
-    without trailing whitespace, when its ts was spelled as repr writes it:
-    a canonical line holds exactly these bytes. Any other event is written
-    by ``_event_json`` and read back, so every event the reader would
-    refuse or read as another event raises ValueError naming the field.
+    The event parse_trace_event built last from a canonical line is
+    written as that line, without trailing whitespace, when its ts was
+    spelled as repr writes it: a canonical line holds exactly these bytes.
+    Any other event is written by ``_event_json`` and read back, so every
+    event the reader would refuse or read as another event raises
+    ValueError naming the field.
 
     The read-back leaves in _last_canonical a fresh event that no caller
     holds and so none can pass in: the identity check still gives a line

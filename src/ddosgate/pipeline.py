@@ -13,6 +13,11 @@ L2. One verdict line is written per consumed event, forwards included,
 so the verdict log is a complete audit trail. ``process_event`` persists
 each sandboxed event to the capture sink before its verdict is emitted.
 
+``run_trace`` reads each line with ``parse_trace_event``, the one
+reader: it reads a canonical line itself and gives every other line to
+``events._parse_json``. ``process_event`` runs the layers as one chain,
+each through its public entry point.
+
 All timing derives from event timestamps; the blacklist refresh clock is
 the trace clock.
 """
@@ -146,14 +151,27 @@ class Engine:
         layers decide on its fields as given, and it is captured as given
         where serialize_trace_event refuses it.
         """
-        if not self._last_ts <= event.ts <= _MAX_TS:
-            raise OutOfOrderError(event.event_id, event.ts, self._last_ts)
-        self._last_ts = event.ts
+        now = event.ts
+        if not self._last_ts <= now <= _MAX_TS:
+            raise OutOfOrderError(event.event_id, now, self._last_ts)
+        self._last_ts = now
         stats = self.stats
         if stats.first_ts is None:
-            stats.first_ts = event.ts
+            stats.first_ts = now
 
-        verdict = self._decide(event)
+        if not self.limiter.acquire(event.src_ip, now):
+            verdict = self._rate_limited_verdict
+        elif self.blacklist.contains(event.src_ip, now):
+            verdict = _BLACKLISTED_VERDICT
+        elif event.kind == "http":
+            waf = evaluate(self.ruleset, event.body)
+            for rid in waf.log_fired:
+                stats.waf_log_hits[rid] += 1
+            verdict = self._waf_verdicts[waf.rule_id] if waf.matched else _FORWARD_VERDICT
+        elif event.kind == "tcp":
+            verdict = self.analyzer.observe_tcp(event) or _FORWARD_VERDICT
+        else:
+            verdict = self.analyzer.observe_udp(event) or _FORWARD_VERDICT
 
         if verdict.decision == SANDBOX and self.sandbox is not None:
             self.sandbox.capture(event, verdict.reason)  # persist before the verdict is written
@@ -162,51 +180,34 @@ class Engine:
             stats.blocked_by_source[event.src_ip] += 1
         return verdict
 
-    def _decide(self, event: TraceEvent) -> Verdict:
-        now = event.ts
-
-        if not self.limiter.acquire(event.src_ip, now):
-            return self._rate_limited_verdict
-
-        if self.blacklist.contains(event.src_ip, now):
-            return _BLACKLISTED_VERDICT
-
-        if event.kind == "http":
-            waf = evaluate(self.ruleset, event.body)
-            for rid in waf.log_fired:
-                self.stats.waf_log_hits[rid] += 1
-            if waf.matched:
-                return self._waf_verdicts[waf.rule_id]
-        else:
-            if event.kind == "tcp":
-                verdict = self.analyzer.observe_tcp(event)
-            else:
-                verdict = self.analyzer.observe_udp(event)
-            if verdict is not None:
-                return verdict
-
-        return _FORWARD_VERDICT
-
     # -- stream driver -----------------------------------------------------
 
     def run_trace(self, lines: Iterable[str], verdict_out: TextIO, strict: bool = True) -> Stats:
         """Process a JSONL trace; one verdict line per event.
 
         Strict mode aborts on the first malformed or out-of-order line;
-        lenient mode skips it and counts it in stats.skipped_lines.
+        lenient mode skips it and counts it in stats.skipped_lines. A
+        blank or whitespace-only line is neither: it gets no verdict and
+        no count, and line numbers count it.
         """
-        for line_no, line in enumerate(lines, start=1):
-            if not line or line.isspace():
-                continue
+        # Bound per call, not at import, so a wrapper put on the module or
+        # the class before the call is the one called.
+        parse, process, serialize, write = (parse_trace_event, self.process_event,
+                                            serialize_verdict_record, verdict_out.write)
+        line_no = 0
+        for line in lines:
+            line_no += 1
             try:
-                event = parse_trace_event(line, line_no=line_no)
-                verdict = self.process_event(event)
+                event = parse(line, line_no)
+                verdict = process(event)
             except (TraceParseError, OutOfOrderError):
+                if not line or line.isspace():  # parse refuses every blank line
+                    continue
                 if strict:
                     raise
                 self.stats.skipped_lines += 1
                 continue
-            verdict_out.write(serialize_verdict_record(event, verdict) + "\n")
+            write(serialize(event, verdict) + "\n")
         return self.stats
 
     def stats_snapshot(self) -> dict:

@@ -34,12 +34,14 @@ class LimiterConfig(_LimiterFields):
 
 
 class LimiterTable:
-    __slots__ = ("config", "buckets", "_next_sweep")
+    __slots__ = ("config", "buckets", "_next_sweep", "_burst", "_rps")
 
     def __init__(self, config: LimiterConfig | None = None):
         self.config = config or LimiterConfig()
         self.buckets: dict[str, tuple[float, float]] = {}  # source -> (tokens, last_ts)
         self._next_sweep = 0.0
+        self._burst = float(self.config.burst)  # the tokens of a full bucket
+        self._rps = self.config.rps
 
     def acquire(self, src_ip: str, now: float) -> bool:
         """Refill the source's bucket to ``now``, then try to consume one
@@ -51,13 +53,14 @@ class LimiterTable:
         """
         if now >= self._next_sweep:
             self._evict_refilled(now)
-        cfg = self.config
         bucket = self.buckets.get(src_ip)
         if bucket is None:
-            tokens = float(cfg.burst)
+            tokens = self._burst
         else:
             tokens, last_ts = bucket
-            tokens = min(float(cfg.burst), tokens + (now - last_ts) * cfg.rps)
+            tokens += (now - last_ts) * self._rps
+            if not tokens < self._burst:  # as min(burst, tokens), also for a NaN from 0 * inf rps
+                tokens = self._burst
         allowed = tokens >= 1.0
         self.buckets[src_ip] = (tokens - 1.0 if allowed else tokens, now)
         return allowed
@@ -69,8 +72,8 @@ class LimiterTable:
         Runs at most once per ``burst / rps`` of trace time; a bucket idle
         that long has refilled, so each sweep scans only the sources seen
         in about the last two periods."""
-        rps = self.config.rps
-        burst = float(self.config.burst)
+        rps = self._rps
+        burst = self._burst
         full = [ip for ip, (tokens, last_ts) in self.buckets.items()
                 if tokens + (now - last_ts) * rps >= burst]
         for ip in full:

@@ -168,8 +168,11 @@ def test_run_reads_stdin_for_piping(tmp_path, cli_run):
     assert len((tmp_path / "v.jsonl").read_text().splitlines()) == len(gen.stdout.splitlines())
 
 
-# Pairings of run's four paths that name one file, over the defaults below;
-# a sandbox of None leaves sandbox.log_path at its default, sandbox.jsonl.
+# Pairings of an output of run with an input or another output that name
+# one file, over the defaults below; a sandbox of None leaves
+# sandbox.log_path at its default, sandbox.jsonl. The config-side inputs
+# (--config and the three path keys, given by --set) are named only when
+# a pairing names them.
 _SAME_FILE = {
     "out_is_trace": {"out": "t.jsonl"},
     "stats_is_trace": {"stats": "t.jsonl"},
@@ -179,27 +182,59 @@ _SAME_FILE = {
     "stats_is_out": {"stats": "v.jsonl"},
     "stats_is_sandbox": {"stats": "sb.jsonl"},
     "out_is_symlink_to_trace": {"out": "link.jsonl"},
+    "out_is_config": {"config": "c.conf", "out": "c.conf"},
+    "stats_is_config": {"config": "c.conf", "stats": "c.conf"},
+    "sandbox_is_config": {"config": "c.conf", "sandbox": "c.conf"},
+    "out_is_feed": {"blacklist.path": "feed.txt", "out": "feed.txt"},
+    "stats_is_feed": {"blacklist.path": "feed.txt", "stats": "feed.txt"},
+    "sandbox_is_ruleset": {"waf.ruleset_path": "r.rules", "sandbox": "r.rules"},
+    "out_is_ruleset": {"waf.ruleset_path": "r.rules", "out": "r.rules"},
+    "stats_is_signatures": {"tcp.signatures_path": "sig.txt", "stats": "sig.txt"},
+    "out_is_signatures": {"tcp.signatures_path": "sig.txt", "out": "sig.txt"},
+    "sandbox_is_feed": {"blacklist.path": "feed.txt", "sandbox": "feed.txt"},
 }
+_INPUT_KEYS = ("blacklist.path", "waf.ruleset_path", "tcp.signatures_path")
+
+
+def _udp_line(event_id: int) -> str:
+    return json.dumps({"event_id": event_id, "ts": float(event_id), "kind": "udp", "src_ip": "10.0.0.2",
+                       "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 8,
+                       "checksum": 0, "payload_b64": ""}) + "\n"
 
 
 @pytest.mark.parametrize("paths", _SAME_FILE.values(), ids=_SAME_FILE)
 def test_run_refuses_two_paths_to_one_file(tmp_path, cli_run, paths):
     paths = {"trace": "t.jsonl", "out": "v.jsonl", "stats": "s.json", "sandbox": "sb.jsonl", **paths}
     trace = tmp_path / paths["trace"]
-    trace.write_text(json.dumps({"event_id": 1, "ts": 1.0, "kind": "udp", "src_ip": "10.0.0.2",
-                                 "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 8,
-                                 "checksum": 0, "payload_b64": ""}) + "\n")
+    trace.write_text(_udp_line(1))
     os.symlink(trace.name, tmp_path / "link.jsonl")
-    for name in ("v.jsonl", "s.json", "sb.jsonl"):
+    if "config" in paths:
+        (tmp_path / paths["config"]).write_text("# no keys\n")
+    for name in ("v.jsonl", "s.json", "sb.jsonl", *(paths[key] for key in _INPUT_KEYS if key in paths)):
         if not (tmp_path / name).exists():
             (tmp_path / name).write_bytes(b"earlier\n")
     before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
     args = ["run", "--trace", paths["trace"], "--out", paths["out"], "--stats", paths["stats"]]
     if paths["sandbox"] is not None:
         args += ["--set", f"sandbox.log_path={paths['sandbox']}"]
+    if "config" in paths:
+        args += ["--config", paths["config"]]
+    args += [item for key in _INPUT_KEYS if key in paths for item in ("--set", f"{key}={paths[key]}")]
     proc = cli_run(args, cwd=tmp_path)
     assert _one_error_line(proc) and "name the same file" in proc.stderr, proc.stderr
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_run_lets_two_inputs_share_a_file(tmp_path, cli_run):
+    # the trace is also read as the feed, whose parser skips every line
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(_udp_line(1) + _udp_line(2))
+    before = trace.read_bytes()
+    proc = cli_run(["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--stats", "s.json",
+                    "--set", "sandbox.log_path=sb.jsonl", "--set", "blacklist.path=t.jsonl"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert trace.read_bytes() == before
+    assert len((tmp_path / "v.jsonl").read_text().splitlines()) == 2
 
 
 def test_run_lets_a_device_repeat_and_reads_stdin(cli_run):

@@ -6,8 +6,8 @@ reads the engine attributes in its ``STATE_SIZES``; a target that a
 change renames or inlines is only reported as missing in a traced
 benchmark run, and one the pipeline stops calling reads 0 there. Here
 every target must resolve, and every span must be called on the
-benchmark workloads' traces. ``child.py`` is loaded by file path and
-only read.
+benchmark workloads' traces, each per-event span once per event.
+``child.py`` is loaded by file path and only read.
 """
 
 import importlib
@@ -72,3 +72,8 @@ def test_every_span_is_called_on_the_benchmark_workloads(tmp_path, bench_inputs_
             argv += ["--set", item]
         assert cli.main(argv) == 0
     assert [span for span, n in calls.items() if not n] == []
+    # every line of these prefixes is an event that reaches L1: no span
+    # that each event passes through may be bypassed for some of them
+    per_event = ("events.parse", "pipeline.decide", "events.serialize_verdict", "ratelimit.acquire")
+    lines = len(workloads.WORKLOADS) * PREFIX_EVENTS
+    assert {span: calls[span] for span in per_event} == dict.fromkeys(per_event, lines)

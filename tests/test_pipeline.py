@@ -132,7 +132,7 @@ def test_layer_three_verdict_is_the_analyzers_own():
     signature = TraceEvent(1, 0.0, "tcp", "10.8.0.9", SRV, 4000, 80,
                            TcpInfo(flags_from_str("PA"), 1, 1, 0, b"/bin/sh -c"))
     for event in (signature, _udp_bad(2, 0.1, "10.8.0.9")):
-        verdict = engine._decide(event)
+        verdict = engine.process_event(event)
         assert verdict is returned[-1] is not None
     assert [v.reason for v in returned] == ["payload_signature", "udp_size_violation"]
 
@@ -226,6 +226,29 @@ def test_lenient_mode_skips_and_counts():
     snap = engine.stats_snapshot()
     assert snap["events"] == 2
     assert snap["verdicts"]["forward"] == 2
+
+
+_BLANK_LINES = ["", "\n", " \t\r\n"]
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_blank_lines_get_no_verdict_and_count_as_lines(strict):
+    # lines 2-4 and 6-8 are blank; line 9 is bad
+    good = [serialize_trace_event(_http(i, float(i), "10.8.0.11")) + "\n" for i in (1, 2)]
+    lines = [good[0], *_BLANK_LINES, good[1], *_BLANK_LINES]
+    engine, out = _engine(), io.StringIO()
+    assert engine.run_trace(lines, out, strict=strict).skipped_lines == 0
+    assert [json.loads(v)["event_id"] for v in out.getvalue().splitlines()] == [1, 2]
+
+    engine, out = _engine(), io.StringIO()
+    if strict:
+        with pytest.raises(TraceParseError, match="^line 9: malformed JSON") as exc:
+            engine.run_trace(lines + ["{broken json\n"], out)
+        assert exc.value.line_no == 9
+    else:
+        assert engine.run_trace(lines + ["{broken json\n"], out, strict=False).skipped_lines == 1
+    assert [json.loads(v)["event_id"] for v in out.getvalue().splitlines()] == [1, 2]
+    assert engine.stats_snapshot()["events"] == 2
 
 
 def test_lenient_mode_skips_non_finite_ts():

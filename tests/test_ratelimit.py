@@ -29,6 +29,13 @@ def test_refill_caps_at_burst():
     assert allowed == 10
 
 
+def test_infinite_rate_never_limits_even_at_one_instant():
+    # the refill of a bucket seen at the same ts is 0 * inf, a NaN, which
+    # refills the bucket to burst like any refill that is not below it
+    table = LimiterTable(LimiterConfig(rps=float("inf"), burst=1))
+    assert all(table.acquire("10.0.0.1", ts) for ts in (0.0, 0.0, 0.0, 1.0, 1.0))
+
+
 def test_steady_rate_at_rps_never_limited():
     table = LimiterTable(LimiterConfig(rps=5.0, burst=10))
     for i in range(200):

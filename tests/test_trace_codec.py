@@ -1,8 +1,8 @@
 """The trace codec's fast paths against the general ones.
 
-``events._parse_canonical`` reads canonical lines with regexes; every
-other line goes through ``json``. For each line here the
-fast path must give the event the ``json`` path gives, or decline it.
+``parse_trace_event`` reads canonical lines with regexes; every other
+line goes through ``json``, in ``events._parse_json``. For each line here
+the fast path must give the event the ``json`` path gives, or decline it.
 ``serialize_trace_event`` and ``SandboxSink.capture`` write the event the
 fast path read last as its line, and any other as compact JSON of its
 fields; either way they must write the bytes of the dict-plus-JSON
@@ -75,23 +75,31 @@ def _typed(event: TraceEvent):
     return event, tuple(map(type, event)), tuple(map(type, event.body))
 
 
-def _json_outcome(line: str, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(events, "_parse_canonical", lambda line: None)
-        try:
-            return _typed(parse_trace_event(line))
-        except TraceParseError as exc:
-            return exc.field, str(exc)
+def _json_outcome(line: str):
+    try:
+        return _typed(events._parse_json(line, None))
+    except TraceParseError as exc:
+        return exc.field, str(exc)
 
 
-def _assert_fast_agrees_or_declines(lines, monkeypatch) -> int:
+def _fast(line: str) -> TraceEvent | None:
+    """The event the fast path read from ``line``; None when it declined
+    the line, as it does every line parse_trace_event refuses."""
+    try:
+        event = parse_trace_event(line)
+    except TraceParseError:
+        return None
+    return event if events._last_canonical[0] is event else None
+
+
+def _assert_fast_agrees_or_declines(lines) -> int:
     """The number of lines the fast path read."""
     taken = 0
     for line in lines:
-        fast = events._parse_canonical(line)
+        fast = _fast(line)
         if fast is not None:
             taken += 1
-            assert _typed(fast) == _json_outcome(line, monkeypatch), line
+            assert _typed(fast) == _json_outcome(line), line
     return taken
 
 
@@ -115,27 +123,26 @@ def _bench_sample(workload: str, bench_inputs_root: str) -> list[str]:
         return fh.readlines()[::BENCH_STRIDE]
 
 
-def test_fast_path_agrees_on_mutants(monkeypatch):
-    assert _assert_fast_agrees_or_declines(_golden_and_mutant_lines(), monkeypatch) > MUTANTS // 100
+def test_fast_path_agrees_on_mutants():
+    assert _assert_fast_agrees_or_declines(_golden_and_mutant_lines()) > MUTANTS // 100
 
 
-def test_fast_path_agrees_on_every_scenario(tmp_path, monkeypatch):
+def test_fast_path_agrees_on_every_scenario(tmp_path):
     lines = [serialize_trace_event(e) + "\n" for e in _scenario_events(tmp_path)]
-    taken = _assert_fast_agrees_or_declines(lines, monkeypatch)
+    taken = _assert_fast_agrees_or_declines(lines)
     # only a string the compact encoder escaped sends a generated line the long way
     assert taken == sum("\\" not in line for line in lines) > len(lines) // 2
 
 
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_json_path_agrees_on_benchmark_traces(workload, bench_inputs_root, monkeypatch):
+def test_json_path_agrees_on_benchmark_traces(workload, bench_inputs_root):
     # perfbench/workloads.py writes these lines without the program's
     # serializer; every one takes the fast path, so only here does the json
     # path read them
     lines = _bench_sample(workload, bench_inputs_root)
-    fast = [events._parse_canonical(line) for line in lines]
+    fast = [_fast(line) for line in lines]
     assert None not in fast
-    monkeypatch.setattr(events, "_parse_canonical", lambda line: None)
-    assert [_typed(parse_trace_event(line)) for line in lines] == [_typed(event) for event in fast]
+    assert [_typed(events._parse_json(line, None)) for line in lines] == [_typed(event) for event in fast]
 
 
 def _http(**changes) -> str:
@@ -183,9 +190,9 @@ _EDGE_LINES = [
 
 
 @pytest.mark.parametrize("line, fast", _EDGE_LINES)
-def test_fast_path_edge_lines(line, fast, monkeypatch):
-    assert (events._parse_canonical(line) is not None) == fast
-    assert _assert_fast_agrees_or_declines([line], monkeypatch) == fast
+def test_fast_path_edge_lines(line, fast):
+    assert (_fast(line) is not None) == fast
+    assert _assert_fast_agrees_or_declines([line]) == fast
 
 
 def test_canonical_patterns_keep_off_the_general_repeat():
@@ -204,12 +211,12 @@ def test_canonical_patterns_keep_off_the_general_repeat():
 
 
 @pytest.mark.parametrize("text", ["QR==", "AAAA=", "AAA==", "AAAA====", "QQ==QQ==", "AA AA", "AAE\u00e9"])
-def test_non_canonical_base64_is_not_valid_base64(text, monkeypatch):
+def test_non_canonical_base64_is_not_valid_base64(text):
     # the same error on every interpreter: both paths take only what
     # b64encode writes, whatever b64decode(validate=True) would accept
     line = _tcp(payload_b64=text)
-    assert events._parse_canonical(line) is None
-    assert _json_outcome(line, monkeypatch) == ("payload_b64", "payload_b64 is not valid base64")
+    assert _fast(line) is None
+    assert _json_outcome(line) == ("payload_b64", "payload_b64 is not valid base64")
 
 
 def _assert_written_as_read(lines) -> tuple[int, int]:
@@ -218,11 +225,11 @@ def _assert_written_as_read(lines) -> tuple[int, int]:
     a fast line's as the line itself, a json line's as compact JSON."""
     fast = slow = 0
     for line in lines:
-        canonical = events._parse_canonical(line) is not None
         try:
             event = parse_trace_event(line)
         except TraceParseError:
             continue
+        canonical = events._last_canonical[0] is event
         fast += canonical
         slow += not canonical
         assert serialize_trace_event(event) == _reference_serialize(event), line
@@ -251,12 +258,12 @@ _INT_BODY_FIELDS = [(kind, key, bound) for kind, (_, fields) in events._BODIES.i
 
 
 @pytest.mark.parametrize("kind, key, bound", _INT_BODY_FIELDS, ids=[f"{k}.{f}" for k, f, _ in _INT_BODY_FIELDS])
-def test_int_body_field_bounds(kind, key, bound, monkeypatch):
+def test_int_body_field_bounds(kind, key, bound):
     at_bound = _LINES[kind](**{key: bound})
-    assert _assert_fast_agrees_or_declines([at_bound], monkeypatch) == 1
+    assert _assert_fast_agrees_or_declines([at_bound]) == 1
     past = _LINES[kind](**{key: bound + 1})
-    assert events._parse_canonical(past) is None
-    assert _json_outcome(past, monkeypatch) == (key, f"{key} out of range")
+    assert _fast(past) is None
+    assert _json_outcome(past) == (key, f"{key} out of range")
 
 
 _B64_FIELDS = [("tcp", "payload_b64"), ("udp", "payload_b64"), ("http", "body_b64")]
@@ -264,15 +271,15 @@ _B64_FIELDS = [("tcp", "payload_b64"), ("udp", "payload_b64"), ("http", "body_b6
 
 @pytest.mark.parametrize("kind, key", _B64_FIELDS, ids=[kind for kind, _ in _B64_FIELDS])
 @pytest.mark.parametrize("text", ["QR==", "AAAA=", "AAA==", "QQ==QQ=="])
-def test_each_kinds_base64_check_on_the_fast_path(kind, key, text, monkeypatch):
+def test_each_kinds_base64_check_on_the_fast_path(kind, key, text):
     line = _LINES[kind](**{key: text})
-    assert events._parse_canonical(line) is None
-    assert _json_outcome(line, monkeypatch) == (key, f"{key} is not valid base64")
+    assert _fast(line) is None
+    assert _json_outcome(line) == (key, f"{key} is not valid base64")
 
 
 def test_lone_surrogate_label_is_not_utf8():
     raw = _tcp(label="x").encode().replace(b'"x"', b'"\xff"').decode("utf-8", "surrogateescape")
-    assert events._parse_canonical(raw) is None
+    assert _fast(raw) is None
     with pytest.raises(TraceParseError, match="not valid UTF-8"):
         parse_trace_event(raw)
 
@@ -358,7 +365,7 @@ def test_writer_refuses_what_the_reader_refuses(field, event):
 
 def test_read_back_leaves_each_capture_its_own_line():
     """The writer's read-back makes the event it parses the one
-    _parse_canonical built last; an event parsed before still gets its
+    parse_trace_event built last; an event parsed before still gets its
     line's bytes, written afresh, and the read-back event is no caller's."""
     line = _tcp(ts=2.5)
     event = parse_trace_event(line)
