@@ -217,6 +217,7 @@ class Analyzer:
         self._expires_at = 0.0
         # (source, finding code) -> its ring [epoch, total, *counts], made on its first count
         self._windows: dict[tuple[str, str], list[int]] = {}
+        self._new_ring = [0] * (self.config.bucket_count + 2)  # copied, never written
         self._next_sweep = 0.0
         self.cookie_mode = False
         self._signatures = [(sig, Verdict(SANDBOX, 3, PAYLOAD_SIGNATURE, sig_id))
@@ -247,7 +248,8 @@ class Analyzer:
         if ring is None:
             if not n:
                 return 0
-            ring = self._windows[key] = [epoch, 0] + [0] * self.config.bucket_count
+            ring = self._windows[key] = self._new_ring.copy()
+            ring[0] = epoch
         size = len(ring) - 2
         if epoch > ring[0]:
             if epoch - ring[0] >= size:
@@ -261,12 +263,6 @@ class Analyzer:
         ring[2 + epoch % size] += n
         ring[1] += n
         return ring[1]
-
-    def _flag(self, src_ip: str, code: str, ts: float, threshold: int) -> Verdict | None:
-        """Count the packet; the finding's verdict once the total reaches ``threshold``."""
-        if self._count(src_ip, code, ts) >= threshold:
-            return _VERDICTS[code]
-        return None
 
     # -- handshake table ---------------------------------------------------
 
@@ -394,23 +390,20 @@ class Analyzer:
                     self._evict_for_capacity(now)
                 self._established[flow] = None
                 return None
-            # (4) bare ACK with no flow behind it
-            if not payload and flow not in self._established:
-                return self._flag(src, ACK_FLOOD, now, cfg.ack_flood_per_source)
 
-        # (5) reset frequency
-        if flags & RST:
-            return self._flag(src, RST_FLOOD, now, cfg.rst_flood_per_source)
-
-        # (6) push with nothing pushed
-        if flags & PSH and not payload:
-            return self._flag(src, PSH_ANOMALY, now, cfg.psh_anomaly_per_source)
-
-        # (7) urgent-pointer misuse
-        if flags & URG and (body.urgent_ptr == 0 or not flags & ACK):
-            return self._flag(src, URG_ANOMALY, now, cfg.urg_anomaly_per_source)
-
-        return None
+        # (4)-(7) pick the packet's rate finding; count it, and flag the
+        # source once its window total reaches the finding's threshold
+        if flags & ACK and not payload and flow not in self._established:
+            code, threshold = ACK_FLOOD, cfg.ack_flood_per_source  # (4) bare ACK with no flow behind it
+        elif flags & RST:
+            code, threshold = RST_FLOOD, cfg.rst_flood_per_source  # (5) reset frequency
+        elif flags & PSH and not payload:
+            code, threshold = PSH_ANOMALY, cfg.psh_anomaly_per_source  # (6) push with nothing pushed
+        elif flags & URG and (body.urgent_ptr == 0 or not flags & ACK):
+            code, threshold = URG_ANOMALY, cfg.urg_anomaly_per_source  # (7) urgent-pointer misuse
+        else:
+            return None
+        return _VERDICTS[code] if self._count(src, code, now) >= threshold else None
 
     def observe_udp(self, pkt: TraceEvent) -> Verdict | None:
         """Stateless checks: blocked port, then size, then checksum."""

@@ -170,7 +170,11 @@ class Blacklist:
     since the last attempt (or none was made yet). Attempt time, not load
     time, gates retries: a failing read is re-tried once per interval
     instead of on every event, and a failure only bumps ``error_count``
-    while the old snapshot keeps serving. The engine is the one writer.
+    while the old snapshot keeps serving. An empty snapshot, such as the
+    one in use before any feed was read, holds no address: the lookup
+    returns False without consulting it. A snapshot assigned to
+    ``current`` by hand is consulted whether or not ``path`` is set. The
+    engine is the one writer.
     """
 
     __slots__ = ("current", "path", "refresh_secs", "error_count", "last_attempt_ts")
@@ -186,7 +190,8 @@ class Blacklist:
         if self.path is not None and (self.last_attempt_ts is None
                                       or now - self.last_attempt_ts >= self.refresh_secs):
             self._refresh(now)
-        return self.current.contains(ip)
+        current = self.current
+        return current.contains(ip) if current.entries else False
 
     def _refresh(self, now: float) -> None:
         try:

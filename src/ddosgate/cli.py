@@ -5,9 +5,10 @@
     ddosgate blacklist fetch --url https://feed.example/drop.txt --out feed.txt
     ddosgate check --ruleset custom.rules
 
-`gen --out -` streams the trace to stdout (no manifest sidecar) and
-`run --trace -` reads from stdin, so the two pipe together. Exit codes:
-0 success, 1 runtime failure (I/O, bad trace data), 2 usage or
+`gen --out -` streams the trace to stdout and `run --trace -` reads from
+stdin, so the two pipe together. `gen` writes its manifest sidecar
+beside a file only, not for stdout, a device or a FIFO. Exit codes: 0
+success, 1 runtime failure (I/O, bad trace data), 2 usage or
 configuration error.
 """
 
@@ -36,6 +37,12 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _is_stream(path: str) -> bool:
+    """Whether ``path`` exists and is no regular file: a device or a FIFO,
+    such as /dev/null, which holds no file to compare, swap or write beside."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 def _load_config(args) -> dict:
     cfg = default_config()
     if args.config:
@@ -62,7 +69,7 @@ def cmd_run(args) -> int:
                                (False, "tcp.signatures_path", cfg["tcp.signatures_path"]),
                                (True, "--out", args.out), (True, "--stats", args.stats),
                                (True, "sandbox.log_path", cfg["sandbox.log_path"])):
-        if path and (os.path.isfile(path) or not os.path.exists(path)):
+        if path and not _is_stream(path):
             other = seen.setdefault(os.path.realpath(path), name)
             if writes and other != name:
                 return _fail(f"{other} and {name} name the same file: {path}", USAGE_EXIT)
@@ -120,7 +127,7 @@ def cmd_gen(args) -> int:
             for ev in events:
                 out.write(serialize_trace_event(ev))
                 out.write("\n")
-        if not to_stdout:
+        if not (to_stdout or _is_stream(args.out)):
             with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
                 json.dump(summarize(scenario, events), fh, indent=2)
                 fh.write("\n")
@@ -134,9 +141,9 @@ def _replace_file(path: str, text: str) -> None:
     place, so a reader sees the old file or the new one, never part of
     one. On failure the old file stays and the new one is removed. A
     symbolic link keeps its place and the file it names is replaced; a
-    path that exists but is no regular file (a FIFO, /dev/stdout) has no
-    file to swap, so it is written through."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    stream (a FIFO, /dev/stdout) has no file to swap, so it is written
+    through."""
+    if _is_stream(path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         return
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--duration", type=float, default=Scenario._field_defaults["duration_secs"],
                        metavar="SECONDS")
     gen_p.add_argument("--out", required=True,
-                       help="trace output path, or - for stdout (no manifest)")
+                       help="trace output path, or - for stdout (no manifest, nor for a device or FIFO)")
     gen_p.add_argument("--param", action="append", metavar="KEY=VALUE",
                        help="scenario parameter override")
     gen_p.set_defaults(func=cmd_gen)

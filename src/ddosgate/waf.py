@@ -22,7 +22,12 @@ calls. Rule text is bound in that function's namespace as data, never
 written into its source. Per request the function reads each target's
 raw value once, derives and transforms each candidate (target, header
 name, transforms) once, on the first rule that reads it, and returns at
-the first sandbox match.
+the first sandbox match. An any_header contains rule whose argument is
+not empty and holds no newline reads one text, the request's header
+values joined by newlines and transformed once, shared by every such
+rule with the same transforms; the other any_header rules read the list
+of values. An empty method, URI, body or joined text is not passed to a
+transform, since each maps "" to "".
 
 Deliberate weaknesses, kept for predictability: urldecode runs exactly
 once, so double-encoded payloads slip through; and no default rule
@@ -35,6 +40,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .events import HttpInfo, LineError, content_lines
@@ -52,6 +58,9 @@ _SINGLE_SOURCES = {
     "body": 'request.body.decode("latin-1")',
     "duration_ms": "request.duration_ms",
 }
+# any_header's values as one text, one value per line (see _compile)
+_JOIN_LINES = "\n".join
+_VALUE = itemgetter(1)
 _OPS = ("contains", "matches", "len_gt", "num_gt")
 
 _ASCII_LOWER = {c: c + 32 for c in range(ord("A"), ord("Z") + 1)}
@@ -227,7 +236,7 @@ def default_ruleset() -> Ruleset:
 
 
 def _compile(rules: tuple[Rule, ...]):
-    """One function that decides as ``rules`` do, in file order.
+    r"""One function that decides as ``rules`` do, in file order.
 
     Its source holds only names that this function numbers itself:
     every value taken from a rule (argument, pattern, header name, id)
@@ -240,6 +249,19 @@ def _compile(rules: tuple[Rule, ...]):
     just before the first rule that reads it. Every statement before
     that one returns or falls through to it, so the local is set
     wherever it is read.
+
+    An any_header ``contains`` rule whose argument is not empty and holds
+    no ``"\n"`` tests one value: the header values joined by ``"\n"``,
+    then transformed. No transform reads across a ``"\n"``
+    (``lowercase`` maps it to itself, and ``urldecode`` leaves an escape
+    cut short by one as literal text), so that text is the transformed
+    values joined by ``"\n"``, and such an argument is in it exactly when
+    it is in one of them. An empty argument would also be in the empty
+    text of a request with no headers, and one holding ``"\n"`` could
+    span two values: those rules, and ``matches`` and ``len_gt`` ones,
+    test each value of the list. A single value with transforms is
+    written ``T(raw) if raw else raw``: each transform maps ``""`` to
+    ``""``.
     """
     namespace = {"WafDecision": WafDecision, "PASS": PASS}
     lines = ["def evaluate(request):"]
@@ -269,10 +291,21 @@ def _compile(rules: tuple[Rule, ...]):
         """The local that holds the rule's candidate, and whether it is a list."""
         transforms = () if rule.target == "duration_ms" else rule.transforms
         if rule.target in _SINGLE_SOURCES:
-            raw = local((rule.target,), lambda: _SINGLE_SOURCES[rule.target])
-            if transforms:
-                raw = local((rule.target, transforms), lambda: transformed(raw, transforms))
-            return raw, False
+            key = (rule.target,)
+            raw = local(key, lambda: _SINGLE_SOURCES[rule.target])
+        elif rule.target == "any_header" and rule.op == "contains" and rule.arg and "\n" not in rule.arg:
+            # one text for every value: exact for such an argument (see above)
+            key = ("header_text",)
+            headers = local(("headers",), lambda: "request.headers")
+            raw = local(key, lambda: f"{const(_JOIN_LINES)}({const(map)}({const(_VALUE)}, {headers}))")
+        else:
+            return values(rule, transforms), True
+        if transforms:  # each transform maps "" to ""
+            raw = local(key + (transforms,), lambda: f"{transformed(raw, transforms)} if {raw} else {raw}")
+        return raw, False
+
+    def values(rule: Rule, transforms: tuple[str, ...]) -> str:
+        """The local that holds the list of the rule's header values."""
         headers = local(("headers",), lambda: "request.headers")
         if rule.target == "any_header":
             key, pairs = ("any_header", transforms), f"_, value in {headers}"
@@ -281,9 +314,9 @@ def _compile(rules: tuple[Rule, ...]):
             raw = local(key, lambda: f"[value for key, value in {headers} if key.lower() == "
                                      f"{const(rule.header_name)}]")
             if not transforms:
-                return raw, True
+                return raw
             key, pairs = key + (transforms,), f"value in {raw}"
-        return local(key, lambda: f"[{transformed('value', transforms)} for {pairs}]"), True
+        return local(key, lambda: f"[{transformed('value', transforms)} for {pairs}]")
 
     logs = False  # whether a log rule came earlier in the file
     for rule in rules:

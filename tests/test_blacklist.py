@@ -163,6 +163,34 @@ def test_no_path_never_refreshes(monkeypatch):
     assert never.last_attempt_ts is None
 
 
+def test_an_empty_snapshot_is_never_consulted(tmp_path, monkeypatch):
+    calls = []
+    lookup = CidrSnapshot.contains
+
+    def counted(self, ip):
+        calls.append(ip)
+        return lookup(self, ip)
+
+    monkeypatch.setattr(CidrSnapshot, "contains", counted)
+    assert Blacklist(None, 300.0).contains("203.0.113.5", 0.0) is False
+    feed = tmp_path / "feed.txt"
+    feed.write_text("# nothing listed yet\nnot an address\n")
+    listed = Blacklist(str(feed), 300.0)
+    assert listed.contains("203.0.113.5", 0.0) is False
+    assert (listed.current.version, calls) == (1, [])  # read, empty, not consulted
+    feed.write_text("203.0.113.0/24\n")
+    assert listed.contains("203.0.113.5", 300.0) is True
+    assert calls == ["203.0.113.5"]
+
+
+def test_a_snapshot_assigned_by_hand_rejects_without_a_path():
+    by_hand = Blacklist(None, 300.0)
+    by_hand.current = CidrSnapshot([parse_cidr("203.0.113.0/24")])
+    assert by_hand.contains("203.0.113.5", 0.0)
+    assert not by_hand.contains("198.51.100.5", 1e9)
+    assert by_hand.last_attempt_ts is None
+
+
 def test_empty_snapshot_contains_nothing():
     snap = CidrSnapshot([])
     assert not snap.contains("10.0.0.1")

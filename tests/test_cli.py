@@ -4,6 +4,7 @@ import json
 import os
 import resource
 import sys
+import threading
 
 import pytest
 
@@ -19,6 +20,23 @@ def test_gen_writes_trace_and_manifest(tmp_path, cli_run):
     manifest = json.loads((tmp_path / "trace.jsonl.manifest.json").read_text())
     assert manifest["events"] == len(lines) > 0
     assert manifest["label_counts"] == {"benign": len(lines)}
+
+
+def test_gen_writes_no_manifest_beside_a_fifo(tmp_path, cli_run):
+    # a device or FIFO, such as /dev/null, is a stream: nothing is written beside it
+    fifo = tmp_path / "trace.pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    args = ["gen", "--scenario", "normal", "--seed", "1", "--duration", "5", "--out"]
+    proc = cli_run(args + [str(fifo)], timeout=60)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["trace.pipe"]
+    assert cli_run(args + [str(tmp_path / "trace.jsonl")]).returncode == 0
+    assert received == [(tmp_path / "trace.jsonl").read_bytes()]
 
 
 def test_gen_same_seed_identical_files(tmp_path, cli_run):

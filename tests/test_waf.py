@@ -12,7 +12,7 @@ from urllib.parse import unquote_plus
 import pytest
 
 from ddosgate import waf
-from ddosgate.events import HttpInfo
+from ddosgate.events import HttpInfo, parse_trace_event
 from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import (
     PASS,
@@ -27,6 +27,7 @@ from ddosgate.waf import (
     evaluate,
     parse_ruleset,
 )
+from test_golden import REFERENCE, workloads
 
 
 def _req(method="GET", uri="/", headers=(("host", "example.test"),), body=b"",
@@ -482,6 +483,106 @@ def test_compiled_ruleset_decides_as_the_rule_by_rule_reference():
     assert {op for *_, op, _ in seen} == {"contains", "matches", "len_gt", "num_gt"}
     assert {action for *_, action in seen} == {"sandbox", "log"}
     assert len(outcomes) == 4 and min(outcomes.values()) >= 1_000, outcomes
+
+
+# -- any_header contains reads one text: the header values joined by "\n"
+
+def _any_header(arg, transforms=()):
+    return Ruleset([Rule(1, "any_header", None, transforms, "contains", arg, None, None, SANDBOX_ACTION)])
+
+
+@pytest.mark.parametrize("transforms, arg, values, matched", [
+    # the separator keeps two values apart
+    ((), "bc", ("ab", "cd"), False),
+    (("lowercase",), "bc", ("aB", "Cd"), False),
+    # no escape is decoded across two values, nor a + merged into one
+    (("urldecode",), "A", ("x%4", "1y"), False),
+    (("urldecode",), "A", ("x%41", "y"), True),
+    (("urldecode",), "%41", ("x%4", "1y"), False),
+    (("urldecode", "lowercase"), " a", ("x+", "a"), False),
+    # "" is in every value, but a request with no header has none
+    ((), "", (), False),
+    (("lowercase", "urldecode"), "", (), False),
+    ((), "", ("",), True),
+    (("urldecode",), "", ("",), True),
+    # an argument that holds "\n" (only a hand-built Rule can) is tested per value
+    ((), "b\nc", ("ab", "cd"), False),
+    (("lowercase",), "b\nc", ("aB", "Cd"), False),
+    ((), "b\nc", ("ab\ncd",), True),
+    # lowercase maps A-Z only, also beside a value that is not ASCII
+    (("lowercase",), "sqlmap", ("SQLMap", "É"), True),
+    (("lowercase",), "é", ("SQLMap", "É"), False),
+    (("lowercase",), "k", ("\u212a", "x"), False),
+    (("lowercase",), "k", ("\u212a", "K"), True),
+])
+def test_any_header_contains_boundaries(transforms, arg, values, matched):
+    ruleset = _any_header(arg, transforms)
+    request = _req(headers=[(f"h{n}", value) for n, value in enumerate(values)])
+    assert evaluate(ruleset, request).matched is matched
+    assert _reference_evaluate(ruleset, request).matched is matched
+
+
+def test_a_transform_runs_once_per_text_and_never_on_an_empty_one(monkeypatch):
+    calls = Counter()
+    lowercase = _TRANSFORM_FNS["lowercase"]
+
+    def counted(value):
+        calls[value] += 1
+        return lowercase(value)
+
+    monkeypatch.setitem(_TRANSFORM_FNS, "lowercase", counted)
+    rules = parse_ruleset(waf.DEFAULT_RULESET_TEXT)  # rules 1007 and 1008 share one header text
+    headers = (("Host", "A.test"), ("User-Agent", "SQLMap"), ("Accept", ""), ("X-A", "Ã"))
+    assert evaluate(rules, _req(uri="/P", headers=headers)) == WafDecision(False, None, (1008,))
+    assert calls == Counter({"/P": 1, "A.test\nSQLMap\n\nÃ": 1})  # the empty body is not transformed
+
+
+_JOIN_PIECES = ["a", "b", "B", "\n", "%", "%4", "1", "+", " ", "É", "\u212a", "k", "K"]
+_JOIN_TRANSFORMS = [(), ("lowercase",), ("urldecode",), ("lowercase", "urldecode"), ("urldecode", "lowercase")]
+
+
+def _join_text(rng, most):
+    return "".join(rng.choice(_JOIN_PIECES) for _ in range(rng.randrange(most + 1)))
+
+
+def _join_arg(rng, values):
+    """Random text, or the end of one value and the start of the next, with or without a "\n" between."""
+    if len(values) < 2 or rng.random() < 0.4:
+        return _join_text(rng, 3)
+    i = rng.randrange(len(values) - 1)
+    return values[i][-rng.randrange(1, 3):] + rng.choice(["", "\n"]) + values[i + 1][:rng.randrange(1, 3)]
+
+
+def test_any_header_contains_decides_per_value_on_random_requests():
+    rng = random.Random(2029)
+    near = Counter()  # arguments in no value, that a looser joined text would hold
+    for _ in range(2_000):
+        values = [_join_text(rng, 4) for _ in range(rng.randrange(4))]
+        request = _req(headers=[("h", value) for value in values])
+        rules = [Rule(rule_id, "any_header", None, rng.choice(_JOIN_TRANSFORMS), "contains",
+                      _join_arg(rng, values), None, None, rng.choice(["sandbox", "log", "log"]))
+                 for rule_id in range(1, rng.randrange(1, 5) + 1)]
+        assert evaluate(Ruleset(rules), request) == _reference_evaluate(rules, request), (rules, request)
+        for rule in rules:
+            transformed = [_reference_transform(value, rule.transforms) for value in values]
+            if not any(rule.arg in value for value in transformed):
+                near["no headers" if not rule.arg else "glued" if rule.arg in "".join(transformed)
+                     else "across" if rule.arg in "\n".join(transformed) else "far"] += 1
+    # each looser rule would have matched many of these requests
+    assert min(near[case] for case in ("no headers", "glued", "across")) >= 100, near
+
+
+def test_the_http_mix_benchmark_trace_decides_as_the_reference(bench_inputs_root):
+    inputs = workloads.prepare("http_mix", REFERENCE["seed"], bench_inputs_root)
+    assert inputs.overrides == []  # the default ruleset
+    with open(inputs.trace, encoding="utf-8") as fh:
+        requests = [event.body for event in map(parse_trace_event, fh) if event.kind == "http"]
+    rules = default_ruleset()
+    decisions = [evaluate(rules, request) for request in requests]
+    assert decisions == [_reference_evaluate(rules, request) for request in requests]
+    assert len(requests) == inputs.events
+    assert {None, 1001, 1002, 1007} < {decision.rule_id for decision in decisions}
+    assert any(decision.log_fired for decision in decisions)
 
 
 def test_each_target_is_read_once_per_request():
