@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .events import content_lines, int_to_ipv4, ipv4_to_int
+from .events import _MEMO_MAX, _ipv4_value, content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # A downloaded feed over MAX_FEED_BYTES (8 MiB) is refused. Its longest
@@ -40,19 +40,20 @@ class Cidr(NamedTuple):  # ordered as (base, prefix_len)
 
 
 def parse_cidr(text: str) -> Cidr | None:
-    """One CIDR or bare IP (treated as /32); host bits are cleared."""
+    """One CIDR or bare IP (treated as /32); host bits are cleared. Feed
+    addresses are mostly read once, so they bypass the address table."""
     addr, sep, plen = text.partition("/")
-    ip = ipv4_to_int(addr.strip())
+    ip = _ipv4_value(addr.strip())
     if ip is None:
         return None
     if not sep:
-        return Cidr(base=ip, prefix_len=32)
+        return Cidr(ip, 32)
     plen = plen.strip()
     if not (plen.isascii() and plen.isdigit()) or int(plen) > 32:
         return None
     n = int(plen)
     mask = 0 if n == 0 else (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF
-    return Cidr(base=ip & mask, prefix_len=n)
+    return Cidr(ip & mask, n)
 
 
 class CidrSnapshot:
@@ -61,10 +62,15 @@ class CidrSnapshot:
     Entries are kept in canonical sorted order. Lookup goes through a
     merged-interval table built once at construction: overlapping or
     adjacent prefixes collapse into disjoint [start, end] ranges, so a
-    query is a single binary search regardless of entry count.
+    query is a single binary search regardless of entry count. Each
+    snapshot memoizes its answer per source string, with the bound and
+    rule of the IPv4 codec's table: at most _MEMO_MAX entries, emptied
+    when full. The entries never change, so a memoized answer is exact,
+    and every snapshot, a refreshed one or one built by hand, starts
+    with an empty memo.
     """
 
-    __slots__ = ("entries", "version", "loaded_at_ts", "_starts", "_ends")
+    __slots__ = ("entries", "version", "loaded_at_ts", "_starts", "_ends", "_memo")
 
     def __init__(self, entries: list[Cidr], version: int = 0, loaded_at_ts: float = 0.0):
         self.entries: tuple[Cidr, ...] = tuple(sorted(set(entries)))
@@ -82,6 +88,7 @@ class CidrSnapshot:
                 ends.append(hi)
         self._starts = starts
         self._ends = ends
+        self._memo: dict[str, bool] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,11 +97,20 @@ class CidrSnapshot:
         """True iff any entry's prefix covers ip; an empty snapshot parses no address."""
         if not self._starts:
             return False
+        memo = self._memo
+        hit = memo.get(ip)
+        if hit is not None:
+            return hit
         value = ipv4_to_int(ip)
         if value is None:
-            return False
-        i = bisect_right(self._starts, value) - 1
-        return i >= 0 and value <= self._ends[i]
+            hit = False
+        else:
+            i = bisect_right(self._starts, value) - 1
+            hit = i >= 0 and value <= self._ends[i]
+        if len(memo) >= _MEMO_MAX:
+            memo.clear()
+        memo[ip] = hit
+        return hit
 
 
 def parse_feed(text: str) -> tuple[list[Cidr], list[tuple[int, str]]]:

@@ -36,7 +36,6 @@ import binascii
 import functools
 import json
 import re
-import struct
 import sys
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -168,12 +167,21 @@ _FLAG_STRS = tuple(flags_to_str(mask) for mask in range(64))
 _FLAGS_BY_STR = {text: mask for mask, text in enumerate(_FLAG_STRS)}
 
 
-# The values of the dotted quads read last: L2 reads each event's source,
-# and the UDP checksum and the SYN-cookie hash both addresses, after the
-# parser has checked them. Emptied when full, so a flood of new sources
-# keeps it bounded and pays one probe and one store per address.
+# The values of the dotted quads read last: the UDP checksum and the
+# SYN-cookie hash read both addresses after the parser has checked them,
+# and L2 each source its memo has not seen. Emptied when full, so a flood
+# of new sources keeps it bounded and pays one probe and one store per
+# address. L2's per-snapshot memo keeps the same bound and rule.
 _IPV4_VALUES: dict[str, int] = {}
-_IPV4_VALUES_MAX = 1024
+_MEMO_MAX = 1024
+
+
+def _ipv4_value(text: str) -> int | None:
+    """ipv4_to_int without the table: for a caller, such as a feed load,
+    whose addresses are mostly read once."""
+    if _IPV4.fullmatch(text) is None:
+        return None
+    return int.from_bytes(bytes(map(int, text.split("."))), "big")
 
 
 def ipv4_to_int(text: str) -> int | None:
@@ -182,11 +190,11 @@ def ipv4_to_int(text: str) -> int | None:
     value = _IPV4_VALUES.get(text)
     if value is not None:
         return value
-    if _IPV4.fullmatch(text) is None:
-        return None
-    if len(_IPV4_VALUES) >= _IPV4_VALUES_MAX:
-        _IPV4_VALUES.clear()
-    value = _IPV4_VALUES[text] = int.from_bytes(bytes(map(int, text.split("."))), "big")
+    value = _ipv4_value(text)
+    if value is not None:
+        if len(_IPV4_VALUES) >= _MEMO_MAX:
+            _IPV4_VALUES.clear()
+        _IPV4_VALUES[text] = value
     return value
 
 
@@ -333,6 +341,11 @@ _new = tuple.__new__
 # and its ts text, stored as one tuple so no reader pairs one call's event
 # with another call's line.
 _last_canonical: tuple[TraceEvent | None, str, str] = (None, "", "")
+# The same tuple for the event serialize_trace_event wrote last as its
+# line. The rule that lets it do so makes the ts text repr of the event's
+# ts, which ``_verdict_ts`` reads from here.
+_NOTHING_WRITTEN: tuple[None, str, str] = (None, "", "")
+_last_written: tuple[TraceEvent | None, str, str] = _NOTHING_WRITTEN
 
 
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
@@ -459,8 +472,11 @@ def serialize_trace_event(event: TraceEvent) -> str:
     holds and so none can pass in: the identity check still gives a line
     only to the event built from it, and every capture its own line.
     """
-    last, line, ts_text = _last_canonical
+    global _last_written
+    canonical = _last_canonical
+    last, line, ts_text = canonical
     if event is last and repr(event.ts) == ts_text:
+        _last_written = canonical
         return line.rstrip(" \t\n\r")
     line = _event_json(event)
     read = parse_trace_event(line)  # its TraceParseError names the field
@@ -477,18 +493,19 @@ def _ones_complement_sum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
                          length: int, checksum: int, payload: bytes) -> int | None:
     # Pseudo-header (src, dst, zero byte + protocol 17, UDP length),
     # UDP header, payload padded with one zero byte if odd. None when
-    # either address is not a dotted quad.
+    # either address is not a dotted quad. Since 2**16 % 0xFFFF == 1, a
+    # big-endian number is congruent modulo 0xFFFF to the sum of its 16-bit
+    # words, and folding the carries of a positive sum gives the one value
+    # in [1, 0xFFFF] congruent to it. So each address and the whole payload
+    # are one term each, and one % replaces the fold.
     src, dst = ipv4_to_int(src_ip), ipv4_to_int(dst_ip)
     if src is None or dst is None:
         return None
-    total = ((src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
-             + 0x0011 + length + src_port + dst_port + length + checksum)
     if len(payload) % 2:
         payload += b"\x00"
-    total += sum(struct.unpack("!%dH" % (len(payload) // 2), payload))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+    total = (src + dst + 0x0011 + length + src_port + dst_port + length + checksum
+             + int.from_bytes(payload, "big"))
+    return total % 0xFFFF or (0xFFFF if total else 0)
 
 
 def compute_udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
@@ -525,6 +542,20 @@ def _verdict_tail(verdict: Verdict) -> str:
     if verdict.rule_id is not None:
         obj["rule_id"] = verdict.rule_id
     return _dumps(obj)[len('{"event_id":0'):]
+
+
+# A sandbox capture's reason as JSON, cached as the verdict tails are.
+_reason_json = functools.lru_cache(maxsize=4096)(_dumps)
+
+
+def _verdict_ts(event: TraceEvent) -> str:
+    """repr(event.ts), which is the ts text of the line serialize_trace_event
+    wrote last when that line was ``event``'s own. Empties _last_written,
+    so a captured event is freed when its caller drops it, as any other."""
+    global _last_written
+    last, _, ts_text = _last_written
+    _last_written = _NOTHING_WRITTEN
+    return ts_text if event is last else repr(event.ts)
 
 
 def serialize_verdict_record(event: TraceEvent, verdict: Verdict) -> str:

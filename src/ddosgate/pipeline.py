@@ -31,8 +31,9 @@ from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
 from .events import (
     _MAX_TS,
-    _dumps,
     _event_json,
+    _reason_json,
+    _verdict_ts,
     DROP_RATE_LIMITED,
     FORWARD,
     REJECT_BLACKLISTED,
@@ -72,10 +73,11 @@ class SandboxSink:
     """Append-only capture of sandboxed traffic: the event as
     serialize_trace_event writes it (for the event just read from a
     canonical line, that line without trailing whitespace), the reason it
-    was caught, and the trace time of the verdict. The engine trusts a
-    library caller's event, so one the writer refuses, such as one from
-    an address that is not a dotted quad, is captured with its fields as
-    given."""
+    was caught, and the trace time of the verdict, written as repr writes
+    the event's ts: for an event written as its own line, that line's ts
+    text. The engine trusts a library caller's event, so one the writer
+    refuses, such as one from an address that is not a dotted quad, is
+    captured with its fields as given."""
 
     def __init__(self, stream: TextIO):
         self._stream = stream
@@ -85,7 +87,8 @@ class SandboxSink:
             line = serialize_trace_event(event)
         except ValueError:
             line = _event_json(event)
-        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%r}\n' % (line, _dumps(reason), event.ts))
+        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%s}\n'
+                           % (line, _reason_json(reason), _verdict_ts(event)))
 
 
 class Stats:

@@ -22,6 +22,7 @@ from ddosgate.blacklist import (
     read_feed,
     serialize_feed,
 )
+from ddosgate.events import _MEMO_MAX
 
 
 def _ip(value: int) -> str:
@@ -88,6 +89,53 @@ def test_agrees_with_mask_oracle_on_random_data():
         probe = rng.getrandbits(32)
         expected = any(probe & mask == base for base, mask in raw)
         assert snap.contains(_ip(probe)) == expected
+
+
+def test_memo_agrees_with_mask_oracle_across_refills_and_a_refresh(tmp_path):
+    """Repeated sources, more distinct ones than the memo holds, malformed
+    strings, and a refresh that flips one memoized address each way."""
+    rng = random.Random(1024)
+    raw = []  # (base, mask) of each listed prefix
+    lines = []
+    for _ in range(60):
+        prefix = rng.randint(8, 32)
+        mask = (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
+        base = rng.getrandbits(32) & mask
+        raw.append((base, mask))
+        lines.append(f"{_ip(base)}/{prefix}")
+
+    def listed(value, prefixes):
+        return any(value & mask == base for base, mask in prefixes)
+
+    unlisted = [v for v in (rng.getrandbits(32) for _ in range(100)) if not listed(v, raw)]
+    dropped, added = unlisted[0], unlisted[1]  # listed before the refresh, listed after it
+    before = raw + [(dropped, 0xFFFFFFFF)]
+    after = raw + [(added, 0xFFFFFFFF)]
+    feed = tmp_path / "feed.txt"
+    feed.write_text("".join(f"{line}\n" for line in lines + [_ip(dropped)]))
+    # three times as many addresses as the memo holds, a third of them
+    # inside a listed prefix, each asked for several times
+    pool = [_ip(rng.getrandbits(32)) for _ in range(2 * _MEMO_MAX)]
+    pool += [_ip(base | rng.getrandbits(32) & ~mask & 0xFFFFFFFF) for base, mask in rng.choices(raw, k=_MEMO_MAX)]
+    pool += ["", "10.0.0", "256.0.0.1", "010.0.0.1", "10.0.0.1 ", "hello", _ip(dropped) + "/32"]
+    bl = Blacklist(str(feed), 300.0)
+
+    def check(now, prefixes):
+        sizes = []
+        for text in rng.choices(pool, k=12_000) + [_ip(dropped), _ip(added)]:
+            value = blacklist.ipv4_to_int(text)
+            expected = value is not None and listed(value, prefixes)
+            assert bl.contains(text, now) is expected, text
+            sizes.append(len(bl.current._memo))
+        assert max(sizes) == _MEMO_MAX and min(sizes[sizes.index(_MEMO_MAX):]) < _MEMO_MAX  # emptied once full
+
+    check(0.0, before)
+    assert _ip(dropped) in bl.current._memo and _ip(added) in bl.current._memo
+    feed.write_text("".join(f"{line}\n" for line in lines + [_ip(added)]))
+    assert not bl.contains(_ip(dropped), 300.0)
+    assert bl.current.version == 2 and len(bl.current._memo) == 1  # a new snapshot starts empty
+    assert bl.contains(_ip(added), 300.0)
+    check(300.0, after)
 
 
 def test_parse_feed_skips_bad_lines_with_numbers():

@@ -20,7 +20,7 @@ from ddosgate.events import (
     Verdict,
     _IPV4,
     _IPV4_VALUES,
-    _IPV4_VALUES_MAX,
+    _MEMO_MAX,
     _OCTET,
     _ones_complement_sum,
     compute_udp_checksum,
@@ -157,10 +157,10 @@ def test_octet_and_dotted_quad_match_the_oracle():
 
 def test_ipv4_values_stay_bounded_and_exact():
     rng = random.Random(78)
-    values = [rng.getrandbits(32) for _ in range(3 * _IPV4_VALUES_MAX)]
+    values = [rng.getrandbits(32) for _ in range(3 * _MEMO_MAX)]
     for value in values:
         assert ipv4_to_int(int_to_ipv4(value)) == value
-        assert len(_IPV4_VALUES) <= _IPV4_VALUES_MAX
+        assert len(_IPV4_VALUES) <= _MEMO_MAX
     assert _IPV4_VALUES[int_to_ipv4(values[-1])] == values[-1]
     assert ipv4_to_int("010.0.0.1") is None
     assert "010.0.0.1" not in _IPV4_VALUES
@@ -306,6 +306,42 @@ def test_ones_complement_sum_matches_byte_pair_loop():
         payload = rng.randbytes(size) if size % 3 else b"\xff" * size  # all-ones words carry most
         args = (src, dst, sport, dport, 8 + size, checksum, payload)
         assert _ones_complement_sum(*args) == _reference_sum(*args), args
+
+
+def _rfc1071_sum(src, dst, sport, dport, length, checksum, payload):
+    """RFC 1071's loop: add the 16-bit words one at a time and fold the
+    carries once at the end. The header terms are added as given, so a
+    negative checksum term can cancel the protocol word."""
+    words = [int(part) << 8 | int(low) for part, low in zip(*[iter(f"{src}.{dst}".split("."))] * 2)]
+    words += [17, length, sport, dport, length, checksum]
+    padded = payload + b"\x00" * (len(payload) % 2)
+    words += [padded[i] << 8 | padded[i + 1] for i in range(0, len(padded), 2)]
+    total = sum(words)
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def test_ones_complement_sum_matches_rfc1071_fold():
+    rng = random.Random(1071)
+    cases = []
+    for size in (0, 1, 2, 3, 7, 64, 65, 1471, 1472):
+        src, dst = (int_to_ipv4(rng.getrandbits(32)) for _ in range(2))
+        for payload in (rng.randbytes(size), b"\xff" * size, bytes(size)):
+            cases.append([src, dst, rng.getrandbits(16), rng.getrandbits(16), 8 + size, 0, payload])
+    random_cases = len(cases)
+    for args in cases[:random_cases]:
+        # the checksum that brings the total to an exact multiple of 0xFFFF
+        cases.append(args[:5] + [0xFFFF - _rfc1071_sum(*args), args[6]])
+    cases.append(["255.255.255.255", "255.255.255.255", 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, b"\xff" * 9001])
+    cases.append(["0.0.0.0", "0.0.0.0", 0, 0, 0, -17, b""])  # the all-zero total
+    multiples = 0
+    for args in cases:
+        expected = _rfc1071_sum(*args)
+        assert _ones_complement_sum(*args) == expected, args
+        multiples += expected == 0xFFFF
+    assert multiples >= random_cases
+    assert _ones_complement_sum(*cases[-1]) == 0
 
 
 def test_udp_single_byte_payload_corruption_detected():

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from ddosgate import events
 from ddosgate.analyzer import AnalyzerConfig, make_syn_cookie
 from ddosgate.events import (
     FlowKey,
@@ -16,6 +17,7 @@ from ddosgate.events import (
     UdpInfo,
     compute_udp_checksum,
     flags_from_str,
+    parse_trace_event,
     serialize_trace_event,
     serialize_verdict_record,
 )
@@ -173,6 +175,56 @@ def test_sandbox_file_matches_sandbox_verdicts():
     assert all(c["reason"] == "udp_size_violation" for c in captured)
     assert captured[0]["verdict_ts"] == 0.0
     assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 2}
+
+
+def _capture_as_before(event, reason):
+    """A capture line as the sink wrote it with no caches: the reason
+    through json and the verdict ts through repr, each time."""
+    try:
+        line = serialize_trace_event(event)
+    except ValueError:
+        line = events._event_json(event)
+    return '{"event":%s,"reason":%s,"verdict_ts":%r}\n' % (line, events._dumps(reason), event.ts)
+
+
+def _tcp_line(eid, ts_text):
+    return ('{"event_id":%d,"ts":%s,"kind":"tcp","src_ip":"10.8.1.1","dst_ip":"10.0.0.1","src_port":40000,'
+            '"dst_port":80,"flags":"S","seq":1,"ack":0,"urgent_ptr":0,"payload_b64":""}\n' % (eid, ts_text))
+
+
+def _udp_line():
+    return ('{"event_id":10,"ts":4.5,"kind":"udp","src_ip":"10.8.1.2","dst_ip":"10.0.0.1","src_port":5000,'
+            '"dst_port":53,"length":10,"checksum":0,"payload_b64":"AAE="}')
+
+
+def test_capture_bytes_match_the_uncached_formula():
+    by_hand = _syn(4, 7.25, "10.8.1.4", 40001)
+    refused = by_hand._replace(event_id=5, src_ip="not an address")
+    cases = []
+    for text in ("2.5", "1e5", "200.10", "1E+5", "3"):  # only the first is spelled as repr writes it
+        cases.append(("line " + text, lambda text=text: parse_trace_event(_tcp_line(1, text))))
+    cases.append(("by hand", lambda: by_hand))
+    cases.append(("refused", lambda: refused))
+    cases.append(("read earlier", lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(_udp_line()))[0]))
+    reasons = ["syn_flood", 'quote " and \\ slash', "na\u00efve \u2713", "syn_flood"]
+    for i, (name, make) in enumerate(cases * 2):  # the second round with other reasons, cached
+        event = make()
+        reason = reasons[i % len(reasons)]
+        out = io.StringIO()
+        SandboxSink(out).capture(event, reason)
+        assert out.getvalue() == _capture_as_before(event, reason), name
+    with pytest.raises(ValueError):
+        serialize_trace_event(refused)  # so its capture took the fallback
+
+
+def test_capture_of_a_canonical_line_writes_its_own_ts_text():
+    out = io.StringIO()
+    sink = SandboxSink(out)
+    for text, written in (("0.1", "0.1"), ("1e5", "100000.0"), ("200.10", "200.1"), ("1.5e-07", "1.5e-07")):
+        event = parse_trace_event(_tcp_line(1, text))
+        sink.capture(event, "syn_flood")
+        assert out.getvalue().endswith(',"verdict_ts":%s}\n' % written)
+        assert json.loads(out.getvalue().splitlines()[-1])["verdict_ts"] == event.ts
 
 
 def test_rate_drop_to_sandbox_flag():

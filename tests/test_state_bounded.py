@@ -6,18 +6,20 @@ they equal fresh state. The first tests run seeded traces twice, the
 second time with both sweeps turned into no-ops, and require identical
 verdict lines, sandbox captures and stats. The last feeds spoofed
 bare-ACK sources at a fixed rate and requires the state held and the
-peak traced memory to stay flat as the run gets longer.
+peak traced memory to stay flat as the run gets longer, and L2's memo
+to stay within its bound while a feed is loaded.
 """
 
 import io
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from ddosgate.analyzer import Analyzer, AnalyzerConfig
-from ddosgate.events import ACK, TcpInfo, TraceEvent, flags_from_str, int_to_ipv4, serialize_trace_event
+from ddosgate.events import _MEMO_MAX, ACK, TcpInfo, TraceEvent, flags_from_str, int_to_ipv4, serialize_trace_event
 from ddosgate.pipeline import Engine, EngineConfig, SandboxSink
 from ddosgate.ratelimit import LimiterConfig, LimiterTable
 from ddosgate.trafficgen import Scenario, generate
@@ -145,3 +147,16 @@ def test_state_stays_bounded_under_spoofed_sources():
         assert l1 <= l1_bound
         assert l3 <= l3_bound
     assert long[2] <= 1.25 * short[2]
+
+
+def test_blacklist_memo_stays_bounded_under_spoofed_sources(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("10.96.0.0/22\n203.0.113.0/24\n")  # lists the flood's first 1,024 sources
+    engine = Engine(EngineConfig(blacklist_path=str(feed)))
+    sizes = []
+    verdicts = Counter()
+    for event in _spoofed_acks(60.0):  # 3,000 sources, each asked for twice
+        verdicts[engine.process_event(event).reason] += 1
+        sizes.append(len(engine.blacklist.current._memo))
+    assert max(sizes) == _MEMO_MAX
+    assert verdicts["blacklisted"] == 2 * 1024 and sum(verdicts.values()) == 2 * 3000 - SPOOF_RATE // 2
