@@ -14,8 +14,9 @@ empty-payload PSHs and URG misuse.
 
 Each TCP packet first steps the clock to its ts: expired half-open flows
 fold into their windows, then rings that have left the window are swept
-(at most once per window_secs), then SYN-cookie mode (a stateless server)
-is set: on at syn_half_open_global half-open flows, off below half that.
+(at most once per bucket width), then SYN-cookie mode (a stateless
+server) is set: on at syn_half_open_global half-open flows, off below
+half that.
 
 Stateless UDP side: port, size, and checksum filtering.
 
@@ -28,9 +29,12 @@ one bucket. A ring is one list of bucket_count + 2 ints: its newest
 epoch, its total and its counters. Its epoch only moves forward. A
 half-open finding additionally depends on flows opened up to
 handshake_timeout_secs before the window, since a SYN only folds into
-the window when it expires. A ring exists only once written and is
-dropped on its own once it has left the window, so window state covers
-only the (source, finding) pairs counted in about the last two windows.
+the window when it expires. Each windowed finding keeps one table that
+maps a source to its ring, in epoch order: a ring whose epoch moves
+forward goes to the back. A ring exists only once written; the sweep,
+once per bucket width, drops the stale front of each table, so window
+state covers only the (source, finding) pairs counted in the last
+window and one bucket.
 
 All time comes from packet timestamps.
 """
@@ -215,8 +219,11 @@ class Analyzer:
         self.entries = ChainMap(self._half_open, self._established)  # every tracked flow
         self._pending_by_source: dict[str, int] = {}
         self._expires_at = 0.0
-        # (source, finding code) -> its ring [epoch, total, *counts], made on its first count
-        self._windows: dict[tuple[str, str], list[int]] = {}
+        # finding code -> source -> its ring [epoch, total, *counts], made on its
+        # first count; each table in epoch order, oldest first
+        self._rings: dict[str, dict[str, list[int]]] = {
+            code: {} for code in (SYN_HALF_OPEN, ACK_FLOOD, RST_FLOOD, PSH_ANOMALY, URG_ANOMALY)}
+        self._windows = ChainMap(*self._rings.values())  # every source that holds a ring
         self._new_ring = [0] * (self.config.bucket_count + 2)  # copied, never written
         self._next_sweep = 0.0
         self.cookie_mode = False
@@ -237,18 +244,19 @@ class Analyzer:
         without making one.
 
         A ring rotates only forward, when ``epoch(ts)`` is past its epoch,
-        and its epoch never goes back: packets arrive in ts order, and
-        ``_expire`` folds flows in age order before a packet counts
-        anything, so every fold's expiry is at or after every earlier count
-        on that ring. A read at an earlier ts gives the current total and
-        leaves the ring as it was."""
+        and then moves to the back of its table. Its epoch never goes
+        back, and no count's epoch is below an earlier count's: packets
+        arrive in ts order, and ``_expire`` folds flows in age order before
+        a packet counts anything, each at an expiry no earlier than the
+        previous packet. So each table stays in epoch order. A read at an
+        earlier ts gives the current total and leaves the ring as it was."""
         epoch = self._epoch(ts)
-        key = (src_ip, code)
-        ring = self._windows.get(key)
+        table = self._rings[code]
+        ring = table.get(src_ip)
         if ring is None:
             if not n:
                 return 0
-            ring = self._windows[key] = self._new_ring.copy()
+            ring = table[src_ip] = self._new_ring.copy()
             ring[0] = epoch
         size = len(ring) - 2
         if epoch > ring[0]:
@@ -260,6 +268,8 @@ class Analyzer:
                     ring[1] -= ring[i]
                     ring[i] = 0
             ring[0] = epoch
+            del table[src_ip]
+            table[src_ip] = ring
         ring[2 + epoch % size] += n
         ring[1] += n
         return ring[1]
@@ -304,13 +314,20 @@ class Analyzer:
         before ``epoch(now)``. Called after the expiry step, so every
         later add or count uses an epoch at or after ``epoch(now)`` and
         would first reset such a ring to all zeros, which is what a
-        missing ring reads. Runs at most once per window_secs of trace
-        time."""
+        missing ring reads. Each table is in epoch order, so its stale
+        rings are its front, and the scan stops at its first ring still in
+        the window. Runs at most once per bucket width of trace time, so a
+        ring is gone within one bucket of leaving the window."""
         cutoff = self._epoch(now) - self.config.bucket_count
-        stale = [key for key, ring in self._windows.items() if ring[0] <= cutoff]
-        for key in stale:
-            del self._windows[key]
-        self._next_sweep = now + self.config.window_secs
+        for table in self._rings.values():
+            stale = []
+            for src, ring in table.items():
+                if ring[0] > cutoff:
+                    break
+                stale.append(src)
+            for src in stale:
+                del table[src]
+        self._next_sweep = now + self._bucket_width
 
     # -- public observers --------------------------------------------------
 

@@ -493,13 +493,15 @@ def _ones_complement_sum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
                          length: int, checksum: int, payload: bytes) -> int | None:
     # Pseudo-header (src, dst, zero byte + protocol 17, UDP length),
     # UDP header, payload padded with one zero byte if odd. None when
-    # either address is not a dotted quad. Since 2**16 % 0xFFFF == 1, a
-    # big-endian number is congruent modulo 0xFFFF to the sum of its 16-bit
-    # words, and folding the carries of a positive sum gives the one value
-    # in [1, 0xFFFF] congruent to it. So each address and the whole payload
-    # are one term each, and one % replaces the fold.
+    # either address is not a dotted quad, or a port or the length is
+    # outside 0-65535, which no UDP header holds. Since 2**16 % 0xFFFF == 1,
+    # a big-endian number is congruent modulo 0xFFFF to the sum of its
+    # 16-bit words, and folding the carries of a positive sum gives the one
+    # value in [1, 0xFFFF] congruent to it. So each address and the whole
+    # payload are one term each, and one % replaces the fold.
     src, dst = ipv4_to_int(src_ip), ipv4_to_int(dst_ip)
-    if src is None or dst is None:
+    if (src is None or dst is None
+            or not (0 <= src_port <= 0xFFFF and 0 <= dst_port <= 0xFFFF and 0 <= length <= 0xFFFF)):
         return None
     if len(payload) % 2:
         payload += b"\x00"
@@ -515,13 +517,15 @@ def compute_udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
     A computed value of 0 is transmitted as 0xFFFF, so 0 is never returned.
     Requires length == 8 + len(payload); packets violating that are an
     analyzer finding, not something this function will sign. Raises
-    ValueError when either is violated or an address is not a dotted quad.
+    ValueError when either is violated, an address is not a dotted quad,
+    or a port or the length is outside 0-65535.
     """
     if length != 8 + len(payload):
         raise ValueError(f"length field {length} != 8 + payload size {len(payload)}")
     total = _ones_complement_sum(src_ip, dst_ip, src_port, dst_port, length, 0, payload)
     if total is None:
-        raise ValueError(f"not an IPv4 address pair: {src_ip!r}, {dst_ip!r}")
+        raise ValueError(f"not an IPv4 address pair with ports and length in 0-65535: "
+                         f"{src_ip!r}, {dst_ip!r}, {src_port}, {dst_port}, {length}")
     value = ~total & 0xFFFF
     return 0xFFFF if value == 0 else value
 
@@ -529,7 +533,8 @@ def compute_udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
 def validate_udp_checksum(src_ip: str, dst_ip: str, src_port: int, dst_port: int,
                           length: int, checksum: int, payload: bytes) -> bool:
     """True iff re-summing with the checksum field in place yields 0xFFFF;
-    False when an address is not a dotted quad."""
+    False when an address is not a dotted quad, or a port or the length is
+    outside 0-65535."""
     return _ones_complement_sum(src_ip, dst_ip, src_port, dst_port, length, checksum, payload) == 0xFFFF
 
 
@@ -549,13 +554,15 @@ _reason_json = functools.lru_cache(maxsize=4096)(_dumps)
 
 
 def _verdict_ts(event: TraceEvent) -> str:
-    """repr(event.ts), which is the ts text of the line serialize_trace_event
-    wrote last when that line was ``event``'s own. Empties _last_written,
-    so a captured event is freed when its caller drops it, as any other."""
+    """event.ts as the event's own line writes it: the ts text of the line
+    serialize_trace_event wrote last when that line was ``event``'s own,
+    else as json writes it, with float's repr also for a float subclass
+    whose own repr differs. Empties _last_written, so a captured event is
+    freed when its caller drops it, as any other."""
     global _last_written
     last, _, ts_text = _last_written
     _last_written = _NOTHING_WRITTEN
-    return ts_text if event is last else repr(event.ts)
+    return ts_text if event is last else _dumps(event.ts)
 
 
 def serialize_verdict_record(event: TraceEvent, verdict: Verdict) -> str:

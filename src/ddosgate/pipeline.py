@@ -73,7 +73,7 @@ class SandboxSink:
     """Append-only capture of sandboxed traffic: the event as
     serialize_trace_event writes it (for the event just read from a
     canonical line, that line without trailing whitespace), the reason it
-    was caught, and the trace time of the verdict, written as repr writes
+    was caught, and the trace time of the verdict, written as json writes
     the event's ts: for an event written as its own line, that line's ts
     text. The engine trusts a library caller's event, so one the writer
     refuses, such as one from an address that is not a dotted quad, is

@@ -16,18 +16,27 @@ only with the numeric target duration_ms; the text operators pair with
 everything else. Rules evaluate in file order: the first sandbox match
 wins, log matches accumulate without stopping evaluation.
 
-``parse_ruleset`` parses the rules into a ``Ruleset``, which compiles
-them once, in file order, into one Python function that ``evaluate``
-calls. Rule text is bound in that function's namespace as data, never
-written into its source. Per request the function reads each target's
-raw value once, derives and transforms each candidate (target, header
-name, transforms) once, on the first rule that reads it, and returns at
-the first sandbox match. An any_header contains rule whose argument is
-not empty and holds no newline reads one text, the request's header
-values joined by newlines and transformed once, shared by every such
-rule with the same transforms; the other any_header rules read the list
-of values. An empty method, URI, body or joined text is not passed to a
-transform, since each maps "" to "".
+``parse_ruleset`` parses the rules into a ``Ruleset``: the rules in file
+order, as a tuple, compiled once, in file order, into one Python
+function that ``evaluate`` calls. In that function each rule is one flat
+statement. Rule text (arguments, patterns, header names, ids) is bound
+in the function's namespace as data, never written into its source, so
+any text a rule can hold is matched as itself. Per request the function
+reads each target's raw value once (the body is decoded once), derives
+and transforms each candidate (target, header name, transforms) once,
+on the first rule that reads it, and returns at the first sandbox
+match, so no rule after the deciding one is tested. An any_header rule
+with op contains, whose argument is not empty and holds no newline,
+reads one text: the request's header values joined by newlines,
+transformed once and shared by every such rule with the same
+transforms. Neither transform reads across a newline (lowercase keeps
+it, and urldecode leaves an escape cut short by one as literal text),
+so that text is the transformed values joined by newlines, and such an
+argument is in it exactly when it is in one of them. The other
+any_header rules (an empty argument, which must not match a request
+with no headers, an argument with a newline, matches and len_gt) test
+each value. An empty method, URI, body or joined text is not passed to
+a transform, since each maps "" to "".
 
 Deliberate weaknesses, kept for predictability: urldecode runs exactly
 once, so double-encoded payloads slip through; and no default rule
@@ -250,18 +259,11 @@ def _compile(rules: tuple[Rule, ...]):
     that one returns or falls through to it, so the local is set
     wherever it is read.
 
-    An any_header ``contains`` rule whose argument is not empty and holds
-    no ``"\n"`` tests one value: the header values joined by ``"\n"``,
-    then transformed. No transform reads across a ``"\n"``
-    (``lowercase`` maps it to itself, and ``urldecode`` leaves an escape
-    cut short by one as literal text), so that text is the transformed
-    values joined by ``"\n"``, and such an argument is in it exactly when
-    it is in one of them. An empty argument would also be in the empty
-    text of a request with no headers, and one holding ``"\n"`` could
-    span two values: those rules, and ``matches`` and ``len_gt`` ones,
-    test each value of the list. A single value with transforms is
-    written ``T(raw) if raw else raw``: each transform maps ``""`` to
-    ``""``.
+    The any_header rules that read the joined header text (the module
+    docstring says which, and why that is exact) test one value, the
+    values joined by ``"\n"``, then transformed; the others test each
+    value of the list. A single value with transforms is written
+    ``T(raw) if raw else raw``: each transform maps ``""`` to ``""``.
     """
     namespace = {"WafDecision": WafDecision, "PASS": PASS}
     lines = ["def evaluate(request):"]

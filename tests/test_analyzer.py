@@ -458,13 +458,18 @@ def test_config_rejects_nonsense():
 
 # -- window state ---------------------------------------------------------
 
+def _ring_keys(a):
+    """Every (source, finding) that holds a ring, each table in its order."""
+    return [(src, code) for code, table in a._rings.items() for src in table]
+
+
 def test_window_rings_are_made_only_when_written():
     a = Analyzer()
     assert a.incomplete_count("10.50.0.1", 0.0) == 0
     assert a.observe_tcp(_tcp("10.50.0.1", 1000, "S", 0.0)) is None
-    assert a._windows == {}  # reading the incomplete count made nothing
+    assert _ring_keys(a) == []  # reading the incomplete count made nothing
     a.observe_tcp(_tcp("10.50.0.2", 1000, "A", 0.1))
-    assert list(a._windows) == [("10.50.0.2", ACK_FLOOD)]
+    assert _ring_keys(a) == [("10.50.0.2", ACK_FLOOD)]
 
 
 def test_window_state_dropped_once_it_leaves_the_window():
@@ -472,16 +477,33 @@ def test_window_state_dropped_once_it_leaves_the_window():
     epoch 1 still counts at epoch 10 and must survive the sweep there;
     one last written in epoch 0 is gone."""
     a = Analyzer(AnalyzerConfig(ack_flood_per_source=3, window_secs=10.0, bucket_count=10))
-    a.observe_tcp(_tcp("10.51.0.1", 1000, "A", 0.0))  # sweeps; the next is due at 10.0
+    a.observe_tcp(_tcp("10.51.0.1", 1000, "A", 0.0))  # sweeps; the next is due at 1.0
     for _ in range(2):
         assert a.observe_tcp(_tcp("10.51.0.2", 1000, "A", 1.5)) is None
-    a.observe_tcp(_tcp("10.51.0.3", 1000, "A", 10.0))
-    assert set(a._windows) == {("10.51.0.2", ACK_FLOOD), ("10.51.0.3", ACK_FLOOD)}
+    a.observe_tcp(_tcp("10.51.0.3", 1000, "A", 10.0))  # sweeps: epoch 0 <= 10 - 10
+    assert set(_ring_keys(a)) == {("10.51.0.2", ACK_FLOOD), ("10.51.0.3", ACK_FLOOD)}
     f = a.observe_tcp(_tcp("10.51.0.2", 1000, "A", 10.0))
     assert f is not None and f.reason == ACK_FLOOD
-    # the epoch-1 writes leave at epoch 11; the next sweep is due at 20.0
+    # both rings moved to epoch 10, which leaves at epoch 20
     a.observe_tcp(_tcp("10.51.0.3", 1000, "A", 20.0))
-    assert set(a._windows) == {("10.51.0.3", ACK_FLOOD)}
+    assert set(_ring_keys(a)) == {("10.51.0.3", ACK_FLOOD)}
+
+
+def test_stale_ring_gone_within_a_bucket_of_leaving_the_window():
+    """Width-1 s buckets over 10 s and a packet each second: a ring last
+    moved at ts 1.5 (epoch 1) counts through epoch 10, leaves the window
+    at epoch 11 and is gone by ts 12.0, one bucket later. A sweep once per
+    window, at 0.0, 10.0 and 20.0, would hold it until 20.0."""
+    a = Analyzer(AnalyzerConfig(window_secs=10.0, bucket_count=10))
+    a.observe_tcp(_tcp("10.51.2.1", 1000, "A", 0.0))
+    for t in range(1, 13):
+        a.observe_tcp(_tcp("10.51.2.2", 1000, "A", float(t)))
+        if t == 1:
+            a.observe_tcp(_tcp("10.51.2.3", 1000, "A", 1.5))
+        if t <= 10:
+            assert a._rings[ACK_FLOOD]["10.51.2.3"][0] == 1, t
+    assert "10.51.2.3" not in a._rings[ACK_FLOOD]
+    assert list(a._rings[ACK_FLOOD]) == ["10.51.2.2"]
 
 
 def test_each_ring_of_a_source_is_dropped_on_its_own():
@@ -489,11 +511,11 @@ def test_each_ring_of_a_source_is_dropped_on_its_own():
     ring stays, and the ACK count carries on across the sweep."""
     a = Analyzer(AnalyzerConfig(ack_flood_per_source=3, window_secs=10.0, bucket_count=10))
     src = "10.51.1.1"
-    a.observe_tcp(_tcp(src, 1000, "R", 0.0))  # sweeps; the next is due at 10.0
+    a.observe_tcp(_tcp(src, 1000, "R", 0.0))  # sweeps; the next is due at 1.0
     assert a.observe_tcp(_tcp(src, 1000, "A", 5.0)) is None
-    assert set(a._windows) == {(src, RST_FLOOD), (src, ACK_FLOOD)}
+    assert set(_ring_keys(a)) == {(src, RST_FLOOD), (src, ACK_FLOOD)}
     assert a.observe_tcp(_tcp(src, 1000, "A", 10.0)) is None  # sweeps: epoch 0 <= 10 - 10
-    assert set(a._windows) == {(src, ACK_FLOOD)}
+    assert set(_ring_keys(a)) == {(src, ACK_FLOOD)}
     assert a.observe_tcp(_tcp(src, 1000, "A", 10.5)) is _VERDICTS[ACK_FLOOD]
 
 
@@ -546,8 +568,9 @@ def test_window_count_matches_a_plain_model(bucket_count, seed):
             charged[key].append(now)
         expected = sum(1 for e in charged[key] if e > now - bucket_count)
         assert a._count(*key, ts, n) == expected, (ts, key, n)
-        assert (key in a._windows) == bool(charged[key])  # a read makes no ring
-        ring = a._windows.get(key)
+        src, code = key
+        assert (src in a._rings[code]) == bool(charged[key])  # a read makes no ring
+        ring = a._rings[code].get(src)
         if ring is not None and ring[0] > 0 and rng.random() < 0.3:
             before = list(ring)
             earlier = rng.uniform(0.0, ring[0] * _WIDTH * (1 - 1e-9))
@@ -563,19 +586,22 @@ def test_ring_epochs_never_go_back(seed, monkeypatch):
     with the handshake timeout longer than the window and a few packets
     per second, so the clock jumps, expired SYNs fold into their rings
     buckets behind the packet clock, yet no count lands before its
-    ring's epoch and no ring's epoch goes back."""
+    ring's epoch, no ring's epoch goes back, and after every packet each
+    finding's table is in epoch order, which the sweep relies on."""
     count = Analyzer._count
     clock = {"now": 0.0}
     lags = []  # buckets between the clock and each count
+    rewrites = []  # counts on a ring that already existed
 
     def forward_only(self, src_ip, code, ts, n=1):
-        ring = self._windows.get((src_ip, code))
+        ring = self._rings[code].get(src_ip)
         before = None if ring is None else ring[0]
         if n:
             assert before is None or self._epoch(ts) >= before, (src_ip, code, ts)
             lags.append(self._epoch(clock["now"]) - self._epoch(ts))
+            rewrites.append(before is not None)
         total = count(self, src_ip, code, ts, n)
-        ring = self._windows.get((src_ip, code))
+        ring = self._rings[code].get(src_ip)
         assert before is None or ring[0] >= before
         return total
 
@@ -583,7 +609,11 @@ def test_ring_epochs_never_go_back(seed, monkeypatch):
 
     def clocked_observe_tcp(self, pkt):
         clock["now"] = pkt.ts
-        return observe_tcp(self, pkt)
+        verdict = observe_tcp(self, pkt)
+        for code, table in self._rings.items():
+            epochs = [ring[0] for ring in table.values()]
+            assert epochs == sorted(epochs), (code, pkt)
+        return verdict
 
     monkeypatch.setattr(Analyzer, "_count", forward_only)
     monkeypatch.setattr(Analyzer, "observe_tcp", clocked_observe_tcp)
@@ -591,3 +621,4 @@ def test_ring_epochs_never_go_back(seed, monkeypatch):
     assert config.analyzer.handshake_timeout_secs > config.analyzer.window_secs
     _run(_churn_lines(seed=seed, seconds=200.0, sources=60, rate=3.0), config)
     assert sum(lag > 0 for lag in lags) > 30 and max(lags) >= 3
+    assert sum(rewrites) > 30

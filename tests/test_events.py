@@ -269,6 +269,19 @@ def test_udp_checksum_length_must_agree():
         compute_udp_checksum("192.0.2.1", "192.0.2.2", 1, 2, 11, b"hi")
 
 
+@pytest.mark.parametrize("sport, dport, payload, checksum", [
+    (-5, 70000, b"hi", 30193), (65536, 2, b"hi", 34650), (1, -1, b"hi", 34653), (1, 2, bytes(65528), 61397)],
+    ids=["ports-minus-5-and-70000", "sport-65536", "dport-minus-1", "length-65536"])
+def test_udp_checksum_refuses_ports_and_lengths_outside_16_bits(sport, dport, payload, checksum):
+    """No UDP header holds such a port or length (the last case's is
+    65,536): compute raises, and validate answers False even for the
+    checksum that re-sums to 0xFFFF when the values are not checked."""
+    length = 8 + len(payload)
+    with pytest.raises(ValueError, match="ports and length in 0-65535"):
+        compute_udp_checksum("1.2.3.4", "5.6.7.8", sport, dport, length, payload)
+    assert not validate_udp_checksum("1.2.3.4", "5.6.7.8", sport, dport, length, checksum, payload)
+
+
 def test_udp_validate_of_computed_random_packets():
     rng = random.Random(1801)
     for _ in range(300):

@@ -227,6 +227,25 @@ def test_capture_of_a_canonical_line_writes_its_own_ts_text():
         assert json.loads(out.getvalue().splitlines()[-1])["verdict_ts"] == event.ts
 
 
+def test_capture_writes_a_ts_as_json_does():
+    """A library caller's ts may be a float subclass with its own repr, or
+    an int: the capture's verdict_ts is JSON and reads as the event's ts,
+    as the event's own line does."""
+
+    class T(float):
+        def __repr__(self):
+            return f"T({float(self)})"
+
+    for ts, written in ((T(1.5), "1.5"), (5, "5")):
+        out = io.StringIO()
+        engine = Engine(EngineConfig(), sandbox=SandboxSink(out))
+        v = engine.process_event(TraceEvent(1, ts, "udp", "10.8.0.4", SRV, 5000, 53, UdpInfo(4, 0, b"")))
+        assert v.reason == "udp_size_violation"
+        assert out.getvalue().endswith(',"verdict_ts":%s}\n' % written)
+        capture = json.loads(out.getvalue())
+        assert capture["verdict_ts"] == capture["event"]["ts"] == ts
+
+
 def test_rate_drop_to_sandbox_flag():
     engine = _engine(rate_drop_to_sandbox=True)
     for i in range(10):

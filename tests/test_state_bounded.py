@@ -137,10 +137,11 @@ def _flood(seconds: float):
 
 def test_state_stays_bounded_under_spoofed_sources():
     """Defaults: a bucket is full 2 s after its last use and swept every
-    2 s; rings leave the 10 s window at most one 1 s bucket later and are
-    swept every 10 s. So at most this many seconds of sources are held."""
+    2 s; a ring leaves the 10 s window at most one 1 s bucket after its
+    last count, and the sweep, once per 1 s bucket, drops it at most one
+    bucket later. So at most this many seconds of sources are held."""
     l1_bound = SPOOF_RATE * (2 * 2.0 + 1)
-    l3_bound = SPOOF_RATE * (2 * 10.0 + 2)
+    l3_bound = SPOOF_RATE * (10.0 + 2)
     short = _flood(40.0)  # 2,000 sources, above both bounds
     long = _flood(160.0)
     for l1, l3, _ in (short, long):
