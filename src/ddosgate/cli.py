@@ -43,6 +43,20 @@ def _is_stream(path: str) -> bool:
     return os.path.exists(path) and not os.path.isfile(path)
 
 
+def _refuse_same_file(paths) -> None:
+    """Raise ConfigError when an output names an input or another output,
+    before anything is opened: an input would be truncated or overwritten
+    while read, or two writers would interleave. ``paths`` are ``(writes,
+    name, path)``, inputs first, a path of None unused. Inputs may share a
+    file; a device or FIFO, such as /dev/null, is a stream and may repeat."""
+    seen = {}
+    for writes, name, path in paths:
+        if path and not _is_stream(path):
+            other = seen.setdefault(os.path.realpath(path), name)
+            if writes and other != name:
+                raise ConfigError(f"{other} and {name} name the same file: {path}")
+
+
 def _load_config(args) -> dict:
     cfg = default_config()
     if args.config:
@@ -56,23 +70,13 @@ def cmd_run(args) -> int:
         cfg = _load_config(args)
     except OSError as exc:
         return _fail(f"cannot read config: {exc}", USAGE_EXIT)
-    # Refuse an output that names an input or another output, before
-    # anything is opened: an input would be truncated before it is read or
-    # overwritten while it is still read, or two writers would interleave.
-    # Inputs may share a file. A device or FIFO, such as /dev/null, is a
-    # stream and may repeat.
-    seen = {}
-    for writes, name, path in ((False, "--trace", None if args.trace == "-" else args.trace),
-                               (False, "--config", args.config),
-                               (False, "blacklist.path", cfg["blacklist.path"]),
-                               (False, "waf.ruleset_path", cfg["waf.ruleset_path"]),
-                               (False, "tcp.signatures_path", cfg["tcp.signatures_path"]),
-                               (True, "--out", args.out), (True, "--stats", args.stats),
-                               (True, "sandbox.log_path", cfg["sandbox.log_path"])):
-        if path and not _is_stream(path):
-            other = seen.setdefault(os.path.realpath(path), name)
-            if writes and other != name:
-                return _fail(f"{other} and {name} name the same file: {path}", USAGE_EXIT)
+    _refuse_same_file(((False, "--trace", None if args.trace == "-" else args.trace),
+                       (False, "--config", args.config),
+                       (False, "blacklist.path", cfg["blacklist.path"]),
+                       (False, "waf.ruleset_path", cfg["waf.ruleset_path"]),
+                       (False, "tcp.signatures_path", cfg["tcp.signatures_path"]),
+                       (True, "--out", args.out), (True, "--stats", args.stats),
+                       (True, "sandbox.log_path", cfg["sandbox.log_path"])))
 
     try:
         try:
@@ -112,6 +116,10 @@ def cmd_gen(args) -> int:
         if not sep:
             return _fail(f"--param needs key=value, got {item!r}", USAGE_EXIT)
         params[key.strip()] = value.strip()
+    to_stdout = args.out == "-"
+    manifest = None if to_stdout or _is_stream(args.out) else args.out + ".manifest.json"
+    _refuse_same_file(((False, "--param feed", params.get("feed")),
+                       (True, "--out", None if to_stdout else args.out), (True, "the manifest", manifest)))
     scenario = Scenario(name=args.scenario, params=params, seed=args.seed,
                         duration_secs=args.duration)
     try:
@@ -121,14 +129,13 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         return _fail(str(exc), RUNTIME_EXIT)
 
-    to_stdout = args.out == "-"
     try:
         with nullcontext(sys.stdout) if to_stdout else open(args.out, "w", encoding="utf-8") as out:
             for ev in events:
                 out.write(serialize_trace_event(ev))
                 out.write("\n")
-        if not (to_stdout or _is_stream(args.out)):
-            with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+        if manifest:
+            with open(manifest, "w", encoding="utf-8") as fh:
                 json.dump(summarize(scenario, events), fh, indent=2)
                 fh.write("\n")
     except OSError as exc:

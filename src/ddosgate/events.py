@@ -339,13 +339,9 @@ _new = tuple.__new__
 
 # The event parse_trace_event built last from a canonical line, that line
 # and its ts text, stored as one tuple so no reader pairs one call's event
-# with another call's line.
+# with another call's line. Only parse_trace_event stores it; the line and
+# ts text belong to the event that ``is`` the stored one, to no other.
 _last_canonical: tuple[TraceEvent | None, str, str] = (None, "", "")
-# The same tuple for the event serialize_trace_event wrote last as its
-# line. The rule that lets it do so makes the ts text repr of the event's
-# ts, which ``_verdict_ts`` reads from here.
-_NOTHING_WRITTEN: tuple[None, str, str] = (None, "", "")
-_last_written: tuple[TraceEvent | None, str, str] = _NOTHING_WRITTEN
 
 
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
@@ -469,14 +465,11 @@ def serialize_trace_event(event: TraceEvent) -> str:
     ValueError naming the field.
 
     The read-back leaves in _last_canonical a fresh event that no caller
-    holds and so none can pass in: the identity check still gives a line
-    only to the event built from it, and every capture its own line.
+    holds, so on return ``_last_canonical[0] is event`` exactly when the
+    line returned is the event's own, whose ts text a capture then takes.
     """
-    global _last_written
-    canonical = _last_canonical
-    last, line, ts_text = canonical
+    last, line, ts_text = _last_canonical
     if event is last and repr(event.ts) == ts_text:
-        _last_written = canonical
         return line.rstrip(" \t\n\r")
     line = _event_json(event)
     read = parse_trace_event(line)  # its TraceParseError names the field
@@ -554,14 +547,11 @@ _reason_json = functools.lru_cache(maxsize=4096)(_dumps)
 
 
 def _verdict_ts(event: TraceEvent) -> str:
-    """event.ts as the event's own line writes it: the ts text of the line
-    serialize_trace_event wrote last when that line was ``event``'s own,
-    else as json writes it, with float's repr also for a float subclass
-    whose own repr differs. Empties _last_written, so a captured event is
-    freed when its caller drops it, as any other."""
-    global _last_written
-    last, _, ts_text = _last_written
-    _last_written = _NOTHING_WRITTEN
+    """event.ts as the line serialize_trace_event just wrote for ``event``
+    writes it: the ts text of _last_canonical when that line was the
+    event's own, else as json writes it, which is float's repr also for a
+    float subclass whose own repr differs."""
+    last, _, ts_text = _last_canonical
     return ts_text if event is last else _dumps(event.ts)
 
 

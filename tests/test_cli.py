@@ -376,6 +376,34 @@ def test_gen_skips_only_an_undecodable_feed_line(tmp_path, cli_run):
     assert traces[0] == traces[1] and '"src_ip":"192.168.0.' in traces[0]
 
 
+# gen's feed (--param feed) -> its --out, each named from tmp_path
+_GEN_OVER_FEED = {
+    "trace_is_feed": ("feed.txt", "feed.txt"),
+    "manifest_is_feed": ("t.jsonl.manifest.json", "t.jsonl"),
+    "out_is_symlink_to_feed": ("feed.txt", "link.txt"),
+}
+
+
+@pytest.mark.parametrize("feed, out", _GEN_OVER_FEED.values(), ids=_GEN_OVER_FEED)
+def test_gen_refuses_to_write_over_its_feed(tmp_path, cli_run, feed, out):
+    (tmp_path / feed).write_text("203.0.113.0/24\n")
+    os.symlink(feed, tmp_path / "link.txt")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    proc = cli_run(["gen", "--scenario", "blacklist_mix", "--param", f"feed={feed}", "--seed", "3",
+                    "--out", out], cwd=tmp_path)
+    assert _one_error_line(proc) and "name the same file" in proc.stderr, proc.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_gen_with_a_feed_still_writes_to_a_device(tmp_path, cli_run):
+    feed = tmp_path / "feed.txt"
+    feed.write_text("203.0.113.0/24\n")
+    proc = cli_run(["gen", "--scenario", "blacklist_mix", "--param", f"feed={feed}", "--seed", "3",
+                    "--out", os.devnull])
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["feed.txt"]
+
+
 def test_blacklist_fetch_failure_leaves_out_untouched(tmp_path, cli_run):
     out = tmp_path / "clean.txt"
     proc = cli_run(["blacklist", "fetch", "--path", str(tmp_path / "absent.txt"),

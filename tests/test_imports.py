@@ -1,6 +1,7 @@
 """No module under src/ or tests/ imports a name it never uses, no
-module in src/ binds a private name that src/ never reads, and
-importing the CLI stays light.
+module in src/ binds a private name that src/ never reads, only
+``parse_trace_event`` declares a ``global`` in src/, and importing the
+CLI stays light.
 
 A name counts as used when the module reads it anywhere (a bare name,
 or the root of an attribute chain) or lists it in ``__all__``.
@@ -121,31 +122,47 @@ def test_cli_import_loads_no_heavy_module():
 NETWORK_PATH = ("blacklist.py", "fetch_feed")
 
 
+def _in_functions(path: Path):
+    """(enclosing function or None, node) for each node of the file."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            yield function, child
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if is_function else function)
+
+    return visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+
+
 def _network_imports(path: Path) -> list[tuple[str, str | None, str]]:
     """(file, enclosing function or None, module) of each import of
     ``urllib`` or ``http`` in the file."""
     found = []
-
-    def visit(node, function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                modules = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                modules = [child.module]
-            else:
-                modules = []
-            found.extend((path.name, function, module) for module in modules
-                         if module.partition(".")[0] in ("urllib", "http"))
-            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_function else function)
-
-    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), None)
+    for function, node in _in_functions(path):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            modules = []
+        found.extend((path.name, function, module) for module in modules
+                     if module.partition(".")[0] in ("urllib", "http"))
     return found
 
 
 def test_only_fetch_feed_imports_the_http_stack():
     found = [hit for path in FILES if ROOT / "src" in path.parents for hit in _network_imports(path)]
     assert found and {(name, function) for name, function, _ in found} == {NETWORK_PATH}, found
+
+
+def test_only_the_parser_declares_a_global():
+    """Module state in src/ has one writer: parse_trace_event records the
+    last canonical line in events._last_canonical, and every reader takes
+    it from there. Any other handoff through module state would need a
+    ``global`` statement, and so an edit to this list."""
+    found = [(path.name, function, name) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
+             for function, node in _in_functions(path) if isinstance(node, ast.Global) for name in node.names]
+    assert found == [("events.py", "parse_trace_event", "_last_canonical")]
 
 
 def test_run_and_gen_with_a_feed_load_no_http_stack(tmp_path):

@@ -177,14 +177,14 @@ def test_sandbox_file_matches_sandbox_verdicts():
     assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 2}
 
 
-def _capture_as_before(event, reason):
+def _capture_as_before(event, reason, write_ts=repr):
     """A capture line as the sink wrote it with no caches: the reason
-    through json and the verdict ts through repr, each time."""
+    through json and the verdict ts through ``write_ts``, each time."""
     try:
         line = serialize_trace_event(event)
     except ValueError:
         line = events._event_json(event)
-    return '{"event":%s,"reason":%s,"verdict_ts":%r}\n' % (line, events._dumps(reason), event.ts)
+    return '{"event":%s,"reason":%s,"verdict_ts":%s}\n' % (line, events._dumps(reason), write_ts(event.ts))
 
 
 def _tcp_line(eid, ts_text):
@@ -206,6 +206,9 @@ def test_capture_bytes_match_the_uncached_formula():
     cases.append(("by hand", lambda: by_hand))
     cases.append(("refused", lambda: refused))
     cases.append(("read earlier", lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(_udp_line()))[0]))
+    # the json path leaves the record of the last canonical line as it was
+    cases.append(("read before a json line",
+                  lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(" " + _udp_line()))[0]))
     reasons = ["syn_flood", 'quote " and \\ slash', "na\u00efve \u2713", "syn_flood"]
     for i, (name, make) in enumerate(cases * 2):  # the second round with other reasons, cached
         event = make()
@@ -215,6 +218,21 @@ def test_capture_bytes_match_the_uncached_formula():
         assert out.getvalue() == _capture_as_before(event, reason), name
     with pytest.raises(ValueError):
         serialize_trace_event(refused)  # so its capture took the fallback
+    # a read-back, then at once an event with equal fields that no line built
+    out = io.StringIO()
+    sink = SandboxSink(out)
+    read = parse_trace_event(_tcp_line(1, "1e5"))
+    twin = TraceEvent(*read)
+    assert twin == read and twin is not read
+    for event in (read, twin):
+        sink.capture(event, "syn_flood")
+    assert out.getvalue() == _capture_as_before(read, "syn_flood") * 2
+    # a library caller's ts the writer refuses, or a ts json writes otherwise than repr
+    for ts in (float("nan"), float("inf"), -1.5, True, 5):
+        event = by_hand._replace(ts=ts)
+        out = io.StringIO()
+        SandboxSink(out).capture(event, "syn_flood")
+        assert out.getvalue() == _capture_as_before(event, "syn_flood", json.dumps), ts
 
 
 def test_capture_of_a_canonical_line_writes_its_own_ts_text():
