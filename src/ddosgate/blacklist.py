@@ -15,15 +15,14 @@ from typing import NamedTuple
 from .events import _MEMO_MAX, _ipv4_value, content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
-# A downloaded feed over MAX_FEED_BYTES (8 MiB) is refused. Its longest
-# canonical line, "255.255.255.255/32\n", is 19 bytes, so the bound holds
-# at least 441,505 entries. The largest feed this repo serves, the
-# benchmark's gates_open feed of 3,301 lines, is about 54 KB, 1/156 of the
-# bound. Public IPv4 drop lists are of the same order or a little larger:
-# about a thousand netblocks in Spamhaus DROP, a few thousand in FireHOL
-# level1, tens of thousands of addresses in blocklist.de's all.txt, each
-# under a megabyte as published. A larger file can still be fetched by
-# other means and read through `blacklist.path`, which has no bound.
+# A feed over MAX_FEED_BYTES (8 MiB) is refused, whether downloaded or read
+# from a file. Its longest canonical line, "255.255.255.255/32\n", is 19
+# bytes, so the bound holds at least 441,505 entries. The largest feed this
+# repo serves, the benchmark's gates_open feed of 3,301 lines, is about
+# 54 KB, 1/156 of the bound. Public IPv4 drop lists are of the same order or
+# a little larger: about a thousand netblocks in Spamhaus DROP, a few
+# thousand in FireHOL level1, tens of thousands of addresses in
+# blocklist.de's all.txt, each under a megabyte as published.
 MAX_FEED_BYTES = 8 << 20
 
 
@@ -136,9 +135,13 @@ def serialize_feed(entries: list[Cidr] | tuple[Cidr, ...]) -> str:
 
 
 def read_feed(path: str) -> str:
-    """A feed file's text; an undecodable byte spoils only its own line."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return fh.read()
+    """A feed file's text; an undecodable byte spoils only its own line. A
+    file over MAX_FEED_BYTES is a ValueError, and no more of it is read."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FEED_BYTES + 1)
+    if len(data) > MAX_FEED_BYTES:
+        raise ValueError(f"feed {path!r} is larger than {MAX_FEED_BYTES} bytes")
+    return data.decode("utf-8", errors="replace")  # content_lines splits on \r\n and \r itself
 
 
 def _check_http_url(url: str) -> None:

@@ -557,4 +557,8 @@ def _verdict_ts(event: TraceEvent) -> str:
 
 def serialize_verdict_record(event: TraceEvent, verdict: Verdict) -> str:
     """One verdict-log JSONL line; byte-identical for identical inputs."""
-    return '{"event_id":%d%s' % (event.event_id, _verdict_tail(verdict))
+    event_id = event.event_id
+    if type(event_id) is int:  # the parser's; an f-string costs less than %
+        return f'{{"event_id":{event_id}{_verdict_tail(verdict)}'
+    # A library caller's id is written as %d writes it: a bool as 1, a float truncated.
+    return '{"event_id":%d%s' % (event_id, _verdict_tail(verdict))

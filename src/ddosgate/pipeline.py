@@ -95,8 +95,9 @@ class Stats:
     __slots__ = ("tally", "blocked_by_source", "waf_log_hits", "first_ts", "skipped_lines")
 
     def __init__(self):
-        # (kind, verdict) -> events: the one source of every verdict, layer and reason count
-        self.tally: defaultdict[tuple[str, Verdict], int] = defaultdict(int)
+        # kind -> verdict -> events: the one source of every verdict, layer and reason count.
+        # Keyed by kind first, so that an event hashes only its shared verdict.
+        self.tally: defaultdict[str, defaultdict[Verdict, int]] = defaultdict(lambda: defaultdict(int))
         self.blocked_by_source: defaultdict[str, int] = defaultdict(int)
         self.waf_log_hits: defaultdict[int, int] = defaultdict(int)
         self.first_ts: float | None = None
@@ -178,7 +179,7 @@ class Engine:
 
         if verdict.decision == SANDBOX and self.sandbox is not None:
             self.sandbox.capture(event, verdict.reason)  # persist before the verdict is written
-        stats.tally[(event.kind, verdict)] += 1
+        stats.tally[event.kind][verdict] += 1
         if verdict.decision != FORWARD:
             stats.blocked_by_source[event.src_ip] += 1
         return verdict
@@ -227,17 +228,18 @@ class Engine:
         reached = {1: 0, 2: 0, 3: 0, 4: 0}
         blocked = {1: 0, 2: 0, 3: 0, 4: 0}
         reasons: defaultdict[str, int] = defaultdict(int)
-        for (kind, (decision, layer, reason, _)), count in stats.tally.items():
-            verdicts[decision] += count
-            reached[1] += count
-            if layer != 1:
-                reached[2] += count
-                if layer != 2:
-                    reached[4 if kind == "http" else 3] += count
-            if decision != FORWARD:
-                blocked[layer] += count
-            if decision == SANDBOX:
-                reasons[reason] += count
+        for kind, by_verdict in stats.tally.items():
+            for (decision, layer, reason, _), count in by_verdict.items():
+                verdicts[decision] += count
+                reached[1] += count
+                if layer != 1:
+                    reached[2] += count
+                    if layer != 2:
+                        reached[4 if kind == "http" else 3] += count
+                if decision != FORWARD:
+                    blocked[layer] += count
+                if decision == SANDBOX:
+                    reasons[reason] += count
         top = sorted(stats.blocked_by_source.items(), key=lambda kv: (-kv[1], kv[0]))
         return {
             "events": reached[1],

@@ -298,6 +298,30 @@ def test_feed_file_with_an_undecodable_byte_loses_only_that_line(tmp_path):
     assert (lookup.error_count, len(lookup.current)) == (0, 2)
 
 
+def test_feed_file_line_endings_keep_entries_and_skip_line_numbers(tmp_path):
+    feed = tmp_path / "feed.txt"
+    feed.write_bytes(b"10.0.0.0/8\r\nbad\r192.168.0.0/16\nworse\r\n\r203.0.113.0/24")
+    entries, skipped = parse_feed(read_feed(str(feed)))
+    assert (entries, skipped) == parse_feed("10.0.0.0/8\nbad\n192.168.0.0/16\nworse\n\n203.0.113.0/24")
+    assert [line_no for line_no, _ in skipped] == [2, 4]
+    assert len(entries) == 3
+
+
+def test_feed_file_over_the_bound_is_refused_and_keeps_the_old_snapshot(tmp_path, monkeypatch):
+    monkeypatch.setattr(blacklist, "MAX_FEED_BYTES", 64)
+    feed = tmp_path / "feed.txt"
+    feed.write_bytes(b"203.0.113.0/24\n#" + b"x" * 48)  # exactly the bound
+    lookup = Blacklist(str(feed), 300.0)
+    assert lookup.contains("203.0.113.5", 0.0)
+    assert (lookup.error_count, lookup.current.version) == (0, 1)
+    feed.write_bytes(b"198.51.100.0/24\n#" + b"x" * 48)  # one byte over
+    with pytest.raises(ValueError, match="larger than 64 bytes"):
+        read_feed(str(feed))
+    assert lookup.contains("203.0.113.5", 300.0)
+    assert not lookup.contains("198.51.100.9", 300.0)
+    assert (lookup.error_count, lookup.current.version) == (1, 1)
+
+
 def test_importing_the_cli_loads_no_http_stack():
     code = ("import sys, ddosgate.cli; "
             "print(sorted({'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ddosgate import cli
+from ddosgate import blacklist, cli
 from ddosgate.blacklist import MAX_FEED_BYTES
 
 OLD = b"192.0.2.0/24\n"
@@ -130,6 +130,24 @@ def test_file_fetch_replaces_out(cli_run, tmp_path):
     out, proc = _fetch(cli_run, tmp_path, "--path", str(feed))
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == b"10.77.0.0/16\n203.0.113.0/24\n"
+    assert sorted(os.listdir(tmp_path)) == ["feed.txt", "raw.txt"]
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["max_bytes", "one_over"])
+def test_file_fetch_is_bounded_as_a_download_is(over, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(blacklist, "MAX_FEED_BYTES", 64)
+    feed = tmp_path / "raw.txt"
+    feed.write_bytes(_feed_of(64 + over))
+    out = tmp_path / "feed.txt"
+    out.write_bytes(OLD)
+    code = cli.main(["blacklist", "fetch", "--path", str(feed), "--out", str(out)])
+    if over:
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: fetch failed, output untouched: ")
+        assert out.read_bytes() == OLD
+    else:
+        assert code == 0
+        assert out.read_bytes() == b"10.0.0.0/8\n"
     assert sorted(os.listdir(tmp_path)) == ["feed.txt", "raw.txt"]
 
 

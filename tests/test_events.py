@@ -378,6 +378,15 @@ def test_verdict_record_shape():
     assert '"reason":""' in line and "rule_id" not in line
 
 
+@pytest.mark.parametrize("event_id, written", [(True, "1"), (7.9, "7"), (-3, "-3")])
+def test_verdict_record_writes_a_library_id_as_percent_d_does(event_id, written):
+    ev = parse_trace_event(_tcp_line())._replace(event_id=event_id)
+    for verdict in (Verdict("forward", 0, ""), Verdict("sandbox", 4, "waf_rule_1001", 1001)):
+        line = serialize_verdict_record(ev, verdict)
+        assert line == '{"event_id":%d' % event_id + line[line.index(","):]
+        assert line.startswith('{"event_id":%s,' % written)
+
+
 def test_verdict_record_matches_json_for_any_verdict():
     ev = parse_trace_event(_tcp_line(event_id=2**63 - 1))
     reasons = ["", "rate_limited", 'quote" and \\ slash', "naïve ✓"]

@@ -471,6 +471,19 @@ def test_forward_when_sink_absent_and_sandbox_required():
     assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 1}
 
 
+def test_a_kind_the_parser_never_writes_is_counted_at_layer_three():
+    """A library caller's event of another kind goes the way of udp and tcp:
+    it reaches L3, and its verdict counts under its own kind."""
+    engine = Engine()
+    v = engine.process_event(TraceEvent(1, 0.0, "icmp", "10.8.6.1", SRV, 0, 0, UdpInfo(10, 0, b"ab")))
+    assert (v.decision, v.layer) == ("forward", 0)
+    assert engine.stats.tally == {"icmp": {v: 1}}
+    snap = engine.stats_snapshot()
+    assert (snap["events"], snap["verdicts"]["forward"]) == (1, 1)
+    assert {layer: counts["examined"] for layer, counts in snap["layers"].items()} == {
+        "1": 1, "2": 1, "3": 1, "4": 0}
+
+
 def test_each_request_that_reaches_layer_four_calls_evaluate_once(monkeypatch):
     """The benchmark times L4 by wrapping ``ddosgate.pipeline.evaluate``:
     a pipeline that bypassed that name would report the layer as free."""
