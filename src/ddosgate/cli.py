@@ -47,10 +47,13 @@ def _refuse_same_file(paths) -> None:
     """Raise ConfigError when an output names an input or another output,
     before anything is opened: an input would be truncated or overwritten
     while read, or two writers would interleave. ``paths`` are ``(writes,
-    name, path)``, inputs first, a path of None unused. Inputs may share a
+    name, path)``, inputs first, a path of None unused. An output's path
+    may not be empty; an input's empty path means unset. Inputs may share a
     file; a device or FIFO, such as /dev/null, is a stream and may repeat."""
     seen = {}
     for writes, name, path in paths:
+        if writes and path == "":
+            raise ConfigError(f"{name} names no file: the path is empty")
         if path and not _is_stream(path):
             other = seen.setdefault(os.path.realpath(path), name)
             if writes and other != name:

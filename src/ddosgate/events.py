@@ -542,10 +542,6 @@ def _verdict_tail(verdict: Verdict) -> str:
     return _dumps(obj)[len('{"event_id":0'):]
 
 
-# A sandbox capture's reason as JSON, cached as the verdict tails are.
-_reason_json = functools.lru_cache(maxsize=4096)(_dumps)
-
-
 def _verdict_ts(event: TraceEvent) -> str:
     """event.ts as the line serialize_trace_event just wrote for ``event``
     writes it: the ts text of _last_canonical when that line was the

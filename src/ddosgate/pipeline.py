@@ -31,8 +31,8 @@ from . import blacklist as bl
 from .analyzer import Analyzer, AnalyzerConfig
 from .events import (
     _MAX_TS,
+    _dumps,
     _event_json,
-    _reason_json,
     _verdict_ts,
     DROP_RATE_LIMITED,
     FORWARD,
@@ -88,7 +88,7 @@ class SandboxSink:
         except ValueError:
             line = _event_json(event)
         self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%s}\n'
-                           % (line, _reason_json(reason), _verdict_ts(event)))
+                           % (line, _dumps(reason), _verdict_ts(event)))
 
 
 class Stats:

@@ -312,6 +312,15 @@ def test_cookie_forgeries_rejected():
     assert accepted == 0
 
 
+def test_cookie_values_are_pinned():
+    # the round trips above hold under any hash; no trace line yet echoes a
+    # valid cookie, so these values are the only check of the hash itself
+    default = AnalyzerConfig().syncookie_secret
+    values = [make_syn_cookie(secret, _FLOW, counter, mss_idx)
+              for secret, counter, mss_idx in ((default, 0, 0), (default, 9, 5), (0x1234_5678_9ABC_DEF0, 1000, 7))]
+    assert values == [0x022372CC, 0x34AA9447, 0x1F0D3693]
+
+
 def test_cookie_mss_idx_range_enforced():
     with pytest.raises(ValueError):
         make_syn_cookie(1, _FLOW, 0, 8)

@@ -243,6 +243,26 @@ def test_run_refuses_two_paths_to_one_file(tmp_path, cli_run, paths):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+# an empty output path, each named from tmp_path; an input's empty path means unset
+_EMPTY_OUTPUT = {
+    "out": ["run", "--trace", "t.jsonl", "--out", "", "--stats", "s.json", "--set", "sandbox.log_path=sb.jsonl"],
+    "stats": ["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--stats", "", "--set", "sandbox.log_path=sb.jsonl"],
+    "sandbox": ["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--stats", "s.json", "--set", "sandbox.log_path="],
+    "gen_out": ["gen", "--scenario", "normal", "--seed", "1", "--out", ""],
+}
+
+
+@pytest.mark.parametrize("args", _EMPTY_OUTPUT.values(), ids=_EMPTY_OUTPUT)
+def test_an_empty_output_path_is_a_usage_error(tmp_path, cli_run, args):
+    (tmp_path / "t.jsonl").write_text(_udp_line(1))
+    for name in ("v.jsonl", "s.json", "sb.jsonl"):
+        (tmp_path / name).write_bytes(b"earlier\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    proc = cli_run(args, cwd=tmp_path)
+    assert _one_error_line(proc) and "the path is empty" in proc.stderr, proc.stderr
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_run_lets_two_inputs_share_a_file(tmp_path, cli_run):
     # the trace is also read as the feed, whose parser skips every line
     trace = tmp_path / "t.jsonl"

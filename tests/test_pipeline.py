@@ -210,7 +210,7 @@ def test_capture_bytes_match_the_uncached_formula():
     cases.append(("read before a json line",
                   lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(" " + _udp_line()))[0]))
     reasons = ["syn_flood", 'quote " and \\ slash', "na\u00efve \u2713", "syn_flood"]
-    for i, (name, make) in enumerate(cases * 2):  # the second round with other reasons, cached
+    for i, (name, make) in enumerate(cases * 2):  # the second round with other reasons
         event = make()
         reason = reasons[i % len(reasons)]
         out = io.StringIO()
