@@ -19,7 +19,7 @@ import io
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import blacklist as bl
 from .config import ConfigError, apply_overrides, build_engine, default_config, parse_config, read_text
@@ -45,8 +45,8 @@ def _is_stream(path: str) -> bool:
 
 def _refuse_same_file(paths) -> None:
     """Raise ConfigError when an output names an input or another output,
-    before anything is opened: an input would be truncated or overwritten
-    while read, or two writers would interleave. ``paths`` are ``(writes,
+    before anything is opened: the output would replace that input, or the
+    two outputs would replace one another. ``paths`` are ``(writes,
     name, path)``, inputs first, a path of None unused. An output's path
     may not be empty; an input's empty path means unset. Inputs may share a
     file; a device or FIFO, such as /dev/null, is a stream and may repeat."""
@@ -58,6 +58,35 @@ def _refuse_same_file(paths) -> None:
             other = seen.setdefault(os.path.realpath(path), name)
             if writes and other != name:
                 raise ConfigError(f"{other} and {name} name the same file: {path}")
+
+
+@contextmanager
+def _writing(path: str):
+    """Yield a text file to write ``path``'s new contents to: a new file
+    beside ``path``, moved into place when the block ends without an
+    error, so a reader sees the old file or the new one, never part of
+    one. On any error, an interrupt included, the new file is removed and
+    the old one stays. A symbolic link keeps its place and the file it
+    names is replaced; a stream (a FIFO, /dev/null) has no file to swap,
+    so it is written through. An error opening the new file names
+    ``path``."""
+    if _is_stream(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_config(args) -> dict:
@@ -91,16 +120,13 @@ def cmd_run(args) -> int:
         from_stdin = args.trace == "-"
         if from_stdin and isinstance(sys.stdin, io.TextIOWrapper):
             sys.stdin.reconfigure(errors="surrogateescape")
-        # The outputs are opened only once the config and the trace are
-        # known good, so an error there leaves earlier outputs intact.
         with (nullcontext(sys.stdin) if from_stdin
               else open(args.trace, encoding="utf-8", errors="surrogateescape")) as trace_fh, \
-                open(cfg["sandbox.log_path"], "w", encoding="utf-8") as sandbox_fh, \
-                open(args.out, "w", encoding="utf-8") as out_fh:
+                _writing(cfg["sandbox.log_path"]) as sandbox_fh, _writing(args.out) as out_fh, \
+                (_writing(args.stats) if args.stats else nullcontext()) as stats_fh:
             engine.sandbox = SandboxSink(sandbox_fh)
             engine.run_trace(trace_fh, out_fh, strict=args.strict)
-        if args.stats:
-            with open(args.stats, "w", encoding="utf-8") as stats_fh:
+            if args.stats:
                 json.dump(engine.stats_snapshot(), stats_fh, indent=2)
                 stats_fh.write("\n")
     except (TraceParseError, OutOfOrderError) as exc:
@@ -133,12 +159,12 @@ def cmd_gen(args) -> int:
         return _fail(str(exc), RUNTIME_EXIT)
 
     try:
-        with nullcontext(sys.stdout) if to_stdout else open(args.out, "w", encoding="utf-8") as out:
+        with nullcontext(sys.stdout) if to_stdout else _writing(args.out) as out, \
+                _writing(manifest) if manifest else nullcontext() as fh:
             for ev in events:
                 out.write(serialize_trace_event(ev))
                 out.write("\n")
-        if manifest:
-            with open(manifest, "w", encoding="utf-8") as fh:
+            if manifest:
                 json.dump(summarize(scenario, events), fh, indent=2)
                 fh.write("\n")
     except OSError as exc:
@@ -146,37 +172,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _replace_file(path: str, text: str) -> None:
-    """Write ``text`` to a new file beside ``path``, then move it into
-    place, so a reader sees the old file or the new one, never part of
-    one. On failure the old file stays and the new one is removed. A
-    symbolic link keeps its place and the file it names is replaced; a
-    stream (a FIFO, /dev/stdout) has no file to swap, so it is written
-    through."""
-    if _is_stream(path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    target = os.path.realpath(path) if os.path.islink(path) else path
-    tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def cmd_blacklist_fetch(args) -> int:
+    _refuse_same_file(((True, "--out", args.out),))
     try:
         text = bl.fetch_feed(args.url) if args.url is not None else bl.read_feed(args.path)
     except (OSError, ValueError) as exc:
         return _fail(f"fetch failed, output untouched: {exc}", RUNTIME_EXIT)
     entries, skipped = bl.parse_feed(text)
     try:
-        _replace_file(args.out, bl.serialize_feed(entries))
+        with _writing(args.out) as fh:
+            fh.write(bl.serialize_feed(entries))
     except OSError as exc:
         return _fail(f"write failed, output untouched: {exc}", RUNTIME_EXIT)
     print(f"{len(entries)} entries written, {len(skipped)} lines skipped")

@@ -1,12 +1,13 @@
 """`ddosgate blacklist fetch`, the one command that talks HTTP: every
 failure is exit 1 with one `error:` line and `--out` as it was, and a
-success replaces `--out` whole.
+success replaces `--out` whole, as `run` and `gen` replace theirs.
 
 The HTTP cases serve canned responses from a server on 127.0.0.1 in a
 thread of the test process; nothing leaves the machine.
 """
 
 import http.server
+import json
 import os
 import socket
 import socketserver
@@ -151,24 +152,69 @@ def test_file_fetch_is_bounded_as_a_download_is(over, tmp_path, monkeypatch, cap
     assert sorted(os.listdir(tmp_path)) == ["feed.txt", "raw.txt"]
 
 
-def test_out_is_swapped_in_whole(tmp_path, monkeypatch):
+# Each command that writes an --out, run from a directory that holds
+# raw.txt (a feed) and t.jsonl (a trace): its arguments but --out, and the
+# suffix of the sidecar it writes beside a regular --out, or None.
+OUT_COMMANDS = {
+    "fetch": (["blacklist", "fetch", "--path", "raw.txt"], None),
+    "run": (["run", "--trace", "t.jsonl", "--set", f"sandbox.log_path={os.devnull}"], None),
+    "gen": (["gen", "--scenario", "normal", "--seed", "1", "--duration", "1"], ".manifest.json"),
+}
+TRACE = "".join(json.dumps({"event_id": i, "ts": float(i), "kind": "udp", "src_ip": "10.0.0.2",
+                            "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 8,
+                            "checksum": 0, "payload_b64": ""}) + "\n" for i in (1, 2))
+
+
+@pytest.fixture(params=OUT_COMMANDS.values(), ids=OUT_COMMANDS)
+def out_command(request, tmp_path, tmp_path_factory, monkeypatch):
+    """``(main, new, listing)`` for one command of OUT_COMMANDS, run from
+    ``tmp_path``: ``main(out)`` runs it in-process with ``--out out`` and
+    returns its exit code, ``new`` is what it writes to a new file, and
+    ``listing(*names)`` is ``tmp_path``'s sorted listing once it has written
+    to ``names``, the inputs and the sidecar of the first name included."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_bytes(FEED)
+    (tmp_path / "t.jsonl").write_text(TRACE)
+    args, sidecar = request.param
+
+    def main(out) -> int:
+        return cli.main([*args, "--out", str(out)])
+
+    def listing(*names) -> list:
+        return sorted(["raw.txt", "t.jsonl", *names, *([names[0] + sidecar] if sidecar else [])])
+
+    reference = tmp_path_factory.mktemp("reference") / "out.txt"
+    assert main(reference) == 0
+    return main, reference.read_bytes(), listing
+
+
+def test_out_is_swapped_in_whole(out_command, tmp_path, monkeypatch):
     """When ``--out`` changes, it changes in one ``os.replace`` from a
-    complete file beside it; until then it holds the old feed."""
-    feed = tmp_path / "raw.txt"
-    feed.write_bytes(FEED)
-    out = tmp_path / "feed.txt"
+    complete file beside it; until then it holds the old bytes."""
+    main, new, listing = out_command
+    out = tmp_path / "out.txt"
     out.write_bytes(OLD)
     seen = []
     real_replace = os.replace
 
     def replace(src, dst):
-        seen.append((os.path.dirname(src), dst, Path(src).read_bytes(), out.read_bytes()))
+        if dst == str(out):
+            seen.append((os.path.dirname(src), Path(src).read_bytes(), out.read_bytes()))
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    assert cli.main(["blacklist", "fetch", "--path", str(feed), "--out", str(out)]) == 0
-    assert seen == [(str(tmp_path), str(out), b"10.77.0.0/16\n203.0.113.0/24\n", OLD)]
-    assert sorted(os.listdir(tmp_path)) == ["feed.txt", "raw.txt"]
+    assert main(out) == 0
+    assert seen == [(str(tmp_path), new, OLD)]
+    assert sorted(os.listdir(tmp_path)) == listing("out.txt")
+
+
+def test_fetch_may_normalize_a_feed_in_place(tmp_path):
+    # fetch reads the whole feed before it writes, so --out may name --path
+    feed = tmp_path / "raw.txt"
+    feed.write_bytes(FEED)
+    assert cli.main(["blacklist", "fetch", "--path", str(feed), "--out", str(feed)]) == 0
+    assert feed.read_bytes() == b"10.77.0.0/16\n203.0.113.0/24\n"
+    assert sorted(os.listdir(tmp_path)) == ["raw.txt"]
 
 
 def test_failed_write_keeps_the_old_feed(tmp_path, monkeypatch, capsys):
@@ -203,30 +249,27 @@ def test_unwritable_out_exits_1(where, cli_run, tmp_path):
     assert not out.is_file()
 
 
-
-def test_symlink_out_keeps_its_link_and_replaces_its_file(tmp_path):
-    feed = tmp_path / "raw.txt"
-    feed.write_bytes(FEED)
+def test_symlink_out_keeps_its_link_and_replaces_its_file(out_command, tmp_path):
+    main, new, listing = out_command
     real = tmp_path / "real.txt"
     real.write_bytes(OLD)
-    out = tmp_path / "feed.txt"
+    out = tmp_path / "out.txt"
     out.symlink_to(real.name)
-    assert cli.main(["blacklist", "fetch", "--path", str(feed), "--out", str(out)]) == 0
+    assert main(out) == 0
     assert os.readlink(out) == real.name
-    assert real.read_bytes() == b"10.77.0.0/16\n203.0.113.0/24\n"
-    assert sorted(os.listdir(tmp_path)) == ["feed.txt", "raw.txt", "real.txt"]
+    assert real.read_bytes() == new
+    assert sorted(os.listdir(tmp_path)) == listing("out.txt", "real.txt")
 
 
-def test_fifo_out_is_written_through(tmp_path):
-    feed = tmp_path / "raw.txt"
-    feed.write_bytes(FEED)
-    out = tmp_path / "feed.pipe"
+def test_fifo_out_is_written_through(out_command, tmp_path):
+    main, new, listing = out_command
+    out = tmp_path / "out.pipe"
     os.mkfifo(out)
     reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
     try:
-        assert cli.main(["blacklist", "fetch", "--path", str(feed), "--out", str(out)]) == 0
-        assert os.read(reader, 4096) == b"10.77.0.0/16\n203.0.113.0/24\n"
+        assert main(out) == 0
+        assert os.read(reader, 1 << 16) == new
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(os.lstat(out).st_mode)
-    assert sorted(os.listdir(tmp_path)) == ["feed.pipe", "raw.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["out.pipe", "raw.txt", "t.jsonl"]  # no sidecar

@@ -8,7 +8,9 @@ import threading
 
 import pytest
 
+from ddosgate import blacklist, cli
 from ddosgate.config import apply_overrides, default_config, parse_config
+from ddosgate.pipeline import Engine
 from ddosgate.waf import DEFAULT_RULESET_TEXT
 
 
@@ -105,16 +107,67 @@ def test_run_missing_trace_exits_1(tmp_path, cli_run):
     assert proc.returncode == 1
 
 
-def test_run_missing_trace_keeps_earlier_outputs(tmp_path, cli_run):
-    sandbox, verdicts = tmp_path / "sb.jsonl", tmp_path / "v.jsonl"
-    sandbox.write_bytes(b'{"earlier":"capture"}\n')
-    verdicts.write_bytes(b'{"earlier":"verdict"}\n')
-    proc = cli_run(["run", "--trace", str(tmp_path / "nope.jsonl"), "--out", str(verdicts),
-                    "--set", f"sandbox.log_path={sandbox}"])
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "nope.jsonl" in proc.stderr
-    assert sandbox.read_bytes() == b'{"earlier":"capture"}\n'
-    assert verdicts.read_bytes() == b'{"earlier":"verdict"}\n'
+# Every output of run, gen and blacklist fetch, named from the test's
+# directory, which also holds a trace t.jsonl and a feed raw.txt.
+_OUTPUTS = {"out": "o.txt", "stats": "s.json", "sandbox": "sb.jsonl", "manifest": "o.txt.manifest.json"}
+_WRITERS = {
+    "run": ["run", "--trace", "{trace}", "--out", "{out}", "--stats", "{stats}",
+            "--set", "sandbox.log_path={sandbox}"],
+    "gen": ["gen", "--scenario", "normal", "--seed", "1", "--duration", "1", "--out", "{out}"],
+    "fetch": ["blacklist", "fetch", "--path", "raw.txt", "--out", "{out}"],
+}
+# (command, output, failure): a missing directory for one output (for
+# gen's manifest, which lives beside --out, a directory in its place), a
+# strict-mode bad line, a missing trace, or an interrupt once the command's
+# work is done: after the whole trace for run, while the manifest is
+# written for gen, while the feed is written for fetch.
+_FAILURES = [*(("run", output, "missing_dir") for output in ("out", "stats", "sandbox")),
+             ("gen", "out", "missing_dir"), ("gen", "manifest", "directory_in_place"),
+             ("fetch", "out", "missing_dir"), ("run", None, "bad_line"), ("run", None, "missing_trace"),
+             ("run", None, "interrupt"), ("gen", None, "interrupt"), ("fetch", None, "interrupt")]
+_INTERRUPTED = {"run": (Engine, "run_trace"), "gen": (cli, "summarize"), "fetch": (blacklist, "serialize_feed")}
+
+
+def _tree(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command, output, failure", _FAILURES,
+                         ids=["-".join(filter(None, case)) for case in _FAILURES])
+def test_a_failed_command_keeps_every_output(tmp_path, monkeypatch, capsys, command, output, failure):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.txt").write_text("203.0.113.0/24\n")
+    (tmp_path / "t.jsonl").write_text(_udp_line(1) + ('{"bad": 1}\n' if failure == "bad_line" else _udp_line(2)))
+    for name in _OUTPUTS.values():
+        (tmp_path / name).write_bytes(b"earlier\n")
+    paths = {**_OUTPUTS, "trace": "nope.jsonl" if failure == "missing_trace" else "t.jsonl"}
+    if failure == "missing_dir":
+        paths[output] = f"nodir/{paths[output]}"
+    elif failure == "directory_in_place":
+        (tmp_path / paths[output]).unlink()
+        (tmp_path / paths[output]).mkdir()
+    elif failure == "interrupt":
+        owner, name = _INTERRUPTED[command]
+        real = getattr(owner, name)
+
+        def interrupted(*args, **kwargs):
+            real(*args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(owner, name, interrupted)
+    before = _tree(tmp_path)
+    args = [arg.format(**paths) for arg in _WRITERS[command]]
+    if failure == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(args)
+    else:
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        named = f"'{paths[output]}'" if output else {"bad_line": "line 2: ", "missing_trace": "'nope.jsonl'"}[failure]
+        assert ".tmp" not in err and named in err, err
+    assert _tree(tmp_path) == before  # every file as it was, and no new one, such as a *.tmp
 
 
 @pytest.mark.parametrize("setting", ["rate.rp=9", "blacklist.url=http://127.0.0.1:9/drop.txt"])
@@ -249,6 +302,7 @@ _EMPTY_OUTPUT = {
     "stats": ["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--stats", "", "--set", "sandbox.log_path=sb.jsonl"],
     "sandbox": ["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--stats", "s.json", "--set", "sandbox.log_path="],
     "gen_out": ["gen", "--scenario", "normal", "--seed", "1", "--out", ""],
+    "fetch_out": ["blacklist", "fetch", "--path", "t.jsonl", "--out", ""],
 }
 
 

@@ -1,7 +1,7 @@
 """No module under src/ or tests/ imports a name it never uses, no
 module in src/ binds a private name that src/ never reads, only
-``parse_trace_event`` declares a ``global`` in src/, and importing the
-CLI stays light.
+``parse_trace_event`` declares a ``global`` in src/, only the CLI's
+``_writing`` opens a file for writing, and importing the CLI stays light.
 
 A name counts as used when the module reads it anywhere (a bare name,
 or the root of an attribute chain) or lists it in ``__all__``.
@@ -163,6 +163,25 @@ def test_only_the_parser_declares_a_global():
     found = [(path.name, function, name) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
              for function, node in _in_functions(path) if isinstance(node, ast.Global) for name in node.names]
     assert found == [("events.py", "parse_trace_event", "_last_canonical")]
+
+
+def _opens_for_writing(node) -> bool:
+    """Whether ``node`` is an ``open(...)`` call whose mode may write: one
+    that holds w, x, a or +, or one that is no literal."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wxa+"))
+
+
+def test_only_the_cli_writer_opens_files_for_writing():
+    """Every output goes through cli._writing, which swaps a new file in
+    whole or leaves the old one; an ``open`` for writing anywhere else
+    would truncate its file before the command had done its work."""
+    found = [(path.name, function) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
+             for function, node in _in_functions(path) if _opens_for_writing(node)]
+    assert found == [("cli.py", "_writing")] * 2
 
 
 def test_run_and_gen_with_a_feed_load_no_http_stack(tmp_path):
