@@ -12,11 +12,10 @@ read by regexes built from them in ``parse_trace_event`` itself, which
 makes the checks of ``_BODIES`` the regexes leave, and any other line by
 ``_parse_json``, through ``json``. Apart from the http header list,
 those regexes repeat or make optional single characters and classes
-only, which keeps ``re`` on its fast paths. A canonical line holds
-exactly the bytes serialize writes for its event, so serialize returns
-the line the fast path read last for the event built from it; any other
-event is written as compact JSON of its fields and read back, so
-serialize refuses every event parse refuses.
+only, which keeps ``re`` on its fast paths. Serialize writes every event
+as compact JSON of its fields, which for an event read from a canonical
+line whose ts is spelled as repr writes it are that line's bytes, and
+reads it back, so serialize refuses every event parse refuses.
 
 An optional ``label`` field ("benign" or "attack:<type>") is generator
 ground truth and is never consulted by any defense layer.
@@ -337,13 +336,6 @@ _CANONICAL_BODY = {
 _new = tuple.__new__
 
 
-# The event parse_trace_event built last from a canonical line, that line
-# and its ts text, stored as one tuple so no reader pairs one call's event
-# with another call's line. Only parse_trace_event stores it; the line and
-# ts text belong to the event that ``is`` the stored one, to no other.
-_last_canonical: tuple[TraceEvent | None, str, str] = (None, "", "")
-
-
 def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     """Parse one JSONL trace line. Unknown fields are ignored.
 
@@ -359,7 +351,6 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     every error, comes from ``_parse_json``, which gives the same event
     for a canonical line.
     """
-    global _last_canonical
     head = _CANONICAL_HEAD.match(line)
     if head is None:
         return _parse_json(line, line_no)
@@ -367,8 +358,8 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
     match = _CANONICAL_BODY[kind].fullmatch(line, head.end())
     if match is None:
         return _parse_json(line, line_no)
-    event_id, ts_value, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
-    if event_id > _U63 or ts_value > _MAX_TS or src_port > _U16 or dst_port > _U16:
+    event_id, ts, src_port, dst_port = int(event_id), float(ts), int(src_port), int(dst_port)
+    if event_id > _U63 or ts > _MAX_TS or src_port > _U16 or dst_port > _U16:
         return _parse_json(line, line_no)
     # The checks of _BODIES that the regexes leave: int bounds, flag letters
     # in canonical order, canonical base64 and a non-empty method.
@@ -394,9 +385,7 @@ def parse_trace_event(line: str, line_no: int | None = None) -> TraceEvent:
         if not method or duration_ms > _U63 or payload is None:
             return _parse_json(line, line_no)
         body = _new(HttpInfo, (method, uri, version, tuple(_PAIR.findall(headers)), payload, duration_ms))
-    event = _new(TraceEvent, (event_id, ts_value, kind, src_ip, dst_ip, src_port, dst_port, body, label))
-    _last_canonical = (event, line, ts)
-    return event
+    return _new(TraceEvent, (event_id, ts, kind, src_ip, dst_ip, src_port, dst_port, body, label))
 
 
 def _parse_json(line: str, line_no: int | None) -> TraceEvent:
@@ -457,20 +446,10 @@ def _event_json(event: TraceEvent) -> str:
 def serialize_trace_event(event: TraceEvent) -> str:
     """Inverse of parse_trace_event; stable key order, compact separators.
 
-    The event parse_trace_event built last from a canonical line is
-    written as that line, without trailing whitespace, when its ts was
-    spelled as repr writes it: a canonical line holds exactly these bytes.
-    Any other event is written by ``_event_json`` and read back, so every
-    event the reader would refuse or read as another event raises
-    ValueError naming the field.
-
-    The read-back leaves in _last_canonical a fresh event that no caller
-    holds, so on return ``_last_canonical[0] is event`` exactly when the
-    line returned is the event's own, whose ts text a capture then takes.
+    The event is written by ``_event_json`` and read back, so every event
+    the reader would refuse or read as another event raises ValueError
+    naming the field.
     """
-    last, line, ts_text = _last_canonical
-    if event is last and repr(event.ts) == ts_text:
-        return line.rstrip(" \t\n\r")
     line = _event_json(event)
     read = parse_trace_event(line)  # its TraceParseError names the field
     if read != event:
@@ -540,15 +519,6 @@ def _verdict_tail(verdict: Verdict) -> str:
     if verdict.rule_id is not None:
         obj["rule_id"] = verdict.rule_id
     return _dumps(obj)[len('{"event_id":0'):]
-
-
-def _verdict_ts(event: TraceEvent) -> str:
-    """event.ts as the line serialize_trace_event just wrote for ``event``
-    writes it: the ts text of _last_canonical when that line was the
-    event's own, else as json writes it, which is float's repr also for a
-    float subclass whose own repr differs."""
-    last, _, ts_text = _last_canonical
-    return ts_text if event is last else _dumps(event.ts)
 
 
 def serialize_verdict_record(event: TraceEvent, verdict: Verdict) -> str:

@@ -11,7 +11,8 @@ Per event, short-circuiting on the first non-pass:
 HTTP events skip L3 and packet events skip L4; every event passes L1 and
 L2. One verdict line is written per consumed event, forwards included,
 so the verdict log is a complete audit trail. ``process_event`` persists
-each sandboxed event to the capture sink before its verdict is emitted.
+each sandboxed event to the capture sink before its verdict is emitted,
+as the line it was read from when ``run_trace`` passes that line.
 
 ``run_trace`` reads each line with ``parse_trace_event``, the one
 reader: it reads a canonical line itself and gives every other line to
@@ -33,7 +34,6 @@ from .events import (
     _MAX_TS,
     _dumps,
     _event_json,
-    _verdict_ts,
     DROP_RATE_LIMITED,
     FORWARD,
     REJECT_BLACKLISTED,
@@ -70,25 +70,33 @@ class OutOfOrderError(RuntimeError):
 
 
 class SandboxSink:
-    """Append-only capture of sandboxed traffic: the event as
-    serialize_trace_event writes it (for the event just read from a
-    canonical line, that line without trailing whitespace), the reason it
-    was caught, and the verdict's trace time as json writes the event's ts:
-    for an event written as its own line, its ts text in the one record of
-    that line, events._last_canonical. The engine trusts a library caller's
-    event, so one the writer refuses, such as one from an address that is
-    not a dotted quad, is captured with its fields as given."""
+    """Append-only capture of sandboxed traffic: the event, the reason it
+    was caught, and the verdict's trace time as json writes the event's ts.
+
+    The event is the line it was read from, as it arrived but without
+    trailing whitespace, when the caller passes that line. Without one it
+    is the event as serialize_trace_event writes it; the engine trusts a
+    library caller's event, so one the writer refuses, such as one from an
+    address that is not a dotted quad, is captured with its fields as
+    given."""
 
     def __init__(self, stream: TextIO):
         self._stream = stream
 
-    def capture(self, event: TraceEvent, reason: str) -> None:
-        try:
-            line = serialize_trace_event(event)
-        except ValueError:
-            line = _event_json(event)
-        self._stream.write('{"event":%s,"reason":%s,"verdict_ts":%s}\n'
-                           % (line, _dumps(reason), _verdict_ts(event)))
+    def capture(self, event: TraceEvent, reason: str, line: str | None = None) -> None:
+        if line is not None:
+            line = line.rstrip(" \t\n\r")
+        else:
+            try:
+                line = serialize_trace_event(event)
+            except ValueError:
+                line = _event_json(event)
+        ts = event.ts
+        # repr writes a plain finite float as json does, at a fraction of the
+        # encoder's cost; json writes NaN, inf, a float subclass and an int
+        # its own way
+        ts_text = repr(ts) if type(ts) is float and -_MAX_TS <= ts <= _MAX_TS else _dumps(ts)
+        self._stream.write(f'{{"event":{line},"reason":{_dumps(reason)},"verdict_ts":{ts_text}}}\n')
 
 
 class Stats:
@@ -146,14 +154,15 @@ class Engine:
 
     # -- verdicts ----------------------------------------------------------
 
-    def process_event(self, event: TraceEvent) -> Verdict:
+    def process_event(self, event: TraceEvent, line: str | None = None) -> Verdict:
         """Apply the layers in order; exactly one verdict per event.
 
         The one clock guard: ts must be finite and no earlier than the
         previous event's, so the layers may rely on non-decreasing time.
         Apart from that guard a library caller's event is trusted: the
         layers decide on its fields as given, and it is captured as given
-        where serialize_trace_event refuses it.
+        where serialize_trace_event refuses it. ``line`` is the line the
+        event was parsed from; a sandboxed event is captured as that line.
         """
         now = event.ts
         if not self._last_ts <= now <= _MAX_TS:
@@ -178,7 +187,7 @@ class Engine:
             verdict = self.analyzer.observe_udp(event) or _FORWARD_VERDICT
 
         if verdict.decision == SANDBOX and self.sandbox is not None:
-            self.sandbox.capture(event, verdict.reason)  # persist before the verdict is written
+            self.sandbox.capture(event, verdict.reason, line)  # persist before the verdict is written
         stats.tally[event.kind][verdict] += 1
         if verdict.decision != FORWARD:
             stats.blocked_by_source[event.src_ip] += 1
@@ -203,7 +212,7 @@ class Engine:
             line_no += 1
             try:
                 event = parse(line, line_no)
-                verdict = process(event)
+                verdict = process(event, line)
             except (TraceParseError, OutOfOrderError):
                 if not line or line.isspace():  # parse refuses every blank line
                     continue

@@ -185,7 +185,7 @@ CASES = {
             "manifest": "baba392cc7f865e3b668145e2a3f6c97d1a47560f836e978e82cfa6ada98fb03",
             "trace": "ca2fd9bd2126855f01b811f80191344e6a564eb78579edd95d2929f0aa2d07f8",
             "verdicts": "36bc66a683d9fe7b996eef4c3916395c355c140d1ea359f6b2d2eb5952187680",
-            "sandbox": "d6bb933fd2fee1f1bdcbf295ca708328df18ddcb1b022784fcf7a6b7d63e9ed9",
+            "sandbox": "0f88f6c991a1a64473e8eb6cac3300589f0e87522bc398d5fc8fcdd073d2a230",
             "stats": "aadc18e2c30a49ef880ef417712f2fd9d29e76c24d7109953eb12702b6ba5499",
         }),
     "blacklist_mix": Case(

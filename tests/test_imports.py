@@ -1,7 +1,7 @@
 """No module under src/ or tests/ imports a name it never uses, no
-module in src/ binds a private name that src/ never reads, only
-``parse_trace_event`` declares a ``global`` in src/, only the CLI's
-``_writing`` opens a file for writing, and importing the CLI stays light.
+module in src/ binds a private name that src/ never reads, nothing in
+src/ declares a ``global``, only the CLI's ``_writing`` opens a file for
+writing, and importing the CLI stays light.
 
 A name counts as used when the module reads it anywhere (a bare name,
 or the root of an attribute chain) or lists it in ``__all__``.
@@ -155,14 +155,13 @@ def test_only_fetch_feed_imports_the_http_stack():
     assert found and {(name, function) for name, function, _ in found} == {NETWORK_PATH}, found
 
 
-def test_only_the_parser_declares_a_global():
-    """Module state in src/ has one writer: parse_trace_event records the
-    last canonical line in events._last_canonical, and every reader takes
-    it from there. Any other handoff through module state would need a
-    ``global`` statement, and so an edit to this list."""
+def test_no_global_in_src():
+    """No function in src/ rebinds module state: what one call hands to
+    another goes through arguments, as ``run_trace`` hands each line to
+    the capture."""
     found = [(path.name, function, name) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
              for function, node in _in_functions(path) if isinstance(node, ast.Global) for name in node.names]
-    assert found == [("events.py", "parse_trace_event", "_last_canonical")]
+    assert found == []
 
 
 def _opens_for_writing(node) -> bool:

@@ -5,8 +5,12 @@ the pipeline calls every span.
 reads the engine attributes in its ``STATE_SIZES``; a target that a
 change renames or inlines is only reported as missing in a traced
 benchmark run, and one the pipeline stops calling reads 0 there. Here
-every target must resolve, and every span must be called on the
-benchmark workloads' traces, each per-event span once per event.
+every target must resolve, and every span but ``events.serialize_event``
+must be called on the benchmark workloads' traces, each per-event span
+once per event. That one is never entered there, since a capture takes
+the line its event was read from; the set of spans never called is
+pinned, so another span going dark fails, and so does this one being
+entered again.
 ``child.py`` is loaded by file path and only read.
 """
 
@@ -71,7 +75,7 @@ def test_every_span_is_called_on_the_benchmark_workloads(tmp_path, bench_inputs_
         for item in inputs.overrides:
             argv += ["--set", item]
         assert cli.main(argv) == 0
-    assert [span for span, n in calls.items() if not n] == []
+    assert {span for span, n in calls.items() if not n} == {"events.serialize_event"}
     # every line of these prefixes is an event that reaches L1: no span
     # that each event passes through may be bypassed for some of them
     per_event = ("events.parse", "pipeline.decide", "events.serialize_verdict", "ratelimit.acquire")

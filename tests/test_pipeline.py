@@ -1,5 +1,6 @@
 """Layer ordering, verdict totality, sandbox capture, and stats."""
 
+import hashlib
 import io
 import json
 from collections import Counter
@@ -262,6 +263,86 @@ def test_capture_writes_a_ts_as_json_does():
         assert out.getvalue().endswith(',"verdict_ts":%s}\n' % written)
         capture = json.loads(out.getvalue())
         assert capture["verdict_ts"] == capture["event"]["ts"] == ts
+
+
+def _sandboxed_by_run_trace(lines, sink_stream) -> list[int]:
+    """Run ``lines`` through a default engine capturing to ``sink_stream``;
+    the event ids of its sandbox verdicts."""
+    verdicts = io.StringIO()
+    Engine(EngineConfig(), sandbox=SandboxSink(sink_stream)).run_trace(lines, verdicts)
+    return [v["event_id"] for v in map(json.loads, verdicts.getvalue().splitlines()) if v["decision"] == "sandbox"]
+
+
+def _udp_bad_line(eid, ts_text, src="10.8.2.1", **changes):
+    """A canonical udp_size_violation line with its ts spelled ``ts_text``."""
+    line = serialize_trace_event(_udp_bad(eid, 0.0, src)._replace(**changes))
+    return line.replace('"ts":0.0', '"ts":' + ts_text)
+
+
+def test_a_json_path_line_is_captured_as_it_arrived():
+    # an unknown field, the keys reordered and json.dumps's spaced separators,
+    # then trailing spaces and \r\n
+    fields = json.loads(_udp_bad_line(1, "0.5"))
+    line = json.dumps({"x": [1, None], **dict(reversed(fields.items()))}) + "  \r\n"
+    out = io.StringIO()
+    assert _sandboxed_by_run_trace([line], out) == [1]
+    assert out.getvalue() == ('{"event":%s,"reason":"udp_size_violation","verdict_ts":0.5}\n'
+                              % line.rstrip(" \t\n\r"))
+    assert json.loads(out.getvalue())["event"] == json.loads(line)
+
+
+def test_a_capture_is_one_line_to_a_reader_that_splits_at_newlines(tmp_path):
+    """A raw U+2028 in a line read by the json path stays raw in its
+    capture: one line to a file read by iteration, as perfbench's check
+    reads it, but two to str.splitlines, which also splits there."""
+    labeled = json.loads(_udp_bad_line(1, "0.5", label="attack:\u2028x"))
+    trace = [json.dumps(labeled, ensure_ascii=False, separators=(",", ":")) + "\n", _udp_bad_line(2, "0.6") + "\n"]
+    assert "\u2028" in trace[0]
+    path = tmp_path / "sandbox.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        sandboxed = _sandboxed_by_run_trace(trace, fh)
+    with open(path, encoding="utf-8") as fh:
+        captured = [json.loads(capture)["event"] for capture in fh]
+    assert [event["event_id"] for event in captured] == sandboxed == [1, 2]
+    assert captured[0]["label"] == "attack:\u2028x"
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
+
+@pytest.mark.parametrize("text, written", [("0.10", "0.1"), ("1e5", "100000.0")])
+def test_a_canonical_lines_ts_keeps_its_spelling_in_the_capture(text, written):
+    line = _udp_bad_line(1, text)
+    out = io.StringIO()
+    assert _sandboxed_by_run_trace([line + "\n"], out) == [1]
+    assert out.getvalue() == '{"event":%s,"reason":"udp_size_violation","verdict_ts":%s}\n' % (line, written)
+
+
+class _OwnRepr(float):
+    def __repr__(self):
+        return f"_OwnRepr({float(self)})"
+
+
+def _captures_without_lines() -> str:
+    """The captures process_event writes when given no line: for events
+    parsed from canonical lines, ts spelled as repr writes it or not, from
+    a json-path line, and built by hand, one with a ts that is a float
+    subclass, one with an int ts and one from an address that is not a
+    dotted quad. Each is sandboxed at L3."""
+    lines = [_udp_bad_line(1, "0.5"), _udp_bad_line(2, "1e1"), _udp_bad_line(3, "20.50", label="benign")]
+    lines.append(" " + json.dumps(dict(reversed(json.loads(_udp_bad_line(4, "30.0")).items()))))
+    evs = [parse_trace_event(line) for line in lines]
+    evs += [_udp_bad(5, 40.0, "10.8.4.2"), _udp_bad(6, _OwnRepr(50.0), "10.8.4.3"), _udp_bad(7, 60, "10.8.4.4"),
+            _udp_bad(8, 70.0, "not an address")]
+    out = io.StringIO()
+    engine = Engine(EngineConfig(), sandbox=SandboxSink(out))
+    assert [engine.process_event(event).decision for event in evs] == ["sandbox"] * len(evs)
+    return out.getvalue()
+
+
+def test_a_capture_without_its_line_keeps_its_bytes():
+    # the sha256 of the bytes the sink wrote before a capture could take its line
+    captures = _captures_without_lines()
+    assert len(captures.splitlines()) == 8
+    assert hashlib.sha256(captures.encode()).hexdigest() == "92ed60a36602fd5d02572138e6c70cee0832cf7ffa39dedd174c1c1e4120ac59"
 
 
 def test_rate_drop_to_sandbox_flag():

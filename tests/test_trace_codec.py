@@ -2,13 +2,15 @@
 
 ``parse_trace_event`` reads canonical lines with regexes; every other
 line goes through ``json``, in ``events._parse_json``. For each line here
-the fast path must give the event the ``json`` path gives, or decline it.
-``serialize_trace_event`` and ``SandboxSink.capture`` write the event the
-fast path read last as its line, and any other as compact JSON of its
-fields; either way they must write the bytes of the dict-plus-JSON
+the fast path must give the event the ``json`` path gives, or decline it;
+a counting wrapper on ``events._parse_json`` tells which path read a
+line. ``serialize_trace_event`` writes every event as compact JSON of its
+fields, and ``SandboxSink.capture`` does so for an event given without
+its line; either way they must write the bytes of the dict-plus-JSON
 serializer kept here as the reference. So every line either path reads,
 written back, must give the reference bytes. An event whose line the
 reader would refuse, or read as another event, the writer must refuse.
+An event given with its line is captured as that line, as it arrived.
 """
 
 import base64
@@ -29,7 +31,8 @@ from ddosgate.events import (
     parse_trace_event,
     serialize_trace_event,
 )
-from ddosgate.pipeline import SandboxSink
+from ddosgate.pipeline import Engine, EngineConfig, SandboxSink
+from ddosgate.ratelimit import LimiterConfig
 from ddosgate.trafficgen import _SCENARIOS, Scenario, generate
 from test_golden import REFERENCE, workloads
 from test_parse_fuzz import _golden_lines, _mutate
@@ -82,14 +85,31 @@ def _json_outcome(line: str):
         return exc.field, str(exc)
 
 
+_json_reads = [0]  # calls of events._parse_json, counted by _count_json_reads
+
+
+@pytest.fixture(autouse=True)
+def _count_json_reads(monkeypatch):
+    # parse_trace_event calls _parse_json through the module, so every line
+    # the fast path declines passes through this wrapper
+    parse_json = events._parse_json
+
+    def counted(line, line_no):
+        _json_reads[0] += 1
+        return parse_json(line, line_no)
+
+    monkeypatch.setattr(events, "_parse_json", counted)
+
+
 def _fast(line: str) -> TraceEvent | None:
     """The event the fast path read from ``line``; None when it declined
     the line, as it does every line parse_trace_event refuses."""
+    reads = _json_reads[0]
     try:
         event = parse_trace_event(line)
     except TraceParseError:
         return None
-    return event if events._last_canonical[0] is event else None
+    return event if _json_reads[0] == reads else None
 
 
 def _assert_fast_agrees_or_declines(lines) -> int:
@@ -221,27 +241,26 @@ def test_non_canonical_base64_is_not_valid_base64(text):
 
 def _assert_written_as_read(lines) -> tuple[int, int]:
     """The numbers of lines the fast path and the json path read. Each
-    one's event, parsed and then written, must give the reference bytes:
-    a fast line's as the line itself, a json line's as compact JSON.
-
-    Once the writer returns, the record of the last canonical line must
-    hold the event exactly when the line written is the canonical line it
-    was read from, without trailing whitespace: a capture takes its
-    verdict_ts text from that record by this rule. (A json line may equal
-    its written line too, e.g. one with an escaped label; the record never
-    held its event.)"""
+    one's event, parsed and then written, must give the reference bytes.
+    A canonical line holds exactly those bytes, without trailing
+    whitespace, when its ts is spelled as repr writes it, and only then.
+    (A json line may equal its written line too, e.g. one with an escaped
+    label.)"""
     fast = slow = 0
     for line in lines:
+        reads = _json_reads[0]
         try:
             event = parse_trace_event(line)
         except TraceParseError:
             continue
-        canonical = events._last_canonical[0] is event
+        canonical = _json_reads[0] == reads
         fast += canonical
         slow += not canonical
         written = serialize_trace_event(event)
         assert written == _reference_serialize(event), line
-        assert (events._last_canonical[0] is event) == (canonical and written == line.rstrip(" \t\n\r")), line
+        if canonical:
+            ts_text = events._CANONICAL_HEAD.match(line).group(2)
+            assert (written == line.rstrip(" \t\n\r")) == (ts_text == repr(event.ts)), line
     return fast, slow
 
 
@@ -268,8 +287,8 @@ def _respelled(line: str) -> list[str]:
 
 def test_every_scenario_line_with_its_ts_respelled_is_written_as_read(tmp_path):
     lines = [spelled for event in _scenario_events(tmp_path) for spelled in _respelled(serialize_trace_event(event))]
-    # every spelling is read by the fast path; the writer reads back all
-    # but the upper-case ones without an exponent, which it writes as read
+    # every spelling is read by the fast path; the writer writes as read
+    # only the upper-case ones without an exponent
     assert _assert_written_as_read(lines) == (len(lines), 0)
 
 
@@ -339,25 +358,30 @@ def test_capture_writes_the_reference_bytes(tmp_path):
     assert out.getvalue() == "".join(expected)
 
 
-def test_capture_of_a_parsed_line_is_the_line_itself(monkeypatch):
-    # with no field tables, only the event the parser built last can be written
-    monkeypatch.setattr(events, "_BODIES", {})
+def _captured(event: TraceEvent, line: str | None = None) -> str:
+    """What a fresh engine captures for ``event`` given ``line``: its L1
+    sandboxes the event, its source's one token spent beforehand."""
     out = io.StringIO()
-    sink = SandboxSink(out)
-    expected = []
-    for line in (_tcp() + "\r\n", _udp(), _http() + " \t"):
+    engine = Engine(EngineConfig(limiter=LimiterConfig(rps=1e-9, burst=1), rate_drop_to_sandbox=True),
+                    sandbox=SandboxSink(out))
+    engine.limiter.acquire(event.src_ip, event.ts)
+    assert engine.process_event(event, line).reason == "rate_limited"
+    return out.getvalue()
+
+
+def _as_arrived(line: str, event: TraceEvent) -> str:
+    return '{"event":%s,"reason":"rate_limited","verdict_ts":%r}\n' % (line.rstrip(" \t\n\r"), event.ts)
+
+
+def test_capture_of_a_parsed_line_is_the_line_itself(monkeypatch):
+    # with no field tables the writer writes nothing, so a capture can only
+    # be the line the event was read from
+    monkeypatch.setattr(events, "_BODIES", {})
+    for line in (_tcp() + "\r\n", _udp(), _http() + " \t", _tcp(ts=5), _tcp().replace('"ts":1.5', '"ts":1e5')):
         event = parse_trace_event(line)
-        sink.capture(event, "syn_flood")
-        expected.append(_reference_capture(event, "syn_flood"))
+        assert _captured(event, line) == _as_arrived(line, event)
         with pytest.raises(ValueError):
-            sink.capture(event._replace(), "syn_flood")  # equal, but not the parser's
-    assert out.getvalue() == "".join(expected)
-    earlier = parse_trace_event(_tcp())
-    parse_trace_event(_udp())
-    with pytest.raises(ValueError):
-        sink.capture(earlier, "syn_flood")
-    with pytest.raises(ValueError):
-        sink.capture(parse_trace_event(_tcp(ts=5)), "syn_flood")  # ts not as repr writes it
+            _captured(event)  # no line: the writer has no tables
 
 
 _GOOD = TraceEvent(1, 1.5, "tcp", "10.0.0.2", "10.0.0.1", 40000, 80, TcpInfo(SYN, 1, 0, 0, b""))
@@ -392,17 +416,16 @@ def test_writer_refuses_what_the_reader_refuses(field, event):
 
 
 def test_read_back_leaves_each_capture_its_own_line():
-    """The writer's read-back makes the event it parses the one
-    parse_trace_event built last; an event parsed before still gets its
-    line's bytes, written afresh, and the read-back event is no caller's."""
-    line = _tcp(ts=2.5)
-    event = parse_trace_event(line)
+    """A capture takes the line it is given, whatever was parsed or
+    written since: events parsed before others, and before the writer's
+    read-back, are each captured as their own line."""
+    lines = [_tcp(ts=2.5), _tcp(ts=5) + "\n", " " + _udp(), _http(headers=[["a", 'q"']])]
+    parsed = [parse_trace_event(line) for line in lines]
     assert serialize_trace_event(_GOOD) == _reference_serialize(_GOOD)
-    assert events._last_canonical[0] == _GOOD and events._last_canonical[0] is not _GOOD
-    out = io.StringIO()
-    SandboxSink(out).capture(event, "syn_flood")
-    assert out.getvalue() == _reference_capture(event, "syn_flood")
-    assert json.loads(out.getvalue())["event"] == json.loads(line)
+    for line, event in zip(lines, parsed):
+        capture = _captured(event, line)
+        assert capture == _as_arrived(line, event)
+        assert json.loads(capture)["event"] == json.loads(line)
 
 
 _TEXT = ' !"\\AZaz~\u00e9\u2713\U0001f600\t'  # quotes, a backslash, non-ASCII, a tab
