@@ -163,16 +163,18 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _cookie_hash(secret: int, flow: FlowKey, counter: int) -> int | None:
+def _cookie_key(secret: int) -> int:
+    """The keyed mixer's first round, which depends on the secret alone."""
+    return _mix64(secret ^ 0x9E3779B97F4A7C15)
+
+
+def _cookie_hash(key: int, flow: FlowKey, counter: int) -> int | None:
     src, dst = ipv4_to_int(flow.src_ip), ipv4_to_int(flow.dst_ip)
     if src is None or dst is None:
         return None  # not an IPv4 flow: no cookie is minted for it
     addrs = (src << 32) | dst
     ports = (flow.src_port << 48) | (flow.dst_port << 32) | (counter & 0xFFFFFFFF)
-    h = _mix64(secret ^ 0x9E3779B97F4A7C15)
-    h = _mix64(h ^ addrs)
-    h = _mix64(h ^ ports)
-    return h
+    return _mix64(_mix64(key ^ addrs) ^ ports)
 
 
 def make_syn_cookie(secret: int, flow: FlowKey, counter: int, mss_idx: int) -> int:
@@ -181,7 +183,7 @@ def make_syn_cookie(secret: int, flow: FlowKey, counter: int, mss_idx: int) -> i
     Raises ValueError when a flow address is not a dotted quad."""
     if not 0 <= mss_idx < 8:
         raise ValueError(f"mss_idx must be in 0..7, got {mss_idx}")
-    h = _cookie_hash(secret, flow, counter)
+    h = _cookie_hash(_cookie_key(secret), flow, counter)
     if h is None:
         raise ValueError(f"not an IPv4 flow: {flow.src_ip!r}, {flow.dst_ip!r}")
     return ((counter % 8) << 29) | (mss_idx << 26) | (h & 0x03FFFFFF)
@@ -194,12 +196,17 @@ def check_syn_cookie(secret: int, flow: FlowKey, counter_now: int, value: int) -
     hash mismatch, or a flow address that is not a dotted quad, for
     which no cookie is minted). Rejection is a value, never an exception.
     """
+    return _check_cookie(_cookie_key(secret), flow, counter_now, value)
+
+
+def _check_cookie(key: int, flow: FlowKey, counter_now: int, value: int) -> int | None:
+    """``check_syn_cookie`` with the secret's ``_cookie_key`` already mixed."""
     top = value >> 29
     mss_idx = (value >> 26) & 7
     low = value & 0x03FFFFFF
     for c in (counter_now, counter_now - 1):
         if c >= 0 and c % 8 == top:
-            h = _cookie_hash(secret, flow, c)
+            h = _cookie_hash(key, flow, c)
             if h is not None and h & 0x03FFFFFF == low:
                 return mss_idx
             return None
@@ -213,6 +220,7 @@ class Analyzer:
     def __init__(self, config: AnalyzerConfig | None = None):
         self.config = config or AnalyzerConfig()
         self._bucket_width = self.config.window_secs / self.config.bucket_count
+        self._cookie_key = _cookie_key(self.config.syncookie_secret)
         # oldest first: half-open flow -> its SYN's ts, and established flows
         self._half_open: OrderedDict[FlowKey, float] = OrderedDict()
         self._established: OrderedDict[FlowKey, None] = OrderedDict()
@@ -369,11 +377,12 @@ class Analyzer:
                 if sig in payload:
                     return verdict
 
-        flow = _new(FlowKey, (src, pkt.src_port, pkt.dst_ip, pkt.dst_port))
         # (2) connection-opening SYN
-        if flags & SYN and not flags & ACK:
-            if self.cookie_mode:
-                return None  # stateless server: cookie goes out, nothing stored
+        opening = flags & SYN and not flags & ACK
+        if opening and self.cookie_mode:
+            return None  # stateless server: cookie goes out, nothing stored, no flow key built
+        flow = _new(FlowKey, (src, pkt.src_port, pkt.dst_ip, pkt.dst_port))
+        if opening:
             half_open = self._half_open
             created = half_open.get(flow)
             if created is not None:
@@ -397,8 +406,8 @@ class Analyzer:
             # (3) handshake completion: of a half-open flow, from the table,
             # or under SYN cookies of any new flow whose ACK has a valid cookie
             if pending or self.cookie_mode and flow not in self._established:
-                if not pending and check_syn_cookie(
-                        cfg.syncookie_secret, flow, int(now // COOKIE_COUNTER_SECS),
+                if not pending and _check_cookie(
+                        self._cookie_key, flow, int(now // COOKIE_COUNTER_SECS),
                         (body.ack - 1) & 0xFFFFFFFF) is None:
                     return _VERDICTS[COOKIE_INVALID]
                 if pending:

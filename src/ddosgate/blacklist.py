@@ -210,7 +210,10 @@ class Blacklist:
                                       or now - self.last_attempt_ts >= self.refresh_secs):
             self._refresh(now)
         current = self.current
-        return current.contains(ip) if current.entries else False
+        if not current._starts:
+            return False
+        hit = current._memo.get(ip)  # read here, so a memo hit costs no second call
+        return current.contains(ip) if hit is None else hit
 
     def _refresh(self, now: float) -> None:
         try:

@@ -115,11 +115,12 @@ def cmd_run(args) -> int:
             engine = build_engine(cfg)
         except RulesetError as exc:
             return _fail(f"ruleset: {exc}", USAGE_EXIT)
-        # Undecodable bytes reach the parser as lone surrogates, which it
-        # rejects as one bad line.
+        # Standard input is read as a trace file is: undecodable bytes reach
+        # the parser as lone surrogates, which it rejects as one bad line,
+        # and "\r", "\n" and "\r\n" each end a line.
         from_stdin = args.trace == "-"
         if from_stdin and isinstance(sys.stdin, io.TextIOWrapper):
-            sys.stdin.reconfigure(errors="surrogateescape")
+            sys.stdin.reconfigure(errors="surrogateescape", newline=None)
         with (nullcontext(sys.stdin) if from_stdin
               else open(args.trace, encoding="utf-8", errors="surrogateescape")) as trace_fh, \
                 _writing(cfg["sandbox.log_path"]) as sandbox_fh, _writing(args.out) as out_fh, \

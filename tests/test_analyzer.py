@@ -314,11 +314,22 @@ def test_cookie_forgeries_rejected():
 
 def test_cookie_values_are_pinned():
     # the round trips above hold under any hash; no trace line yet echoes a
-    # valid cookie, so these values are the only check of the hash itself
-    default = AnalyzerConfig().syncookie_secret
-    values = [make_syn_cookie(secret, _FLOW, counter, mss_idx)
-              for secret, counter, mss_idx in ((default, 0, 0), (default, 9, 5), (0x1234_5678_9ABC_DEF0, 1000, 7))]
-    assert values == [0x022372CC, 0x34AA9447, 0x1F0D3693]
+    # valid cookie, so these values are the only check of the hash itself,
+    # its keyed round included
+    secrets = (AnalyzerConfig().syncookie_secret, 0x1234_5678_9ABC_DEF0, 0)
+    flows = (_FLOW, FlowKey("203.0.113.250", 1024, "198.51.100.7", 443))
+    values = [[make_syn_cookie(secret, flow, counter, mss_idx)
+               for counter in (0, 1000) for mss_idx in (0, 7)]
+              for secret in secrets for flow in flows]
+    assert values == [
+        [0x022372CC, 0x1E2372CC, 0x0263E6FF, 0x1E63E6FF],
+        [0x016E5DC6, 0x1D6E5DC6, 0x02616590, 0x1E616590],
+        [0x01814C27, 0x1D814C27, 0x030D3693, 0x1F0D3693],
+        [0x0326EB88, 0x1F26EB88, 0x02EA74BD, 0x1EEA74BD],
+        [0x017D5208, 0x1D7D5208, 0x008BBF2D, 0x1C8BBF2D],
+        [0x002CBEC8, 0x1C2CBEC8, 0x001B3C74, 0x1C1B3C74],
+    ]
+    assert make_syn_cookie(secrets[0], _FLOW, 9, 5) == 0x34AA9447
 
 
 def test_cookie_mss_idx_range_enforced():
@@ -351,6 +362,29 @@ def test_cookie_mode_hysteresis_and_stateless_completion():
     # pending entries expire at t=5; below half the threshold the mode drops
     a.observe_tcp(_tcp("10.24.0.1", 1000, "A", 9.0, payload=b"x"))
     assert not a.cookie_mode
+
+
+def test_each_analyzer_checks_cookies_with_its_own_secret():
+    secrets = (0x1234_5678_9ABC_DEF0, 0xFEED_FACE_CAFE_BEEF)
+    analyzers = [Analyzer(AnalyzerConfig(syn_half_open_global=1, syn_half_open_per_source=1000,
+                                         handshake_timeout_secs=1000.0, syncookie_secret=secret))
+                 for secret in secrets]
+    for a in analyzers:
+        a.observe_tcp(_tcp("10.32.0.1", 1000, "S", 0.0))
+        a.observe_tcp(_tcp("10.32.0.2", 1000, "S", 0.0))  # arms the mode, stores nothing
+        assert a.cookie_mode and a.half_open_count() == 1
+    for i in range(40):  # interleaved: each ACK goes to both analyzers
+        src, sport, ts = f"10.33.{i}.1", 2000 + i, 0.1 + 2 * i  # two cookie counters
+        flow = FlowKey(src, sport, SRV, 80)
+        counter = int(ts // 64)
+        minted_by = i % 2
+        cookie = make_syn_cookie(secrets[minted_by], flow, counter, i % 8)
+        for j, a in enumerate(analyzers):
+            valid = check_syn_cookie(secrets[j], flow, counter, cookie) is not None
+            assert valid == (j == minted_by)
+            verdict = a.observe_tcp(_tcp(src, sport, "A", ts, ack=(cookie + 1) & 0xFFFFFFFF))
+            assert verdict == (None if valid else _VERDICTS[COOKIE_INVALID])
+            assert (flow in a._established) == valid
 
 
 def _probe(a, ts):

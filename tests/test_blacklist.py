@@ -231,6 +231,54 @@ def test_an_empty_snapshot_is_never_consulted(tmp_path, monkeypatch):
     assert calls == ["203.0.113.5"]
 
 
+def test_a_memo_hit_is_answered_without_a_snapshot_call(tmp_path, monkeypatch):
+    """Blacklist.contains probes the current snapshot's memo itself, so a
+    lookup calls CidrSnapshot.contains once per miss and never on a hit."""
+    calls = []
+    lookup = CidrSnapshot.contains
+
+    def counted(self, ip):
+        calls.append(ip)
+        return lookup(self, ip)
+
+    monkeypatch.setattr(CidrSnapshot, "contains", counted)
+    prefixes = {"203.0.113.0/24": (0xCB007100, 0xFFFFFF00), "198.51.100.7": (0xC6336407, 0xFFFFFFFF)}
+
+    def ask(bl, ip, now, listed):
+        value = blacklist.ipv4_to_int(ip)
+        expected = value is not None and any(value & mask == base for base, mask in listed)
+        before = len(calls)
+        assert bl.contains(ip, now) is expected, ip
+        return len(calls) - before
+
+    feed = tmp_path / "feed.txt"
+    feed.write_text("# nothing listed yet\n")
+    bl = Blacklist(str(feed), 300.0)
+    assert ask(bl, "203.0.113.5", 0.0, []) == 0  # an empty snapshot is never called
+    assert ask(bl, "203.0.113.5", 1.0, []) == 0
+
+    feed.write_text("".join(f"{p}\n" for p in prefixes))
+    listed = list(prefixes.values())
+    probes = ["203.0.113.5", "198.51.100.7", "198.51.100.8", "10.0.0.1", "not an address"]
+    assert [ask(bl, ip, 300.0, listed) for ip in probes] == [1] * 5  # each miss calls once
+    assert [ask(bl, ip, 301.0, listed) for ip in probes * 3] == [0] * 15  # each hit calls none
+    first = bl.current
+
+    feed.write_text("198.51.100.8\n")  # a refresh starts with its own, empty memo
+    listed = [(0xC6336408, 0xFFFFFFFF)]
+    assert [ask(bl, ip, 600.0, listed) for ip in probes] == [1] * 5
+    assert [ask(bl, ip, 601.0, listed) for ip in probes] == [0] * 5
+    assert first._memo["203.0.113.5"] is True and bl.current._memo["203.0.113.5"] is False
+
+    bl.current = by_hand = CidrSnapshot([parse_cidr("10.0.0.0/8")])  # so does one assigned by hand
+    listed = [(0x0A000000, 0xFF000000)]
+    assert [ask(bl, ip, 602.0, listed) for ip in probes] == [1] * 5
+    assert [ask(bl, ip, 603.0, listed) for ip in probes] == [0] * 5
+    assert by_hand._memo["10.0.0.1"] is True and bl.current is by_hand
+    bl.current = CidrSnapshot([])
+    assert ask(bl, "10.0.0.1", 604.0, []) == 0
+
+
 def test_a_snapshot_assigned_by_hand_rejects_without_a_path():
     by_hand = Blacklist(None, 300.0)
     by_hand.current = CidrSnapshot([parse_cidr("203.0.113.0/24")])

@@ -369,6 +369,37 @@ def test_non_utf8_line_is_a_parse_error(tmp_path, cli_run):
         assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 1
 
 
+def test_carriage_returns_end_lines_on_stdin_as_in_a_file(tmp_path, cli_run):
+    """A bare "\\r" ends a line from standard input as it ends a file line,
+    so it splits the line it sits in, and a line ending in "\\r\\n" is one line."""
+    # length 9 with an empty payload: udp_size_violation, so each event is captured
+    lines = [json.dumps({"event_id": i, "ts": float(i), "kind": "udp", "src_ip": "10.0.0.2",
+                         "dst_ip": "10.0.0.1", "src_port": 1, "dst_port": 53, "length": 9,
+                         "checksum": 0, "payload_b64": ""}).encode() for i in (1, 2, 3)]
+    trace = tmp_path / "t.jsonl"
+    trace.write_bytes(lines[0] + b"\n" + lines[1].replace(b', "ts"', b',\r"ts"') + b"\n"
+                      + lines[2] + b"\r\n")
+    outputs = ("v.jsonl", "s.json", "sb.jsonl")
+    common = ["--out", str(tmp_path / "v.jsonl"), "--stats", str(tmp_path / "s.json"),
+              "--set", f"sandbox.log_path={tmp_path / 'sb.jsonl'}"]
+
+    results = []
+    for source in (str(trace), "-"):  # a file, and the same bytes on stdin
+        with open(trace, "rb") as fh:
+            strict = cli_run(["run", "--trace", source, *common], stdin=fh)
+        assert strict.returncode == 1
+        assert strict.stderr.startswith("error: line 2: malformed JSON"), strict.stderr
+        with open(trace, "rb") as fh:
+            lenient = cli_run(["run", "--trace", source, "--lenient", *common], stdin=fh)
+        assert lenient.returncode == 0, lenient.stderr
+        assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 2
+        assert [json.loads(v)["event_id"] for v in (tmp_path / "v.jsonl").read_text().splitlines()] == [1, 3]
+        with open(tmp_path / "sb.jsonl") as fh:  # universal newlines
+            assert [json.loads(c)["event"]["event_id"] for c in fh] == [1, 3]
+        results.append([(tmp_path / name).read_bytes() for name in outputs])
+    assert results[0] == results[1]
+
+
 # The interpreter limits int() to 4,300 digits from Python 3.11 on; before
 # that such an integer is read and fails its range check instead.
 @pytest.mark.parametrize("bad, malformed", [
