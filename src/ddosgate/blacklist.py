@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .events import _MEMO_MAX, _ipv4_value, content_lines, int_to_ipv4, ipv4_to_int
+from .events import _MEMO_MAX, content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # A feed over MAX_FEED_BYTES (8 MiB) is refused, whether downloaded or read
@@ -39,20 +39,20 @@ class Cidr(NamedTuple):  # ordered as (base, prefix_len)
 
 
 def parse_cidr(text: str) -> Cidr | None:
-    """One CIDR or bare IP (treated as /32); host bits are cleared. Feed
-    addresses are mostly read once, so they bypass the address table."""
+    """One CIDR or bare IP (treated as /32); host bits are cleared."""
     addr, sep, plen = text.partition("/")
-    ip = _ipv4_value(addr.strip())
+    ip = ipv4_to_int(addr.strip())
     if ip is None:
         return None
     if not sep:
         return Cidr(ip, 32)
     plen = plen.strip()
-    if not (plen.isascii() and plen.isdigit()) or int(plen) > 32:
+    if not (plen.isascii() and plen.isdigit()):
         return None
     n = int(plen)
-    mask = 0 if n == 0 else (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF
-    return Cidr(ip & mask, n)
+    if n > 32:
+        return None
+    return Cidr(ip & (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF, n)
 
 
 class CidrSnapshot:
@@ -61,15 +61,10 @@ class CidrSnapshot:
     Entries are kept in canonical sorted order. Lookup goes through a
     merged-interval table built once at construction: overlapping or
     adjacent prefixes collapse into disjoint [start, end] ranges, so a
-    query is a single binary search regardless of entry count. Each
-    snapshot memoizes its answer per source string, with the bound and
-    rule of the IPv4 codec's table: at most _MEMO_MAX entries, emptied
-    when full. The entries never change, so a memoized answer is exact,
-    and every snapshot, a refreshed one or one built by hand, starts
-    with an empty memo.
+    query is a single binary search regardless of entry count.
     """
 
-    __slots__ = ("entries", "version", "loaded_at_ts", "_starts", "_ends", "_memo")
+    __slots__ = ("entries", "version", "loaded_at_ts", "_starts", "_ends")
 
     def __init__(self, entries: list[Cidr], version: int = 0, loaded_at_ts: float = 0.0):
         self.entries: tuple[Cidr, ...] = tuple(sorted(set(entries)))
@@ -87,7 +82,6 @@ class CidrSnapshot:
                 ends.append(hi)
         self._starts = starts
         self._ends = ends
-        self._memo: dict[str, bool] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -96,20 +90,11 @@ class CidrSnapshot:
         """True iff any entry's prefix covers ip; an empty snapshot parses no address."""
         if not self._starts:
             return False
-        memo = self._memo
-        hit = memo.get(ip)
-        if hit is not None:
-            return hit
         value = ipv4_to_int(ip)
         if value is None:
-            hit = False
-        else:
-            i = bisect_right(self._starts, value) - 1
-            hit = i >= 0 and value <= self._ends[i]
-        if len(memo) >= _MEMO_MAX:
-            memo.clear()
-        memo[ip] = hit
-        return hit
+            return False
+        i = bisect_right(self._starts, value) - 1
+        return i >= 0 and value <= self._ends[i]
 
 
 def parse_feed(text: str) -> tuple[list[Cidr], list[tuple[int, str]]]:
@@ -183,7 +168,7 @@ def refresh(current: CidrSnapshot, fetched: str, now: float) -> CidrSnapshot:
 
 
 class Blacklist:
-    """The L2 layer: the current snapshot and its lazy refresh on trace time.
+    """The L2 layer: the current snapshot, its lazy refresh on trace time, its memo.
 
     A lookup first reads the feed file if ``refresh_secs`` have passed
     since the last attempt (or none was made yet). Attempt time, not load
@@ -193,10 +178,13 @@ class Blacklist:
     one in use before any feed was read, holds no address: the lookup
     returns False without consulting it. A snapshot assigned to
     ``current`` by hand is consulted whether or not ``path`` is set. The
-    engine is the one writer.
+    engine is the one writer. The memo of answers is bounded and emptied
+    when full, as the IPv4 codec's table is, and also when ``current`` is
+    not the snapshot it was filled for, so each answer it holds is exact.
     """
 
-    __slots__ = ("current", "path", "refresh_secs", "error_count", "last_attempt_ts")
+    __slots__ = ("current", "path", "refresh_secs", "error_count", "last_attempt_ts",
+                 "_memo", "_memo_for")
 
     def __init__(self, path: str | None, refresh_secs: float):
         self.current = CidrSnapshot([])
@@ -204,16 +192,26 @@ class Blacklist:
         self.refresh_secs = refresh_secs
         self.error_count = 0
         self.last_attempt_ts: float | None = None
+        self._memo: dict[str, bool] = {}
+        self._memo_for = self.current
 
     def contains(self, ip: str, now: float) -> bool:
         if self.path is not None and (self.last_attempt_ts is None
                                       or now - self.last_attempt_ts >= self.refresh_secs):
             self._refresh(now)
         current = self.current
-        if not current._starts:
+        if not current.entries:
             return False
-        hit = current._memo.get(ip)  # read here, so a memo hit costs no second call
-        return current.contains(ip) if hit is None else hit
+        memo = self._memo
+        if self._memo_for is not current:
+            memo.clear()
+            self._memo_for = current
+        hit = memo.get(ip)
+        if hit is None:
+            if len(memo) >= _MEMO_MAX:
+                memo.clear()
+            hit = memo[ip] = current.contains(ip)
+        return hit
 
     def _refresh(self, now: float) -> None:
         try:

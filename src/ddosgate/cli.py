@@ -22,7 +22,8 @@ import sys
 from contextlib import contextmanager, nullcontext
 
 from . import blacklist as bl
-from .config import ConfigError, apply_overrides, build_engine, default_config, parse_config, read_text
+from .config import (_ascii, ConfigError, apply_overrides, build_engine, default_config,
+                     parse_config, read_text)
 from .events import TraceParseError, serialize_trace_event
 from .pipeline import OutOfOrderError, SandboxSink
 from .trafficgen import SCENARIO_NAMES, Scenario, generate, summarize
@@ -200,6 +201,15 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _ascii_number(convert):
+    """An argparse type: ``convert`` of ASCII text only, as config reads numbers."""
+    def parse(text: str):
+        return convert(_ascii(text))
+
+    parse.__name__ = convert.__name__  # argparse's error names the type: "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ddosgate",
                                      description="Layered trace-driven DDoS mitigation pipeline.")
@@ -221,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen", help="generate a labeled synthetic trace")
     gen_p.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
-    gen_p.add_argument("--seed", type=int, default=Scenario._field_defaults["seed"])
-    gen_p.add_argument("--duration", type=float, default=Scenario._field_defaults["duration_secs"],
-                       metavar="SECONDS")
+    gen_p.add_argument("--seed", type=_ascii_number(int), default=Scenario._field_defaults["seed"])
+    gen_p.add_argument("--duration", type=_ascii_number(float),
+                       default=Scenario._field_defaults["duration_secs"], metavar="SECONDS")
     gen_p.add_argument("--out", required=True,
                        help="trace output path, or - for stdout (no manifest, nor for a device or FIFO)")
     gen_p.add_argument("--param", action="append", metavar="KEY=VALUE",

@@ -40,22 +40,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _ascii(text: str) -> str:
+    """``text`` if it is ASCII: numbers are read as the trace, feed and WAF
+    read them, so "١٠" or a fullwidth "１０" is not ten."""
+    if not text.isascii():
+        raise ValueError(f"expected an ASCII number, got {text!r}")
+    return text
+
+
 def _parse_float(text: str) -> float:
-    value = float(text)
+    value = float(_ascii(text))
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
 def _parse_int(text: str) -> int:
-    return int(text, 0)  # base 0 admits hex for the cookie secret
+    return int(_ascii(text), 0)  # base 0 admits hex for the cookie secret
 
 
 def _parse_ports(text: str) -> frozenset[int]:
     if not text.strip():
         return frozenset()
     ports = set()
-    for part in text.split(","):
+    for part in _ascii(text).split(","):
         port = int(part.strip())
         if not 0 <= port <= 65535:
             raise ValueError(f"port {port} out of range")

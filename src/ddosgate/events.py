@@ -168,19 +168,11 @@ _FLAGS_BY_STR = {text: mask for mask, text in enumerate(_FLAG_STRS)}
 
 # The values of the dotted quads read last: the UDP checksum and the
 # SYN-cookie hash read both addresses after the parser has checked them,
-# and L2 each source its memo has not seen. Emptied when full, so a flood
-# of new sources keeps it bounded and pays one probe and one store per
-# address. L2's per-snapshot memo keeps the same bound and rule.
+# and L2 each feed entry and each source its memo has not seen. Emptied
+# when full, so a flood of new sources keeps it bounded and pays one probe
+# and one store per address. L2's memo keeps the same bound and rule.
 _IPV4_VALUES: dict[str, int] = {}
 _MEMO_MAX = 1024
-
-
-def _ipv4_value(text: str) -> int | None:
-    """ipv4_to_int without the table: for a caller, such as a feed load,
-    whose addresses are mostly read once."""
-    if _IPV4.fullmatch(text) is None:
-        return None
-    return int.from_bytes(bytes(map(int, text.split("."))), "big")
 
 
 def ipv4_to_int(text: str) -> int | None:
@@ -189,11 +181,12 @@ def ipv4_to_int(text: str) -> int | None:
     value = _IPV4_VALUES.get(text)
     if value is not None:
         return value
-    value = _ipv4_value(text)
-    if value is not None:
-        if len(_IPV4_VALUES) >= _MEMO_MAX:
-            _IPV4_VALUES.clear()
-        _IPV4_VALUES[text] = value
+    if _IPV4.fullmatch(text) is None:
+        return None
+    value = int.from_bytes(bytes(map(int, text.split("."))), "big")
+    if len(_IPV4_VALUES) >= _MEMO_MAX:
+        _IPV4_VALUES.clear()
+    _IPV4_VALUES[text] = value
     return value
 
 

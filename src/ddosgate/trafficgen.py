@@ -14,17 +14,17 @@ benign stream; source pools never overlap. Each event is labeled
 "benign" or "attack:<lane>" for offline scoring; the pipeline never
 reads labels.
 
-One table, _SCENARIOS, states each scenario once: its parameter
-defaults (in manifest order) and its lanes. A lane is a rank, a builder
-and the names of the parameters that builder takes. The rank picks the
-lane's own RNG stream, so one lane's draws never shift another's, and
-it is the same in every scenario that runs the lane. Each builder
-returns rows in emission order; the merge is a stable sort on
-timestamp, so ties go by lane rank, then by emission order within the
-lane. Events get their ids only after the merge. Before any row is
-built, generate refuses a lane with more sources than its address and
-port formulas can name, and a trace of more than MAX_ROWS rows or pulse
-loop iterations; both are products of the parameters (_SIZES).
+_LANES lists every lane once, in rank order, with its size function. A
+lane's rank, its index there, picks its own RNG stream, so one lane's
+draws never shift another's. _SCENARIOS states each scenario once: its
+parameter defaults (in manifest order) and its lanes, each a builder and
+the parameters it takes. Lanes are built in rank order, each returning
+rows in emission order; the merge is a stable sort on timestamp, so ties
+go by lane rank, then by emission order within the lane. Events get
+their ids only after the merge. Before any row is built, generate
+refuses a lane with more sources than its address and port formulas can
+name, and a trace of more than MAX_ROWS rows or pulse loop iterations;
+both are products of the parameters (the size functions).
 
 Benign sources are built to stay under every default threshold: they
 complete handshakes, keep per-source averages at or below their rate
@@ -47,16 +47,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 SERVER_IP = "10.0.0.1"
 HTTP_PORT = 80
 DNS_PORT = 53
-
-# Lane ranks: each lane's RNG stream and its place in timestamp ties.
-_LANE_BENIGN = 0
-_LANE_SYN = 1
-_LANE_ACK = 2
-_LANE_UDP = 3
-_LANE_PULSE = 4
-_LANE_HTTP = 5
-_LANE_BL = 6
-
 
 class _Rng:
     """splitmix64: state += golden gamma; output = finalizer(state)."""
@@ -97,9 +87,8 @@ class Scenario(NamedTuple):
     duration_secs: float = 10.0
 
 
-# Lane builders take (rng, lane rank, duration, *their parameters) and
-# return rows (t_us, lane, kind, src_ip, src_port, dst_port, body, label)
-# in emission order.
+# Lane builders take (rng, duration, *their parameters) and return rows
+# (t_us, kind, src_ip, src_port, dst_port, body, label) in emission order.
 
 
 _BENIGN_PATHS = (
@@ -128,8 +117,7 @@ def _benign_http(rng: _Rng) -> HttpInfo:
                     b"", rng.randint(20, 600))
 
 
-def _session_lane(rng: _Rng, lane: int, duration: float, ips: list[tuple[str, str]],
-                  rate: float) -> list:
+def _session_lane(rng: _Rng, duration: float, ips: list[tuple[str, str]], rate: float) -> list:
     """Well-behaved request/response traffic: complete handshakes, polite
     pacing, a hard per-source budget of rate * duration events."""
     rows = []
@@ -145,7 +133,7 @@ def _session_lane(rng: _Rng, lane: int, duration: float, ips: list[tuple[str, st
                 payload = bytes(rng.below(256) for _ in range(16 + rng.below(24)))
                 length = 8 + len(payload)
                 csum = compute_udp_checksum(src_ip, SERVER_IP, sport, DNS_PORT, length, payload)
-                rows.append((t_us, lane, "udp", src_ip, sport, DNS_PORT,
+                rows.append((t_us, "udp", src_ip, sport, DNS_PORT,
                              UdpInfo(length, csum, payload), label))
                 emitted += 1
             elif emitted + 2 <= budget:
@@ -155,15 +143,15 @@ def _session_lane(rng: _Rng, lane: int, duration: float, ips: list[tuple[str, st
                 ack_t = t_us + rtt_us
                 if ack_t >= dur_us:
                     break  # never leave a half-open handshake behind
-                rows.append((t_us, lane, "tcp", src_ip, sport, HTTP_PORT,
+                rows.append((t_us, "tcp", src_ip, sport, HTTP_PORT,
                              TcpInfo(0x01, isn, 0, 0, b""), label))  # SYN
-                rows.append((ack_t, lane, "tcp", src_ip, sport, HTTP_PORT,
+                rows.append((ack_t, "tcp", src_ip, sport, HTTP_PORT,
                              TcpInfo(0x02, (isn + 1) & 0xFFFFFFFF,
                                      rng.next64() & 0xFFFFFFFF, 0, b""), label))  # ACK
                 emitted += 2
                 req_t = ack_t + rng.randint(5_000, 40_000)
                 if emitted + 1 <= budget and req_t < dur_us:
-                    rows.append((req_t, lane, "http", src_ip, sport, HTTP_PORT,
+                    rows.append((req_t, "http", src_ip, sport, HTTP_PORT,
                                  _benign_http(rng), label))
                     emitted += 1
             else:
@@ -181,8 +169,8 @@ def _pool(net: int, sources: float) -> list[str]:
     return [f"10.{net}.{k // 250}.{1 + k % 250}" for k in range(int(sources))]
 
 
-def _benign_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
-    return _session_lane(rng, lane, duration, [(ip, "benign") for ip in _pool(1, sources)], rate)
+def _benign_lane(rng: _Rng, duration: float, sources: float, rate: float) -> list:
+    return _session_lane(rng, duration, [(ip, "benign") for ip in _pool(1, sources)], rate)
 
 
 def _schedule(rate: float, duration: float) -> list[int]:
@@ -190,29 +178,29 @@ def _schedule(rate: float, duration: float) -> list[int]:
     return [round(i * 1e6 / rate) for i in range(n)]
 
 
-def _syn_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
+def _syn_flood_lane(rng: _Rng, duration: float, sources: float, rate: float) -> list:
     rows = []
     label = "attack:syn_flood"
     for src_ip in _pool(2, sources):
         for i, t_us in enumerate(_schedule(rate, duration)):
             # fresh port per SYN: every flow stays half-open forever
-            rows.append((t_us, lane, "tcp", src_ip, 1024 + i % 64512, HTTP_PORT,
+            rows.append((t_us, "tcp", src_ip, 1024 + i % 64512, HTTP_PORT,
                          TcpInfo(0x01, rng.next64() & 0xFFFFFFFF, 0, 0, b""), label))
     return rows
 
 
-def _ack_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
+def _ack_flood_lane(rng: _Rng, duration: float, sources: float, rate: float) -> list:
     rows = []
     label = "attack:ack_flood"
     for src_ip in _pool(3, sources):
         for i, t_us in enumerate(_schedule(rate, duration)):
-            rows.append((t_us, lane, "tcp", src_ip, 2048 + i % 60000, HTTP_PORT,
+            rows.append((t_us, "tcp", src_ip, 2048 + i % 60000, HTTP_PORT,
                          TcpInfo(0x02, rng.next64() & 0xFFFFFFFF,
                                  rng.next64() & 0xFFFFFFFF, 0, b""), label))
     return rows
 
 
-def _udp_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate: float) -> list:
+def _udp_flood_lane(rng: _Rng, duration: float, sources: float, rate: float) -> list:
     rows = []
     label = "attack:udp_flood"
     for src_ip in _pool(4, sources):
@@ -234,14 +222,14 @@ def _udp_flood_lane(rng: _Rng, lane: int, duration: float, sources: float, rate:
                 # header length disagrees with what is actually carried
                 payload = bytes(rng.below(256) for _ in range(24))
                 info = UdpInfo(24, 0, payload)
-            rows.append((t_us, lane, "udp", src_ip, sport, DNS_PORT, info, label))
+            rows.append((t_us, "udp", src_ip, sport, DNS_PORT, info, label))
     return rows
 
 
 _PULSE_PAYLOAD = b"GET / HTTP/1.1\r\nHost: example.test\r\n\r\n"
 
 
-def _pulse_lane(rng: _Rng, lane: int, duration: float, sources: float, period: float,
+def _pulse_lane(rng: _Rng, duration: float, sources: float, period: float,
                 width: float, burst_rate: float) -> list:
     """Quiet sources that wake up for short square-wave bursts — the
     low-rate pattern that stays invisible to volume-only thresholds."""
@@ -260,7 +248,7 @@ def _pulse_lane(rng: _Rng, lane: int, duration: float, sources: float, period: f
                 t_us = start_us + round(i * 1e6 / burst_rate)
                 if t_us >= duration * 1e6:
                     break
-                rows.append((t_us, lane, "tcp", src_ip, sport, HTTP_PORT,
+                rows.append((t_us, "tcp", src_ip, sport, HTTP_PORT,
                              TcpInfo(0x02 | 0x10, rng.next64() & 0xFFFFFFFF,
                                      rng.next64() & 0xFFFFFFFF, 0, _PULSE_PAYLOAD), label))
             burst += 1
@@ -287,20 +275,19 @@ def _http_attack_requests() -> list[HttpInfo]:
     ]
 
 
-def _http_attack_lane(rng: _Rng, lane: int, duration: float, sources: float,
-                      rate: float) -> list:
+def _http_attack_lane(rng: _Rng, duration: float, sources: float, rate: float) -> list:
     rows = []
     label = "attack:http_attack"
     requests = _http_attack_requests()
     for src_ip in _pool(7, sources):
         phase_us = rng.below(200_000)
         for i, t_us in enumerate(_schedule(rate, duration)):
-            rows.append((phase_us + t_us, lane, "http", src_ip, 40000 + i % 20000, HTTP_PORT,
+            rows.append((phase_us + t_us, "http", src_ip, 40000 + i % 20000, HTTP_PORT,
                          requests[i % len(requests)], label))
     return rows
 
 
-def _blacklist_lane(rng: _Rng, lane: int, duration: float, feed: str | None, sources: float,
+def _blacklist_lane(rng: _Rng, duration: float, feed: str | None, sources: float,
                     fraction: float, rate: float) -> list:
     """Sessions from listed and clean sources; no lane without a feed."""
     if not feed:
@@ -319,7 +306,7 @@ def _blacklist_lane(rng: _Rng, lane: int, duration: float, feed: str | None, sou
             ips.append((int_to_ipv4(entry.base + offset), "attack:blacklist_mix"))
         else:
             ips.append((f"198.51.100.{1 + i}", "benign"))
-    return _session_lane(rng, lane, duration, ips, rate)
+    return _session_lane(rng, duration, ips, rate)
 
 
 # Each lane's size, from the parameters its function takes: the sources
@@ -343,35 +330,33 @@ def _blacklist_size(duration: float, feed: str | None, sources: float, fraction:
     return (int(sources) if clean > 0 else 0), 255, sources * rate * duration
 
 
-_SIZES = {_benign_lane: _rate_size, _syn_flood_lane: _rate_size,
-          _ack_flood_lane: _rate_size, _udp_flood_lane: _rate_size,
-          _http_attack_lane: _rate_size, _pulse_lane: _pulse_size,
-          _blacklist_lane: _blacklist_size}
+_LANES = ((_benign_lane, _rate_size), (_syn_flood_lane, _rate_size),
+          (_ack_flood_lane, _rate_size), (_udp_flood_lane, _rate_size),
+          (_pulse_lane, _pulse_size), (_http_attack_lane, _rate_size),
+          (_blacklist_lane, _blacklist_size))
 
 _COMMON_BENIGN = {"benign_sources": 3.0, "benign_rate": 2.0}
-_BENIGN = (_LANE_BENIGN, _benign_lane, ("benign_sources", "benign_rate"))
+_BENIGN = (_benign_lane, ("benign_sources", "benign_rate"))
 
-# scenario -> (parameter defaults in manifest order, lanes as (rank, builder,
-# the parameters the builder takes))
+# scenario -> (parameter defaults in manifest order, lanes as (builder, the
+# parameters the builder takes))
 _SCENARIOS: dict[str, tuple[dict, tuple]] = {
     "normal": ({"sources": 3.0, "rate": 2.0},
-               ((_LANE_BENIGN, _benign_lane, ("sources", "rate")),)),
+               ((_benign_lane, ("sources", "rate")),)),
     "syn_flood": ({"sources": 1.0, "rate": 100.0, **_COMMON_BENIGN},
-                  (_BENIGN, (_LANE_SYN, _syn_flood_lane, ("sources", "rate")))),
+                  (_BENIGN, (_syn_flood_lane, ("sources", "rate")))),
     "ack_flood": ({"sources": 1.0, "rate": 150.0, **_COMMON_BENIGN},
-                  (_BENIGN, (_LANE_ACK, _ack_flood_lane, ("sources", "rate")))),
+                  (_BENIGN, (_ack_flood_lane, ("sources", "rate")))),
     "udp_flood": ({"sources": 2.0, "rate": 100.0, **_COMMON_BENIGN},
-                  (_BENIGN, (_LANE_UDP, _udp_flood_lane, ("sources", "rate")))),
+                  (_BENIGN, (_udp_flood_lane, ("sources", "rate")))),
     "low_rate_pulse": ({"sources": 2.0, "period": 5.0, "width": 0.2, "burst_rate": 200.0,
                         **_COMMON_BENIGN},
-                       (_BENIGN, (_LANE_PULSE, _pulse_lane,
-                                  ("sources", "period", "width", "burst_rate")))),
+                       (_BENIGN, (_pulse_lane, ("sources", "period", "width", "burst_rate")))),
     "blacklist_mix": ({"sources": 4.0, "fraction": 0.5, "rate": 2.0, "feed": None,
                        **_COMMON_BENIGN},
-                      (_BENIGN, (_LANE_BL, _blacklist_lane,
-                                 ("feed", "sources", "fraction", "rate")))),
+                      (_BENIGN, (_blacklist_lane, ("feed", "sources", "fraction", "rate")))),
     "http_attack": ({"sources": 2.0, "rate": 2.0, **_COMMON_BENIGN},
-                    (_BENIGN, (_LANE_HTTP, _http_attack_lane, ("sources", "rate")))),
+                    (_BENIGN, (_http_attack_lane, ("sources", "rate")))),
     "mixed": ({"benign_sources": 5.0, "benign_rate": 2.0,
                "syn_sources": 2.0, "syn_rate": 100.0,
                "ack_sources": 2.0, "ack_rate": 150.0,
@@ -381,13 +366,12 @@ _SCENARIOS: dict[str, tuple[dict, tuple]] = {
                "http_sources": 2.0, "http_rate": 2.0,
                "bl_sources": 4.0, "bl_fraction": 0.5, "bl_rate": 2.0, "feed": None},
               (_BENIGN,
-               (_LANE_SYN, _syn_flood_lane, ("syn_sources", "syn_rate")),
-               (_LANE_ACK, _ack_flood_lane, ("ack_sources", "ack_rate")),
-               (_LANE_UDP, _udp_flood_lane, ("udp_sources", "udp_rate")),
-               (_LANE_PULSE, _pulse_lane,
-                ("pulse_sources", "pulse_period", "pulse_width", "pulse_burst_rate")),
-               (_LANE_HTTP, _http_attack_lane, ("http_sources", "http_rate")),
-               (_LANE_BL, _blacklist_lane, ("feed", "bl_sources", "bl_fraction", "bl_rate")))),
+               (_syn_flood_lane, ("syn_sources", "syn_rate")),
+               (_ack_flood_lane, ("ack_sources", "ack_rate")),
+               (_udp_flood_lane, ("udp_sources", "udp_rate")),
+               (_pulse_lane, ("pulse_sources", "pulse_period", "pulse_width", "pulse_burst_rate")),
+               (_http_attack_lane, ("http_sources", "http_rate")),
+               (_blacklist_lane, ("feed", "bl_sources", "bl_fraction", "bl_rate")))),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 _POSITIVE = ("period", "pulse_period")  # a pulse train needs time to advance
@@ -412,6 +396,8 @@ def resolve_params(name: str, overrides: dict | None) -> dict:
         if key not in resolved:
             raise ValueError(f"scenario {name!r} has no parameter {key!r}")
         if key != "feed":
+            if isinstance(value, str) and not value.isascii():  # "١٠" is not ten, as in the trace
+                raise ValueError(f"scenario {name!r} parameter {key!r} must be ASCII, got {value!r}")
             value = float(value)
             _check_range(f"scenario {name!r} parameter {key!r}", value)
             if key in _POSITIVE and value <= 0:
@@ -427,11 +413,12 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
     if scenario.name == "blacklist_mix" and not p["feed"]:
         raise ValueError("blacklist_mix requires a feed parameter (path to a CIDR feed file)")
     _check_range("duration_secs", duration)
-    lanes = [(rank, build, [p[k] for k in names])
-             for rank, build, names in _SCENARIOS[scenario.name][1]]
+    names_of = dict(_SCENARIOS[scenario.name][1])
+    lanes = [(rank, build, sizes, [p[k] for k in names_of[build]])
+             for rank, (build, sizes) in enumerate(_LANES) if build in names_of]
     work = 0.0
-    for _, build, args in lanes:
-        named, nameable, size = _SIZES[build](duration, *args)
+    for _, build, sizes, args in lanes:
+        named, nameable, size = sizes(duration, *args)
         if named > nameable:
             raise ValueError(f"scenario {scenario.name!r}: {build.__name__.strip('_')} has "
                              f"addresses for at most {nameable} sources, got {named}")
@@ -440,11 +427,11 @@ def generate(scenario: Scenario) -> list[TraceEvent]:
         raise ValueError(f"scenario {scenario.name!r} asks for about {work:.3g} rows or loop "
                          f"iterations, more than {MAX_ROWS:,}")
     rows: list = []
-    for rank, build, args in lanes:
-        rows.extend(build(_sub_rng(scenario.seed, rank), rank, duration, *args))
-    rows.sort(key=itemgetter(0, 1))
+    for rank, build, _, args in lanes:
+        rows.extend(build(_sub_rng(scenario.seed, rank), duration, *args))
+    rows.sort(key=itemgetter(0))
     return [TraceEvent(i, t_us / 1e6, kind, src_ip, SERVER_IP, src_port, dst_port, body, label)
-            for i, (t_us, _, kind, src_ip, src_port, dst_port, body, label)
+            for i, (t_us, kind, src_ip, src_port, dst_port, body, label)
             in enumerate(rows, start=1)]
 
 

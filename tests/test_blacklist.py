@@ -126,14 +126,14 @@ def test_memo_agrees_with_mask_oracle_across_refills_and_a_refresh(tmp_path):
             value = blacklist.ipv4_to_int(text)
             expected = value is not None and listed(value, prefixes)
             assert bl.contains(text, now) is expected, text
-            sizes.append(len(bl.current._memo))
+            sizes.append(len(bl._memo))
         assert max(sizes) == _MEMO_MAX and min(sizes[sizes.index(_MEMO_MAX):]) < _MEMO_MAX  # emptied once full
 
     check(0.0, before)
-    assert _ip(dropped) in bl.current._memo and _ip(added) in bl.current._memo
+    assert _ip(dropped) in bl._memo and _ip(added) in bl._memo
     feed.write_text("".join(f"{line}\n" for line in lines + [_ip(added)]))
     assert not bl.contains(_ip(dropped), 300.0)
-    assert bl.current.version == 2 and len(bl.current._memo) == 1  # a new snapshot starts empty
+    assert bl.current.version == 2 and list(bl._memo) == [_ip(dropped)]  # a refresh empties the memo
     assert bl.contains(_ip(added), 300.0)
     check(300.0, after)
 
@@ -232,8 +232,9 @@ def test_an_empty_snapshot_is_never_consulted(tmp_path, monkeypatch):
 
 
 def test_a_memo_hit_is_answered_without_a_snapshot_call(tmp_path, monkeypatch):
-    """Blacklist.contains probes the current snapshot's memo itself, so a
-    lookup calls CidrSnapshot.contains once per miss and never on a hit."""
+    """A lookup calls CidrSnapshot.contains once per miss of Blacklist's
+    memo and never on a hit; a refresh or a snapshot assigned by hand
+    empties the memo before its next lookup."""
     calls = []
     lookup = CidrSnapshot.contains
 
@@ -262,21 +263,45 @@ def test_a_memo_hit_is_answered_without_a_snapshot_call(tmp_path, monkeypatch):
     probes = ["203.0.113.5", "198.51.100.7", "198.51.100.8", "10.0.0.1", "not an address"]
     assert [ask(bl, ip, 300.0, listed) for ip in probes] == [1] * 5  # each miss calls once
     assert [ask(bl, ip, 301.0, listed) for ip in probes * 3] == [0] * 15  # each hit calls none
-    first = bl.current
+    assert bl._memo["203.0.113.5"] is True and len(bl._memo) == 5
 
-    feed.write_text("198.51.100.8\n")  # a refresh starts with its own, empty memo
+    feed.write_text("198.51.100.8\n")  # a refresh empties the memo
     listed = [(0xC6336408, 0xFFFFFFFF)]
-    assert [ask(bl, ip, 600.0, listed) for ip in probes] == [1] * 5
+    assert ask(bl, "10.0.0.1", 600.0, listed) == 1 and bl._memo == {"10.0.0.1": False}
+    assert bl.current.version == 3
+    assert [ask(bl, ip, 600.0, listed) for ip in probes] == [1, 1, 1, 0, 1]  # 10.0.0.1 was asked first
     assert [ask(bl, ip, 601.0, listed) for ip in probes] == [0] * 5
-    assert first._memo["203.0.113.5"] is True and bl.current._memo["203.0.113.5"] is False
+    assert bl._memo["203.0.113.5"] is False and len(bl._memo) == 5
 
     bl.current = by_hand = CidrSnapshot([parse_cidr("10.0.0.0/8")])  # so does one assigned by hand
     listed = [(0x0A000000, 0xFF000000)]
-    assert [ask(bl, ip, 602.0, listed) for ip in probes] == [1] * 5
+    assert ask(bl, "10.0.0.1", 602.0, listed) == 1 and bl._memo == {"10.0.0.1": True}
+    assert [ask(bl, ip, 602.0, listed) for ip in probes] == [1, 1, 1, 0, 1]  # 10.0.0.1 was asked first
     assert [ask(bl, ip, 603.0, listed) for ip in probes] == [0] * 5
-    assert by_hand._memo["10.0.0.1"] is True and bl.current is by_hand
+    assert bl.current is by_hand and len(bl._memo) == 5
     bl.current = CidrSnapshot([])
     assert ask(bl, "10.0.0.1", 604.0, []) == 0
+
+
+def test_two_blacklists_sharing_a_snapshot_keep_their_own_memos(monkeypatch):
+    calls = []
+    lookup = CidrSnapshot.contains
+
+    def counted(self, ip):
+        calls.append(ip)
+        return lookup(self, ip)
+
+    monkeypatch.setattr(CidrSnapshot, "contains", counted)
+    shared = CidrSnapshot([parse_cidr("203.0.113.0/24")])
+    one, other = Blacklist(None, 300.0), Blacklist(None, 300.0)
+    one.current = other.current = shared
+    assert one.contains("203.0.113.5", 0.0) is True
+    assert other.contains("198.51.100.5", 0.0) is False
+    assert (one._memo, other._memo) == ({"203.0.113.5": True}, {"198.51.100.5": False})
+    assert other.contains("203.0.113.5", 1.0) is True  # the other's memo has not seen it
+    assert one.contains("203.0.113.5", 1.0) is True and one.contains("198.51.100.5", 1.0) is False
+    assert calls == ["203.0.113.5", "198.51.100.5", "203.0.113.5", "198.51.100.5"]
+    assert one._memo == other._memo == {"203.0.113.5": True, "198.51.100.5": False}
 
 
 def test_a_snapshot_assigned_by_hand_rejects_without_a_path():

@@ -72,10 +72,23 @@ def test_gen_refuses_values_it_cannot_honour(tmp_path, cli_run):
                  ["--scenario", "normal", "--duration", "1e308"],
                  ["--scenario", "low_rate_pulse", "--param", "period=1e308"],
                  ["--scenario", "syn_flood", "--param", "rate=1e308"],
-                 ["--scenario", "low_rate_pulse", "--param", "width=1e308"]):
+                 ["--scenario", "low_rate_pulse", "--param", "width=1e308"],
+                 ["--scenario", "syn_flood", "--param", "rate=\u0661\u0660"],
+                 ["--scenario", "normal", "--param", "sources=\uff11\uff10"]):
         proc = cli_run(["gen", *args, "--out", str(out)], timeout=20)
         assert proc.returncode == 2, args
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), args
+        assert not out.exists()
+
+
+def test_gen_reads_seed_and_duration_as_ascii(tmp_path, cli_run):
+    # Arabic-Indic and fullwidth digits, which int() and float() would read
+    out = tmp_path / "x.jsonl"
+    for flag, text, kind in (("--seed", "\u0667", "int"), ("--seed", "\uff17", "int"),
+                             ("--duration", "\u0661\u0660", "float"),
+                             ("--duration", "\uff11\uff10", "float")):
+        proc = cli_run(["gen", "--scenario", "normal", flag, text, "--out", str(out)])
+        assert proc.returncode == 2 and f"argument {flag}: invalid {kind} value" in proc.stderr, text
         assert not out.exists()
 
 

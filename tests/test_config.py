@@ -46,7 +46,8 @@ NON_DEFAULT = {
     "stats.top_n": ("3", "config.top_n", 3),
 }
 
-FUZZ_VALUES = ("nan", "inf", "-1", "0", "", "x")
+# "\u0661\u0660" is ten in Arabic-Indic digits, "\uff11\uff10" in fullwidth ones
+FUZZ_VALUES = ("nan", "inf", "-1", "0", "", "x", "\u0661\u0660", "\uff11\uff10")
 
 
 def _attr(obj, path):
@@ -88,6 +89,15 @@ def test_path_keys_are_read_only_when_set(tmp_path):
     assert engine.config.analyzer.payload_signatures == (b"evil",)
     assert [rule.id for rule in engine.ruleset] == [7]
     assert engine.config.blacklist_path == str(feed)
+
+
+@pytest.mark.parametrize("text", ["\u0661\u0660", "\uff11\uff10", "1.\u0665", "19,\u0661\u0669"])
+def test_numbers_are_ascii(text):
+    """Every non-path key refuses digits outside ASCII, as the trace, the
+    feed and the WAF do: Arabic-Indic or fullwidth ten is not ten."""
+    for key in sorted(set(default_config()) - PATH_KEYS):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            apply_overrides(default_config(), [f"{key}={text}"])
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)

@@ -207,7 +207,7 @@ def test_capture_bytes_match_the_uncached_formula():
     cases.append(("by hand", lambda: by_hand))
     cases.append(("refused", lambda: refused))
     cases.append(("read earlier", lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(_udp_line()))[0]))
-    # the json path leaves the record of the last canonical line as it was
+    # an event whose capture follows the read of a json-path line
     cases.append(("read before a json line",
                   lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(" " + _udp_line()))[0]))
     reasons = ["syn_flood", 'quote " and \\ slash', "na\u00efve \u2713", "syn_flood"]

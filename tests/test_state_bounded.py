@@ -158,6 +158,6 @@ def test_blacklist_memo_stays_bounded_under_spoofed_sources(tmp_path):
     verdicts = Counter()
     for event in _spoofed_acks(60.0):  # 3,000 sources, each asked for twice
         verdicts[engine.process_event(event).reason] += 1
-        sizes.append(len(engine.blacklist.current._memo))
+        sizes.append(len(engine.blacklist._memo))
     assert max(sizes) == _MEMO_MAX
     assert verdicts["blacklisted"] == 2 * 1024 and sum(verdicts.values()) == 2 * 3000 - SPOOF_RATE // 2

@@ -31,6 +31,7 @@ def test_unknown_scenario_and_param_rejected():
     ("low_rate_pulse", "period", "1e308"), ("syn_flood", "rate", "1e308"),
     ("low_rate_pulse", "width", "1e308"), ("normal", "sources", "-1"),
     ("mixed", "syn_rate", math.nextafter(1e9, math.inf)),
+    ("syn_flood", "rate", "\u0661\u0660"), ("normal", "sources", "\uff11\uff10"),  # ten, not ASCII
 ])
 def test_resolve_params_refuses_values_it_cannot_honour(name, key, value):
     with pytest.raises(ValueError, match=f"parameter '{key}' must be"):
