@@ -42,6 +42,7 @@ All time comes from packet timestamps.
 from __future__ import annotations
 
 import sys
+import warnings
 from collections import ChainMap, OrderedDict
 from typing import NamedTuple
 
@@ -142,14 +143,17 @@ class AnalyzerConfig(_AnalyzerFields):
 def parse_signatures(text: str) -> tuple[bytes, ...]:
     r"""Signature file: one byte pattern per line, '#' comments, \xNN escapes.
 
-    A line whose escapes do not decode, or name a character above \xff,
-    raises LineError, a ValueError."""
+    A line whose escapes do not decode, name a character above \xff or
+    are unknown to the codec (such as \q) raises LineError, a ValueError."""
     patterns = []
-    for line_no, line in content_lines(text):
-        try:
-            patterns.append(line.encode("utf-8").decode("unicode_escape").encode("latin-1"))
-        except UnicodeError as exc:
-            raise LineError(f"bad signature {line!r}: {exc.reason}", line_no) from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # the codec's word for an unknown escape
+        for line_no, line in content_lines(text):
+            try:
+                patterns.append(line.encode("utf-8").decode("unicode_escape").encode("latin-1"))
+            except (UnicodeError, DeprecationWarning) as exc:
+                raise LineError(f"bad signature {line!r}: {getattr(exc, 'reason', 'unknown escape')}",
+                                line_no) from None
     return tuple(patterns)
 
 
@@ -355,6 +359,9 @@ class Analyzer:
         The clock is ``pkt.ts``, which must be finite and not earlier than
         any earlier packet's.
         """
+        body = pkt.body
+        if not isinstance(body, TcpInfo):
+            raise TypeError(f"event {pkt.event_id}, kind {pkt.kind}: body is {type(body).__name__}, not TcpInfo")
         cfg = self.config
         now = pkt.ts
         # _expires_at is never later than the oldest flow's expiry: the
@@ -365,8 +372,6 @@ class Analyzer:
             self._evict_expired_windows(now)
         threshold = cfg.syn_half_open_global
         self.cookie_mode = len(self._half_open) >= (threshold / 2 if self.cookie_mode else threshold)
-        body = pkt.body
-        assert isinstance(body, TcpInfo)
         flags = body.flags
         payload = body.payload
         src = pkt.src_ip
@@ -433,9 +438,10 @@ class Analyzer:
 
     def observe_udp(self, pkt: TraceEvent) -> Verdict | None:
         """Stateless checks: blocked port, then size, then checksum."""
-        cfg = self.config
         body = pkt.body
-        assert isinstance(body, UdpInfo)
+        if not isinstance(body, UdpInfo):
+            raise TypeError(f"event {pkt.event_id}, kind {pkt.kind}: body is {type(body).__name__}, not UdpInfo")
+        cfg = self.config
         if pkt.dst_port in cfg.udp_blocked_ports:
             return _VERDICTS[UDP_BLOCKED_PORT]
         if (body.length < cfg.udp_min_len or body.length > cfg.udp_max_len

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .events import _MEMO_MAX, content_lines, int_to_ipv4, ipv4_to_int
+from .events import _MEMO_MAX, _natural, content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # A feed over MAX_FEED_BYTES (8 MiB) is refused, whether downloaded or read
@@ -42,15 +42,8 @@ def parse_cidr(text: str) -> Cidr | None:
     """One CIDR or bare IP (treated as /32); host bits are cleared."""
     addr, sep, plen = text.partition("/")
     ip = ipv4_to_int(addr.strip())
-    if ip is None:
-        return None
-    if not sep:
-        return Cidr(ip, 32)
-    plen = plen.strip()
-    if not (plen.isascii() and plen.isdigit()):
-        return None
-    n = int(plen)
-    if n > 32:
+    n = _natural(plen.strip()) if sep else 32
+    if ip is None or n is None or n > 32:
         return None
     return Cidr(ip & (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF, n)
 

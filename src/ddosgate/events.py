@@ -76,6 +76,14 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
+def _natural(text: str) -> int | None:
+    """``text`` as an integer if it is ASCII digits only, else None."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 class LineError(ValueError):
     """A bad input line; the message starts "line N: " when N is known."""
 

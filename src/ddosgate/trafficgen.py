@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 from . import blacklist as bl
 from .analyzer import _MASK64, _mix64
-from .events import compute_udp_checksum, HttpInfo, int_to_ipv4, TcpInfo, TraceEvent, UdpInfo
+from .events import ACK, compute_udp_checksum, HttpInfo, int_to_ipv4, PSH, SYN, TcpInfo, TraceEvent, UdpInfo
 
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -144,10 +144,10 @@ def _session_lane(rng: _Rng, duration: float, ips: list[tuple[str, str]], rate: 
                 if ack_t >= dur_us:
                     break  # never leave a half-open handshake behind
                 rows.append((t_us, "tcp", src_ip, sport, HTTP_PORT,
-                             TcpInfo(0x01, isn, 0, 0, b""), label))  # SYN
+                             TcpInfo(SYN, isn, 0, 0, b""), label))
                 rows.append((ack_t, "tcp", src_ip, sport, HTTP_PORT,
-                             TcpInfo(0x02, (isn + 1) & 0xFFFFFFFF,
-                                     rng.next64() & 0xFFFFFFFF, 0, b""), label))  # ACK
+                             TcpInfo(ACK, (isn + 1) & 0xFFFFFFFF,
+                                     rng.next64() & 0xFFFFFFFF, 0, b""), label))
                 emitted += 2
                 req_t = ack_t + rng.randint(5_000, 40_000)
                 if emitted + 1 <= budget and req_t < dur_us:
@@ -185,7 +185,7 @@ def _syn_flood_lane(rng: _Rng, duration: float, sources: float, rate: float) -> 
         for i, t_us in enumerate(_schedule(rate, duration)):
             # fresh port per SYN: every flow stays half-open forever
             rows.append((t_us, "tcp", src_ip, 1024 + i % 64512, HTTP_PORT,
-                         TcpInfo(0x01, rng.next64() & 0xFFFFFFFF, 0, 0, b""), label))
+                         TcpInfo(SYN, rng.next64() & 0xFFFFFFFF, 0, 0, b""), label))
     return rows
 
 
@@ -195,7 +195,7 @@ def _ack_flood_lane(rng: _Rng, duration: float, sources: float, rate: float) -> 
     for src_ip in _pool(3, sources):
         for i, t_us in enumerate(_schedule(rate, duration)):
             rows.append((t_us, "tcp", src_ip, 2048 + i % 60000, HTTP_PORT,
-                         TcpInfo(0x02, rng.next64() & 0xFFFFFFFF,
+                         TcpInfo(ACK, rng.next64() & 0xFFFFFFFF,
                                  rng.next64() & 0xFFFFFFFF, 0, b""), label))
     return rows
 
@@ -249,7 +249,7 @@ def _pulse_lane(rng: _Rng, duration: float, sources: float, period: float,
                 if t_us >= duration * 1e6:
                     break
                 rows.append((t_us, "tcp", src_ip, sport, HTTP_PORT,
-                             TcpInfo(0x02 | 0x10, rng.next64() & 0xFFFFFFFF,
+                             TcpInfo(ACK | PSH, rng.next64() & 0xFFFFFFFF,
                                      rng.next64() & 0xFFFFFFFF, 0, _PULSE_PAYLOAD), label))
             burst += 1
     return rows

@@ -52,7 +52,7 @@ from functools import cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .events import HttpInfo, LineError, content_lines
+from .events import _natural, HttpInfo, LineError, content_lines
 
 SANDBOX_ACTION = "sandbox"
 LOG_ACTION = "log"
@@ -163,14 +163,6 @@ def _split_rule_line(line: str, line_no: int) -> list[str]:
         # the marker makes a quoted "5" differ from a bare 5
         tokens.append(bare or '"' + _ESCAPE.sub(r"\1", quoted))
     return tokens
-
-
-def _natural(text: str) -> int | None:
-    """``text`` as an integer if it is ASCII digits only, else None."""
-    try:
-        return int(text) if text.isascii() and text.isdigit() else None
-    except ValueError:  # more digits than int() converts
-        return None
 
 
 def _parse_rule(tokens: list[str], line_no: int) -> Rule:

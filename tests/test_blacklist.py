@@ -39,7 +39,9 @@ def test_parse_cidr_forms():
 
 
 def test_parse_cidr_rejects_garbage():
-    for bad in ("10.0.0.0/33", "10.0.0/8", "256.1.1.1", "10.0.0.0/x", "", "hello", "10.0.0.1/-1"):
+    # a prefix of more digits than int() reads is one more bad prefix
+    for bad in ("10.0.0.0/33", "10.0.0/8", "256.1.1.1", "10.0.0.0/x", "", "hello", "10.0.0.1/-1",
+                "10.0.0.0/" + "9" * 4301):
         assert parse_cidr(bad) is None
 
 

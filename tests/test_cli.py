@@ -494,6 +494,30 @@ def test_gen_skips_only_an_undecodable_feed_line(tmp_path, cli_run):
     assert traces[0] == traces[1] and '"src_ip":"192.168.0.' in traces[0]
 
 
+def test_a_long_prefix_is_one_skipped_feed_line(tmp_path, cli_run):
+    """A prefix of more digits than int() reads is a bad_address line to
+    blacklist fetch, gen and run alike, as any other bad prefix is."""
+    (tmp_path / "clean.txt").write_text("203.0.113.0/24\n")
+    (tmp_path / "long.txt").write_text("203.0.113.0/24\n10.0.0.0/" + "9" * 4301 + "\n")
+    proc = cli_run(["blacklist", "fetch", "--path", "long.txt", "--out", "out.txt"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "1 entries written, 1 lines skipped" in proc.stdout
+    assert "skipped line 2: bad_address" in proc.stdout
+    assert (tmp_path / "out.txt").read_text() == "203.0.113.0/24\n"
+    outputs = []
+    for feed in ("clean.txt", "long.txt"):
+        proc = cli_run(["gen", "--scenario", "blacklist_mix", "--param", f"feed={feed}", "--seed", "3",
+                        "--out", f"{feed}.jsonl"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        proc = cli_run(["run", "--trace", f"{feed}.jsonl", "--out", "v.jsonl", "--stats", "s.json",
+                        "--set", "sandbox.log_path=sb.jsonl", "--set", f"blacklist.path={feed}"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(tmp_path / name).read_bytes()
+                        for name in (f"{feed}.jsonl", "v.jsonl", "s.json", "sb.jsonl")])
+    assert outputs[0] == outputs[1]
+    assert b'"reject_blacklisted"' in outputs[0][1]
+
+
 # gen's feed (--param feed) -> its --out, each named from tmp_path
 _GEN_OVER_FEED = {
     "trace_is_feed": ("feed.txt", "feed.txt"),

@@ -4,6 +4,7 @@ reaching its field, and bad values refused as ConfigError."""
 import io
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,16 @@ def test_undecodable_files_and_bad_signatures_are_config_errors(tmp_path):
     sigs.write_text("/bin/sh\n\\u0100\n")
     with pytest.raises(ConfigError, match=r"tcp.signatures_path: line 2: bad signature"):
         _build([f"tcp.signatures_path={sigs}"])
+
+
+def test_an_unknown_escape_is_a_bad_signature():
+    """The codec reads \\q as itself and warns; a signature file refuses
+    it, whatever the warning filters say."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(LineError) as exc:
+            parse_signatures("/bin/sh\n\\q\n")
+    assert str(exc.value) == "line 2: bad signature '\\\\q': unknown escape"
 
 
 # (parser, a valid item, what the parser reads from it, a bad item)

@@ -1,7 +1,7 @@
 """No module under src/ or tests/ imports a name it never uses, no
 module in src/ binds a private name that src/ never reads, nothing in
-src/ declares a ``global``, only the CLI's ``_writing`` opens a file for
-writing, and importing the CLI stays light.
+src/ declares a ``global`` or states an ``assert``, only the CLI's
+``_writing`` opens a file for writing, and importing the CLI stays light.
 
 A name counts as used when the module reads it anywhere (a bare name,
 or the root of an attribute chain) or lists it in ``__all__``.
@@ -161,6 +161,14 @@ def test_no_global_in_src():
     the capture."""
     found = [(path.name, function, name) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
              for function, node in _in_functions(path) if isinstance(node, ast.Global) for name in node.names]
+    assert found == []
+
+
+def test_no_assert_in_src():
+    """A check in src/ is code that runs: ``python -O`` drops an
+    ``assert``, and a failing one names nothing."""
+    found = [(path.name, node.lineno) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
+             for _, node in _in_functions(path) if isinstance(node, ast.Assert)]
     assert found == []
 
 

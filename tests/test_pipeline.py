@@ -565,6 +565,21 @@ def test_a_kind_the_parser_never_writes_is_counted_at_layer_three():
         "1": 1, "2": 1, "3": 1, "4": 0}
 
 
+@pytest.mark.parametrize("kind, body, record", [
+    ("icmp", TcpInfo(1, 0, 0, 0, b""), "UdpInfo"),
+    ("tcp", UdpInfo(10, 0, b"ab"), "TcpInfo"),
+    ("udp", TcpInfo(1, 0, 0, 0, b""), "UdpInfo"),
+], ids=["icmp_tcp_body", "tcp_udp_body", "udp_tcp_body"])
+def test_a_body_layer_three_cannot_read_is_a_type_error(kind, body, record):
+    """A library event whose body is not the record L3 reads for its kind
+    is refused by name, also under ``python -O``, and is not counted."""
+    engine = Engine(EngineConfig())
+    with pytest.raises(TypeError) as exc:
+        engine.process_event(TraceEvent(1, 1.0, kind, "10.0.0.5", "10.0.0.1", 1, 2, body, ""))
+    assert str(exc.value) == f"event 1, kind {kind}: body is {type(body).__name__}, not {record}"
+    assert engine.stats.tally == {}
+
+
 def test_each_request_that_reaches_layer_four_calls_evaluate_once(monkeypatch):
     """The benchmark times L4 by wrapping ``ddosgate.pipeline.evaluate``:
     a pipeline that bypassed that name would report the layer as free."""

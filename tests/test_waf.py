@@ -130,6 +130,7 @@ def test_parse_errors_carry_line_numbers():
         'RULE ² uri none contains "x" sandbox',
         'RULE ١ uri none contains "x" sandbox',
         'RULE ' + '9' * 5000 + ' uri none contains "x" sandbox',
+        'RULE 1 uri none len_gt ' + '9' * 5000 + ' sandbox',
         "RULE 1 uri none len_gt nan sandbox",
         "RULE 1 uri none len_gt inf sandbox",
         "RULE 1 uri none len_gt 1e400 sandbox",
