@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import NamedTuple
 
-from .events import _MEMO_MAX, _natural, content_lines, int_to_ipv4, ipv4_to_int
+from .events import _natural, content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # A feed over MAX_FEED_BYTES (8 MiB) is refused, whether downloaded or read
@@ -24,6 +24,7 @@ DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # thousand in FireHOL level1, tens of thousands of addresses in
 # blocklist.de's all.txt, each under a megabyte as published.
 MAX_FEED_BYTES = 8 << 20
+_MEMO_MAX = 1024  # the most sources L2's memo holds; it is emptied when full
 
 
 class Cidr(NamedTuple):  # ordered as (base, prefix_len)
@@ -171,9 +172,10 @@ class Blacklist:
     one in use before any feed was read, holds no address: the lookup
     returns False without consulting it. A snapshot assigned to
     ``current`` by hand is consulted whether or not ``path`` is set. The
-    engine is the one writer. The memo of answers is bounded and emptied
-    when full, as the IPv4 codec's table is, and also when ``current`` is
-    not the snapshot it was filled for, so each answer it holds is exact.
+    engine is the one writer. The memo of answers, the one memo of
+    addresses (the IPv4 codec keeps none), is bounded and emptied when
+    full, and also when ``current`` is not the snapshot it was filled for,
+    so each answer it holds is exact.
     """
 
     __slots__ = ("current", "path", "refresh_secs", "error_count", "last_attempt_ts",

@@ -50,10 +50,11 @@ URG = 0x20
 _FLAG_BY_LETTER = {"S": SYN, "A": ACK, "F": FIN, "R": RST, "P": PSH, "U": URG}
 _LETTER_ORDER = "SAFRPU"
 
-# Dotted quad, ASCII digits only, no leading zeros, each octet 0..255.
-# Written out four times, not as a {3} repeat: see the shape rule below.
+# Dotted quad, ASCII digits only, no leading zeros, each octet 0..255, as
+# the address group of the canonical head regex; ipv4_to_int reads the same
+# set. Written out four times, not as a {3} repeat: see the shape rule below.
 _OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_IPV4 = re.compile(r"\.".join((_OCTET,) * 4))
+_IPV4 = r"\.".join((_OCTET,) * 4)
 
 _U16 = 2**16 - 1
 _U32 = 2**32 - 1
@@ -174,28 +175,18 @@ _FLAG_STRS = tuple(flags_to_str(mask) for mask in range(64))
 _FLAGS_BY_STR = {text: mask for mask, text in enumerate(_FLAG_STRS)}
 
 
-# The values of the dotted quads read last: the UDP checksum and the
-# SYN-cookie hash read both addresses after the parser has checked them,
-# and L2 each feed entry and each source its memo has not seen. Emptied
-# when full, so a flood of new sources keeps it bounded and pays one probe
-# and one store per address. L2's memo keeps the same bound and rule.
-_IPV4_VALUES: dict[str, int] = {}
-_MEMO_MAX = 1024
+_OCTETS = {str(n): n for n in range(256)}  # each octet's one spelling -> its value
 
 
 def ipv4_to_int(text: str) -> int | None:
     """The 32-bit value of a dotted quad such as "10.0.0.1", or None when
-    ``text`` is not one: ASCII digits only, no leading zeros, octets 0..255."""
-    value = _IPV4_VALUES.get(text)
-    if value is not None:
-        return value
-    if _IPV4.fullmatch(text) is None:
+    ``text`` is not one: ASCII digits only, no leading zeros, octets 0..255.
+    Keeps no state."""
+    try:
+        a, b, c, d = text.split(".", 3)
+        return _OCTETS[a] << 24 | _OCTETS[b] << 16 | _OCTETS[c] << 8 | _OCTETS[d]
+    except (ValueError, KeyError):  # not four parts; a part that is not an octet
         return None
-    value = int.from_bytes(bytes(map(int, text.split("."))), "big")
-    if len(_IPV4_VALUES) >= _MEMO_MAX:
-        _IPV4_VALUES.clear()
-    _IPV4_VALUES[text] = value
-    return value
 
 
 def int_to_ipv4(value: int) -> str:
@@ -320,7 +311,7 @@ _GROUP = {
     float: r"((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+|)(?:[eE][-+]?[0-9]+|))",
     str: '"(%s)"' % _PLAIN,
     _KIND: '"(%s)"' % "|".join(_BODIES),
-    _ADDR: '"(%s)"' % _IPV4.pattern,
+    _ADDR: '"(%s)"' % _IPV4,
     _FLAGS: '"([SAFRPU]*)"',
     _B64: '"([A-Za-z0-9+/=]*)"',
     _PAIRS: r'(\[\]|\[%s(?:,%s)*\])' % ((r'\["%s","%s"\]' % (_PLAIN, _PLAIN),) * 2),

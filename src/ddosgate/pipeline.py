@@ -36,6 +36,7 @@ from .events import (
     _event_json,
     DROP_RATE_LIMITED,
     FORWARD,
+    HttpInfo,
     REJECT_BLACKLISTED,
     SANDBOX,
     TraceEvent,
@@ -177,7 +178,10 @@ class Engine:
         elif self.blacklist.contains(event.src_ip, now):
             verdict = _BLACKLISTED_VERDICT
         elif event.kind == "http":
-            waf = evaluate(self.ruleset, event.body)
+            body = event.body
+            if not isinstance(body, HttpInfo):
+                raise TypeError(f"event {event.event_id}, kind http: body is {type(body).__name__}, not HttpInfo")
+            waf = evaluate(self.ruleset, body)
             for rid in waf.log_fired:
                 stats.waf_log_hits[rid] += 1
             verdict = self._waf_verdicts[waf.rule_id] if waf.matched else _FORWARD_VERDICT

@@ -484,6 +484,15 @@ def test_udp_size_violations():
     assert a.observe_udp(_udp("10.40.0.3", 1, 53, 24, 0, b"y" * 24)).reason == UDP_SIZE_VIOLATION
 
 
+def test_udp_size_bounds_are_inclusive():
+    # every datagram agrees with its payload and carries no checksum, so
+    # only the configured bounds can refuse it
+    a = Analyzer(AnalyzerConfig(udp_min_len=16))
+    verdicts = [a.observe_udp(_udp("10.40.0.3", 1, 53, length, 0, b"z" * (length - 8)))
+                for length in (15, 16, 1500, 1501)]
+    assert verdicts == [_VERDICTS[UDP_SIZE_VIOLATION], None, None, _VERDICTS[UDP_SIZE_VIOLATION]]
+
+
 def test_udp_bad_checksum_detected():
     pkt = _valid_udp()
     bad = _udp(pkt.src_ip, pkt.src_port, pkt.dst_port, pkt.body.length,
@@ -510,6 +519,12 @@ def test_config_rejects_nonsense():
         AnalyzerConfig(udp_min_len=4)
     with pytest.raises(ValueError):
         AnalyzerConfig(syn_half_open_per_source=0)
+    with pytest.raises(ValueError, match="handshake_timeout_secs must be positive"):
+        AnalyzerConfig(handshake_timeout_secs=0)
+
+
+def test_config_takes_one_udp_size():
+    assert AnalyzerConfig(udp_min_len=100, udp_max_len=100).udp_max_len == 100
 
 
 # -- window state ---------------------------------------------------------

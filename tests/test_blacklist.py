@@ -13,6 +13,7 @@ import pytest
 import ddosgate
 from ddosgate import blacklist
 from ddosgate.blacklist import (
+    _MEMO_MAX,
     Blacklist,
     Cidr,
     CidrSnapshot,
@@ -22,7 +23,6 @@ from ddosgate.blacklist import (
     read_feed,
     serialize_feed,
 )
-from ddosgate.events import _MEMO_MAX
 
 
 def _ip(value: int) -> str:

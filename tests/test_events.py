@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -19,8 +20,6 @@ from ddosgate.events import (
     UdpInfo,
     Verdict,
     _IPV4,
-    _IPV4_VALUES,
-    _MEMO_MAX,
     _OCTET,
     _ones_complement_sum,
     compute_udp_checksum,
@@ -129,8 +128,10 @@ def test_ipv4_codec():
     assert ipv4_to_int("10.0.0.1") == 0x0A000001
     assert ipv4_to_int("255.255.255.255") == 0xFFFFFFFF
     for bad in ("", "10.0.0", "10.0.0.1.2", "10.0.0.256", "010.0.0.1", "10.0.0.-1", "10.0.0.1 ",
-                " 10.0.0.1", "10.0.0.1\n", "10.0..1", "0x0A.0.0.1", "10.0.0.\u0663", "10.0.0.\u00b2"):
+                " 10.0.0.1", "10.0.0.1\n", "10.0..1", "0x0A.0.0.1", "10.0.0.\u0663", "10.0.0.\u00b2",
+                "10.0.0.1.", ".10.0.0.1", "+1.0.0.1", "10.0.0.+1", "10.0.0.1_0", "10.0.0.1\x00"):
         assert ipv4_to_int(bad) is None, bad
+        assert re.fullmatch(_IPV4, bad) is None, bad
     rng = random.Random(77)
     for value in [0, 0xFFFFFFFF] + [rng.getrandbits(32) for _ in range(500)]:
         text = int_to_ipv4(value)
@@ -143,27 +144,38 @@ def _is_octet(text: str) -> bool:
 
 
 def test_octet_and_dotted_quad_match_the_oracle():
-    # every string of 1-4 ASCII digits, then 4-tuples over the boundaries;
-    # int() also reads "\u0663", which no octet may be
+    # every string of 1-4 ASCII digits in each place of a quad, then
+    # 4-tuples over the boundaries; int() also reads "\u0663", which no
+    # octet may be
     for width in range(1, 5):
         for digits in itertools.product("0123456789", repeat=width):
             text = "".join(digits)
-            assert (re.fullmatch(_OCTET, text) is not None) == _is_octet(text), text
+            octet = _is_octet(text)
+            assert (re.fullmatch(_OCTET, text) is not None) == octet, text
+            for place in range(4):
+                quad = ".".join(text if i == place else "0" for i in range(4))
+                value = ipv4_to_int(quad)
+                assert value == (int(text) << 8 * (3 - place) if octet else None), quad
     edges = "0 9 10 99 100 199 200 249 250 255 256 01 001 300 999 \u0663".split()
     for octets in itertools.product(edges, repeat=4):
         text = ".".join(octets)
-        assert (_IPV4.fullmatch(text) is not None) == all(map(_is_octet, octets)), text
+        valid = all(map(_is_octet, octets))
+        assert (re.fullmatch(_IPV4, text) is not None) == valid, text
+        assert (ipv4_to_int(text) is not None) == valid, text
 
 
-def test_ipv4_values_stay_bounded_and_exact():
-    rng = random.Random(78)
-    values = [rng.getrandbits(32) for _ in range(3 * _MEMO_MAX)]
-    for value in values:
-        assert ipv4_to_int(int_to_ipv4(value)) == value
-        assert len(_IPV4_VALUES) <= _MEMO_MAX
-    assert _IPV4_VALUES[int_to_ipv4(values[-1])] == values[-1]
-    assert ipv4_to_int("010.0.0.1") is None
-    assert "010.0.0.1" not in _IPV4_VALUES
+def test_a_long_dotted_tail_is_read_in_one_split():
+    """The reader splits at most three times: a quad followed by 8 Mi dots
+    is refused with a peak of one copy of its tail, not a list of 8 Mi
+    parts."""
+    text = "1.2.3.4" + "." * 2**23
+    tracemalloc.start()
+    try:
+        assert ipv4_to_int(text) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
 
 
 def test_parse_rejects_unknown_kind_and_bad_base64():

@@ -1,7 +1,8 @@
 """No module under src/ or tests/ imports a name it never uses, no
 module in src/ binds a private name that src/ never reads, nothing in
-src/ declares a ``global`` or states an ``assert``, only the CLI's
-``_writing`` opens a file for writing, and importing the CLI stays light.
+src/ declares a ``global``, writes a module-level container or states an
+``assert``, only the CLI's ``_writing`` opens a file for writing, and
+importing the CLI stays light.
 
 A name counts as used when the module reads it anywhere (a bare name,
 or the root of an attribute chain) or lists it in ``__all__``.
@@ -161,6 +162,45 @@ def test_no_global_in_src():
     the capture."""
     found = [(path.name, function, name) for path in sorted((ROOT / "src" / "ddosgate").glob("*.py"))
              for function, node in _in_functions(path) if isinstance(node, ast.Global) for name in node.names]
+    assert found == []
+
+
+# Methods that change the list, dict, set or deque they are called on.
+MUTATORS = frozenset("""append appendleft add clear discard extend extendleft insert move_to_end pop popitem
+                        popleft remove reverse setdefault sort update difference_update intersection_update
+                        symmetric_difference_update""".split())
+
+
+def _module_state_writes(path: Path) -> list[tuple[str, str, int, str]]:
+    """(file, function, line, name) of each write, inside a function, to a
+    container bound at module level: ``NAME[k] = ...``, ``del NAME[k]`` or
+    a call of one of MUTATORS on ``NAME``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    module_names = {sub.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+    found = []
+    for function, node in _in_functions(path):
+        if function is None:
+            continue
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            target = node.func.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id in module_names:
+            found.append((path.name, function, node.lineno, target.id))
+    return found
+
+
+def test_no_function_in_src_writes_module_state():
+    """What the program holds lives in the objects a caller made, such as
+    L2's memo in its ``Blacklist``: no function fills, empties or edits a
+    container bound at module level, so two engines share nothing and a
+    module's tables are the same after every call."""
+    found = [hit for path in sorted((ROOT / "src" / "ddosgate").glob("*.py")) for hit in _module_state_writes(path)]
     assert found == []
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -362,6 +363,24 @@ def test_out_of_order_event_identified():
     assert "event 2" in str(exc.value)
 
 
+def test_an_earlier_ts_of_zero_is_named_as_earlier():
+    engine = _engine()
+    engine.process_event(_http(1, 1.0, "10.8.0.7"))
+    with pytest.raises(OutOfOrderError) as exc:
+        engine.process_event(_http(2, 0.0, "10.8.0.7"))
+    assert str(exc.value) == "event 2: ts 0.0 is earlier than previous event ts 1.0"
+
+
+def test_the_largest_finite_ts_passes_the_clock_guard():
+    engine = _engine()
+    last = sys.float_info.max
+    events_at_last = [_http(1, last, "10.8.0.8"),
+                      TraceEvent(2, last, "tcp", "10.8.0.8", SRV, 1000, 80, TcpInfo(0, 1, 0, 0, b"")),
+                      TraceEvent(3, last, "udp", "10.8.0.8", SRV, 5000, 53, UdpInfo(10, 0, b"ab"))]
+    assert [engine.process_event(event).decision for event in events_at_last] == ["forward"] * 3
+    assert engine.stats_snapshot()["last_ts"] == last
+
+
 @pytest.mark.parametrize("bad_ts", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_non_finite_or_negative_ts_refused(bad_ts):
     engine = _engine()
@@ -566,13 +585,16 @@ def test_a_kind_the_parser_never_writes_is_counted_at_layer_three():
 
 
 @pytest.mark.parametrize("kind, body, record", [
+    ("http", TcpInfo(1, 0, 0, 0, b""), "HttpInfo"),
+    ("http", UdpInfo(10, 0, b"ab"), "HttpInfo"),
     ("icmp", TcpInfo(1, 0, 0, 0, b""), "UdpInfo"),
     ("tcp", UdpInfo(10, 0, b"ab"), "TcpInfo"),
     ("udp", TcpInfo(1, 0, 0, 0, b""), "UdpInfo"),
-], ids=["icmp_tcp_body", "tcp_udp_body", "udp_tcp_body"])
-def test_a_body_layer_three_cannot_read_is_a_type_error(kind, body, record):
-    """A library event whose body is not the record L3 reads for its kind
-    is refused by name, also under ``python -O``, and is not counted."""
+], ids=["http_tcp_body", "http_udp_body", "icmp_tcp_body", "tcp_udp_body", "udp_tcp_body"])
+def test_a_body_its_layer_cannot_read_is_a_type_error(kind, body, record):
+    """A library event whose body is not the record its layer reads for
+    its kind (L4 for http, L3 for the rest) is refused by name, also under
+    ``python -O``, and is not counted."""
     engine = Engine(EngineConfig())
     with pytest.raises(TypeError) as exc:
         engine.process_event(TraceEvent(1, 1.0, kind, "10.0.0.5", "10.0.0.1", 1, 2, body, ""))

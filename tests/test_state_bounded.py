@@ -19,7 +19,8 @@ from collections import Counter
 import pytest
 
 from ddosgate.analyzer import Analyzer, AnalyzerConfig
-from ddosgate.events import _MEMO_MAX, ACK, TcpInfo, TraceEvent, flags_from_str, int_to_ipv4, serialize_trace_event
+from ddosgate.blacklist import _MEMO_MAX
+from ddosgate.events import ACK, TcpInfo, TraceEvent, flags_from_str, int_to_ipv4, serialize_trace_event
 from ddosgate.pipeline import Engine, EngineConfig, SandboxSink
 from ddosgate.ratelimit import LimiterConfig, LimiterTable
 from ddosgate.trafficgen import Scenario, generate

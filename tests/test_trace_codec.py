@@ -221,7 +221,7 @@ def test_canonical_patterns_keep_off_the_general_repeat():
     # pass; only the header list needs one
     pairs = events._GROUP[events._PAIRS]
     assert pairs.count(")*") == 1
-    patterns = [events._IPV4.pattern, events._CANONICAL_HEAD.pattern]
+    patterns = [events._IPV4, events._CANONICAL_HEAD.pattern]
     patterns += [pattern.pattern for pattern in events._CANONICAL_BODY.values()]
     for pattern in patterns:
         rest = pattern.replace(pairs, "")
