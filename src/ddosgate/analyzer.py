@@ -56,9 +56,7 @@ from .events import (
     URG,
     FlowKey,
     LineError,
-    TcpInfo,
     TraceEvent,
-    UdpInfo,
     Verdict,
     content_lines,
     ipv4_to_int,
@@ -357,11 +355,9 @@ class Analyzer:
         """Fixed check order, first hit wins; at most one finding per packet.
 
         The clock is ``pkt.ts``, which must be finite and not earlier than
-        any earlier packet's.
+        any earlier packet's; ``pkt.body`` must be a TcpInfo.
         """
         body = pkt.body
-        if not isinstance(body, TcpInfo):
-            raise TypeError(f"event {pkt.event_id}, kind {pkt.kind}: body is {type(body).__name__}, not TcpInfo")
         cfg = self.config
         now = pkt.ts
         # _expires_at is never later than the oldest flow's expiry: the
@@ -437,10 +433,11 @@ class Analyzer:
         return _VERDICTS[code] if self._count(src, code, now) >= threshold else None
 
     def observe_udp(self, pkt: TraceEvent) -> Verdict | None:
-        """Stateless checks: blocked port, then size, then checksum."""
+        """Stateless checks: blocked port, then size, then checksum.
+
+        ``pkt.body`` must be a UdpInfo.
+        """
         body = pkt.body
-        if not isinstance(body, UdpInfo):
-            raise TypeError(f"event {pkt.event_id}, kind {pkt.kind}: body is {type(body).__name__}, not UdpInfo")
         cfg = self.config
         if pkt.dst_port in cfg.udp_blocked_ports:
             return _VERDICTS[UDP_BLOCKED_PORT]

@@ -10,9 +10,11 @@ Per event, short-circuiting on the first non-pass:
 
 HTTP events skip L3 and packet events skip L4; every event passes L1 and
 L2. One verdict line is written per consumed event, forwards included,
-so the verdict log is a complete audit trail. ``process_event`` persists
-each sandboxed event to the capture sink before its verdict is emitted,
-as the line it was read from when ``run_trace`` passes that line.
+so the verdict log is a complete audit trail. ``process_event`` decides
+only an event that a trace line can carry: an event given without its
+line is written by ``serialize_trace_event``, which refuses every event
+the reader refuses, before any layer sees it. Each sandboxed event is
+persisted to the capture sink as its line before its verdict is emitted.
 
 ``run_trace`` reads each line with ``parse_trace_event``, the one
 reader: it reads a canonical line itself and gives every other line to
@@ -33,10 +35,8 @@ from .analyzer import Analyzer, AnalyzerConfig
 from .events import (
     _MAX_TS,
     _dumps,
-    _event_json,
     DROP_RATE_LIMITED,
     FORWARD,
-    HttpInfo,
     REJECT_BLACKLISTED,
     SANDBOX,
     TraceEvent,
@@ -71,27 +71,15 @@ class OutOfOrderError(RuntimeError):
 
 
 class SandboxSink:
-    """Append-only capture of sandboxed traffic: the event, the reason it
-    was caught, and the verdict's trace time as json writes the event's ts.
-
-    The event is the line it was read from, as it arrived but without
-    trailing whitespace, when the caller passes that line. Without one it
-    is the event as serialize_trace_event writes it; the engine trusts a
-    library caller's event, so one the writer refuses, such as one from an
-    address that is not a dotted quad, is captured with its fields as
-    given."""
+    """Append-only capture of sandboxed traffic: the event's trace line,
+    as it arrived but without trailing whitespace, the reason it was
+    caught, and the verdict's trace time as json writes the event's ts."""
 
     def __init__(self, stream: TextIO):
         self._stream = stream
 
-    def capture(self, event: TraceEvent, reason: str, line: str | None = None) -> None:
-        if line is not None:
-            line = line.rstrip(" \t\n\r")
-        else:
-            try:
-                line = serialize_trace_event(event)
-            except ValueError:
-                line = _event_json(event)
+    def capture(self, event: TraceEvent, reason: str, line: str) -> None:
+        line = line.rstrip(" \t\n\r")
         ts = event.ts
         # repr writes a plain finite float as json does, at a fraction of the
         # encoder's cost; json writes NaN, inf, a float subclass and an int
@@ -158,16 +146,22 @@ class Engine:
     def process_event(self, event: TraceEvent, line: str | None = None) -> Verdict:
         """Apply the layers in order; exactly one verdict per event.
 
-        The one clock guard: ts must be finite and no earlier than the
-        previous event's, so the layers may rely on non-decreasing time.
-        Apart from that guard a library caller's event is trusted: the
-        layers decide on its fields as given, and it is captured as given
-        where serialize_trace_event refuses it. ``line`` is the line the
-        event was parsed from; a sandboxed event is captured as that line.
+        First the clock: ts must be finite and no earlier than the previous
+        event's, so the layers may rely on non-decreasing time. ``line`` is
+        the line the event was parsed from, and is taken as its line. An
+        event given without one must be one a trace line can carry: it is
+        written by serialize_trace_event, whose ValueError is raised as
+        "event N: <field> ...". A refused event changes no state. A
+        sandboxed event is captured as its line.
         """
         now = event.ts
         if not self._last_ts <= now <= _MAX_TS:
             raise OutOfOrderError(event.event_id, now, self._last_ts)
+        if line is None:
+            try:
+                line = serialize_trace_event(event)
+            except ValueError as exc:
+                raise ValueError(f"event {event.event_id}: {exc}") from None
         self._last_ts = now
         stats = self.stats
         if stats.first_ts is None:
@@ -178,10 +172,7 @@ class Engine:
         elif self.blacklist.contains(event.src_ip, now):
             verdict = _BLACKLISTED_VERDICT
         elif event.kind == "http":
-            body = event.body
-            if not isinstance(body, HttpInfo):
-                raise TypeError(f"event {event.event_id}, kind http: body is {type(body).__name__}, not HttpInfo")
-            waf = evaluate(self.ruleset, body)
+            waf = evaluate(self.ruleset, event.body)
             for rid in waf.log_fired:
                 stats.waf_log_hits[rid] += 1
             verdict = self._waf_verdicts[waf.rule_id] if waf.matched else _FORWARD_VERDICT

@@ -49,19 +49,6 @@ def _udp(src, sport, dport, length, checksum, payload, ts=0.0):
                       UdpInfo(length, checksum, payload))
 
 
-@pytest.mark.parametrize("observe, body, record", [
-    ("observe_tcp", UdpInfo(8, 0, b""), "TcpInfo"),
-    ("observe_udp", TcpInfo(0, 1, 0, 0, b""), "UdpInfo"),
-])
-def test_a_body_that_is_not_the_record_read_is_a_type_error_before_the_clock_moves(observe, body, record):
-    a = Analyzer()
-    pkt = TraceEvent(3, 5.0, "tcp", "10.9.0.1", SRV, 1000, 80, body)
-    with pytest.raises(TypeError) as exc:
-        getattr(a, observe)(pkt)
-    assert str(exc.value) == f"event 3, kind tcp: body is {type(body).__name__}, not {record}"
-    assert a._next_sweep == 0.0  # no window sweep ran
-
-
 def test_completed_handshake_leaves_nothing_pending():
     a = Analyzer()
     assert a.observe_tcp(_tcp("10.9.0.1", 1000, "S", 0.0)) is None

@@ -603,6 +603,33 @@ def test_config_precedence_visible_end_to_end(tmp_path, cli_run):
     assert sum(1 for v in verdicts if v["decision"] == "forward") == 5
 
 
+# args (relative to the test's directory) -> (exit code, the whole stderr):
+# error lines that no other test reaches
+_ERROR_LINES = {
+    "trace_line_not_an_object": (["run", "--trace", "t.jsonl", "--out", "v.jsonl"],
+                                 1, "error: line 1: trace line is not a JSON object"),
+    "set_without_equals": (["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--set", "foo"],
+                           2, "error: --set needs key=value, got 'foo'"),
+    "missing_config": (["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--config", "missing.cfg"],
+                       2, "error: cannot read config: [Errno 2] No such file or directory: 'missing.cfg'"),
+    "header_without_name": (["run", "--trace", "t.jsonl", "--out", "v.jsonl", "--set", "waf.ruleset_path=r.rules"],
+                            2, "error: ruleset: line 1: header: target needs a header name"),
+    "param_without_equals": (["gen", "--scenario", "blacklist_mix", "--param", "feed", "--out", "g.jsonl"],
+                             2, "error: --param needs key=value, got 'feed'"),
+    "missing_feed": (["gen", "--scenario", "blacklist_mix", "--param", "feed=missing.txt", "--out", "g.jsonl"],
+                     1, "error: [Errno 2] No such file or directory: 'missing.txt'"),
+}
+
+
+@pytest.mark.parametrize("args, code, stderr", _ERROR_LINES.values(), ids=_ERROR_LINES)
+def test_each_refusal_is_one_error_line(tmp_path, cli_run, args, code, stderr):
+    (tmp_path / "t.jsonl").write_text("[1,2]\n")
+    (tmp_path / "r.rules").write_text('RULE 1001 header: lowercase contains "x" sandbox\n')
+    proc = cli_run(args, cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (code, stderr + "\n")
+    assert sorted(os.listdir(tmp_path)) == ["r.rules", "t.jsonl"]
+
+
 def test_console_script_is_importable_main():
     from ddosgate.cli import main
     assert main(["check", "--ruleset", "/nonexistent"]) == 2

@@ -1,5 +1,6 @@
 """Trace model: parsing, serialization, flags, the IPv4 codec and the UDP checksum."""
 
+import enum
 import itertools
 import json
 import random
@@ -32,6 +33,7 @@ from ddosgate.events import (
     serialize_verdict_record,
     validate_udp_checksum,
 )
+from ddosgate.pipeline import Engine
 
 
 def _tcp_line(**overrides):
@@ -390,13 +392,20 @@ def test_verdict_record_shape():
     assert '"reason":""' in line and "rule_id" not in line
 
 
-@pytest.mark.parametrize("event_id, written", [(True, "1"), (7.9, "7"), (-3, "-3")])
-def test_verdict_record_writes_a_library_id_as_percent_d_does(event_id, written):
+@pytest.mark.parametrize("event_id", [True, 7.9, -3])
+def test_an_id_the_reader_refuses_is_refused_at_the_door(event_id):
+    engine = Engine()
     ev = parse_trace_event(_tcp_line())._replace(event_id=event_id)
-    for verdict in (Verdict("forward", 0, ""), Verdict("sandbox", 4, "waf_rule_1001", 1001)):
-        line = serialize_verdict_record(ev, verdict)
-        assert line == '{"event_id":%d' % event_id + line[line.index(","):]
-        assert line.startswith('{"event_id":%s,' % written)
+    with pytest.raises(ValueError) as exc:
+        engine.process_event(ev)
+    assert str(exc.value).startswith(f"event {event_id}: event_id ")
+    assert not engine.stats.tally and not engine.limiter.buckets
+
+
+def test_verdict_record_writes_an_int_subclass_id_as_its_digits():
+    ev = parse_trace_event(_tcp_line())._replace(event_id=enum.IntEnum("Id", "A B C D E").E)
+    verdict = Engine().process_event(ev)
+    assert serialize_verdict_record(ev, verdict) == '{"event_id":5,"decision":"forward","layer":0,"reason":""}'
 
 
 def test_verdict_record_matches_json_for_any_verdict():

@@ -141,24 +141,34 @@ def test_layer_three_verdict_is_the_analyzers_own():
     assert [v.reason for v in returned] == ["payload_signature", "udp_size_violation"]
 
 
-def test_udp_checksum_from_a_name_is_bad_not_an_error():
-    """A library-built event may carry an address that is not a dotted
-    quad; its checksum cannot match, so L3 answers instead of raising."""
-    engine = _engine()
+def _refused_at_the_door(engine, event, message):
+    """``event`` is refused with ``message`` and leaves ``engine`` as it was."""
+    def state():
+        return (dict(engine.limiter.buckets), {kind: dict(v) for kind, v in engine.stats.tally.items()},
+                engine._last_ts)
+
+    before = state()
+    with pytest.raises(ValueError) as exc:
+        engine.process_event(event)
+    assert str(exc.value) == message
+    assert state() == before
+
+
+def test_udp_from_a_name_is_refused_at_the_door():
+    """A library-built event may not carry an address that is not a dotted
+    quad; the door names it before L1 sees it."""
     event = TraceEvent(1, 0.0, "udp", "host-a", SRV, 5000, 53, UdpInfo(10, 7, b"ab"))
-    v = engine.process_event(event)
-    assert (v.decision, v.layer, v.reason) == ("sandbox", 3, "udp_bad_checksum")
+    _refused_at_the_door(_engine(), event, "event 1: src_ip is not a valid IPv4 address: 'host-a'")
     with pytest.raises(ValueError, match="not an IPv4 address pair"):
         compute_udp_checksum("host-a", SRV, 5000, 53, 10, b"ab")
 
 
-def test_cookie_ack_from_a_name_is_invalid_not_an_error():
+def test_cookie_ack_from_a_name_is_refused_at_the_door():
     engine = _engine(analyzer=AnalyzerConfig(syn_half_open_global=1))
     assert engine.process_event(_syn(1, 0.0, "10.8.0.7", 4000)).decision == "forward"
     ack = TraceEvent(2, 0.1, "tcp", "host-a", SRV, 4001, 80, TcpInfo(flags_from_str("A"), 2, 1, 0, b""))
-    v = engine.process_event(ack)
-    assert engine.analyzer.cookie_mode
-    assert (v.decision, v.layer, v.reason) == ("sandbox", 3, "cookie_invalid")
+    _refused_at_the_door(engine, ack, "event 2: src_ip is not a valid IPv4 address: 'host-a'")
+    assert not engine.analyzer.cookie_mode  # the refused ACK never reached L3's clock step
     with pytest.raises(ValueError, match="not an IPv4 flow"):
         make_syn_cookie(1, FlowKey("host-a", 4001, SRV, 80), 0, 0)
 
@@ -179,13 +189,9 @@ def test_sandbox_file_matches_sandbox_verdicts():
     assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 2}
 
 
-def _capture_as_before(event, reason, write_ts=repr):
+def _capture_as_before(event, reason, line, write_ts=repr):
     """A capture line as the sink wrote it with no caches: the reason
     through json and the verdict ts through ``write_ts``, each time."""
-    try:
-        line = serialize_trace_event(event)
-    except ValueError:
-        line = events._event_json(event)
     return '{"event":%s,"reason":%s,"verdict_ts":%s}\n' % (line, events._dumps(reason), write_ts(event.ts))
 
 
@@ -201,12 +207,10 @@ def _udp_line():
 
 def test_capture_bytes_match_the_uncached_formula():
     by_hand = _syn(4, 7.25, "10.8.1.4", 40001)
-    refused = by_hand._replace(event_id=5, src_ip="not an address")
     cases = []
     for text in ("2.5", "1e5", "200.10", "1E+5", "3"):  # only the first is spelled as repr writes it
         cases.append(("line " + text, lambda text=text: parse_trace_event(_tcp_line(1, text))))
     cases.append(("by hand", lambda: by_hand))
-    cases.append(("refused", lambda: refused))
     cases.append(("read earlier", lambda: (parse_trace_event(_tcp_line(9, "4.5")), parse_trace_event(_udp_line()))[0]))
     # an event whose capture follows the read of a json-path line
     cases.append(("read before a json line",
@@ -215,36 +219,37 @@ def test_capture_bytes_match_the_uncached_formula():
     for i, (name, make) in enumerate(cases * 2):  # the second round with other reasons
         event = make()
         reason = reasons[i % len(reasons)]
+        line = serialize_trace_event(event)
         out = io.StringIO()
-        SandboxSink(out).capture(event, reason)
-        assert out.getvalue() == _capture_as_before(event, reason), name
-    with pytest.raises(ValueError):
-        serialize_trace_event(refused)  # so its capture took the fallback
+        SandboxSink(out).capture(event, reason, line)
+        assert out.getvalue() == _capture_as_before(event, reason, line), name
     # a read-back, then at once an event with equal fields that no line built
     out = io.StringIO()
     sink = SandboxSink(out)
     read = parse_trace_event(_tcp_line(1, "1e5"))
     twin = TraceEvent(*read)
     assert twin == read and twin is not read
+    line = serialize_trace_event(read)
     for event in (read, twin):
-        sink.capture(event, "syn_flood")
-    assert out.getvalue() == _capture_as_before(read, "syn_flood") * 2
-    # a library caller's ts the writer refuses, or a ts json writes otherwise than repr
+        sink.capture(event, "syn_flood", line)
+    assert out.getvalue() == _capture_as_before(read, "syn_flood", line) * 2
+    # a direct caller's ts the writer refuses, or a ts json writes otherwise than repr
+    line = serialize_trace_event(by_hand)
     for ts in (float("nan"), float("inf"), -1.5, True, 5):
         event = by_hand._replace(ts=ts)
         out = io.StringIO()
-        SandboxSink(out).capture(event, "syn_flood")
-        assert out.getvalue() == _capture_as_before(event, "syn_flood", json.dumps), ts
+        SandboxSink(out).capture(event, "syn_flood", line)
+        assert out.getvalue() == _capture_as_before(event, "syn_flood", line, json.dumps), ts
 
 
 def test_capture_of_a_canonical_line_writes_its_own_ts_text():
     out = io.StringIO()
     sink = SandboxSink(out)
     for text, written in (("0.1", "0.1"), ("1e5", "100000.0"), ("200.10", "200.1"), ("1.5e-07", "1.5e-07")):
-        event = parse_trace_event(_tcp_line(1, text))
-        sink.capture(event, "syn_flood")
+        line = _tcp_line(1, text)
+        sink.capture(parse_trace_event(line), "syn_flood", line)
         assert out.getvalue().endswith(',"verdict_ts":%s}\n' % written)
-        assert json.loads(out.getvalue().splitlines()[-1])["verdict_ts"] == event.ts
+        assert json.loads(out.getvalue().splitlines()[-1])["verdict_ts"] == float(text)
 
 
 def test_capture_writes_a_ts_as_json_does():
@@ -326,13 +331,11 @@ def _captures_without_lines() -> str:
     """The captures process_event writes when given no line: for events
     parsed from canonical lines, ts spelled as repr writes it or not, from
     a json-path line, and built by hand, one with a ts that is a float
-    subclass, one with an int ts and one from an address that is not a
-    dotted quad. Each is sandboxed at L3."""
+    subclass and one with an int ts. Each is sandboxed at L3."""
     lines = [_udp_bad_line(1, "0.5"), _udp_bad_line(2, "1e1"), _udp_bad_line(3, "20.50", label="benign")]
     lines.append(" " + json.dumps(dict(reversed(json.loads(_udp_bad_line(4, "30.0")).items()))))
     evs = [parse_trace_event(line) for line in lines]
-    evs += [_udp_bad(5, 40.0, "10.8.4.2"), _udp_bad(6, _OwnRepr(50.0), "10.8.4.3"), _udp_bad(7, 60, "10.8.4.4"),
-            _udp_bad(8, 70.0, "not an address")]
+    evs += [_udp_bad(5, 40.0, "10.8.4.2"), _udp_bad(6, _OwnRepr(50.0), "10.8.4.3"), _udp_bad(7, 60, "10.8.4.4")]
     out = io.StringIO()
     engine = Engine(EngineConfig(), sandbox=SandboxSink(out))
     assert [engine.process_event(event).decision for event in evs] == ["sandbox"] * len(evs)
@@ -342,8 +345,8 @@ def _captures_without_lines() -> str:
 def test_a_capture_without_its_line_keeps_its_bytes():
     # the sha256 of the bytes the sink wrote before a capture could take its line
     captures = _captures_without_lines()
-    assert len(captures.splitlines()) == 8
-    assert hashlib.sha256(captures.encode()).hexdigest() == "92ed60a36602fd5d02572138e6c70cee0832cf7ffa39dedd174c1c1e4120ac59"
+    assert len(captures.splitlines()) == 7
+    assert hashlib.sha256(captures.encode()).hexdigest() == "d6b5c581f0004c68f980d510577de8a985643d20d37e81a9f10eef250e7e3d85"
 
 
 def test_rate_drop_to_sandbox_flag():
@@ -571,35 +574,23 @@ def test_forward_when_sink_absent_and_sandbox_required():
     assert engine.stats_snapshot()["sandbox_reasons"] == {"udp_size_violation": 1}
 
 
-def test_a_kind_the_parser_never_writes_is_counted_at_layer_three():
-    """A library caller's event of another kind goes the way of udp and tcp:
-    it reaches L3, and its verdict counts under its own kind."""
-    engine = Engine()
-    v = engine.process_event(TraceEvent(1, 0.0, "icmp", "10.8.6.1", SRV, 0, 0, UdpInfo(10, 0, b"ab")))
-    assert (v.decision, v.layer) == ("forward", 0)
-    assert engine.stats.tally == {"icmp": {v: 1}}
-    snap = engine.stats_snapshot()
-    assert (snap["events"], snap["verdicts"]["forward"]) == (1, 1)
-    assert {layer: counts["examined"] for layer, counts in snap["layers"].items()} == {
-        "1": 1, "2": 1, "3": 1, "4": 0}
+def test_a_kind_the_parser_never_writes_is_refused_at_the_door():
+    event = TraceEvent(1, 0.0, "icmp", "10.8.6.1", SRV, 0, 0, UdpInfo(10, 0, b"ab"))
+    _refused_at_the_door(Engine(), event, "event 1: a 'icmp' event cannot carry a UdpInfo body")
 
 
-@pytest.mark.parametrize("kind, body, record", [
-    ("http", TcpInfo(1, 0, 0, 0, b""), "HttpInfo"),
-    ("http", UdpInfo(10, 0, b"ab"), "HttpInfo"),
-    ("icmp", TcpInfo(1, 0, 0, 0, b""), "UdpInfo"),
-    ("tcp", UdpInfo(10, 0, b"ab"), "TcpInfo"),
-    ("udp", TcpInfo(1, 0, 0, 0, b""), "UdpInfo"),
-], ids=["http_tcp_body", "http_udp_body", "icmp_tcp_body", "tcp_udp_body", "udp_tcp_body"])
-def test_a_body_its_layer_cannot_read_is_a_type_error(kind, body, record):
-    """A library event whose body is not the record its layer reads for
-    its kind (L4 for http, L3 for the rest) is refused by name, also under
-    ``python -O``, and is not counted."""
-    engine = Engine(EngineConfig())
-    with pytest.raises(TypeError) as exc:
-        engine.process_event(TraceEvent(1, 1.0, kind, "10.0.0.5", "10.0.0.1", 1, 2, body, ""))
-    assert str(exc.value) == f"event 1, kind {kind}: body is {type(body).__name__}, not {record}"
-    assert engine.stats.tally == {}
+@pytest.mark.parametrize("kind, body", [
+    ("http", TcpInfo(1, 0, 0, 0, b"")),
+    ("http", UdpInfo(10, 0, b"ab")),
+    ("tcp", UdpInfo(10, 0, b"ab")),
+    ("udp", TcpInfo(1, 0, 0, 0, b"")),
+    ("tcp", (1, 0, 0, 0, b"")),
+], ids=["http_tcp_body", "http_udp_body", "tcp_udp_body", "udp_tcp_body", "tcp_plain_tuple"])
+def test_a_body_that_is_not_its_kinds_record_is_refused_at_the_door(kind, body):
+    """No layer reads a body of another record, also under ``python -O``:
+    the door refuses it by name, and nothing is counted."""
+    _refused_at_the_door(Engine(EngineConfig()), TraceEvent(1, 1.0, kind, "10.0.0.5", "10.0.0.1", 1, 2, body, ""),
+                         f"event 1: a {kind!r} event cannot carry a {type(body).__name__} body")
 
 
 def test_each_request_that_reaches_layer_four_calls_evaluate_once(monkeypatch):

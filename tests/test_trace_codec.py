@@ -5,12 +5,13 @@ line goes through ``json``, in ``events._parse_json``. For each line here
 the fast path must give the event the ``json`` path gives, or decline it;
 a counting wrapper on ``events._parse_json`` tells which path read a
 line. ``serialize_trace_event`` writes every event as compact JSON of its
-fields, and ``SandboxSink.capture`` does so for an event given without
-its line; either way they must write the bytes of the dict-plus-JSON
-serializer kept here as the reference. So every line either path reads,
-written back, must give the reference bytes. An event whose line the
-reader would refuse, or read as another event, the writer must refuse.
-An event given with its line is captured as that line, as it arrived.
+fields, and the engine captures an event given without its line as the
+line the writer wrote; either way they must write the bytes of the
+dict-plus-JSON serializer kept here as the reference. So every line
+either path reads, written back, must give the reference bytes. An event
+whose line the reader would refuse, or read as another event, the writer
+must refuse, and so must the engine's door. An event given with its line
+is captured as that line, as it arrived.
 """
 
 import base64
@@ -27,11 +28,12 @@ from ddosgate.events import (
     TcpInfo,
     TraceEvent,
     TraceParseError,
+    UdpInfo,
     flags_to_str,
     parse_trace_event,
     serialize_trace_event,
 )
-from ddosgate.pipeline import Engine, EngineConfig, SandboxSink
+from ddosgate.pipeline import Engine, EngineConfig, OutOfOrderError, SandboxSink
 from ddosgate.ratelimit import LimiterConfig
 from ddosgate.trafficgen import _SCENARIOS, Scenario, generate
 from test_golden import REFERENCE, workloads
@@ -348,12 +350,14 @@ def test_serializer_writes_the_reference_bytes(tmp_path):
 
 def test_capture_writes_the_reference_bytes(tmp_path):
     evs = _scenario_events(tmp_path)[::7] + _odd_http_events()
+    for event in evs:  # given without its line: captured as the door wrote it
+        assert _captured(event) == _reference_capture(event, "rate_limited")
     reasons = ["syn_flood", "waf_rule_1001", 'r"\\é']
     out = io.StringIO()
     sink = SandboxSink(out)
     expected = []
     for i, event in enumerate(evs):
-        sink.capture(event, reasons[i % len(reasons)])
+        sink.capture(event, reasons[i % len(reasons)], serialize_trace_event(event))
         expected.append(_reference_capture(event, reasons[i % len(reasons)]))
     assert out.getvalue() == "".join(expected)
 
@@ -387,9 +391,10 @@ def test_capture_of_a_parsed_line_is_the_line_itself(monkeypatch):
 _GOOD = TraceEvent(1, 1.5, "tcp", "10.0.0.2", "10.0.0.1", 40000, 80, TcpInfo(SYN, 1, 0, 0, b""))
 _GOOD_HTTP = TraceEvent(2, 1.5, "http", "10.0.0.2", "10.0.0.1", 40000, 80,
                         HttpInfo("GET", "/", "HTTP/1.1", (), b"", 10))
-# (field named, event): each but the last two writes a line the reader
-# refuses; flags 64 would read back as flags 0, and a str payload has no
-# base64
+# (field named, event): each but flags and payload_b64 writes a line the
+# reader refuses; flags 64 would read back as flags 0, and a str payload
+# has no base64. The last two are a library event from an address that is
+# not a str.
 _REFUSED = [
     ("ts", _GOOD._replace(ts=float("nan"))),
     ("event_id", _GOOD._replace(event_id=-1)),
@@ -399,6 +404,8 @@ _REFUSED = [
     ("dst_port", _GOOD._replace(dst_port=True)),
     ("flags", _GOOD._replace(body=_GOOD.body._replace(flags=64))),
     ("payload_b64", _GOOD._replace(body=_GOOD.body._replace(payload="x"))),
+    ("src_ip", TraceEvent(1, 1.0, "udp", None, "10.0.0.1", 1, 2, UdpInfo(10, 5, b"ab"))),
+    ("src_ip", TraceEvent(1, 1.0, "udp", 167772161, "10.0.0.1", 1, 2, UdpInfo(10, 5, b"ab"))),
 ]
 
 
@@ -409,10 +416,23 @@ def test_writer_refuses_what_the_reader_refuses(field, event):
     assert str(exc.value).startswith(field + " ")
     if isinstance(exc.value, TraceParseError):
         assert exc.value.field == field
-    if field != "payload_b64":  # the engine trusts a library caller's event: captured as given
-        out = io.StringIO()
-        SandboxSink(out).capture(event, "syn_flood")
-        assert out.getvalue().startswith('{"event":%s,' % _reference_serialize(event))
+
+
+@pytest.mark.parametrize("field, event", _REFUSED, ids=[f"{field}-{i}" for i, (field, _) in enumerate(_REFUSED)])
+def test_the_door_refuses_what_the_writer_refuses(field, event):
+    """The engine decides only events a trace line can carry: one given
+    without its line is refused by name before the clock, L1 or any count
+    sees it. A NaN ts fails the clock check, which comes first."""
+    out = io.StringIO()
+    engine = Engine(EngineConfig(), sandbox=SandboxSink(out))
+    with pytest.raises((ValueError, OutOfOrderError)) as exc:
+        engine.process_event(event)
+    if field == "ts":
+        assert type(exc.value) is OutOfOrderError
+    else:
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith(f"event {event.event_id}: {field} ")
+    assert (engine.limiter.buckets, engine.stats.tally, engine._last_ts, out.getvalue()) == ({}, {}, 0.0, "")
 
 
 def test_read_back_leaves_each_capture_its_own_line():
