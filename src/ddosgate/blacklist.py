@@ -17,12 +17,16 @@ from .events import _natural, content_lines, int_to_ipv4, ipv4_to_int
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # A feed over MAX_FEED_BYTES (8 MiB) is refused, whether downloaded or read
 # from a file. Its longest canonical line, "255.255.255.255/32\n", is 19
-# bytes, so the bound holds at least 441,505 entries. The largest feed this
-# repo serves, the benchmark's gates_open feed of 3,301 lines, is about
-# 54 KB, 1/156 of the bound. Public IPv4 drop lists are of the same order or
-# a little larger: about a thousand netblocks in Spamhaus DROP, a few
-# thousand in FireHOL level1, tens of thousands of addresses in
-# blocklist.de's all.txt, each under a megabyte as published.
+# bytes, so the bound holds at least 441,505 entries. A snapshot keeps
+# about 16 bytes per distinct entry or less: 5.5 MB (traced) for a seeded
+# feed at the bound with 497,407 distinct entries. Its load peaks about
+# 27 MB (traced) above the feed's text, mostly the list of keys it sorts at
+# 40 bytes a key. The largest feed this repo serves, the benchmark's
+# gates_open feed of 3,301 lines, is about 54 KB, 1/156 of the bound.
+# Public IPv4 drop lists are of the same order or a little larger: about a
+# thousand netblocks in Spamhaus DROP, a few thousand in FireHOL level1,
+# tens of thousands of addresses in blocklist.de's all.txt, each under a
+# megabyte as published.
 MAX_FEED_BYTES = 8 << 20
 _MEMO_MAX = 1024  # the most sources L2's memo holds; it is emptied when full
 
@@ -39,46 +43,82 @@ class Cidr(NamedTuple):  # ordered as (base, prefix_len)
         return self.base | ((1 << (32 - self.prefix_len)) - 1)
 
 
-def parse_cidr(text: str) -> Cidr | None:
-    """One CIDR or bare IP (treated as /32); host bits are cleared."""
+def _cidr_key(text: str) -> int | None:
+    """One CIDR or bare IP (treated as /32), host bits cleared, as its
+    snapshot key ``base << 6 | prefix_len``; None if it is neither. As
+    ``prefix_len < 64``, keys sort in ``Cidr`` order."""
     addr, sep, plen = text.partition("/")
     ip = ipv4_to_int(addr.strip())
     n = _natural(plen.strip()) if sep else 32
     if ip is None or n is None or n > 32:
         return None
-    return Cidr(ip & (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF, n)
+    return (ip & (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF) << 6 | n
+
+
+def parse_cidr(text: str) -> Cidr | None:
+    """One CIDR or bare IP (treated as /32); host bits are cleared."""
+    key = _cidr_key(text)
+    return None if key is None else Cidr(key >> 6, key & 63)
 
 
 class CidrSnapshot:
     """Immutable, deduplicated set of prefixes with sublinear lookup.
 
-    Entries are kept in canonical sorted order. Lookup goes through a
-    merged-interval table built once at construction: overlapping or
-    adjacent prefixes collapse into disjoint [start, end] ranges, so a
-    query is a single binary search regardless of entry count.
+    Each distinct entry is one key ``base << 6 | prefix_len``, 8 bytes in
+    a sorted ``array("Q")``; ``entries`` rebuilds the ``Cidr``s from the
+    keys on each access. Lookup goes through a merged-interval table
+    built once at construction, two ``array("I")``s of 4-byte bounds:
+    overlapping or adjacent prefixes collapse into disjoint [start, end]
+    ranges, so a query is a single binary search regardless of entry
+    count. An empty snapshot holds empty tuples, and only a snapshot
+    with keys loads ``array``.
     """
 
-    __slots__ = ("entries", "version", "loaded_at_ts", "_starts", "_ends")
+    __slots__ = ("version", "loaded_at_ts", "_keys", "_starts", "_ends")
 
     def __init__(self, entries: list[Cidr], version: int = 0, loaded_at_ts: float = 0.0):
-        self.entries: tuple[Cidr, ...] = tuple(sorted(set(entries)))
         self.version = version
         self.loaded_at_ts = loaded_at_ts
-        starts: list[int] = []
-        ends: list[int] = []
-        for c in self.entries:
-            lo, hi = c.base, c.last
+        self._index([c.base << 6 | c.prefix_len for c in entries])
+
+    @classmethod
+    def _of_keys(cls, keys: list[int], version: int, loaded_at_ts: float) -> CidrSnapshot:
+        """The snapshot of ``keys``, which it sorts in place."""
+        snapshot = cls([], version, loaded_at_ts)
+        snapshot._index(keys)
+        return snapshot
+
+    def _index(self, keys: list[int]) -> None:
+        """Keep ``keys``, sorted in place and without duplicates, and the
+        ranges they cover, merged as they are read."""
+        if not keys:
+            self._keys = self._starts = self._ends = ()
+            return
+        from array import array
+
+        keys.sort()
+        unique, starts, ends = array("Q"), array("I"), array("I")
+        for key in keys:
+            if unique and key == unique[-1]:
+                continue
+            unique.append(key)
+            lo = key >> 6
+            hi = lo | 0xFFFFFFFF >> (key & 63)
             if starts and lo <= ends[-1] + 1:
                 if hi > ends[-1]:
                     ends[-1] = hi
             else:
                 starts.append(lo)
                 ends.append(hi)
-        self._starts = starts
-        self._ends = ends
+        self._keys, self._starts, self._ends = unique, starts, ends
+
+    @property
+    def entries(self) -> tuple[Cidr, ...]:
+        """The distinct entries in sorted order, rebuilt on each access."""
+        return tuple(Cidr(key >> 6, key & 63) for key in self._keys)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._keys)
 
     def contains(self, ip: str) -> bool:
         """True iff any entry's prefix covers ip; an empty snapshot parses no address."""
@@ -156,9 +196,12 @@ def fetch_feed(url: str) -> str:
 
 def refresh(current: CidrSnapshot, fetched: str, now: float) -> CidrSnapshot:
     """The snapshot that replaces ``current`` once ``fetched`` feed text
-    arrives at trace time ``now``."""
-    entries, _skipped = parse_feed(fetched)
-    return CidrSnapshot(entries, version=current.version + 1, loaded_at_ts=now)
+    arrives at trace time ``now``. Each content line is read to its key by
+    the reader ``parse_cidr`` wraps, so the snapshot holds exactly the
+    entries of ``parse_feed(fetched)``. Of what is made for a line, only
+    its key outlives it, in the list that is sorted and then dropped."""
+    keys = [key for _line_no, line in content_lines(fetched) if (key := _cidr_key(line)) is not None]
+    return CidrSnapshot._of_keys(keys, current.version + 1, now)
 
 
 class Blacklist:
@@ -195,7 +238,7 @@ class Blacklist:
                                       or now - self.last_attempt_ts >= self.refresh_secs):
             self._refresh(now)
         current = self.current
-        if not current.entries:
+        if not current._starts:  # not entries, which builds a tuple
             return False
         memo = self._memo
         if self._memo_for is not current:

@@ -68,13 +68,26 @@ REJECT_BLACKLISTED = "reject_blacklisted"
 SANDBOX = "sandbox"
 
 
+# content_lines splits this many characters of a text, up to the next "\n",
+# at a time, so the lines of an 8 MiB feed are never all alive at once.
+_SLICE_CHARS = 8192
+
+
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number from 1, stripped line) of each line of ``text`` that
-    is neither blank nor a '#' comment."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield line_no, line
+    is neither blank nor a '#' comment. A "\n" always ends a line break,
+    so a slice cut just after one splits into exactly the lines, and
+    line numbers, of ``text.splitlines()``."""
+    line_no = 0
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        for raw in text[start:cut].splitlines():
+            line_no += 1
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield line_no, line
+        start = cut
 
 
 def _natural(text: str) -> int | None:

@@ -336,6 +336,49 @@ def test_loaded_snapshot_misses_malformed_addresses():
         assert not snap.contains(bad)
 
 
+def _oracle(listed, value):
+    return any(value & 0xFFFFFFFF << (32 - c.prefix_len) & 0xFFFFFFFF == c.base for c in listed)
+
+
+@pytest.mark.parametrize("lines", [
+    ["0.0.0.0/0"],
+    ["255.255.255.255/32"],  # the top of an "I" array
+    ["255.255.255.255", "0.0.0.0/32", "128.0.0.0/1"],
+    ["10.0.0.0/9", "10.128.0.0/9"],  # two halves that merge into 10.0.0.0/8
+    ["10.1.2.3/24", "10.1.2.0/24", "10.1.3.0/24"],  # the first two are one key
+], ids=["everything", "top_host", "top_half_and_bottom", "halves", "one_entry_two_ways"])
+def test_edge_lookups_agree_with_the_mask_oracle(lines):
+    listed = [parse_cidr(line) for line in lines]
+    loaded = blacklist.refresh(CidrSnapshot([]), "".join(f"{line}\n" for line in lines), 0.0)
+    assert loaded.entries == CidrSnapshot(listed).entries == tuple(sorted(set(listed)))
+    assert len(loaded) == len(set(listed))
+    probes = {0, 1, 0x0A000000 - 1, 0xFFFFFFFE, 0xFFFFFFFF, 0x7FFFFFFF, 0x80000000}
+    for c in listed:
+        probes |= {c.base - 1, c.base, c.base + 1, c.last - 1, c.last, c.last + 1}
+    for value in sorted(v for v in probes if 0 <= v <= 0xFFFFFFFF):
+        assert loaded.contains(_ip(value)) is _oracle(listed, value), _ip(value)
+
+
+def test_two_halves_merge_into_one_range():
+    loaded = blacklist.refresh(CidrSnapshot([]), "10.128.0.0/9\n10.0.0.0/9\n", 0.0)
+    assert (list(loaded._starts), list(loaded._ends), len(loaded)) == ([0x0A000000], [0x0AFFFFFF], 2)
+
+
+def test_a_feed_of_only_comments_and_bad_lines_loads_an_empty_snapshot():
+    text = "# a comment\nnot an address\n10.0.0.0/33\n\n#10.0.0.0/8\n"
+    loaded = blacklist.refresh(CidrSnapshot([]), text, 0.0)
+    assert (loaded.entries, len(loaded), loaded.version) == ((), 0, 1)
+    assert not loaded.contains("10.0.0.1") and not loaded.contains("0.0.0.0")
+    code = ("import sys; from ddosgate import blacklist as bl; "
+            f"s = bl.refresh(bl.CidrSnapshot([]), {text!r}, 0.0); "
+            "print(len(s), s.contains('10.0.0.1'), 'array' in sys.modules); "
+            "s = bl.refresh(s, '10.0.0.0/8', 0.0); "
+            "print(len(s), s.contains('10.0.0.1'), 'array' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(ddosgate.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0 False False\n1 True True\n"), proc.stderr
+
+
 def test_entries_deduplicated_and_ordered():
     snap = CidrSnapshot([parse_cidr("10.0.0.0/8"), parse_cidr("10.0.0.0/8"),
                          parse_cidr("9.0.0.0/8")])

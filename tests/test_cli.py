@@ -618,6 +618,8 @@ _ERROR_LINES = {
                              2, "error: --param needs key=value, got 'feed'"),
     "missing_feed": (["gen", "--scenario", "blacklist_mix", "--param", "feed=missing.txt", "--out", "g.jsonl"],
                      1, "error: [Errno 2] No such file or directory: 'missing.txt'"),
+    "feed_without_entries": (["gen", "--scenario", "blacklist_mix", "--param", "feed=f.txt", "--out", "g.jsonl"],
+                             2, "error: feed 'f.txt' contains no usable entries"),
 }
 
 
@@ -625,9 +627,10 @@ _ERROR_LINES = {
 def test_each_refusal_is_one_error_line(tmp_path, cli_run, args, code, stderr):
     (tmp_path / "t.jsonl").write_text("[1,2]\n")
     (tmp_path / "r.rules").write_text('RULE 1001 header: lowercase contains "x" sandbox\n')
+    (tmp_path / "f.txt").write_text("# only a comment\nnot an address\n10.0.0.0/33\n")
     proc = cli_run(args, cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (code, stderr + "\n")
-    assert sorted(os.listdir(tmp_path)) == ["r.rules", "t.jsonl"]
+    assert sorted(os.listdir(tmp_path)) == ["f.txt", "r.rules", "t.jsonl"]
 
 
 def test_console_script_is_importable_main():

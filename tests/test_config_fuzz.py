@@ -8,6 +8,11 @@ a backslash, a quote, a separator, a sign or a form feed. Every reader
 sees every mutant. ``parse_feed`` must always return, with each content
 line an entry or a skipped line; ``parse_ruleset``, ``parse_config``
 and ``parse_signatures`` must return or raise a LineError.
+
+``content_lines``, which all four readers share, splits a text a slice
+at a time; texts of several slices, with every line end and with line
+breaks placed at each slice edge, must give exactly the lines and line
+numbers of ``str.splitlines``.
 """
 
 import random
@@ -15,7 +20,7 @@ import random
 from ddosgate.analyzer import parse_signatures
 from ddosgate.blacklist import parse_feed
 from ddosgate.config import parse_config
-from ddosgate.events import LineError, content_lines
+from ddosgate.events import _SLICE_CHARS, LineError, content_lines
 from ddosgate.waf import DEFAULT_RULESET_TEXT, parse_ruleset
 
 MUTANTS = 2000
@@ -67,3 +72,43 @@ def test_every_config_side_reader_returns_or_raises_a_line_error():
     # each reader both takes and refuses some mutants, so neither half is vacuous
     assert entries and skipped
     assert all(0 < n < MUTANTS for n in accepted.values()), accepted
+
+
+# every line end str.splitlines knows
+_LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# What a slice can end with: its edge, _SLICE_CHARS characters after its
+# start, falls at any index of a tail that has a "\n" there or later, so a
+# "\r\n" and a lone "\r" each meet the edge from before and from after.
+_TAILS = ["\n", "\r\n", "\r\r\n", "\r\n\r\n", "\r\n\r\r\n", "\rx\r\n", "\r\nx\n"]
+
+
+def _lines(rng: random.Random, chars: int) -> str:
+    """At least ``chars`` characters of blank, '#' and sample lines."""
+    text = rng.choice(("", "\r", "\n", "\r\n"))  # what follows the last cut
+    while len(text) < chars:
+        roll = rng.random()
+        line = "" if roll < 0.15 else "# a comment" if roll < 0.3 else rng.choice(_SAMPLES)
+        pad = rng.choice(("", " ", "\t"))
+        text += pad + line + pad + rng.choice(_LINE_ENDS)
+    return text
+
+
+def _sliced_text(rng: random.Random, slices: int) -> str:
+    text = ""
+    for _ in range(slices):
+        tail = rng.choice(_TAILS)
+        edge = rng.randrange(tail.rindex("\n") + 1)
+        start = len(text)
+        text += _lines(rng, _SLICE_CHARS)[:_SLICE_CHARS - edge] + tail[:tail.index("\n", edge) + 1]
+        assert text.find("\n", start + _SLICE_CHARS) + 1 == len(text)  # the slice is cut where planned
+    return text + _lines(rng, 100)[:rng.randrange(100)]  # a short last slice, perhaps with no line end
+
+
+def test_content_lines_are_those_of_splitlines_across_slice_edges():
+    rng = random.Random(8192)
+    for _ in range(40):
+        text = _sliced_text(rng, 4)
+        assert len(text) > 3 * _SLICE_CHARS
+        expected = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), 1)
+                    if raw.strip() and not raw.strip().startswith("#")]
+        assert list(content_lines(text)) == expected

@@ -7,7 +7,8 @@ second time with both sweeps turned into no-ops, and require identical
 verdict lines, sandbox captures and stats. The last feeds spoofed
 bare-ACK sources at a fixed rate and requires the state held and the
 peak traced memory to stay flat as the run gets longer, and L2's memo
-to stay within its bound while a feed is loaded.
+to stay within its bound while a feed is loaded. The last bounds the
+bytes per entry that a loaded feed keeps, and that its load takes.
 """
 
 import io
@@ -19,7 +20,8 @@ from collections import Counter
 import pytest
 
 from ddosgate.analyzer import Analyzer, AnalyzerConfig
-from ddosgate.blacklist import _MEMO_MAX
+from ddosgate import blacklist
+from ddosgate.blacklist import _MEMO_MAX, CidrSnapshot, parse_feed
 from ddosgate.events import ACK, TcpInfo, TraceEvent, flags_from_str, int_to_ipv4, serialize_trace_event
 from ddosgate.pipeline import Engine, EngineConfig, SandboxSink
 from ddosgate.ratelimit import LimiterConfig, LimiterTable
@@ -162,3 +164,52 @@ def test_blacklist_memo_stays_bounded_under_spoofed_sources(tmp_path):
         sizes.append(len(engine.blacklist._memo))
     assert max(sizes) == _MEMO_MAX
     assert verdicts["blacklisted"] == 2 * 1024 and sum(verdicts.values()) == 2 * 3000 - SPOOF_RATE // 2
+
+
+def _feed_lines(rng: random.Random, count: int):
+    """Hosts, bare and as /32, and prefixes of 8-31 bits with host bits
+    set, about 1 in 25 repeated, 1 in 50 a comment and 1 in 50 bad."""
+    written = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.02:
+            yield "# a comment"
+        elif roll < 0.04:
+            yield rng.choice(("not an address", "10.0.0.0/33", "256.1.1.1"))
+        elif roll < 0.08 and written:
+            yield rng.choice(written)
+        else:
+            line = int_to_ipv4(rng.getrandbits(32))
+            prefix = rng.choice((None, None, None, 32, 24, rng.randint(8, 31)))
+            line = line if prefix is None else f"{line}/{prefix}"
+            written.append(line)
+            yield line
+
+
+def test_a_feed_load_keeps_and_takes_few_bytes_an_entry(tmp_path):
+    """A snapshot keeps an 8-byte key per entry and two 4-byte bounds per
+    merged range, and its load holds one int key per entry until the keys
+    are sorted and merged: bounds of 24 and 96 bytes an entry leave room
+    for the arrays' slack and for that list of keys."""
+    rng = random.Random(50_000)
+    feed = tmp_path / "feed.txt"
+    feed.write_text("".join(f"{line}\n" for line in _feed_lines(rng, 50_000)))
+    text = blacklist.read_feed(str(feed))
+    loaded = CidrSnapshot([])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = blacklist.refresh(loaded, text, 0.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = len(loaded)
+    assert count > 45_000
+    assert (kept - before) / count <= 24
+    assert (peak - before) / count <= 96
+
+    reference = CidrSnapshot(parse_feed(text)[0])
+    assert loaded.entries == reference.entries and len(loaded) == len(reference) == count
+    for _ in range(10_000):
+        ip = int_to_ipv4(rng.getrandbits(32))
+        assert loaded.contains(ip) is reference.contains(ip), ip

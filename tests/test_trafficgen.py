@@ -195,6 +195,23 @@ def test_pulse_stays_quiet_between_bursts():
     assert max(gaps) > 4.0  # the inter-burst silence
 
 
+def test_a_pulse_cut_by_the_end_of_the_run_is_short():
+    """At seed 7 the second source's last pulse starts 0.07 s before the
+    21 s run ends, so only 14 of a full pulse's 40 packets are sent."""
+    events = generate(Scenario("low_rate_pulse", seed=7, duration_secs=21.0))
+    assert all(e.ts < 21.0 for e in events)
+    pulses = {}  # source -> packets in each of its pulses
+    last_ts = {}
+    for e in events:
+        if e.label == "attack:low_rate_pulse":
+            sizes = pulses.setdefault(e.src_ip, [])
+            if e.ts - last_ts.get(e.src_ip, -5.0) > 1.0:  # pulses are 5 s apart and 0.2 s wide
+                sizes.append(0)
+            sizes[-1] += 1
+            last_ts[e.src_ip] = e.ts
+    assert pulses == {"10.5.0.1": [40] * 5, "10.5.0.2": [40] * 4 + [14]}
+
+
 def test_http_attack_hits_every_sandbox_rule():
     events = generate(Scenario("http_attack", seed=6, duration_secs=10.0,
                                params={"benign_sources": 0, "sources": 1, "rate": 2.0}))
