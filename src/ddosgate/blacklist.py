@@ -10,9 +10,10 @@ empty one. The engine reads feed files; only ``fetch_feed`` talks HTTP.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from typing import NamedTuple
 
-from .events import _natural, content_lines, int_to_ipv4, ipv4_to_int
+from .events import _natural, _new, content_lines, int_to_ipv4, ipv4_to_int
 
 DEFAULT_FETCH_TIMEOUT_SECS = 10.0
 # A feed over MAX_FEED_BYTES (8 MiB) is refused, whether downloaded or read
@@ -43,60 +44,50 @@ class Cidr(NamedTuple):  # ordered as (base, prefix_len)
         return self.base | ((1 << (32 - self.prefix_len)) - 1)
 
 
-def _cidr_key(text: str) -> int | None:
-    """One CIDR or bare IP (treated as /32), host bits cleared, as its
-    snapshot key ``base << 6 | prefix_len``; None if it is neither. As
-    ``prefix_len < 64``, keys sort in ``Cidr`` order."""
+def _cidr_pair(text: str) -> tuple[int, int] | None:
+    """One CIDR or bare IP (treated as /32) as ``(base, prefix_len)``,
+    host bits cleared; None if it is neither."""
     addr, sep, plen = text.partition("/")
     ip = ipv4_to_int(addr.strip())
     n = _natural(plen.strip()) if sep else 32
     if ip is None or n is None or n > 32:
         return None
-    return (ip & (0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF) << 6 | n
+    return ip >> (32 - n) << (32 - n), n
 
 
 def parse_cidr(text: str) -> Cidr | None:
     """One CIDR or bare IP (treated as /32); host bits are cleared."""
-    key = _cidr_key(text)
-    return None if key is None else Cidr(key >> 6, key & 63)
+    pair = _cidr_pair(text)
+    return None if pair is None else _new(Cidr, pair)
 
 
 class CidrSnapshot:
     """Immutable, deduplicated set of prefixes with sublinear lookup.
 
-    Each distinct entry is one key ``base << 6 | prefix_len``, 8 bytes in
-    a sorted ``array("Q")``; ``entries`` rebuilds the ``Cidr``s from the
-    keys on each access. Lookup goes through a merged-interval table
-    built once at construction, two ``array("I")``s of 4-byte bounds:
-    overlapping or adjacent prefixes collapse into disjoint [start, end]
-    ranges, so a query is a single binary search regardless of entry
-    count. An empty snapshot holds empty tuples, and only a snapshot
-    with keys loads ``array``.
+    Built from any iterable of ``(base, prefix_len)`` pairs, ``Cidr``s
+    or plain tuples, a generator included. Each distinct entry is one key
+    ``base << 6 | prefix_len``, 8 bytes in a sorted ``array("Q")``; as
+    ``prefix_len < 64``, keys sort in ``Cidr`` order, and ``entries``
+    rebuilds the ``Cidr``s from the keys on each access. Lookup goes
+    through a merged-interval table built once at construction, two
+    ``array("I")``s of 4-byte bounds: overlapping or adjacent prefixes
+    collapse into disjoint [start, end] ranges, so a query is a single
+    binary search regardless of entry count. An empty snapshot holds
+    empty tuples, and only a snapshot with keys loads ``array``.
     """
 
     __slots__ = ("version", "loaded_at_ts", "_keys", "_starts", "_ends")
 
-    def __init__(self, entries: list[Cidr], version: int = 0, loaded_at_ts: float = 0.0):
+    def __init__(self, entries: Iterable[tuple[int, int]], version: int = 0, loaded_at_ts: float = 0.0):
         self.version = version
         self.loaded_at_ts = loaded_at_ts
-        self._index([c.base << 6 | c.prefix_len for c in entries])
-
-    @classmethod
-    def _of_keys(cls, keys: list[int], version: int, loaded_at_ts: float) -> CidrSnapshot:
-        """The snapshot of ``keys``, which it sorts in place."""
-        snapshot = cls([], version, loaded_at_ts)
-        snapshot._index(keys)
-        return snapshot
-
-    def _index(self, keys: list[int]) -> None:
-        """Keep ``keys``, sorted in place and without duplicates, and the
-        ranges they cover, merged as they are read."""
+        keys = [base << 6 | prefix_len for base, prefix_len in entries]
         if not keys:
             self._keys = self._starts = self._ends = ()
             return
         from array import array
 
-        keys.sort()
+        keys.sort()  # in place: the one list of keys a load holds
         unique, starts, ends = array("Q"), array("I"), array("I")
         for key in keys:
             if unique and key == unique[-1]:
@@ -148,9 +139,11 @@ def parse_feed(text: str) -> tuple[list[Cidr], list[tuple[int, str]]]:
     return entries, skipped
 
 
-def serialize_feed(entries: list[Cidr] | tuple[Cidr, ...]) -> str:
-    """Canonical feed text: sorted, deduplicated, one entry per line."""
-    return "".join(f"{c}\n" for c in sorted(set(entries)))
+def serialize_feed(entries: Iterable[Cidr]) -> str:
+    """Canonical feed text, one entry per line: the entries of their
+    snapshot, which holds the one sort and dedupe rule, so the text
+    loads the same snapshot."""
+    return "".join(f"{c}\n" for c in CidrSnapshot(entries).entries)
 
 
 def read_feed(path: str) -> str:
@@ -196,12 +189,13 @@ def fetch_feed(url: str) -> str:
 
 def refresh(current: CidrSnapshot, fetched: str, now: float) -> CidrSnapshot:
     """The snapshot that replaces ``current`` once ``fetched`` feed text
-    arrives at trace time ``now``. Each content line is read to its key by
-    the reader ``parse_cidr`` wraps, so the snapshot holds exactly the
-    entries of ``parse_feed(fetched)``. Of what is made for a line, only
-    its key outlives it, in the list that is sorted and then dropped."""
-    keys = [key for _line_no, line in content_lines(fetched) if (key := _cidr_key(line)) is not None]
-    return CidrSnapshot._of_keys(keys, current.version + 1, now)
+    arrives at trace time ``now``. Each content line is read by the reader
+    ``parse_cidr`` wraps, so the snapshot holds exactly the entries of
+    ``parse_feed(fetched)``. The pairs come from a generator, so of what
+    is made for a line only its key outlives it, in the list the snapshot
+    sorts and then drops."""
+    pairs = (pair for _line_no, line in content_lines(fetched) if (pair := _cidr_pair(line)) is not None)
+    return CidrSnapshot(pairs, current.version + 1, now)
 
 
 class Blacklist:

@@ -183,10 +183,11 @@ def cmd_blacklist_fetch(args) -> int:
     entries, skipped = bl.parse_feed(text)
     try:
         with _writing(args.out) as fh:
-            fh.write(bl.serialize_feed(entries))
+            fh.write(feed := bl.serialize_feed(entries))
     except OSError as exc:
         return _fail(f"write failed, output untouched: {exc}", RUNTIME_EXIT)
-    print(f"{len(entries)} entries written, {len(skipped)} lines skipped")
+    written = feed.count("\n")  # one line per distinct entry
+    print(f"{written} entries written, {len(skipped)} lines skipped")
     for line_no, reason in skipped:
         print(f"  skipped line {line_no}: {reason}")
     return 0

@@ -68,20 +68,22 @@ REJECT_BLACKLISTED = "reject_blacklisted"
 SANDBOX = "sandbox"
 
 
-# content_lines splits this many characters of a text, up to the next "\n",
-# at a time, so the lines of an 8 MiB feed are never all alive at once.
+# content_lines splits this many characters of a text, up to the next line
+# end, at a time, so the lines of an 8 MiB feed are never all alive at once.
 _SLICE_CHARS = 8192
+_SLICE_END = re.compile(r"\r\n?|\n|\Z")  # a cut, or the end of the text
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number from 1, stripped line) of each line of ``text`` that
-    is neither blank nor a '#' comment. A "\n" always ends a line break,
-    so a slice cut just after one splits into exactly the lines, and
-    line numbers, of ``text.splitlines()``."""
+    r"""(line number from 1, stripped line) of each line of ``text`` that
+    is neither blank nor a '#' comment. A slice is cut just after a
+    "\r\n", a lone "\r" or a "\n", never between a "\r" and its "\n", so
+    it splits into exactly the lines, and line numbers, of
+    ``text.splitlines()``."""
     line_no = 0
     start = 0
     while start < len(text):
-        cut = text.find("\n", start + _SLICE_CHARS) + 1 or len(text)
+        cut = _SLICE_END.search(text, start + _SLICE_CHARS).end()
         for raw in text[start:cut].splitlines():
             line_no += 1
             line = raw.strip()
@@ -424,8 +426,9 @@ def _parse_json(line: str, line_no: int | None) -> TraceEvent:
 def _event_json(event: TraceEvent) -> str:
     """Compact JSON of the fields of ``event``, unchecked: keyed and
     ordered by _HEAD and its kind's _BODIES entry, then its label when set.
-    Raises ValueError naming a field whose value cannot be encoded, or for
-    a body that is not its kind's record."""
+    Raises ValueError naming the first field whose value cannot be
+    encoded, one nested too deep for ``json`` included, or for a body that
+    is not its kind's record."""
     record, fields = _BODIES.get(event.kind, (None, ()))
     if record is None or not isinstance(event.body, record):
         raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
@@ -433,19 +436,19 @@ def _event_json(event: TraceEvent) -> str:
     for (key, check, _), value in zip(_HEAD + fields, (*event[:7], *event.body)):
         try:
             obj[key] = _FLAG_STRS[value & 63] if check is _FLAGS else _b64(value) if check is _B64 else value
-        except TypeError:
-            raise ValueError(f"{key} cannot be written: {value!r}") from None
+        except TypeError as exc:  # its message, not a repr that may recurse too deep
+            raise ValueError(f"{key} cannot be written: {exc}") from None
     if event.label is not None:
         obj["label"] = event.label
     try:
         return _dumps(obj)
-    except (TypeError, ValueError) as exc:  # a value json cannot write: name the first
+    except (TypeError, ValueError, RecursionError) as exc:  # a value json cannot write: name the first
         for key, value in obj.items():
             try:
-                _dumps(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} cannot be written: {exc}") from None
-        raise
+                _dumps({key: value})  # nested as deep as in obj
+            except (TypeError, ValueError, RecursionError):
+                break
+        raise ValueError(f"{key} cannot be written: {exc}") from None
 
 
 def serialize_trace_event(event: TraceEvent) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 
 from ddosgate import blacklist, cli
 from ddosgate.config import apply_overrides, default_config, parse_config
+from ddosgate.events import int_to_ipv4
 from ddosgate.pipeline import Engine
 from ddosgate.waf import DEFAULT_RULESET_TEXT
 
@@ -478,6 +480,48 @@ def test_blacklist_fetch_skips_only_an_undecodable_line(tmp_path, cli_run):
     assert out.read_text() == "10.0.0.0/8\n192.168.0.0/16\n"
     assert "2 entries written, 1 lines skipped" in proc.stdout
     assert "skipped line 2: bad_address" in proc.stdout
+
+
+def test_blacklist_fetch_counts_the_distinct_entries_it_writes(tmp_path, cli_run):
+    # 10.1.2.3/24 and 10.1.2.0/24 are one entry; so is a line given twice
+    feed = tmp_path / "raw.txt"
+    feed.write_text("10.1.2.3/24\n10.1.2.0/24\n10.1.2.0/24\n192.0.2.1\nbad\n")
+    out = tmp_path / "clean.txt"
+    proc = cli_run(["blacklist", "fetch", "--path", str(feed), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert "2 entries written, 1 lines skipped" in proc.stdout
+    assert out.read_text() == "10.1.2.0/24\n192.0.2.1/32\n"
+
+
+def test_a_fetched_feed_loads_the_snapshot_of_its_raw_feed(tmp_path, cli_run):
+    r"""What fetch writes is what run loads: the same entries, count and
+    answers as the raw feed, whose lines repeat, overlap, carry host bits,
+    end in "\r\n" or a lone "\r", and are at times comments or bad."""
+    rng = random.Random(43)
+    lines = []
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(("# a comment", "not an address", "10.0.0.0/33", "")))
+        elif roll < 0.15 and lines:
+            lines.append(rng.choice(lines))
+        else:
+            prefix = rng.choice(("", "/32", "/24", f"/{rng.randint(8, 31)}"))
+            lines.append(int_to_ipv4(rng.getrandbits(32)) + prefix)
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes("".join(line + rng.choice(("\n", "\r\n", "\r")) for line in lines).encode())
+    out = tmp_path / "clean.txt"
+    proc = cli_run(["blacklist", "fetch", "--path", str(raw), "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    loaded, fetched = (blacklist.refresh(blacklist.CidrSnapshot([]), blacklist.read_feed(str(path)), 0.0)
+                       for path in (raw, out))
+    assert fetched.entries == loaded.entries and len(fetched) == len(loaded) > 2000
+    assert proc.stdout.startswith(f"{len(loaded)} entries written, ")
+    entries = loaded.entries
+    for _ in range(10_000):  # half near an entry's first address, half anywhere
+        near = rng.choice(entries).base + rng.randint(-2, 2)
+        ip = int_to_ipv4(near % 2**32 if rng.random() < 0.5 else rng.getrandbits(32))
+        assert fetched.contains(ip) is loaded.contains(ip), ip
 
 
 def test_gen_skips_only_an_undecodable_feed_line(tmp_path, cli_run):

@@ -16,6 +16,7 @@ numbers of ``str.splitlines``.
 """
 
 import random
+import re
 
 from ddosgate.analyzer import parse_signatures
 from ddosgate.blacklist import parse_feed
@@ -77,9 +78,12 @@ def test_every_config_side_reader_returns_or_raises_a_line_error():
 # every line end str.splitlines knows
 _LINE_ENDS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # What a slice can end with: its edge, _SLICE_CHARS characters after its
-# start, falls at any index of a tail that has a "\n" there or later, so a
-# "\r\n" and a lone "\r" each meet the edge from before and from after.
+# start, falls at any index of a tail, and the slice is cut just after the
+# first "\r\n", lone "\r" or "\n" from there (_CUT), so a "\r\n" and a lone
+# "\r" each meet the edge from before and from after, and a slice may end
+# in either.
 _TAILS = ["\n", "\r\n", "\r\r\n", "\r\n\r\n", "\r\n\r\r\n", "\rx\r\n", "\r\nx\n"]
+_CUT = re.compile(r"\r\n?|\n")
 
 
 def _lines(rng: random.Random, chars: int) -> str:
@@ -93,15 +97,25 @@ def _lines(rng: random.Random, chars: int) -> str:
     return text
 
 
+def _after(text: str, piece: str) -> str:
+    r"""``piece`` to follow ``text``, led by a space if its "\n" would join
+    a lone "\r" that ends ``text`` into a "\r\n", so no cut moves."""
+    return " " + piece if text.endswith("\r") and piece.startswith("\n") else piece
+
+
 def _sliced_text(rng: random.Random, slices: int) -> str:
-    text = ""
+    text, cuts = "", []
     for _ in range(slices):
         tail = rng.choice(_TAILS)
-        edge = rng.randrange(tail.rindex("\n") + 1)
-        start = len(text)
-        text += _lines(rng, _SLICE_CHARS)[:_SLICE_CHARS - edge] + tail[:tail.index("\n", edge) + 1]
-        assert text.find("\n", start + _SLICE_CHARS) + 1 == len(text)  # the slice is cut where planned
-    return text + _lines(rng, 100)[:rng.randrange(100)]  # a short last slice, perhaps with no line end
+        edge = rng.randrange(len(tail))
+        text += _after(text, _lines(rng, _SLICE_CHARS))[:_SLICE_CHARS - edge] + tail[:_CUT.search(tail, edge).end()]
+        cuts.append(len(text))
+    text += _after(text, _lines(rng, 100)[:rng.randrange(100)])  # a short last slice, perhaps with no line end
+    start = 0
+    for cut in cuts:  # each slice is cut where planned
+        start = _CUT.search(text, start + _SLICE_CHARS).end()
+        assert start == cut
+    return text
 
 
 def test_content_lines_are_those_of_splitlines_across_slice_edges():

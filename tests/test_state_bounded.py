@@ -186,14 +186,16 @@ def _feed_lines(rng: random.Random, count: int):
             yield line
 
 
-def test_a_feed_load_keeps_and_takes_few_bytes_an_entry(tmp_path):
-    """A snapshot keeps an 8-byte key per entry and two 4-byte bounds per
+@pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["lf", "lone_cr"])
+def test_a_feed_load_keeps_and_takes_few_bytes_an_entry(tmp_path, line_end):
+    r"""A snapshot keeps an 8-byte key per entry and two 4-byte bounds per
     merged range, and its load holds one int key per entry until the keys
     are sorted and merged: bounds of 24 and 96 bytes an entry leave room
-    for the arrays' slack and for that list of keys."""
+    for the arrays' slack and for that list of keys. A feed whose lines
+    end in a lone "\r" is read a slice at a time as one with "\n" is."""
     rng = random.Random(50_000)
     feed = tmp_path / "feed.txt"
-    feed.write_text("".join(f"{line}\n" for line in _feed_lines(rng, 50_000)))
+    feed.write_bytes("".join(f"{line}{line_end}" for line in _feed_lines(rng, 50_000)).encode())
     text = blacklist.read_feed(str(feed))
     loaded = CidrSnapshot([])
     tracemalloc.start()

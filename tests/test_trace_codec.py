@@ -391,10 +391,18 @@ def test_capture_of_a_parsed_line_is_the_line_itself(monkeypatch):
 _GOOD = TraceEvent(1, 1.5, "tcp", "10.0.0.2", "10.0.0.1", 40000, 80, TcpInfo(SYN, 1, 0, 0, b""))
 _GOOD_HTTP = TraceEvent(2, 1.5, "http", "10.0.0.2", "10.0.0.1", 40000, 80,
                         HttpInfo("GET", "/", "HTTP/1.1", (), b"", 10))
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 # (field named, event): each but flags and payload_b64 writes a line the
 # reader refuses; flags 64 would read back as flags 0, and a str payload
-# has no base64. The last two are a library event from an address that is
-# not a str.
+# has no base64. Then come two library events from an address that is not
+# a str, and two with a value nested deeper than json writes or repr shows.
 _REFUSED = [
     ("ts", _GOOD._replace(ts=float("nan"))),
     ("event_id", _GOOD._replace(event_id=-1)),
@@ -406,6 +414,8 @@ _REFUSED = [
     ("payload_b64", _GOOD._replace(body=_GOOD.body._replace(payload="x"))),
     ("src_ip", TraceEvent(1, 1.0, "udp", None, "10.0.0.1", 1, 2, UdpInfo(10, 5, b"ab"))),
     ("src_ip", TraceEvent(1, 1.0, "udp", 167772161, "10.0.0.1", 1, 2, UdpInfo(10, 5, b"ab"))),
+    ("headers", _GOOD_HTTP._replace(body=_GOOD_HTTP.body._replace(headers=(("X-A", _nested(100_000)),)))),
+    ("flags", _GOOD._replace(body=_GOOD.body._replace(flags=_nested(100_000)))),
 ]
 
 
