@@ -423,12 +423,10 @@ def _parse_json(line: str, line_no: int | None) -> TraceEvent:
     return TraceEvent(*head, body, label)
 
 
-def _event_json(event: TraceEvent) -> str:
-    """Compact JSON of the fields of ``event``, unchecked: keyed and
+def _event_fields(event: TraceEvent) -> dict:
+    """The fields of ``event`` as json writes them, unchecked: keyed and
     ordered by _HEAD and its kind's _BODIES entry, then its label when set.
-    Raises ValueError naming the first field whose value cannot be
-    encoded, one nested too deep for ``json`` included, or for a body that
-    is not its kind's record."""
+    Raises ValueError for a value with no JSON form, or a body of another kind."""
     record, fields = _BODIES.get(event.kind, (None, ()))
     if record is None or not isinstance(event.body, record):
         raise ValueError(f"a {event.kind!r} event cannot carry a {type(event.body).__name__} body")
@@ -440,26 +438,42 @@ def _event_json(event: TraceEvent) -> str:
             raise ValueError(f"{key} cannot be written: {exc}") from None
     if event.label is not None:
         obj["label"] = event.label
-    try:
-        return _dumps(obj)
-    except (TypeError, ValueError, RecursionError) as exc:  # a value json cannot write: name the first
-        for key, value in obj.items():
-            try:
-                _dumps({key: value})  # nested as deep as in obj
-            except (TypeError, ValueError, RecursionError):
+    return obj
+
+
+def _first_field(obj: dict) -> str:
+    """The first key of ``obj`` whose own ``{key: value}``, nested as deep
+    as in ``obj``, json cannot write or the reader cannot load."""
+    for key, value in obj.items():
+        try:
+            parse_trace_event(_dumps({key: value}))
+        except TraceParseError as exc:
+            if exc.field is None:
                 break
-        raise ValueError(f"{key} cannot be written: {exc}") from None
+        except (TypeError, ValueError, RecursionError):
+            break
+    return key
 
 
 def serialize_trace_event(event: TraceEvent) -> str:
     """Inverse of parse_trace_event; stable key order, compact separators.
 
-    The event is written by ``_event_json`` and read back, so every event
-    the reader would refuse or read as another event raises ValueError
-    naming the field.
+    The event's fields are written as one line and read back, so every
+    event the reader would refuse or read as another event raises
+    ValueError naming the field: when json cannot write or load the whole
+    line, the first field whose own JSON it cannot write or load.
     """
-    line = _event_json(event)
-    read = parse_trace_event(line)  # its TraceParseError names the field
+    obj = _event_fields(event)
+    try:
+        line = _dumps(obj)
+    except (TypeError, ValueError, RecursionError) as exc:  # a value json cannot write
+        raise ValueError(f"{_first_field(obj)} cannot be written: {exc}") from None
+    try:
+        read = parse_trace_event(line)
+    except TraceParseError as exc:  # it names the field, unless the line does not load
+        if exc.field is not None:
+            raise
+        raise ValueError(f"{_first_field(obj)} cannot be read back: {exc}") from None
     if read != event:
         for (key, _, _), wrote, got in zip(_HEAD + _BODIES[event.kind][1] + (("label", str, 0),),
                                            (*event[:7], *event.body, event.label),

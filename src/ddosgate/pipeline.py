@@ -19,7 +19,8 @@ persisted to the capture sink as its line before its verdict is emitted.
 ``run_trace`` reads each line with ``parse_trace_event``, the one
 reader: it reads a canonical line itself and gives every other line to
 ``events._parse_json``. ``process_event`` runs the layers as one chain,
-each through its public entry point.
+each through its public entry point; L3 and L4 answer in their own
+shared verdicts, or None for forward.
 
 All timing derives from event timestamps; the blacklist refresh clock is
 the trace clock.
@@ -47,7 +48,7 @@ from .events import (
     serialize_verdict_record,
 )
 from .ratelimit import LimiterConfig, LimiterTable
-from .waf import SANDBOX_ACTION, Rule, Ruleset, default_ruleset, evaluate
+from .waf import Rule, Ruleset, default_ruleset, evaluate
 
 RATE_LIMITED = "rate_limited"
 BLACKLISTED = "blacklisted"
@@ -134,9 +135,6 @@ class Engine:
         if ruleset is None:
             ruleset = default_ruleset()
         self.ruleset = ruleset if isinstance(ruleset, Ruleset) else Ruleset(ruleset)
-        # rule id -> the one verdict of each sandbox rule, shared by every request it catches
-        self._waf_verdicts = {rule.id: Verdict(SANDBOX, 4, f"waf_rule_{rule.id}", rule.id)
-                              for rule in self.ruleset if rule.action == SANDBOX_ACTION}
         self.sandbox = sandbox
         self.stats = Stats()
         self._last_ts = 0.0
@@ -172,10 +170,7 @@ class Engine:
         elif self.blacklist.contains(event.src_ip, now):
             verdict = _BLACKLISTED_VERDICT
         elif event.kind == "http":
-            waf = evaluate(self.ruleset, event.body)
-            for rid in waf.log_fired:
-                stats.waf_log_hits[rid] += 1
-            verdict = self._waf_verdicts[waf.rule_id] if waf.matched else _FORWARD_VERDICT
+            verdict = evaluate(self.ruleset, event.body, stats.waf_log_hits) or _FORWARD_VERDICT
         elif event.kind == "tcp":
             verdict = self.analyzer.observe_tcp(event) or _FORWARD_VERDICT
         else:

@@ -14,7 +14,9 @@ the backslash itself, or a bare word. Rule ids and len_gt / num_gt
 arguments are integers in ASCII digits; ids start at 1. num_gt pairs
 only with the numeric target duration_ms; the text operators pair with
 everything else. Rules evaluate in file order: the first sandbox match
-wins, log matches accumulate without stopping evaluation.
+wins, log matches accumulate without stopping evaluation. ``evaluate``
+answers with the deciding rule's one ``Verdict`` (reason
+``waf_rule_<id>``) or None, and counts the log rules that matched.
 
 ``parse_ruleset`` parses the rules into a ``Ruleset``: the rules in file
 order, as a tuple, compiled once, in file order, into one Python
@@ -47,12 +49,12 @@ decodes before looking for traversal, so encoded dots and slashes
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, MutableMapping
 from functools import cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .events import _natural, HttpInfo, LineError, content_lines
+from .events import _natural, SANDBOX, HttpInfo, LineError, Verdict, content_lines
 
 SANDBOX_ACTION = "sandbox"
 LOG_ACTION = "log"
@@ -90,14 +92,6 @@ class Rule(NamedTuple):
     pattern: re.Pattern | None  # compiled once for matches
     action: str
 
-
-class WafDecision(NamedTuple):
-    matched: bool
-    rule_id: int | None  # first sandbox-action rule that fired
-    log_fired: tuple[int, ...]  # log-action rules seen before the verdict
-
-
-PASS = WafDecision(False, None, ())
 
 # Miniature stand-in for a CRS-style ruleset; ids are stable and the
 # acceptance corpus exercises a hit and a near-miss for each.
@@ -256,9 +250,12 @@ def _compile(rules: tuple[Rule, ...]):
     values joined by ``"\n"``, then transformed; the others test each
     value of the list. A single value with transforms is written
     ``T(raw) if raw else raw``: each transform maps ``""`` to ``""``.
+    A sandbox rule returns its ``Verdict``, built here once and bound as
+    a constant; a log rule adds 1 to ``log_hits[id]``, and a ``for``
+    then ``break``s, so a request counts once per rule.
     """
-    namespace = {"WafDecision": WafDecision, "PASS": PASS}
-    lines = ["def evaluate(request):"]
+    namespace: dict = {}
+    lines = ["def evaluate(request, log_hits):"]
     derived: dict[tuple, str] = {}  # raw value or candidate -> its local
     fns: dict[str, str] = {}  # transform name -> its constant
 
@@ -312,7 +309,6 @@ def _compile(rules: tuple[Rule, ...]):
             key, pairs = key + (transforms,), f"value in {raw}"
         return local(key, lambda: f"[{transformed('value', transforms)} for {pairs}]")
 
-    logs = False  # whether a log rule came earlier in the file
     for rule in rules:
         if rule.target == "duration_ms":
             test = "{} > " + const(rule.arg_num)
@@ -323,15 +319,8 @@ def _compile(rules: tuple[Rule, ...]):
         else:  # len_gt
             test = "len({}) > " + const(rule.arg_num)
         sandbox = rule.action == SANDBOX_ACTION
-        if sandbox:
-            action = (f"return WafDecision(True, {const(rule.id)}, tuple(log_fired))" if logs
-                      else f"return {const(WafDecision(True, rule.id, ()))}")
-        else:
-            if not logs:
-                lines.append("    log_fired = []")
-                logs = True
-            rule_id = const(rule.id)
-            action = f"if {rule_id} not in log_fired: log_fired.append({rule_id})"
+        action = (f"return {const(Verdict(SANDBOX, 4, f'waf_rule_{rule.id}', rule.id))}" if sandbox
+                  else f"log_hits[{const(rule.id)}] += 1")
         value, multi = candidate(rule)
         if multi:
             lines.append(f"    for value in {value}:")
@@ -342,8 +331,7 @@ def _compile(rules: tuple[Rule, ...]):
         else:
             lines.append(f"    if {test.format(value)}:")
             lines.append(f"        {action}")
-    lines.append("    return WafDecision(False, None, tuple(log_fired)) if log_fired else PASS" if logs
-                 else "    return PASS")
+    lines.append("    return None")
     exec(compile("\n".join(lines), "<waf ruleset>", "exec"), namespace)
     return namespace["evaluate"]
 
@@ -365,13 +353,13 @@ class Ruleset(tuple):
         return self
 
 
-def evaluate(ruleset: Ruleset, request: HttpInfo) -> WafDecision:
-    """Pure; identical inputs always give identical decisions.
-
-    The rules run in file order: the first sandbox rule that matches
-    decides, and the log rules that match before it are listed in file
-    order, each id once. ``ruleset`` is a ``Ruleset``, whose rules were
-    compiled once into the function this calls: wrap any other sequence
-    of rules in one.
+def evaluate(ruleset: Ruleset, request: HttpInfo, log_hits: MutableMapping[int, int]) -> Verdict | None:
+    """Deterministic; ``log_hits`` is the only thing it writes. The rules
+    run in file order: the first sandbox rule that matches decides, and
+    its one ``Verdict(SANDBOX, 4, "waf_rule_<id>", id)`` is returned, or
+    None if none does. Each log rule that matches before it adds 1 to
+    ``log_hits[id]`` (a ``Counter`` or ``defaultdict(int)``). ``ruleset``
+    is a ``Ruleset``, whose rules were compiled once into the function
+    this calls: wrap any other sequence of rules in one.
     """
-    return ruleset._evaluate(request)
+    return ruleset._evaluate(request, log_hits)

@@ -384,6 +384,28 @@ def test_non_utf8_line_is_a_parse_error(tmp_path, cli_run):
         assert json.loads((tmp_path / "s.json").read_text())["skipped_lines"] == 1
 
 
+class _StrictLines:
+    """Stands in for stdin as the benchmark's trace reader does: an
+    iterable of lines, each decoded from UTF-8 strictly."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def __iter__(self):
+        return (line.decode("utf-8") for line in self.data.splitlines(keepends=True))
+
+
+def test_a_stdin_stand_in_that_decodes_strictly_fails_on_a_non_utf8_line(tmp_path, monkeypatch, capsys):
+    line = json.dumps({"event_id": 1, "ts": 1.0, "kind": "udp", "src_ip": "10.0.0.2", "dst_ip": "10.0.0.1",
+                       "src_port": 1, "dst_port": 53, "length": 8, "checksum": 0, "payload_b64": ""})
+    monkeypatch.setattr(sys, "stdin", _StrictLines(line.encode() + b"\n\xff\n"))
+    code = cli.main(["run", "--trace", "-", "--out", str(tmp_path / "v.jsonl"),
+                     "--set", f"sandbox.log_path={tmp_path / 'sb.jsonl'}"])
+    err = capsys.readouterr().err.splitlines()
+    assert (code, len(err)) == (1, 1)
+    assert err[0].startswith("error: trace is not UTF-8: "), err
+
+
 def test_carriage_returns_end_lines_on_stdin_as_in_a_file(tmp_path, cli_run):
     """A bare "\\r" ends a line from standard input as it ends a file line,
     so it splits the line it sits in, and a line ending in "\\r\\n" is one line."""

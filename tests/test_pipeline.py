@@ -601,7 +601,7 @@ def test_each_request_that_reaches_layer_four_calls_evaluate_once(monkeypatch):
     calls = []
     evaluate = ddosgate.pipeline.evaluate
     monkeypatch.setattr(ddosgate.pipeline, "evaluate",
-                        lambda ruleset, request: calls.append(request) or evaluate(ruleset, request))
+                        lambda ruleset, request, log_hits: calls.append(request) or evaluate(ruleset, request, log_hits))
     trace = [serialize_trace_event(e) for e in generate(Scenario("http_attack", seed=7))]
     examined = []
     for limiter in (LimiterConfig(), LimiterConfig(burst=1)):  # the second stops some requests at L1

@@ -445,6 +445,26 @@ def test_the_door_refuses_what_the_writer_refuses(field, event):
     assert (engine.limiter.buckets, engine.stats.tally, engine._last_ts, out.getvalue()) == ({}, {}, 0.0, "")
 
 
+def test_a_value_nested_near_the_json_limits_is_refused_by_its_field():
+    """Around the depths at which json writes a line but cannot load it
+    (which ones depends on the interpreter), each refusal by the writer
+    and at the door names the field: the value is not a pair, or cannot
+    be written, or cannot be read back."""
+    engine = Engine(EngineConfig())
+    for depth in range(900, 1_100):
+        value = "x"
+        for _ in range(depth):
+            value = [value]
+        event = _GOOD_HTTP._replace(body=_GOOD_HTTP.body._replace(headers=(("X-A", value),)))
+        with pytest.raises(ValueError) as writer:
+            serialize_trace_event(event)
+        assert str(writer.value).startswith("headers "), depth
+        with pytest.raises(ValueError) as door:
+            engine.process_event(event)
+        assert str(door.value).startswith("event 2: headers "), depth
+    assert engine.stats.tally == {}
+
+
 def test_read_back_leaves_each_capture_its_own_line():
     """A capture takes the line it is given, whatever was parsed or
     written since: events parsed before others, and before the writer's

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from ddosgate.blacklist import CidrSnapshot, parse_feed
-from ddosgate.events import SYN, TcpInfo, serialize_trace_event, validate_udp_checksum
+from ddosgate.events import SYN, TcpInfo, compute_udp_checksum, serialize_trace_event, validate_udp_checksum
 from ddosgate import trafficgen
 from ddosgate.trafficgen import SCENARIO_NAMES, Scenario, generate, resolve_params, summarize
 
@@ -183,6 +183,18 @@ def test_udp_flood_contains_all_malformation_kinds():
                                             e.body.length, e.body.checksum, e.body.payload)]
     assert oversize and mismatch and badsum
     assert len(oversize) + len(mismatch) + len(badsum) == len(events) == 60
+
+
+def test_a_bad_checksum_that_would_be_zero_is_written_as_0x2aaa():
+    """A flood packet of the bad-checksum kind carries its correct checksum
+    xor 0x5555. Where that is 0, which a UDP header reads as "no checksum",
+    0x2AAA is written instead: at seed 22, event 3143's correct checksum is
+    0x5555."""
+    events = generate(Scenario("udp_flood", params={"sources": 4, "rate": 200}, seed=22, duration_secs=10.0))
+    e = events[3142]
+    assert (e.event_id, e.label, e.body.length, e.body.checksum) == (3143, "attack:udp_flood", 40, 0x2AAA)
+    assert compute_udp_checksum(e.src_ip, e.dst_ip, e.src_port, e.dst_port, 40, e.body.payload) == 0x5555
+    assert not validate_udp_checksum(e.src_ip, e.dst_ip, e.src_port, e.dst_port, 40, 0x2AAA, e.body.payload)
 
 
 def test_pulse_stays_quiet_between_bursts():

@@ -12,15 +12,13 @@ from urllib.parse import unquote_plus
 import pytest
 
 from ddosgate import waf
-from ddosgate.events import HttpInfo, parse_trace_event
+from ddosgate.events import SANDBOX, HttpInfo, Verdict, parse_trace_event
 from ddosgate.trafficgen import Scenario, generate
 from ddosgate.waf import (
-    PASS,
     SANDBOX_ACTION,
     Rule,
     Ruleset,
     RulesetError,
-    WafDecision,
     _TRANSFORM_FNS,
     _split_rule_line,
     default_ruleset,
@@ -33,6 +31,30 @@ from test_golden import REFERENCE, workloads
 def _req(method="GET", uri="/", headers=(("host", "example.test"),), body=b"",
          duration_ms=100):
     return HttpInfo(method, uri, "HTTP/1.1", tuple(headers), body, duration_ms)
+
+
+class _Tally(Counter):
+    """A log_hits map that also lists the ids in the order they were counted."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+
+    def __setitem__(self, rule_id, count):
+        self.order.append(rule_id)
+        super().__setitem__(rule_id, count)
+
+
+def _decide(ruleset, request):
+    """The compiled function's answer as (rule id or None, ids counted in
+    order), the shape ``_reference_evaluate`` answers in. A sandbox answer
+    must be that rule's verdict."""
+    tally = _Tally()
+    verdict = evaluate(ruleset, request, tally)
+    if verdict is None:
+        return None, tuple(tally.order)
+    assert verdict == Verdict(SANDBOX, 4, f"waf_rule_{verdict.rule_id}", verdict.rule_id)
+    return verdict.rule_id, tuple(tally.order)
 
 
 _URLDECODE = _TRANSFORM_FNS["urldecode"]
@@ -78,9 +100,9 @@ def test_transforms_apply_left_to_right():
     request = _req(uri="%41BC")
     decode_first, lower_first = (parse_ruleset(f'RULE 1 uri {transforms} matches "^abc$" sandbox')
                                  for transforms in ("urldecode,lowercase", "lowercase,urldecode"))
-    assert evaluate(decode_first, request) == WafDecision(True, 1, ())
+    assert _decide(decode_first, request) == (1, ())
     # other order: lowercase first leaves %41 to decode into 'A'
-    assert evaluate(lower_first, request) == PASS
+    assert _decide(lower_first, request) == (None, ())
 
 
 def test_parse_single_rule():
@@ -175,15 +197,28 @@ _DEFAULT_RULE_PAIRS = [
 def test_default_rules_match_and_near_miss():
     rs = default_ruleset()
     for rule_id, hit, miss in _DEFAULT_RULE_PAIRS:
-        decision = evaluate(rs, hit)
-        assert decision.matched and decision.rule_id == rule_id, rule_id
-        assert not evaluate(rs, miss).matched, rule_id
+        assert _decide(rs, hit) == (rule_id, ()), rule_id
+        assert _decide(rs, miss) == (None, ()), rule_id
+
+
+def test_each_sandbox_rule_answers_every_request_it_catches_with_one_verdict():
+    rs = default_ruleset()
+    requests = [hit for _, hit, _ in _DEFAULT_RULE_PAIRS] * 2 + _corpus()
+    caught: dict[int, list] = {}
+    for request in requests:
+        verdict = evaluate(rs, request, Counter())
+        if verdict is not None:
+            caught.setdefault(verdict.rule_id, []).append(verdict)
+    assert set(caught) == {1001, 1002, 1003, 1004, 1005, 1006, 1007}
+    for rule_id, verdicts in caught.items():
+        assert verdicts[0] == Verdict(SANDBOX, 4, f"waf_rule_{rule_id}", rule_id)
+        assert len(verdicts) >= 2 and all(verdict is verdicts[0] for verdict in verdicts), rule_id
 
 
 def test_rule_1008_logs_without_blocking():
-    decision = evaluate(default_ruleset(), _req(headers=(("user-agent", "sqlmap/1.7"),)))
-    assert not decision.matched
-    assert decision.log_fired == (1008,)
+    log_hits = Counter({1008: 4})
+    assert evaluate(default_ruleset(), _req(headers=(("user-agent", "sqlmap/1.7"),)), log_hits) is None
+    assert log_hits == {1008: 5}  # added into the caller's count
 
 
 def test_log_fires_then_sandbox_short_circuits():
@@ -191,9 +226,22 @@ def test_log_fires_then_sandbox_short_circuits():
             'RULE 2 uri none contains "/x" sandbox\n'
             'RULE 3 uri none contains "/" sandbox\n')
     rs = parse_ruleset(text)
-    decision = evaluate(rs, _req(uri="/x", headers=(("user-agent", "SQLMap"),)))
-    assert decision.matched and decision.rule_id == 2
-    assert decision.log_fired == (1,)
+    assert _decide(rs, _req(uri="/x", headers=(("user-agent", "SQLMap"),))) == (2, (1,))
+
+
+def test_a_log_rule_counts_once_per_request_and_rules_that_share_an_id_each_count():
+    rules = parse_ruleset('RULE 1 any_header none contains "x" log\n'
+                          'RULE 2 uri none contains "a" log\n'
+                          'RULE 3 header:h none matches "x" log\n')
+    request = _req(uri="/a", headers=(("h", "x"), ("h", "xx")))
+    # a rule over values stops at its first match
+    assert _decide(rules, request) == (None, (1, 2, 3))
+    # built by hand (parse_ruleset refuses a repeated id): each rule adds 1
+    twins = Ruleset([rules[0], rules[1]._replace(id=1), rules[2]._replace(id=1)])
+    log_hits = Counter()
+    assert evaluate(twins, request, log_hits) is None
+    assert log_hits == {1: 3}
+    assert _decide(twins, request) == _reference_evaluate(twins, request) == (None, (1, 1, 1))
 
 
 def test_rules_after_the_deciding_rule_are_not_tested():
@@ -208,10 +256,10 @@ def test_rules_after_the_deciding_rule_are_not_tested():
                           'RULE 2 body none contains "a" sandbox\n'
                           'RULE 3 uri none matches "q" sandbox\n')
     rs = Ruleset(rules[:2] + (rules[2]._replace(pattern=Spy()),))
-    assert evaluate(rs, _req(uri="/q", body=b"a")) == WafDecision(True, 2, ())
+    assert _decide(rs, _req(uri="/q", body=b"a")) == (2, ())
     assert calls == []
     # the spy is wired in: with no body match, rule 3 runs
-    assert evaluate(rs, _req(uri="/q", body=b"b")) == PASS
+    assert _decide(rs, _req(uri="/q", body=b"b")) == (None, ())
     assert calls == ["/q"]
 
 
@@ -229,8 +277,8 @@ def test_each_candidate_is_derived_once_per_request(monkeypatch):
                        'RULE 3 uri lowercase,urldecode matches "c" log\n'
                        'RULE 4 uri lowercase,urldecode len_gt 100 sandbox\n'
                        'RULE 5 body urldecode contains "zzz" sandbox\n')
-    decisions = [evaluate(rs, _req(uri=f"/%61{n}c", body=f"%62{n}".encode())) for n in range(3)]
-    assert decisions == [WafDecision(False, None, (1, 2, 3))] * 3
+    decisions = [_decide(rs, _req(uri=f"/%61{n}c", body=f"%62{n}".encode())) for n in range(3)]
+    assert decisions == [(None, (1, 2, 3))] * 3
     # one call per request on each of the two candidates
     assert calls == Counter({f"/%61{n}c": 1 for n in range(3)} | {f"%62{n}": 1 for n in range(3)})
 
@@ -238,37 +286,40 @@ def test_each_candidate_is_derived_once_per_request(monkeypatch):
 def test_any_header_tests_every_value():
     rs = parse_ruleset('RULE 1 any_header none contains "evil" sandbox\n')
     req = _req(headers=(("a", "fine"), ("b", "also fine"), ("c", "evil bit set")))
-    assert evaluate(rs, req).matched
+    assert _decide(rs, req) == (1, ())
 
 
 def test_named_header_case_insensitive():
     rs = parse_ruleset('RULE 1 header:User-Agent none contains "bot" sandbox\n')
-    assert evaluate(rs, _req(headers=(("user-agent", "botnet"),))).matched
-    assert not evaluate(rs, _req(headers=(("x-user-agent", "botnet"),))).matched
+    assert _decide(rs, _req(headers=(("user-agent", "botnet"),))) == (1, ())
+    assert _decide(rs, _req(headers=(("x-user-agent", "botnet"),))) == (None, ())
 
 
 def test_matches_operator_uses_regex_search():
     rs = parse_ruleset(r'RULE 1 uri none matches "id=[0-9]+--" sandbox')
-    assert evaluate(rs, _req(uri="/p?id=15--")).matched
-    assert not evaluate(rs, _req(uri="/p?id=x--")).matched
+    assert _decide(rs, _req(uri="/p?id=15--")) == (1, ())
+    assert _decide(rs, _req(uri="/p?id=x--")) == (None, ())
 
 
 def test_method_target():
     rs = parse_ruleset('RULE 1 method none contains "TRACE" sandbox\n')
-    assert evaluate(rs, _req(method="TRACE")).matched
-    assert not evaluate(rs, _req(method="GET")).matched
+    assert _decide(rs, _req(method="TRACE")) == (1, ())
+    assert _decide(rs, _req(method="GET")) == (None, ())
 
 
-def test_evaluation_is_pure():
+def test_evaluation_is_deterministic():
     rs = default_ruleset()
-    req = _req(uri="/p?id=1%20union%20select%202")
-    assert evaluate(rs, req) == evaluate(rs, req)
+    for req in (_req(uri="/p?id=1%20union%20select%202", headers=(("user-agent", "sqlmap"),)),
+                _req(uri="/p", headers=(("user-agent", "sqlmap"),))):
+        first, second = Counter(), Counter()
+        assert evaluate(rs, req, first) is evaluate(rs, req, second)
+        assert first == second
 
 
 def test_empty_ruleset_passes_everything():
     rs = parse_ruleset("")
     assert len(rs) == 0
-    assert not evaluate(rs, _req(uri="/anything")).matched
+    assert _decide(rs, _req(uri="/anything")) == (None, ())
 
 
 def _char_loop_split(line, line_no):
@@ -381,17 +432,15 @@ def _reference_rule_matches(rule, request):
 
 
 def _reference_evaluate(ruleset, request):
-    """Pure; identical inputs always give identical decisions."""
-    log_fired = []
+    """(the deciding sandbox rule's id or None, the id of each log rule
+    that matched before it, in file order), as ``_decide`` answers."""
+    counted = []
     for rule in ruleset:
         if _reference_rule_matches(rule, request):
             if rule.action == SANDBOX_ACTION:
-                return WafDecision(True, rule.id, tuple(log_fired))
-            if rule.id not in log_fired:
-                log_fired.append(rule.id)
-    if not log_fired:
-        return PASS
-    return WafDecision(False, None, tuple(log_fired))
+                return rule.id, tuple(counted)
+            counted.append(rule.id)
+    return None, tuple(counted)
 
 
 # Pieces of requests and rule arguments: non-ASCII capitals that str.lower()
@@ -462,7 +511,7 @@ def test_compiled_ruleset_decides_as_the_rule_by_rule_reference():
     rules = default_ruleset()
     corpus = _corpus()
     assert len(corpus) > 100
-    assert [evaluate(rules, request) for request in corpus] == [
+    assert [_decide(rules, request) for request in corpus] == [
         _reference_evaluate(rules, request) for request in corpus]
 
     rng = random.Random(20261018)
@@ -475,8 +524,8 @@ def test_compiled_ruleset_decides_as_the_rule_by_rule_reference():
         for _ in range(20):
             request = _random_request(rng)
             expected = _reference_evaluate(rules, request)
-            assert evaluate(compiled, request) == expected, (rules, request)
-            outcomes[expected.matched, bool(expected.log_fired)] += 1
+            assert _decide(compiled, request) == expected, (rules, request)
+            outcomes[expected[0] is not None, bool(expected[1])] += 1
     # every target, transform order, operator and action, and every outcome, occurred
     assert {target for target, *_ in seen} == {"method", "uri", "any_header", "header", "body", "duration_ms"}
     assert {transforms for _, transforms, *_ in seen} >= {(), ("lowercase",), ("urldecode",),
@@ -519,8 +568,7 @@ def _any_header(arg, transforms=()):
 def test_any_header_contains_boundaries(transforms, arg, values, matched):
     ruleset = _any_header(arg, transforms)
     request = _req(headers=[(f"h{n}", value) for n, value in enumerate(values)])
-    assert evaluate(ruleset, request).matched is matched
-    assert _reference_evaluate(ruleset, request).matched is matched
+    assert _decide(ruleset, request) == _reference_evaluate(ruleset, request) == ((1 if matched else None), ())
 
 
 def test_a_transform_runs_once_per_text_and_never_on_an_empty_one(monkeypatch):
@@ -534,7 +582,7 @@ def test_a_transform_runs_once_per_text_and_never_on_an_empty_one(monkeypatch):
     monkeypatch.setitem(_TRANSFORM_FNS, "lowercase", counted)
     rules = parse_ruleset(waf.DEFAULT_RULESET_TEXT)  # rules 1007 and 1008 share one header text
     headers = (("Host", "A.test"), ("User-Agent", "SQLMap"), ("Accept", ""), ("X-A", "Ã"))
-    assert evaluate(rules, _req(uri="/P", headers=headers)) == WafDecision(False, None, (1008,))
+    assert _decide(rules, _req(uri="/P", headers=headers)) == (None, (1008,))
     assert calls == Counter({"/P": 1, "A.test\nSQLMap\n\nÃ": 1})  # the empty body is not transformed
 
 
@@ -563,7 +611,7 @@ def test_any_header_contains_decides_per_value_on_random_requests():
         rules = [Rule(rule_id, "any_header", None, rng.choice(_JOIN_TRANSFORMS), "contains",
                       _join_arg(rng, values), None, None, rng.choice(["sandbox", "log", "log"]))
                  for rule_id in range(1, rng.randrange(1, 5) + 1)]
-        assert evaluate(Ruleset(rules), request) == _reference_evaluate(rules, request), (rules, request)
+        assert _decide(Ruleset(rules), request) == _reference_evaluate(rules, request), (rules, request)
         for rule in rules:
             transformed = [_reference_transform(value, rule.transforms) for value in values]
             if not any(rule.arg in value for value in transformed):
@@ -579,11 +627,11 @@ def test_the_http_mix_benchmark_trace_decides_as_the_reference(bench_inputs_root
     with open(inputs.trace, encoding="utf-8") as fh:
         requests = [event.body for event in map(parse_trace_event, fh) if event.kind == "http"]
     rules = default_ruleset()
-    decisions = [evaluate(rules, request) for request in requests]
+    decisions = [_decide(rules, request) for request in requests]
     assert decisions == [_reference_evaluate(rules, request) for request in requests]
     assert len(requests) == inputs.events
-    assert {None, 1001, 1002, 1007} < {decision.rule_id for decision in decisions}
-    assert any(decision.log_fired for decision in decisions)
+    assert {None, 1001, 1002, 1007} < {rule_id for rule_id, _ in decisions}
+    assert any(counted for _, counted in decisions)
 
 
 def test_each_target_is_read_once_per_request():
@@ -609,8 +657,8 @@ def test_each_target_is_read_once_per_request():
               'RULE 102 body none len_gt 1 log', 'RULE 103 body urldecode matches "b" log']
     rules = parse_ruleset("\n".join(lines))
     fields = ("GET", "/a", "HTTP/1.1", (("X-A", "1"), ("b", "2")), b"%62", 9)
-    decision = evaluate(rules, CountedRequest(*fields[:4], CountedBody(fields[4]), fields[5]))
-    assert decision == _reference_evaluate(rules, HttpInfo(*fields)) == WafDecision(False, None, (100, 101, 102, 103))
+    decision = _decide(rules, CountedRequest(*fields[:4], CountedBody(fields[4]), fields[5]))
+    assert decision == _reference_evaluate(rules, HttpInfo(*fields)) == (None, (100, 101, 102, 103))
     assert decodes == [("latin-1",)]
     assert reads == Counter(["method", "uri", "headers", "body", "duration_ms"])
 
@@ -646,26 +694,29 @@ def test_rule_text_is_bound_as_data_never_as_source(monkeypatch):
     requests = [_req(uri=f"/{text}", headers=((text, text), (name, text)), body=text.encode("latin-1"))
                 for text, name in zip(_HOSTILE, names)]
     requests.append(_req(uri="/plain", headers=(("a", "b"),), body=b"c"))
-    decisions = [evaluate(ruleset, request) for request in requests]
+    decisions = [_decide(ruleset, request) for request in requests]
     assert decisions == [_reference_evaluate(ruleset, request) for request in requests]
     # each text matches only as itself
-    assert [d.matched for d in decisions] == ["\n" in text for text in _HOSTILE] + [False]
-    for decision, text in zip(decisions, _HOSTILE):
-        assert len(decision.log_fired) >= (2 if "\n" in text else 5), text
-    assert decisions[-1] == PASS
-    # the source holds no string but the body's codec, no number, and only
-    # fixed names besides the numbered locals and constants
+    assert [rule_id is not None for rule_id, _ in decisions] == ["\n" in text for text in _HOSTILE] + [False]
+    for (_, counted), text in zip(decisions, _HOSTILE):
+        assert len(counted) >= (2 if "\n" in text else 5), text
+    assert decisions[-1] == (None, ())
+    # the source holds no string but the body's codec, no number but a
+    # count's step, and only fixed names besides the numbered locals and
+    # constants
     names, literals = set(), []
     for source in sources:
+        before = None
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME and not re.fullmatch(r"_[cv][0-9]+", tok.string):
                 names.add(tok.string)
             elif tok.type in (tokenize.STRING, tokenize.NUMBER):
-                literals.append(tok.string)
-    assert set(literals) == {'"latin-1"'}
+                literals.append((before, tok.string))
+            before = tok.string
+    assert set(literals) == {("(", '"latin-1"'), ("+=", "1")}
     assert names <= {"def", "evaluate", "request", "method", "uri", "body", "decode", "duration_ms", "headers",
-                     "if", "for", "in", "not", "return", "break", "value", "key", "_", "lower", "len", "else",
-                     "log_fired", "append", "tuple", "WafDecision", "PASS", "True", "False", "None"}, names
+                     "if", "for", "in", "return", "break", "value", "key", "_", "lower", "len", "else",
+                     "log_hits", "None"}, names
 
 
 def _large_ruleset_text(rng, count):
@@ -706,9 +757,9 @@ def test_a_large_ruleset_compiles_and_decides_as_the_reference(tmp_path, capsys)
         (op, action) for op in ("contains", "matches", "len_gt", "num_gt") for action in ("sandbox", "log")}
     corpus = [request for _, hit, miss in _DEFAULT_RULE_PAIRS for request in (hit, miss)]
     corpus += [_random_request(rng) for _ in range(120)]
-    decisions = [evaluate(rules, request) for request in corpus]
+    decisions = [_decide(rules, request) for request in corpus]
     assert decisions == [_reference_evaluate(rules, request) for request in corpus]
-    passed = sum(not decision.matched for decision in decisions)
+    passed = sum(rule_id is None for rule_id, _ in decisions)
     assert 10 <= passed <= len(corpus) - 10  # many requests ran through all 5,000 rules, many stopped early
     path = tmp_path / "large.rules"
     path.write_text(text, encoding="utf-8")
